@@ -19,7 +19,7 @@ from .errors import DataFormatError, EcrmError, NumericalError
 from .flow_opt import (enumerate_path_vertices, enumerate_st_paths, fw_min_quadratic,
                        lmo_flow, solve_flow_abs, solve_flow_abs_batch, solve_flow_sq)
 from .hierarchy import HierarchyDag
-from .inference import brute_force_argmin, infer, infer_from_weights, sign_rule
+from .inference import brute_force_argmin, infer, infer_batch, infer_from_weights, sign_rule
 from .io import Dataset, load_model, save_additive_model, save_model
 from .kernels import KernelSpec, eval_kernel, gram_matrix, kernel_vector
 from .losses import (LossSpec, additive_coefficients, footrule, hamming,

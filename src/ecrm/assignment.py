@@ -1,15 +1,16 @@
-"""Exact min-cost assignment by shortest augmenting paths with potentials.
+"""Exact min-cost assignment.
 
-Runs in O(d^3); entries may be negative or tie.  Ties in the augmenting
-search prefer the smallest column index, so results are deterministic for
-a given cost matrix.
+Delegates to ``scipy.optimize.linear_sum_assignment``, an O(d^3) shortest
+augmenting path method (Crouse, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES 2016).  Entries may be negative or tie; the result
+is an optimum, deterministic for a given cost matrix, but when several
+assignments attain the minimum no particular one is promised.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def solve_assignment(C) -> np.ndarray:
@@ -19,56 +20,12 @@ def solve_assignment(C) -> np.ndarray:
     column (rank) assigned to row (label) ``j``, plus one.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = C.shape[0]
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"cost matrix must be square, got {C.shape}")
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix entries must be finite")
-
-    INF = math.inf
-    u = [0.0] * (n + 1)          # row potentials
-    v = [0.0] * (n + 1)          # column potentials
-    p = [0] * (n + 1)            # p[j] = row matched to column j (1-based, 0 = free)
-    way = [0] * (n + 1)
-
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = C[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-
-    sigma = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        sigma[p[j] - 1] = j
-    return sigma
+    _, cols = linear_sum_assignment(C)
+    return cols.astype(np.int64) + 1
 
 
 def assignment_cost(C, sigma) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow_opt import fw_min_quadratic, project_batch
+from .flow_opt import project_batch
 from .inference import infer_from_weights
 from .io import Dataset
 from .kernels import KernelSpec
@@ -39,16 +39,10 @@ def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace,
 
 def krr_project_predict(dataset: Dataset, space: OutputSpace, kernel: KernelSpec,
                         lam: float, x) -> np.ndarray:
-    """Coordinatewise kernel ridge prediction projected onto the flow polytope."""
-    if space.kind != "flow_polytope":
-        raise ValueError("projection baseline is defined for flow polytopes")
-    model = fit(kernel, lam, dataset.X, dataset.Y)
-    wv = weights(model, x)
-    yhat = wv.effective @ np.asarray(dataset.Y, dtype=float)
-    if is_feasible(space, yhat, tol=1e-12):
-        return yhat
-    y, _, _, _ = fw_min_quadratic(yhat, space.network, gap_tol=_PROJECT_GAP)
-    return y
+    """Coordinatewise kernel ridge prediction projected onto the flow polytope;
+    the one-row case of ``krr_project_predict_batch``."""
+    return krr_project_predict_batch(dataset, space, kernel, lam,
+                                     np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
 def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: KernelSpec,
@@ -56,21 +50,11 @@ def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: Kern
     """Vectorized ridge-then-project over query rows."""
     if space.kind != "flow_polytope":
         raise ValueError("projection baseline is defined for flow polytopes")
-    from .kernels import cross_gram
-    from scipy.linalg import cho_solve
-
     model = fit(kernel, lam, dataset.X, dataset.Y)
-    V = cross_gram(kernel, np.atleast_2d(np.asarray(Xq, dtype=float)), model.inputs)
-    W = cho_solve(model.factor, V.T).T
+    W = weights(model, np.atleast_2d(np.asarray(Xq, dtype=float))).w
     Yhat = W @ np.asarray(dataset.Y, dtype=float)
-    out = np.empty_like(Yhat)
-    todo = []
-    for i in range(Yhat.shape[0]):
-        if is_feasible(space, Yhat[i], tol=1e-12):
-            out[i] = Yhat[i]
-        else:
-            todo.append(i)
+    todo = [i for i in range(len(Yhat)) if not is_feasible(space, Yhat[i], tol=1e-12)]
+    out = Yhat.copy()
     if todo:
-        proj, _ = project_batch(Yhat[todo], space.network, gap_tol=_PROJECT_GAP)
-        out[todo] = proj
+        out[todo] = project_batch(Yhat[todo], space.network, gap_tol=_PROJECT_GAP)[0]
     return out

@@ -19,12 +19,11 @@ from .analysis import (BoundInputs, empirical_surrogate_risk, generalization_bou
                        make_surrogate_config, surrogate_loss)
 from .baselines import knn_local_risk_predict, krr_project_predict_batch
 from .errors import DataFormatError, EcrmError, NumericalError
-from .flow_opt import solve_flow_abs_batch
-from .inference import infer
+from .inference import infer_batch
 from .io import Dataset, fmt
 from .kernels import KernelSpec, kernel_sup_bound
 from .losses import LossSpec, loss_bound, loss_value
-from .model import fit
+from .model import fit, weights
 from .results import SolverParams
 from .simulate import FlowGeneratorSpec, default_flow_network, simulate_flow_data
 from .spaces import (ConstraintMatrix, assignment_space, flow_space, hierarchy_space,
@@ -91,18 +90,8 @@ def _print_rows(rows, integral: bool) -> None:
 def _predict_rows(model, loss, space, X, params):
     if isinstance(model, AdditiveModel):
         return [infer_additive(model, X[i]).y_star for i in range(X.shape[0])]
-    if space.kind == "flow_polytope" and loss.kind == "absolute":
-        # Single batched call: identical math to per-row solves, one pass.
-        from scipy.linalg import cho_solve
-        from .kernels import cross_gram
-
-        V = cross_gram(model.kernel, X, model.inputs)
-        W = cho_solve(model.factor, V.T).T
-        if model.intercept_mode == "centered":
-            W = W + ((1.0 - W.sum(axis=1)) / model.m)[:, None]
-        Y, _, _ = solve_flow_abs_batch(W, model.labels, space.network, params)
-        return [Y[i] for i in range(Y.shape[0])]
-    return [infer(model, loss, space, X[i], params).y_star for i in range(X.shape[0])]
+    W = weights(model, X).effective
+    return [r.y_star for r in infer_batch(W, model.labels, loss, space, params)]
 
 
 def cmd_train(args) -> int:
@@ -243,8 +232,7 @@ def cmd_baseline(args) -> int:
                 for i in range(Xq.shape[0])]
     else:
         kernel = _kernel_from_args(args)
-        preds = krr_project_predict_batch(data, space, kernel, args.lam, Xq)
-        rows = [preds[i] for i in range(preds.shape[0])]
+        rows = list(krr_project_predict_batch(data, space, kernel, args.lam, Xq))
     _print_rows(rows, integral=space.kind in ("hierarchy", "assignment"))
     return 0
 

@@ -50,20 +50,30 @@ class _MaxFlow:
                     q.append(v)
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, f: float, level, it, eps: float) -> float:
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > eps and level[v] == level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[e]), level, it, eps)
-                if d > 0.0:
-                    self.cap[e] -= d
-                    self.cap[e ^ 1] += d
-                    return d
-            it[u] += 1
-        return 0.0
+    def _augment(self, s: int, t: int, level, it, eps: float) -> float:
+        """Push flow along one s-t path of the level graph, found depth-first
+        without recursion; ``it[u]`` skips only arcs that led to dead ends."""
+        head, to, cap = self.head, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            if it[u] == len(head[u]):
+                if not path:
+                    return 0.0
+                u = to[path.pop() ^ 1]  # back up to the arc's tail; that arc is dead
+                it[u] += 1
+                continue
+            e = head[u][it[u]]
+            if cap[e] > eps and level[to[e]] == level[u] + 1:
+                path.append(e)
+                u = to[e]
+            else:
+                it[u] += 1
+        f = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= f
+            cap[e ^ 1] += f
+        return f
 
     def max_flow(self, s: int, t: int, eps: float) -> float:
         total = 0.0
@@ -73,7 +83,7 @@ class _MaxFlow:
                 return total
             it = [0] * self.n
             while True:
-                f = self._dfs(s, t, math.inf, level, it, eps)
+                f = self._augment(s, t, level, it, eps)
                 if f <= 0.0:
                     break
                 total += f

@@ -42,19 +42,17 @@ def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
     for a, (tail, head) in enumerate(net.arcs):
         out[tail].append((a, head))
     rows: list[list[int]] = []
-
-    def walk(u, arcs_so_far):
+    # Explicit stack instead of recursion, so deep networks do not hit the
+    # recursion limit; pushing arcs in reverse pops them in arc-index order.
+    stack = [(s, ())]
+    while stack:
+        u, arcs = stack.pop()
         if u == t:
-            rows.append(list(arcs_so_far))
-            return
-        for a, v in out[u]:
-            arcs_so_far.append(a)
-            walk(v, arcs_so_far)
-            arcs_so_far.pop()
+            rows.append(list(arcs))
             if len(rows) > cap:
                 raise ValueError(f"more than {cap} source-sink paths")
-
-    walk(s, [])
+            continue
+        stack.extend((v, arcs + (a,)) for a, v in reversed(out[u]))
     if not rows:
         raise ValueError("network has no source-sink path")
     P = np.zeros((len(rows), net.n_arcs))

@@ -5,8 +5,11 @@ minimized exhaustively, hierarchy spaces via the max-weight-closure solver
 on the additive coefficients, rankings via min-cost assignment, and flow
 polytopes via the convex/heuristic continuous solvers.  The binary +/-1
 zero-one case short-circuits to the classification sign rule it reduces to.
+``infer_batch`` does the same for every row of a weight matrix, building the
+additive coefficients of all rows at once.
 
-Discrete argmins break ties toward the lexicographically smallest encoding.
+Exhaustive and hierarchy argmins break ties toward the lexicographically
+smallest encoding; rankings return an optimum, with no rule among tied ones.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .assignment import assignment_cost, solve_assignment
 from .closure import solve_hierarchy
-from .flow_opt import solve_flow_abs, solve_flow_sq
+from .flow_opt import solve_flow_abs, solve_flow_abs_batch, solve_flow_sq
 from .losses import LossSpec, additive_coefficients, loss_value
 from .model import TrainedModel, weights
 from .results import EXACT, InferenceResult, SolverParams
@@ -35,6 +38,9 @@ def sign_rule(w, labels) -> int:
     w = np.asarray(w, dtype=float).ravel()
     lab = np.asarray(labels, dtype=float).reshape(w.shape[0], -1)[:, 0]
     return 1 if float(np.dot(w, lab)) >= 0.0 else -1
+
+
+_ADDITIVE_LOSSES = {"hierarchy": ("hamming", "hierarchical"), "assignment": ("footrule",)}
 
 
 def infer_from_weights(w, labels, loss: LossSpec, space: OutputSpace,
@@ -58,21 +64,8 @@ def infer_from_weights(w, labels, loss: LossSpec, space: OutputSpace,
                 best_y, best_obj = member, obj
         return InferenceResult(y_star=best_y, objective=best_obj, certificate=EXACT)
 
-    if space.kind == "hierarchy":
-        if loss.kind not in ("hamming", "hierarchical"):
-            raise ValueError(f"loss {loss.kind!r} is not supported on hierarchy spaces")
-        coeffs, offset = additive_coefficients(loss, labels, w)
-        y = solve_hierarchy(coeffs, space.hierarchy)
-        return InferenceResult(y_star=y, objective=float(coeffs @ y + offset),
-                               certificate=EXACT)
-
-    if space.kind == "assignment":
-        if loss.kind != "footrule":
-            raise ValueError(f"loss {loss.kind!r} is not supported on assignment spaces")
-        C, _ = additive_coefficients(loss, labels, w)
-        sigma = solve_assignment(C)
-        return InferenceResult(y_star=sigma, objective=assignment_cost(C, sigma),
-                               certificate=EXACT)
+    if space.kind in _ADDITIVE_LOSSES:
+        return infer_batch(w[None, :], labels, loss, space)[0]
 
     if space.kind == "flow_polytope":
         if loss.kind == "square":
@@ -82,6 +75,35 @@ def infer_from_weights(w, labels, loss: LossSpec, space: OutputSpace,
         raise ValueError(f"loss {loss.kind!r} is not supported on flow polytopes")
 
     raise ValueError(f"unsupported (loss, space) pair: ({loss.kind}, {space.kind})")
+
+
+def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
+                params: SolverParams | None = None) -> list[InferenceResult]:
+    """``infer_from_weights`` for each row of ``W`` (Q, m).
+
+    Additive losses get the coefficients of all rows from one
+    ``additive_coefficients`` call and solve per row; the L1 flow solver
+    takes the whole batch.  Other pairs run row by row.
+    """
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    if space.kind in _ADDITIVE_LOSSES:
+        if loss.kind not in _ADDITIVE_LOSSES[space.kind]:
+            raise ValueError(f"loss {loss.kind!r} is not supported on {space.kind} spaces")
+        out = []
+        for c, offset in zip(*additive_coefficients(loss, labels, W)):
+            if space.kind == "hierarchy":
+                y = solve_hierarchy(c, space.hierarchy)
+                obj = c @ y + offset
+            else:
+                y = solve_assignment(c)
+                obj = assignment_cost(c, y) + offset
+            out.append(InferenceResult(y_star=y, objective=float(obj), certificate=EXACT))
+        return out
+    if space.kind == "flow_polytope" and loss.kind == "absolute":
+        Y, objs, certs = solve_flow_abs_batch(W, labels, space.network, params)
+        return [InferenceResult(y_star=Y[i], objective=float(objs[i]), certificate=certs[i])
+                for i in range(len(W))]
+    return [infer_from_weights(w, labels, loss, space, params) for w in W]
 
 
 def infer(model: TrainedModel, loss: LossSpec, space: OutputSpace, x,

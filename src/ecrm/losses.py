@@ -4,7 +4,8 @@ Each discrete loss used for exact inference decomposes additively over the
 coordinates of a binary encoding; ``additive_coefficients`` turns a loss
 plus weighted training labels into the per-coordinate linear objective fed
 to the combinatorial solvers, together with the constant offset that makes
-objective values match the estimated conditional risk.
+objective values match the estimated conditional risk.  That objective is
+linear in the weights, so it takes one weight vector or a batch of them.
 """
 
 from __future__ import annotations
@@ -172,48 +173,74 @@ def additive_coefficients(spec: LossSpec, labels, w):
 
     Returns ``(coeffs, offset)`` such that for every feasible binary
     encoding ``y`` the estimated risk equals ``sum(coeffs * y) + offset``.
-    Coefficient shape is ``(d,)`` for Hamming/hierarchical and ``(d, d)``
-    (label-by-rank cost matrix) for the footrule.
+    ``w`` is one weight vector ``(m,)`` or a batch ``(Q, m)``, one row per
+    query.  Coefficient shape is ``(d,)`` for Hamming/hierarchical and
+    ``(d, d)`` (label-by-rank cost matrix) for the footrule, with a float
+    offset; a batch adds a leading ``Q`` axis to both and costs a few
+    matrix products, not a loop over queries.
     """
     w = np.asarray(w, dtype=float)
+    W = np.atleast_2d(w)
     Y = np.asarray(labels)
     if spec.kind == "hamming":
         Y = Y.astype(float)
-        coeffs = (1.0 - 2.0 * Y).T @ w
-        offset = float(w @ Y.sum(axis=1))
-        return coeffs, offset
-    if spec.kind == "hierarchical":
-        G = spec.hierarchy
-        c = spec.penalties
-        Y = Y.astype(float)
-        coeffs = np.zeros(G.d)
-        s = G.roots[0]
-        coeffs[s] = c[s] * float(w @ (1.0 - 2.0 * Y[:, s]))
-        offset = c[s] * float(w @ Y[:, s])
-        for parent, child in G.arcs:
-            coeffs[parent] += c[child] * float(w @ Y[:, child])
-            coeffs[child] += c[child] * float(
-                w @ (Y[:, parent] - Y[:, parent] * Y[:, child] - Y[:, child])
-            )
-        return coeffs, offset
-    if spec.kind == "footrule":
-        return footrule_cost_matrix(Y, w), 0.0
-    raise ValueError(f"loss kind {spec.kind!r} has no additive binary decomposition")
+        coeffs = W @ (1.0 - 2.0 * Y)
+        offset = W @ Y.sum(axis=1)
+    elif spec.kind == "hierarchical":
+        coeffs, offset = _hierarchical_coefficients(spec, Y.astype(float), W)
+    elif spec.kind == "footrule":
+        coeffs, offset = footrule_cost_matrix(Y, W), np.zeros(W.shape[0])
+    else:
+        raise ValueError(f"loss kind {spec.kind!r} has no additive binary decomposition")
+    if w.ndim == 1:
+        return coeffs[0], float(offset[0])
+    return coeffs, offset
+
+
+def _hierarchical_coefficients(spec: LossSpec, Y, W):
+    """``hierarchical_loss_closed`` summed under each weight row of ``W``:
+    with ``T = W @ Y`` and ``U = W @ (Y[:, parent] * Y[:, child])``, an arc
+    adds ``c_child T_child`` to the parent and ``c_child (T_parent - U -
+    T_child)`` to the child."""
+    G = spec.hierarchy
+    c = spec.penalties
+    Q, d = W.shape[0], G.d
+    s = G.roots[0]
+    par, ch = np.array(G.arcs, dtype=np.int64).reshape(-1, 2).T
+    T = W @ Y
+    U = W @ (Y[:, par] * Y[:, ch])
+    # Arcs that share a parent are summed into it by one flat bincount.
+    flat = (np.arange(Q)[:, None] * d + par[None, :]).ravel()
+    coeffs = np.bincount(flat, weights=(c[ch] * T[:, ch]).ravel(),
+                         minlength=Q * d).reshape(Q, d)
+    # In an arborescence every non-root node is the child of exactly one arc.
+    coeffs[:, ch] += c[ch] * (T[:, par] - U - T[:, ch])
+    coeffs[:, s] += c[s] * (W @ (1.0 - 2.0 * Y[:, s]))
+    return coeffs, c[s] * T[:, s]
 
 
 def footrule_cost_matrix(sigmas, w) -> np.ndarray:
     """Assignment costs ``C[j,k] = sum_i w_i |(k+1) - sigma_i(j)|``.
 
     Placing label ``j`` at rank ``k+1`` contributes ``C[j,k]`` to the
-    weighted footrule risk.
+    weighted footrule risk.  ``w`` is one weight vector ``(m,)``, giving
+    ``(d, d)``, or a batch ``(Q, m)``, giving ``(Q, d, d)``.  Computed as
+    ``M @ D``: ``M[j, r] = sum_i w_i [sigma_i(j) = r+1]`` is the weighted
+    rank histogram of label ``j`` and ``D[r, k] = |k - r|``.
     """
-    S = np.asarray(sigmas, dtype=float)
+    S = np.asarray(sigmas)
     w = np.asarray(w, dtype=float)
+    W = np.atleast_2d(w)
     d = S.shape[1]
-    ranks = np.arange(1, d + 1, dtype=float)
-    # |rank - sigma_i(j)| has shape (m, d, d): sample, label, candidate rank.
-    diffs = np.abs(ranks[None, None, :] - S[:, :, None])
-    return np.einsum("i,ijk->jk", w, diffs)
+    if not np.array_equal(np.sort(S, axis=1), np.broadcast_to(np.arange(1, d + 1), S.shape)):
+        raise ValueError("training labels are not permutations of 1..d")
+    # Histogram bin of (label j, rank sigma_i(j)); sample i repeats d times.
+    bins = (np.arange(d) * d + S.astype(np.int64) - 1).ravel()
+    M = np.stack([np.bincount(bins, weights=np.repeat(row, d), minlength=d * d)
+                  for row in W]).reshape(-1, d, d)
+    r = np.arange(d, dtype=float)
+    C = M @ np.abs(r[None, :] - r[:, None])
+    return C[0] if w.ndim == 1 else C
 
 
 def loss_bound(spec: LossSpec, space=None) -> float:

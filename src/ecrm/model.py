@@ -4,6 +4,8 @@ Fitting stores the inputs, the structured labels and a Cholesky factor of
 ``K + m*lambda*I``.  A query ``x`` yields a weight vector
 ``w(x) = (K + m*lambda*I)^-1 v(x)`` and the estimated conditional risk of a
 candidate label ``y`` is the weighted sum ``sum_i w_i(x) loss(y, y_i)``.
+A batch of queries shares one cross-Gram build and one multi-right-hand-side
+solve; a single query is the one-row batch.
 
 Fitting never touches the label contents: the label array is stored as
 passed, so training cost is independent of the output dimension.
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .kernels import KernelSpec, gram_matrix, kernel_vector
+from .kernels import KernelSpec, cross_gram, gram_matrix
 from .losses import LossSpec, loss_value
 
 INTERCEPT_MODES = ("none", "centered")
@@ -25,19 +27,22 @@ INTERCEPT_MODES = ("none", "centered")
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Solution of ``(K + m*lambda*I) w = v(x)`` for one query.
+    """Solution of ``(K + m*lambda*I) w = v(x)`` for one query or a batch.
 
-    ``adjustment`` is the per-sample constant added when the model was fit
-    with a centered intercept; ``effective`` is what risk estimates use.
+    ``w`` is ``(m,)`` for one query and ``(Q, m)`` for a batch, one row per
+    query.  ``adjustment`` is the per-sample constant added when the model
+    was fit with a centered intercept: a float for one query, a ``(Q, 1)``
+    column for a batch.  ``effective`` (same shape as ``w``) is what risk
+    estimates use.
     """
 
     w: np.ndarray
     query: np.ndarray
-    adjustment: float = 0.0
+    adjustment: float | np.ndarray = 0.0
 
     @property
     def effective(self) -> np.ndarray:
-        if self.adjustment == 0.0:
+        if np.ndim(self.adjustment) == 0 and self.adjustment == 0.0:
             return self.w
         return self.w + self.adjustment
 
@@ -94,20 +99,24 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
 
 
 def weights(model: TrainedModel, x) -> WeightVector:
-    """Weight vector for a query point.
+    """Weights for one query ``x`` of shape ``(p,)`` or a batch ``(Q, p)``.
 
-    With a centered intercept the per-target mean is subtracted before the
-    ridge solve and added back afterwards; folding that through the weighted
-    sum is equivalent to adding ``(1 - sum(w)) / m`` to every weight.
+    A batch costs one cross-Gram build and one multi-right-hand-side
+    Cholesky solve.  With a centered intercept the per-target mean is
+    subtracted before the ridge solve and added back afterwards; folding
+    that through the weighted sum is equivalent to adding
+    ``(1 - sum(w)) / m`` to every weight of the query's row.
     """
     if model.factor is None:
         raise ValueError("model has no stored factorization; was it fitted?")
-    v = kernel_vector(model.kernel, model.inputs, x)
-    w = cho_solve(model.factor, v)
+    x = np.asarray(x, dtype=float)
+    W = cho_solve(model.factor, cross_gram(model.kernel, np.atleast_2d(x), model.inputs).T).T
     adj = 0.0
     if model.intercept_mode == "centered":
-        adj = (1.0 - float(np.sum(w))) / model.m
-    return WeightVector(w=w, query=np.asarray(x, dtype=float), adjustment=adj)
+        adj = ((1.0 - W.sum(axis=1)) / model.m)[:, None]
+    if x.ndim < 2:
+        return WeightVector(w=W[0], query=x, adjustment=float(np.ravel(adj)[0]))
+    return WeightVector(w=W, query=x, adjustment=adj)
 
 
 def estimate_conditional_risk(model: TrainedModel, loss: LossSpec, y, x) -> float:

@@ -228,6 +228,90 @@ class TestAssignmentPredict:
             assert ranks == list(range(1, d + 1))
 
 
+class TestBatchEqualsSingle:
+    """``predict`` solves all query rows as one batch; every row must equal
+    the library's single-query ``infer``."""
+
+    def _check(self, capsys, tmp_path, X, Y, space_flags, space, loss, integral,
+               solver_flags=(), params=None):
+        import ecrm.cli
+        from ecrm import infer, load_model
+
+        save_matrix(tmp_path / "x.txt", X)
+        save_matrix(tmp_path / "y.txt", Y)
+        Xq = np.vstack([X, np.random.default_rng(3).normal(size=(6, X.shape[1]))])
+        save_matrix(tmp_path / "xq.txt", Xq)
+        out = tmp_path / "m.ecrm"
+        assert ecrm.cli.main(["train", "--x", str(tmp_path / "x.txt"),
+                              "--labels", str(tmp_path / "y.txt"), *space_flags,
+                              "--kernel", "rbf", "--gamma", "0.5", "--lambda", "0.1",
+                              "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert ecrm.cli.main(["predict", "--model", str(out), "--x", str(tmp_path / "xq.txt"),
+                              *space_flags, "--loss", loss.kind, *solver_flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == Xq.shape[0]
+        model = load_model(out)
+        for line, x in zip(lines, Xq):
+            row = [int(t) if integral else float(t) for t in line.split()]
+            np.testing.assert_array_equal(row, infer(model, loss, space, x, params).y_star)
+
+    @pytest.mark.parametrize("kind", ["hamming", "hierarchical"])
+    def test_hierarchy(self, capsys, hierarchy_fixture, kind):
+        from ecrm import LossSpec, hierarchy_space
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        G = HierarchyDag(4, [(0, 1), (0, 2), (2, 3)])
+        loss = LossSpec(kind, hierarchy=G if kind == "hierarchical" else None)
+        self._check(capsys, tmp, X, Y, ["--space", "hierarchy", "--hierarchy", str(hpath)],
+                    hierarchy_space(G), loss, integral=True)
+
+    def test_assignment(self, capsys, tmp_path, rng):
+        from ecrm import LossSpec, assignment_space
+        d = 5
+        X = rng.normal(size=(8, 3))
+        Y = np.array([rng.permutation(d) + 1 for _ in range(8)])
+        self._check(capsys, tmp_path, X, Y, ["--space", "assignment", "--dim", str(d)],
+                    assignment_space(d), LossSpec("footrule"), integral=True)
+
+    def test_flow_absolute(self, capsys, tmp_path):
+        from ecrm import LossSpec, SolverParams, flow_space
+        net = default_flow_network()
+        save_network(tmp_path / "net.txt", net)
+        data = simulate_flow_data(FlowGeneratorSpec.create(seed=17, tau=1.0, p=4), 20)
+        self._check(capsys, tmp_path, data.X, data.Y,
+                    ["--space", "flow", "--network", str(tmp_path / "net.txt")],
+                    flow_space(net), LossSpec("absolute"), integral=False,
+                    solver_flags=["--max-iters", "40", "--restarts", "2"],
+                    params=SolverParams(max_iters=40, restarts=2))
+
+
+class TestDeepHierarchy:
+    def test_chain_of_3000_nodes_predicts(self, tmp_path, rng):
+        # Full-depth labels put the closure's augmenting paths 3000 arcs deep.
+        d = 3000
+        G = HierarchyDag(d, [(j, j + 1) for j in range(d - 1)])
+        hpath = tmp_path / "h.txt"
+        save_hierarchy(hpath, G)
+        X = rng.normal(size=(4, 2))
+        Y = np.zeros((4, d), dtype=np.int64)
+        Y[:3] = 1
+        Y[3, 0] = 1
+        save_matrix(tmp_path / "x.txt", X)
+        save_matrix(tmp_path / "y.txt", Y)
+        out = tmp_path / "m.ecrm"
+        r = run_cli("train", "--x", tmp_path / "x.txt", "--labels", tmp_path / "y.txt",
+                    "--space", "hierarchy", "--hierarchy", hpath, "--kernel", "rbf",
+                    "--gamma", 0.5, "--lambda", 0.01, "--out", out)
+        assert r.returncode == 0, r.stderr
+        r = run_cli("predict", "--model", out, "--x", tmp_path / "x.txt", "--space",
+                    "hierarchy", "--hierarchy", hpath, "--loss", "hierarchical")
+        assert r.returncode == 0, r.stderr
+        rows = [[int(t) for t in line.split()] for line in r.stdout.splitlines()]
+        assert len(rows) == 4
+        for row in rows:
+            assert len(row) == d and row == sorted(row, reverse=True)
+
+
 class TestFlowPredict:
     def test_flow_predictions_feasible_and_deterministic(self, tmp_path):
         net = default_flow_network()
@@ -292,6 +376,19 @@ class TestExitCodes:
     def test_bad_flag_is_usage_error(self):
         r = run_cli("train", "--bogus", "x")
         assert r.returncode == 2
+
+    def test_footrule_on_labels_that_are_not_permutations(self, hierarchy_fixture):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        out = tmp / "m.ecrm"
+        r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", "rbf", "--gamma", 0.5,
+                    "--lambda", 0.1, "--out", out)
+        assert r.returncode == 0, r.stderr
+        r = run_cli("predict", "--model", out, "--x", xpath, "--space", "assignment",
+                    "--dim", 4, "--loss", "footrule")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: training labels are not permutations of 1..d\n"
 
     def test_malformed_labels_rejected(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture

@@ -21,6 +21,12 @@ class TestPaths:
         for v in enumerate_path_vertices(NET):
             assert flow_residual(NET, v) <= 1e-15
 
+    def test_deep_chain_network_has_one_path(self):
+        n = 3000
+        net = FlowNetwork(n, [(j, j + 1) for j in range(n - 1)],
+                          [1.0] + [0.0] * (n - 2) + [-1.0])
+        np.testing.assert_array_equal(enumerate_st_paths(net), np.ones((1, n - 1)))
+
     def test_cyclic_network_rejected(self):
         net = FlowNetwork(3, [(0, 1), (1, 2), (2, 1)], [1.0, 0.0, -1.0])
         with pytest.raises(ValueError):

@@ -180,6 +180,21 @@ class TestWeights:
         assert norms[-1] < 1e-6
 
 
+    @pytest.mark.parametrize("intercept", ["none", "centered"])
+    def test_batch_rows_equal_single_queries(self, rng, intercept):
+        X = rng.normal(size=(9, 3))
+        Xq = rng.normal(size=(5, 3))
+        for spec in (KernelSpec("rbf", gamma=0.6), KernelSpec("linear")):
+            model = fit(spec, 0.3, X, np.zeros(9), intercept_mode=intercept)
+            batch = weights(model, Xq)
+            assert batch.w.shape == batch.effective.shape == (5, 9)
+            for i in range(5):
+                single = weights(model, Xq[i])
+                assert single.effective.shape == (9,)
+                np.testing.assert_allclose(batch.effective[i], single.effective,
+                                           rtol=0, atol=1e-12)
+
+
 class TestEstimateConditionalRisk:
     def test_zero_self_loss_single_sample(self, rng):
         y = np.array([1, 0, 1])

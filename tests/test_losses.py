@@ -162,11 +162,18 @@ class TestAdditiveCoefficients:
             m = int(rng.integers(1, 6))
             labels = np.array([random_feasible_label(rng, G) for _ in range(m)])
             w = rng.normal(size=m)
+            W = rng.normal(size=(3, m))
             for loss in (LossSpec("hamming"), LossSpec("hierarchical", hierarchy=G)):
                 coeffs, offset = additive_coefficients(loss, labels, w)
+                batch, offsets = additive_coefficients(loss, labels, W)
+                assert batch.shape == (3, G.d) and offsets.shape == (3,)
                 for y in enumerate_feasible(G):
                     direct = risk_from_weights(w, labels, loss, y)
                     assert float(coeffs @ y + offset) == pytest.approx(direct, abs=1e-9)
+                    for q in range(3):
+                        direct = risk_from_weights(W[q], labels, loss, y)
+                        assert float(batch[q] @ y + offsets[q]) == pytest.approx(
+                            direct, abs=1e-9)
 
     def test_footrule_cost_matrix(self, rng):
         m, d = 4, 5
@@ -174,10 +181,22 @@ class TestAdditiveCoefficients:
         w = rng.normal(size=m)
         C, offset = additive_coefficients(LossSpec("footrule"), sig, w)
         assert offset == 0.0
+        W = rng.normal(size=(3, m))
+        Cb, offsets = additive_coefficients(LossSpec("footrule"), sig, W)
+        assert Cb.shape == (3, d, d)
+        np.testing.assert_array_equal(offsets, np.zeros(3))
         for j in range(d):
             for k in range(d):
                 assert C[j, k] == pytest.approx(
                     float(np.sum(w * np.abs((k + 1) - sig[:, j]))), abs=1e-12)
+                for q in range(3):
+                    assert Cb[q, j, k] == pytest.approx(
+                        float(np.sum(W[q] * np.abs((k + 1) - sig[:, j]))), abs=1e-12)
+
+    def test_footrule_rejects_labels_that_are_not_permutations(self):
+        for bad in ([[1, 0, 1]], [[1, 2, 2]], [[0, 1, 2]]):
+            with pytest.raises(ValueError, match="not permutations of 1..d"):
+                additive_coefficients(LossSpec("footrule"), np.array(bad), np.ones(1))
 
     def test_non_additive_kinds_rejected(self):
         with pytest.raises(ValueError):
