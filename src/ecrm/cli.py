@@ -56,6 +56,16 @@ def _space_from_args(args):
     return flow_space(io.load_network(args.network))
 
 
+def _model_space(args, model):
+    """The requested output space, which must match the stored label width."""
+    space = _space_from_args(args)
+    width = model.labels.shape[1]
+    if width != space.dim:
+        raise DataFormatError(f"model labels have {width} entries but the {space.kind} "
+                              f"space has dimension {space.dim}")
+    return space
+
+
 def _loss_from_args(args, space) -> LossSpec:
     if args.loss == "hierarchical":
         if space.kind != "hierarchy":
@@ -119,7 +129,7 @@ def cmd_predict(args) -> int:
         space = hierarchy_space(model.hierarchy)
         loss = None
     else:
-        space = _space_from_args(args)
+        space = _model_space(args, model)
         loss = _loss_from_args(args, space)
     rows = _predict_rows(model, loss, space, X, _solver_params(args))
     _print_rows(rows, integral=space.kind in ("hierarchy", "assignment"))
@@ -134,7 +144,7 @@ def cmd_eval(args) -> int:
         loss = _loss_from_args(args, space)
         Y = io.load_binary_labels(args.labels)
     else:
-        space = _space_from_args(args)
+        space = _model_space(args, model)
         loss = _loss_from_args(args, space)
         Y = _labels_loader(space)(args.labels)
     rows = _predict_rows(model, loss, space, X, _solver_params(args))
@@ -147,7 +157,7 @@ def cmd_surrogate(args) -> int:
     model = io.load_model(args.model)
     if isinstance(model, AdditiveModel):
         raise DataFormatError("surrogate analysis expects a base model")
-    space = _space_from_args(args)
+    space = _model_space(args, model)
     loss = _loss_from_args(args, space)
     X = io.load_features(args.x)
     Y = _labels_loader(space)(args.labels)
@@ -165,7 +175,7 @@ def cmd_bound(args) -> int:
     model = io.load_model(args.model)
     if isinstance(model, AdditiveModel):
         raise DataFormatError("bound analysis expects a base model")
-    space = _space_from_args(args)
+    space = _model_space(args, model)
     loss = _loss_from_args(args, space)
     X = io.load_features(args.x)
     Y = _labels_loader(space)(args.labels)

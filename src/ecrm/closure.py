@@ -1,13 +1,23 @@
-"""Exact hierarchy inference as a maximum-weight closure problem.
+"""Exact hierarchy inference: minimizing ``c . y`` over hierarchy-feasible
+binary vectors.
 
-Minimizing a linear objective ``c . y`` over hierarchy-feasible binary
-vectors is the complement of picking a maximum-weight set of nodes closed
-under "child requires parent".  That closure problem reduces to a minimum
-s-t cut: source arcs carry the positive node weights, sink arcs the
-negative ones, and dependency arcs get infinite capacity.  Because the
-relaxed constraint system is totally unimodular, the cut optimum matches
-the linear-programming optimum and is integral, so the reduction is exact
-for any real cost vector.
+On a forest (no node with two parents) a level-wise dynamic program solves
+the problem for a whole batch of cost rows at once.  Bottom-up, a node's
+best subtree value is its own cost plus the negative parts of its
+children's; top-down, a node is selected when that value is strictly
+negative and its parent is selected.
+
+A multi-parent DAG is solved per row as a maximum-weight closure problem,
+the complement of the minimization.  That reduces to a minimum s-t cut
+(Picard, "Maximal closure of a graph", Management Science 1976): source
+arcs carry the positive node weights, sink arcs the negative ones, and
+dependency arcs get infinite capacity.  Because the relaxed constraint
+system is totally unimodular, the cut optimum matches the
+linear-programming optimum and is integral, so the reduction is exact for
+any real cost vector.
+
+Both paths return the inclusion-minimal optimum, which is also the
+lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -105,15 +115,34 @@ class _MaxFlow:
 def solve_hierarchy(costs, G: HierarchyDag) -> np.ndarray:
     """Exact minimizer of ``costs . y`` over hierarchy-feasible {0,1}^d.
 
-    Among the optima the inclusion-minimal one is returned; optimal
-    closures are closed under intersection, so that point is also the
-    lexicographically smallest optimum.
+    ``costs`` is one row (d,) or a batch (Q, d); the int64 result has the
+    same shape.  Among the optima of a row the inclusion-minimal one is
+    returned; optimal closures are closed under intersection, so that point
+    is also the lexicographically smallest optimum.
     """
-    c = np.asarray(costs, dtype=float).ravel()
-    if c.shape[0] != G.d:
-        raise ValueError(f"cost length {c.shape[0]} does not match hierarchy size {G.d}")
-    if not np.all(np.isfinite(c)):
+    C = np.asarray(costs, dtype=float)
+    single = C.ndim < 2
+    C = C.reshape(1, -1) if single else C
+    if C.ndim != 2 or C.shape[1] != G.d:
+        raise ValueError(f"cost length {C.shape[-1]} does not match hierarchy size {G.d}")
+    if not np.all(np.isfinite(C)):
         raise ValueError("costs must be finite")
+    levels = G.forest_levels
+    if levels is None:
+        Y = np.array([_solve_dinic(c, G) for c in C], dtype=np.int64).reshape(C.shape)
+    else:
+        best = C.T.copy()  # (d, Q): row j holds node j's best subtree value
+        for nodes, parents in reversed(levels):
+            np.add.at(best, parents, np.minimum(best[nodes], 0.0))
+        on = best < 0.0  # strict: a zero-value subtree stays off
+        for nodes, parents in levels:
+            on[nodes] &= on[parents]
+        Y = on.T.astype(np.int64, order="C")
+    return Y[0] if single else Y
+
+
+def _solve_dinic(c: np.ndarray, G: HierarchyDag) -> np.ndarray:
+    """One cost row of ``solve_hierarchy`` by max-flow; any DAG."""
     weights = -c  # maximize total weight of the selected closure
     if not np.any(weights > 0):
         return np.zeros(G.d, dtype=np.int64)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class HierarchyDag:
@@ -19,6 +21,8 @@ class HierarchyDag:
     _parents: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _topo: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _levels: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
+        init=False, repr=False, compare=False)
 
     def __init__(self, d: int, arcs) -> None:
         if d < 1:
@@ -42,6 +46,7 @@ class HierarchyDag:
         object.__setattr__(self, "_parents", tuple(tuple(ps) for ps in parents))
         object.__setattr__(self, "_children", tuple(tuple(cs) for cs in children))
         object.__setattr__(self, "_topo", tuple(topo))
+        object.__setattr__(self, "_levels", _forest_levels(d, parents, topo))
 
     def parents(self, j: int) -> tuple[int, ...]:
         return self._parents[j]
@@ -56,6 +61,12 @@ class HierarchyDag:
     @property
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
+
+    @property
+    def forest_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+        """``(nodes, parents)`` index arrays of the nodes at depth 1, 2, ...
+        below the roots, or None when some node has more than one parent."""
+        return self._levels
 
     def ancestors(self, j: int) -> tuple[int, ...]:
         """All strict ancestors of ``j`` (deduplicated, unordered)."""
@@ -88,3 +99,20 @@ def _topological_order(d, parents, children):
             if indeg[v] == 0:
                 order.append(v)
     return order if len(order) == d else None
+
+
+def _forest_levels(d, parents, topo):
+    if any(len(ps) > 1 for ps in parents):
+        return None
+    depth = [0] * d
+    for j in topo:
+        if parents[j]:
+            depth[j] = depth[parents[j][0]] + 1
+    levels = [([], []) for _ in range(max(depth))]
+    for j in range(d):
+        if depth[j]:
+            nodes, pars = levels[depth[j] - 1]
+            nodes.append(j)
+            pars.append(parents[j][0])
+    return tuple((np.array(n, dtype=np.intp), np.array(p, dtype=np.intp))
+                 for n, p in levels)

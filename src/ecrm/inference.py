@@ -1,7 +1,7 @@
 """Prediction by minimizing the estimated conditional risk over the output space.
 
 ``infer`` dispatches on the (loss, space) pair: explicit finite spaces are
-minimized exhaustively, hierarchy spaces via the max-weight-closure solver
+minimized exhaustively, hierarchy spaces via the exact closure solver
 on the additive coefficients, rankings via min-cost assignment, and flow
 polytopes via the convex/heuristic continuous solvers.  The binary +/-1
 zero-one case short-circuits to the classification sign rule it reduces to.
@@ -82,23 +82,23 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
     """``infer_from_weights`` for each row of ``W`` (Q, m).
 
     Additive losses get the coefficients of all rows from one
-    ``additive_coefficients`` call and solve per row; the L1 flow solver
-    takes the whole batch.  Other pairs run row by row.
+    ``additive_coefficients`` call; hierarchies then take one
+    ``solve_hierarchy`` call for the batch and rankings solve per row.  The
+    L1 flow solver takes the whole batch.  Other pairs run row by row.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if space.kind in _ADDITIVE_LOSSES:
         if loss.kind not in _ADDITIVE_LOSSES[space.kind]:
             raise ValueError(f"loss {loss.kind!r} is not supported on {space.kind} spaces")
-        out = []
-        for c, offset in zip(*additive_coefficients(loss, labels, W)):
-            if space.kind == "hierarchy":
-                y = solve_hierarchy(c, space.hierarchy)
-                obj = c @ y + offset
-            else:
-                y = solve_assignment(c)
-                obj = assignment_cost(c, y) + offset
-            out.append(InferenceResult(y_star=y, objective=float(obj), certificate=EXACT))
-        return out
+        C, offsets = additive_coefficients(loss, labels, W)
+        if space.kind == "hierarchy":
+            Y = solve_hierarchy(C, space.hierarchy)
+            objs = [c @ y + off for c, y, off in zip(C, Y, offsets)]
+        else:
+            Y = [solve_assignment(c) for c in C]
+            objs = [assignment_cost(c, y) + off for c, y, off in zip(C, Y, offsets)]
+        return [InferenceResult(y_star=y, objective=float(obj), certificate=EXACT)
+                for y, obj in zip(Y, objs)]
     if space.kind == "flow_polytope" and loss.kind == "absolute":
         Y, objs, certs = solve_flow_abs_batch(W, labels, space.network, params)
         return [InferenceResult(y_star=Y[i], objective=float(objs[i]), certificate=certs[i])

@@ -43,24 +43,23 @@ def _read_lines(path) -> list[str]:
 def load_matrix(path, dtype=float) -> np.ndarray:
     """One sample per line, space-separated numbers, rectangular."""
     lines = _read_lines(path)
-    rows = []
-    width = None
+    if not lines:
+        raise DataFormatError(f"{path}:1: file is empty")
+    M = None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             raise DataFormatError(f"{path}:{lineno}: blank line in matrix file")
         try:
-            row = [dtype(tok) for tok in line.split()]
+            row = np.array(line.split(), dtype=dtype)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if M is None:
+            M = np.empty((len(lines), row.shape[0]), dtype=dtype)
+        elif row.shape[0] != M.shape[1]:
             raise DataFormatError(
-                f"{path}:{lineno}: expected {width} columns, found {len(row)}")
-        rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}:1: file is empty")
-    return np.array(rows, dtype=dtype)
+                f"{path}:{lineno}: expected {M.shape[1]} columns, found {row.shape[0]}")
+        M[lineno - 1] = row
+    return M
 
 
 def load_features(path) -> np.ndarray:
@@ -265,14 +264,21 @@ def load_model(path):
     return _load_base(path, lines)
 
 
-def _floats(path, lineno, line, count) -> list[float]:
+def _floats(path, lineno, line, count) -> np.ndarray:
     toks = line.split()
     if len(toks) != count:
         raise DataFormatError(f"{path}:{lineno}: expected {count} values, found {len(toks)}")
     try:
-        return [float(t) for t in toks]
+        return np.array(toks, dtype=float)
     except ValueError as exc:
         raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _float_rows(path, first_lineno, lines, count) -> np.ndarray:
+    M = np.empty((len(lines), count))
+    for i, line in enumerate(lines):
+        M[i] = _floats(path, first_lineno + i, line, count)
+    return M
 
 
 def _load_base(path, lines) -> TrainedModel:
@@ -285,10 +291,9 @@ def _load_base(path, lines) -> TrainedModel:
     lam, m, p, intercept = float(toks[1]), int(toks[3]), int(toks[5]), toks[7]
     if len(lines) < 3 + 2 * m:
         raise DataFormatError(f"{path}: expected {3 + 2 * m} lines, found {len(lines)}")
-    X = np.array([_floats(path, 4 + i, lines[3 + i], p) for i in range(m)])
+    X = _float_rows(path, 4, lines[3:3 + m], p)
     label_lines = lines[3 + m:3 + 2 * m]
-    width = len(label_lines[0].split())
-    Y = np.array([_floats(path, 4 + m + i, label_lines[i], width) for i in range(m)])
+    Y = _float_rows(path, 4 + m, label_lines, len(label_lines[0].split()))
     if np.all(Y == np.round(Y)):
         Y = Y.astype(np.int64)
     return fit(spec, lam, X, Y, intercept_mode=intercept)
@@ -321,7 +326,7 @@ def _load_additive(path, lines) -> AdditiveModel:
         raise DataFormatError(f"{path}:{7 + n_arcs}: bad feature-dim line")
     p = int(ptoks[1])
     base = 7 + n_arcs
-    X = np.array([_floats(path, base + i + 1, lines[base + i], p) for i in range(m)])
+    X = _float_rows(path, base + 1, lines[base:base + m], p)
     alpha = np.zeros((m, d, 2))
     for i in range(m):
         vals = _floats(path, base + m + i + 1, lines[base + m + i], 2 * d)

@@ -399,3 +399,39 @@ class TestExitCodes:
                     "--out", tmp / "m.ecrm")
         assert r.returncode == 2
         assert str(bad) in r.stderr
+
+    def test_ranking_model_with_smaller_dim(self, tmp_path, rng):
+        X = rng.normal(size=(6, 3))
+        save_matrix(tmp_path / "x.txt", X)
+        save_matrix(tmp_path / "y.txt", np.array([rng.permutation(5) + 1 for _ in range(6)]))
+        out = tmp_path / "m.ecrm"
+        r = run_cli("train", "--x", tmp_path / "x.txt", "--labels", tmp_path / "y.txt",
+                    "--space", "assignment", "--dim", 5, "--kernel", "linear",
+                    "--lambda", 0.1, "--out", out)
+        assert r.returncode == 0, r.stderr
+        r = run_cli("predict", "--model", out, "--x", tmp_path / "x.txt",
+                    "--space", "assignment", "--dim", 3, "--loss", "footrule")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == ("error: model labels have 5 entries but the assignment "
+                            "space has dimension 3\n")
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound"])
+    def test_hierarchy_model_with_smaller_hierarchy(self, hierarchy_fixture, command):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        out = tmp / "m.ecrm"
+        r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", "linear", "--lambda", 0.1,
+                    "--out", out)
+        assert r.returncode == 0, r.stderr
+        small = tmp / "small.txt"
+        save_hierarchy(small, HierarchyDag(3, [(0, 1), (0, 2)]))
+        extra = {"predict": (), "eval": ("--labels", ypath),
+                 "surrogate": ("--labels", ypath, "--rho", 1.0),
+                 "bound": ("--labels", ypath, "--rho", 1.0, "--delta", 0.1)}[command]
+        r = run_cli(command, "--model", out, "--x", xpath, "--space", "hierarchy",
+                    "--hierarchy", small, "--loss", "hamming", *extra)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == ("error: model labels have 4 entries but the hierarchy "
+                            "space has dimension 3\n")

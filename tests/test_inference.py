@@ -7,6 +7,7 @@ from ecrm import (HierarchyDag, KernelSpec, LossSpec, assignment_cost,
                   assignment_space, brute_force_argmin, explicit_space, fit,
                   hierarchy_space, infer, infer_from_weights, is_feasible, sign_rule,
                   solve_assignment, solve_hierarchy, weights)
+from ecrm.closure import _solve_dinic
 from ecrm.losses import footrule_cost_matrix
 from ecrm.model import risk_from_weights
 from conftest import random_dag, random_feasible_label, random_kernel, random_tree
@@ -71,6 +72,7 @@ class TestSolveHierarchy:
         # has to cross all 3000 levels to reach the root's sink arc.
         d = 3000
         G = HierarchyDag(d, [(j, j + 1) for j in range(d - 1)])
+        assert G.forest_levels is not None  # solved by the level DP
         sparse = np.zeros(d)
         sparse[[0, 1, d - 1]] = [-1.0, 1.0, -2.0]
         for c in (sparse, rng.choice([-1.0, 0.0, 1.0], size=d, p=[0.3, 0.5, 0.2])):
@@ -78,6 +80,60 @@ class TestSolveHierarchy:
             prefix = np.concatenate(([0.0], np.cumsum(c)))
             k = int(np.argmin(prefix))
             np.testing.assert_array_equal(y, (np.arange(d) < k).astype(np.int64))
+
+    def test_star_of_3000_leaves(self, rng):
+        # Root 0 with 3000 leaves: the root is on when its cost plus the
+        # negative leaf costs is strictly negative, and then so is every
+        # negative leaf.  Integer costs keep the tie row exact.
+        d = 3001
+        G = HierarchyDag(d, [(0, j) for j in range(1, d)])
+        assert G.forest_levels is not None
+        leaves = rng.choice([-1.0, 0.0, 1.0], size=d - 1)
+        gain = float(np.minimum(leaves, 0.0).sum())
+        C = np.array([np.concatenate(([root], leaves))
+                      for root in (-gain - 1.0, -gain, -gain + 1.0)])
+        for y, on in zip(solve_hierarchy(C, G), (1, 0, 0)):
+            np.testing.assert_array_equal(y, np.concatenate(([on], on * (leaves < 0))))
+
+    def test_forest_dp_matches_max_flow(self, rng):
+        # Forests with several roots and isolated nodes; half the cost rows
+        # are small integers, whose optima tie often.
+        for trial in range(2000):
+            d = int(rng.integers(1, 13))
+            perm = rng.permutation(d)
+            arcs = [(int(perm[rng.integers(j)]), int(perm[j]))
+                    for j in range(1, d) if rng.random() < 0.8]
+            G = HierarchyDag(d, arcs)
+            assert G.forest_levels is not None
+            C = (rng.integers(-2, 3, size=(3, d)).astype(float) if trial % 2
+                 else rng.normal(size=(3, d)))
+            Y = solve_hierarchy(C, G)
+            for c, y in zip(C, Y):
+                np.testing.assert_array_equal(y, _solve_dinic(c, G))
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_batch_equals_single_rows(self, rng, extra):
+        multi_parent = 0
+        for _ in range(20):
+            d = int(rng.integers(3, 15))
+            G = random_dag(rng, d, extra=extra)
+            multi_parent += G.forest_levels is None
+            C = rng.normal(size=(5, d))
+            C[::2] = rng.integers(-2, 3, size=(3, d))
+            Y = solve_hierarchy(C, G)
+            assert Y.shape == (5, d) and Y.dtype == np.int64
+            for c, y in zip(C, Y):
+                np.testing.assert_array_equal(y, solve_hierarchy(c, G))
+            assert solve_hierarchy(np.zeros((0, d)), G).shape == (0, d)
+        assert (multi_parent > 0) == (extra > 0)
+
+    def test_cost_shape_checked(self):
+        G = HierarchyDag(3, [(0, 1), (1, 2)])
+        for bad in (np.zeros(2), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError):
+                solve_hierarchy(bad, G)
+        with pytest.raises(ValueError):
+            solve_hierarchy([[0.0, np.nan, 0.0]], G)
 
 
 class TestSolveAssignment:
