@@ -19,7 +19,7 @@ import scipy.sparse.linalg
 from .closure import solve_hierarchy
 from .errors import NumericalError
 from .hierarchy import HierarchyDag
-from .kernels import KernelSpec, gram_matrix, kernel_vector
+from .kernels import KernelSpec, cross_gram, gram_matrix
 from .losses import _check_hierarchy_feasible
 from .results import EXACT, InferenceResult
 
@@ -124,11 +124,16 @@ def fit_additive(X, Y, G: HierarchyDag, joint: JointKernelSpec, lam: float) -> A
 
 
 def node_scores(model: AdditiveModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node estimated risks of the off (0) and on (1) label values."""
-    v = kernel_vector(model.joint.base, model.inputs, x)
+    """Per-node estimated risks of the off (0) and on (1) label values: (d,)
+    each for one input (p,), (Q, d) for a batch (Q, p)."""
+    x = np.asarray(x, dtype=float)
+    V = cross_gram(model.joint.base, np.atleast_2d(x), model.inputs)
     N = neighborhood_matrix(model.hierarchy, model.joint.neighbors)
-    off = N @ (v @ model.alpha[:, :, 0])
-    on = N @ (v @ model.alpha[:, :, 1])
+    # N is symmetric, so each row's N @ (v @ alpha) is (v @ alpha) @ N.
+    off = (V @ model.alpha[:, :, 0]) @ N
+    on = (V @ model.alpha[:, :, 1]) @ N
+    if x.ndim < 2:
+        return off[0], on[0]
     return off, on
 
 
@@ -139,10 +144,15 @@ def additive_risk(model: AdditiveModel, x, y) -> float:
     return float(np.sum(off + y * (on - off)))
 
 
-def infer_additive(model: AdditiveModel, x) -> InferenceResult:
-    """Exact risk minimizer over the hierarchy via the closure solver."""
-    off, on = node_scores(model, x)
+def infer_additive(model: AdditiveModel, x) -> InferenceResult | list[InferenceResult]:
+    """Exact risk minimizer over the hierarchy via the closure solver.
+
+    One input (p,) gives one ``InferenceResult``; a batch (Q, p) gives a list
+    of them from one closure solve.
+    """
+    off, on = node_scores(model, np.atleast_2d(x))
     coeffs = on - off
-    y = solve_hierarchy(coeffs, model.hierarchy)
-    return InferenceResult(y_star=y, objective=float(np.sum(off) + coeffs @ y),
-                           certificate=EXACT)
+    Y = solve_hierarchy(coeffs, model.hierarchy)
+    results = [InferenceResult(y_star=y, objective=float(np.sum(o) + c @ y), certificate=EXACT)
+               for o, c, y in zip(off, coeffs, Y)]
+    return results if np.ndim(x) == 2 else results[0]

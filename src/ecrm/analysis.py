@@ -6,11 +6,13 @@ The margin surrogate at level ``rho`` is
 
 where ``margin(y', x)`` is the (nonpositive) difference between the best
 achievable estimated risk at ``x`` and the estimated risk of ``y'``, and
-``L`` caps the value at the loss bound.  For additively-decomposable losses
-on totally unimodular spaces the inner maximization is solved exactly by
-the same combinatorial machinery as prediction, with negated coefficients;
-on flow polytopes it falls back to the continuous solvers and the result is
-flagged as heuristic.
+``L`` caps the value at the loss bound.  The inner maximization is itself a
+risk minimization: ``max_{y'} [loss(y', y) - risk(y')/rho]`` is minus the
+minimum of ``sum_i w'_i loss(y', y'_i)`` over the augmented sample that
+prepends the label ``y`` at weight -1 to the training labels at weights
+``w/rho`` (the losses used here are symmetric in their arguments).  Both
+minimizations go through ``infer_from_weights``, so the surrogate is exact
+wherever inference is exact.  Explicit finite spaces are enumerated.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import assignment_cost, solve_assignment
-from .closure import solve_hierarchy
-from .flow_opt import solve_flow_abs, solve_flow_sq
-from .inference import infer, infer_from_weights
-from .losses import LossSpec, additive_coefficients, loss_bound, loss_value
-from .model import TrainedModel, estimate_conditional_risk, weights
+from .inference import infer_from_weights, member_losses
+from .losses import LossSpec, loss_bound, loss_value
+from .model import TrainedModel, risk_from_weights, weights
 from .results import SolverParams
 from .spaces import OutputSpace, enumerate_space
 
@@ -52,17 +51,14 @@ def make_surrogate_config(rho: float, loss: LossSpec, space: OutputSpace) -> Sur
 def delta(model: TrainedModel, loss: LossSpec, space: OutputSpace, yprime, x,
           params: SolverParams | None = None) -> float:
     """Risk margin of a candidate: best risk at ``x`` minus its own risk (<= 0)."""
-    best = infer(model, loss, space, x, params)
-    return best.objective - estimate_conditional_risk(model, loss, yprime, x)
+    w = weights(model, x).effective
+    best = infer_from_weights(w, model.labels, loss, space, params)
+    return best.objective - risk_from_weights(w, model.labels, loss, yprime)
 
 
 def _explicit_risks(w, labels, loss: LossSpec, space: OutputSpace):
-    members = enumerate_space(space)
-    risks = np.array([
-        float(np.dot(w, [loss_value(loss, mbr, labels[i]) for i in range(len(labels))]))
-        for mbr in members
-    ])
-    return members, risks
+    risks = np.array([float(np.dot(w, row)) for row in member_losses(loss, space, labels)])
+    return enumerate_space(space), risks
 
 
 def realized_loss(model: TrainedModel, loss: LossSpec, space: OutputSpace, x, y,
@@ -73,13 +69,13 @@ def realized_loss(model: TrainedModel, loss: LossSpec, space: OutputSpace, x, y,
     with the highest loss is charged (the pessimistic reading used by the
     surrogate analysis).
     """
-    wv = weights(model, x)
-    if space.kind in ("explicit_finite",):
-        members, risks = _explicit_risks(wv.effective, model.labels, loss, space)
+    w = weights(model, x).effective
+    if space.kind == "explicit_finite":
+        members, risks = _explicit_risks(w, model.labels, loss, space)
         rmin = float(np.min(risks))
         return max(loss_value(loss, members[i], y)
                    for i in range(len(members)) if risks[i] == rmin)
-    result = infer(model, loss, space, x, params)
+    result = infer_from_weights(w, model.labels, loss, space, params)
     return loss_value(loss, result.y_star, y)
 
 
@@ -91,12 +87,11 @@ def surrogate_loss(model: TrainedModel, loss: LossSpec, cfg: SurrogateConfig, x,
 
 def surrogate_loss_detailed(model: TrainedModel, loss: LossSpec, cfg: SurrogateConfig,
                             x, y, params: SolverParams | None = None) -> tuple[float, str]:
-    """Capped margin surrogate plus how the inner maximization was certified
-    ("exact" or "heuristic")."""
+    """Capped margin surrogate plus how the inner maximization was certified:
+    "exact" when both risk minimizations are exact, else "heuristic"."""
     space = cfg.space
     rho = cfg.rho
-    wv = weights(model, x)
-    w = wv.effective
+    w = weights(model, x).effective
     labels = model.labels
 
     if space.kind == "explicit_finite":
@@ -106,43 +101,13 @@ def surrogate_loss_detailed(model: TrainedModel, loss: LossSpec, cfg: SurrogateC
                 for i in range(len(members))]
         return min(cfg.L, max(vals)), "exact"
 
-    if space.kind in ("hierarchy", "assignment"):
-        risk_coeffs, risk_offset = additive_coefficients(loss, labels, w)
-        # loss(y', y) viewed as a one-sample risk with unit weight; both
-        # discrete losses here are symmetric in their arguments.
-        loss_coeffs, loss_offset = additive_coefficients(loss, np.asarray(y)[None, :],
-                                                         np.ones(1))
-        if space.kind == "hierarchy":
-            rmin = float(risk_coeffs @ solve_hierarchy(risk_coeffs, space.hierarchy)
-                         + risk_offset)
-            combined = loss_coeffs - risk_coeffs / rho
-            ystar = solve_hierarchy(-combined, space.hierarchy)
-            inner = float(combined @ ystar) + loss_offset + (rmin - risk_offset) / rho
-        else:
-            rmin = assignment_cost(risk_coeffs, solve_assignment(risk_coeffs)) + risk_offset
-            combined = loss_coeffs - risk_coeffs / rho
-            sigma = solve_assignment(-combined)
-            inner = (assignment_cost(combined, sigma) + loss_offset
-                     + (rmin - risk_offset) / rho)
-        return min(cfg.L, inner), "exact"
-
-    if space.kind == "flow_polytope":
-        best = infer_from_weights(w, labels, loss, space, params)
-        rmin = best.objective
-        # max_y' [loss(y',y) - risk(y')/rho] = -min_y' of the same weighted
-        # objective with the candidate label prepended at weight -1.
-        aug_w = np.concatenate(([-1.0], w / rho))
-        aug_labels = np.vstack([np.asarray(y, dtype=float)[None, :], np.asarray(labels)])
-        if loss.kind == "absolute":
-            res = solve_flow_abs(aug_w, aug_labels, space.network, params)
-        elif loss.kind == "square":
-            res = solve_flow_sq(aug_w, aug_labels, space.network, params)
-        else:
-            raise ValueError(f"loss {loss.kind!r} not supported on flow polytopes")
-        inner = -res.objective + rmin / rho
-        return min(cfg.L, inner), "heuristic"
-
-    raise ValueError(f"surrogate loss not supported on {space.kind} spaces")
+    best = infer_from_weights(w, labels, loss, space, params)
+    aug = infer_from_weights(np.concatenate(([-1.0], w / rho)),
+                             np.vstack([np.asarray(y)[None, :], labels]),
+                             loss, space, params)
+    inner = -aug.objective + best.objective / rho
+    exact = best.certificate.kind == "exact" and aug.certificate.kind == "exact"
+    return min(cfg.L, inner), "exact" if exact else "heuristic"
 
 
 def empirical_surrogate_risk(model: TrainedModel, loss: LossSpec, cfg: SurrogateConfig,

@@ -19,11 +19,11 @@ from .analysis import (BoundInputs, empirical_surrogate_risk, generalization_bou
                        make_surrogate_config, surrogate_loss)
 from .baselines import knn_local_risk_predict, krr_project_predict_batch
 from .errors import DataFormatError, EcrmError, NumericalError
-from .inference import infer_batch
+from .inference import infer
 from .io import Dataset, fmt
 from .kernels import KernelSpec, kernel_sup_bound
-from .losses import LossSpec, loss_bound, loss_value
-from .model import fit, weights
+from .losses import LossSpec, loss_value
+from .model import fit
 from .results import SolverParams
 from .simulate import FlowGeneratorSpec, default_flow_network, simulate_flow_data
 from .spaces import (ConstraintMatrix, assignment_space, flow_space, hierarchy_space,
@@ -99,9 +99,32 @@ def _print_rows(rows, integral: bool) -> None:
 
 def _predict_rows(model, loss, space, X, params):
     if isinstance(model, AdditiveModel):
-        return [infer_additive(model, X[i]).y_star for i in range(X.shape[0])]
-    W = weights(model, X).effective
-    return [r.y_star for r in infer_batch(W, model.labels, loss, space, params)]
+        return [r.y_star for r in infer_additive(model, X)]
+    return [r.y_star for r in infer(model, loss, space, X, params)]
+
+
+def _model_queries_space(args):
+    """The stored model, the query rows and the output space; an additive
+    model brings its own hierarchy."""
+    model = io.load_model(args.model)
+    X = io.load_features(args.x)
+    if isinstance(model, AdditiveModel):
+        return model, X, hierarchy_space(model.hierarchy)
+    return model, X, _model_space(args, model)
+
+
+def _analysis_inputs(args, what: str):
+    """Base model, loss, data, surrogate config and solver settings shared by
+    the surrogate and bound analyses."""
+    model = io.load_model(args.model)
+    if isinstance(model, AdditiveModel):
+        raise DataFormatError(f"{what} analysis expects a base model")
+    space = _model_space(args, model)
+    loss = _loss_from_args(args, space)
+    X = io.load_features(args.x)
+    Y = _labels_loader(space)(args.labels)
+    cfg = make_surrogate_config(args.rho, loss, space)
+    return model, loss, X, Y, cfg, _solver_params(args)
 
 
 def cmd_train(args) -> int:
@@ -123,30 +146,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = io.load_model(args.model)
-    X = io.load_features(args.x)
-    if isinstance(model, AdditiveModel):
-        space = hierarchy_space(model.hierarchy)
-        loss = None
-    else:
-        space = _model_space(args, model)
-        loss = _loss_from_args(args, space)
+    model, X, space = _model_queries_space(args)
+    # The additive model minimizes its own risk estimate; --loss plays no part.
+    loss = None if isinstance(model, AdditiveModel) else _loss_from_args(args, space)
     rows = _predict_rows(model, loss, space, X, _solver_params(args))
     _print_rows(rows, integral=space.kind in ("hierarchy", "assignment"))
     return 0
 
 
 def cmd_eval(args) -> int:
-    model = io.load_model(args.model)
-    X = io.load_features(args.x)
-    if isinstance(model, AdditiveModel):
-        space = hierarchy_space(model.hierarchy)
-        loss = _loss_from_args(args, space)
-        Y = io.load_binary_labels(args.labels)
-    else:
-        space = _model_space(args, model)
-        loss = _loss_from_args(args, space)
-        Y = _labels_loader(space)(args.labels)
+    model, X, space = _model_queries_space(args)
+    loss = _loss_from_args(args, space)
+    Y = _labels_loader(space)(args.labels)
     rows = _predict_rows(model, loss, space, X, _solver_params(args))
     vals = [loss_value(loss, rows[i], Y[i]) for i in range(len(rows))]
     print(f"mean_loss {fmt(np.mean(vals))}")
@@ -154,15 +165,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    model = io.load_model(args.model)
-    if isinstance(model, AdditiveModel):
-        raise DataFormatError("surrogate analysis expects a base model")
-    space = _model_space(args, model)
-    loss = _loss_from_args(args, space)
-    X = io.load_features(args.x)
-    Y = _labels_loader(space)(args.labels)
-    cfg = make_surrogate_config(args.rho, loss, space)
-    params = _solver_params(args)
+    model, loss, X, Y, cfg, params = _analysis_inputs(args, "surrogate")
     vals = [surrogate_loss(model, loss, cfg, X[i], Y[i], params)
             for i in range(X.shape[0])]
     for v in vals:
@@ -172,17 +175,9 @@ def cmd_surrogate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    model = io.load_model(args.model)
-    if isinstance(model, AdditiveModel):
-        raise DataFormatError("bound analysis expects a base model")
-    space = _model_space(args, model)
-    loss = _loss_from_args(args, space)
-    X = io.load_features(args.x)
-    Y = _labels_loader(space)(args.labels)
-    cfg = make_surrogate_config(args.rho, loss, space)
-    params = _solver_params(args)
+    model, loss, X, Y, cfg, params = _analysis_inputs(args, "bound")
     emp = empirical_surrogate_risk(model, loss, cfg, X, Y, params)
-    b = BoundInputs(empirical_risk=emp, L=loss_bound(loss, space),
+    b = BoundInputs(empirical_risk=emp, L=cfg.L,
                     kappa=kernel_sup_bound(model.kernel, model.inputs),
                     lam=model.lam, rho=args.rho, delta=args.delta, m=X.shape[0])
     emp, stab, conf, total = generalization_bound_terms(b)
@@ -210,14 +205,17 @@ def cmd_bench(args) -> int:
     X = rng.uniform(size=(args.m, args.p))
     fit(kernel, args.lam, X, np.zeros((args.m, 1)))  # warm up BLAS paths
     print("d,train_seconds")
-    for d in dims:
-        Y = np.zeros((args.m, d), dtype=np.int64)  # all-roots-off labels, any hierarchy
-        best = np.inf
-        for _ in range(args.repeats):
+    # All-roots-off labels, feasible in any hierarchy.  The sizes are timed
+    # round-robin, so a burst of machine load is spread over all of them.
+    Ys = [np.zeros((args.m, d), dtype=np.int64) for d in dims]
+    best = [np.inf] * len(dims)
+    for _ in range(args.repeats):
+        for i, Y in enumerate(Ys):
             t0 = time.perf_counter()
             fit(kernel, args.lam, X, Y)
-            best = min(best, time.perf_counter() - t0)
-        print(f"{d},{fmt(best)}")
+            best[i] = min(best[i], time.perf_counter() - t0)
+    for d, t in zip(dims, best):
+        print(f"{d},{fmt(t)}")
     return 0
 
 

@@ -271,46 +271,42 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
         G = np.einsum("qma,qm->qa", np.sign(diff), W)
         return obj, G
 
+    def keep_better(obj, Y):
+        improved = obj < best_obj
+        best_obj[improved] = obj[improved]
+        best_Y[improved] = Y[improved]
+
     for theta0 in starts:
         Theta = np.tile(theta0, (Q, 1))
         Y = np.einsum("qk,ka->qa", Theta, P)
-        for t in range(params.max_iters):
+        # max_iters steps; the last pass only evaluates the final iterate.
+        for t in range(params.max_iters + 1):
             obj, G = eval_obj_grad(Y)
             # Subgradient lower bound: f(v) >= f(y) + g.(v - y) for all v.
             lb = obj - (np.einsum("qa,qa->q", G, Y)
                         - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
             np.maximum(best_lb, lb, out=best_lb)
-            improved = obj < best_obj
-            best_obj[improved] = obj[improved]
-            best_Y[improved] = Y[improved]
+            keep_better(obj, Y)
+            if t == params.max_iters:
+                break
             eta = params.step_a / (1.0 + params.step_b * t)
             Z = Y - eta * G
             Theta, _, _ = _pairwise_fw(P, Z, Theta, 1.0, _PROJECT_TOL, _PROJECT_ITERS)
             Y = np.einsum("qk,ka->qa", Theta, P)
-        obj, G = eval_obj_grad(Y)
-        lb = obj - (np.einsum("qa,qa->q", G, Y) - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
-        np.maximum(best_lb, lb, out=best_lb)
-        improved = obj < best_obj
-        best_obj[improved] = obj[improved]
-        best_Y[improved] = Y[improved]
 
     # Feasible candidate sweep: every path vertex always, and every training
     # label (feasible by assumption) when the pairwise distance table is
     # affordable.  This snaps exact optima that subgradient steps only
-    # approach, e.g. reproducing a lone training flow.
-    vert_dist = np.einsum("kma->km", np.abs(P[:, None, :] - labels[None, :, :]))
-    vert_obj = np.einsum("qm,km->qk", W, vert_dist)
-    for k in range(K):
-        improved = vert_obj[:, k] < best_obj
-        best_obj[improved] = vert_obj[improved, k]
-        best_Y[improved] = P[k]
+    # approach, e.g. reproducing a lone training flow.  Each row takes its
+    # first cheapest candidate if it beats the incumbent strictly.
+    cands = [P]
     if labels.shape[0] <= _LABEL_CANDIDATE_LIMIT:
-        lab_dist = np.einsum("ima->im", np.abs(labels[:, None, :] - labels[None, :, :]))
-        lab_obj = np.einsum("qm,im->qi", W, lab_dist)
-        for i in range(labels.shape[0]):
-            improved = lab_obj[:, i] < best_obj
-            best_obj[improved] = lab_obj[improved, i]
-            best_Y[improved] = labels[i]
+        cands.append(labels)
+    for C in cands:
+        cand_obj = np.einsum("qm,km->qk", W,
+                             np.einsum("kma->km", np.abs(C[:, None, :] - labels[None, :, :])))
+        pick = np.argmin(cand_obj, axis=1)
+        keep_better(cand_obj[rows, pick], C[pick])
 
     if np.any(zero_rows):
         lexmin = lex_min_vertex(net)

@@ -1,12 +1,14 @@
 """Prediction by minimizing the estimated conditional risk over the output space.
 
-``infer`` dispatches on the (loss, space) pair: explicit finite spaces are
-minimized exhaustively, hierarchy spaces via the exact closure solver
-on the additive coefficients, rankings via min-cost assignment, and flow
-polytopes via the convex/heuristic continuous solvers.  The binary +/-1
-zero-one case short-circuits to the classification sign rule it reduces to.
-``infer_batch`` does the same for every row of a weight matrix, building the
-additive coefficients of all rows at once.
+``infer_batch`` is the one place that picks a solver for a (loss, space)
+pair, for every row of a weight matrix at once: explicit finite spaces are
+minimized exhaustively over a member-by-label loss table built once per
+batch, hierarchies by the exact closure solver and rankings by min-cost
+assignment on the additive coefficients of all rows, and flow polytopes by
+the convex/heuristic continuous solvers.  The binary +/-1 zero-one case
+short-circuits to the classification sign rule it reduces to.
+``infer_from_weights`` is its one-row case, and ``infer`` computes the
+weights of one query or a batch first.
 
 Exhaustive and hierarchy argmins break ties toward the lexicographically
 smallest encoding; rankings return an optimum, with no rule among tied ones.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .assignment import assignment_cost, solve_assignment
 from .closure import solve_hierarchy
-from .flow_opt import solve_flow_abs, solve_flow_abs_batch, solve_flow_sq
+from .flow_opt import solve_flow_abs_batch, solve_flow_sq
 from .losses import LossSpec, additive_coefficients, loss_value
 from .model import TrainedModel, weights
 from .results import EXACT, InferenceResult, SolverParams
@@ -40,53 +42,53 @@ def sign_rule(w, labels) -> int:
     return 1 if float(np.dot(w, lab)) >= 0.0 else -1
 
 
-_ADDITIVE_LOSSES = {"hierarchy": ("hamming", "hierarchical"), "assignment": ("footrule",)}
-
-
-def infer_from_weights(w, labels, loss: LossSpec, space: OutputSpace,
-                       params: SolverParams | None = None) -> InferenceResult:
-    """Minimize the weighted empirical risk ``sum_i w_i loss(y, y_i)`` over the space."""
-    w = np.asarray(w, dtype=float).ravel()
+def member_losses(loss: LossSpec, space: OutputSpace, labels) -> np.ndarray:
+    """Table ``[loss(member, labels[i])]`` of shape (members, m), with the
+    members of the explicit space in ``enumerate_space`` order."""
     labels = np.asarray(labels)
+    return np.array([[loss_value(loss, mbr, labels[i]) for i in range(labels.shape[0])]
+                     for mbr in enumerate_space(space)])
 
-    if space.kind == "explicit_finite":
-        if loss.kind == "zero_one" and _is_sign_space(space):
-            yhat = sign_rule(w, labels)
-            lab = np.asarray(labels, dtype=float).reshape(w.shape[0], -1)[:, 0]
-            obj = float(np.sum(w[lab != yhat]))
-            return InferenceResult(y_star=np.array([float(yhat)]), objective=obj,
-                                   certificate=EXACT)
-        best_y, best_obj = None, np.inf
-        for member in enumerate_space(space):
-            obj = float(np.dot(w, [loss_value(loss, member, labels[i])
-                                   for i in range(labels.shape[0])]))
-            if obj < best_obj or (obj == best_obj and tuple(member) < tuple(best_y)):
-                best_y, best_obj = member, obj
-        return InferenceResult(y_star=best_y, objective=best_obj, certificate=EXACT)
 
-    if space.kind in _ADDITIVE_LOSSES:
-        return infer_batch(w[None, :], labels, loss, space)[0]
+def _lex_argmin(members, values):
+    """Smallest value, ties to the lexicographically smallest member."""
+    best_y, best_obj = None, np.inf
+    for member, obj in zip(members, values):
+        if obj < best_obj or (obj == best_obj and tuple(member) < tuple(best_y)):
+            best_y, best_obj = member, obj
+    return best_y, best_obj
 
-    if space.kind == "flow_polytope":
-        if loss.kind == "square":
-            return solve_flow_sq(w, labels, space.network, params)
-        if loss.kind == "absolute":
-            return solve_flow_abs(w, labels, space.network, params)
-        raise ValueError(f"loss {loss.kind!r} is not supported on flow polytopes")
 
-    raise ValueError(f"unsupported (loss, space) pair: ({loss.kind}, {space.kind})")
+_ADDITIVE_LOSSES = {"hierarchy": ("hamming", "hierarchical"), "assignment": ("footrule",)}
 
 
 def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
                 params: SolverParams | None = None) -> list[InferenceResult]:
-    """``infer_from_weights`` for each row of ``W`` (Q, m).
+    """Minimize the weighted empirical risk ``sum_i W[q, i] loss(y, y_i)`` over
+    the space for each row of ``W`` (Q, m).
 
     Additive losses get the coefficients of all rows from one
     ``additive_coefficients`` call; hierarchies then take one
     ``solve_hierarchy`` call for the batch and rankings solve per row.  The
-    L1 flow solver takes the whole batch.  Other pairs run row by row.
+    L1 flow solver takes the whole batch; the square-loss flow solver and
+    the exhaustive minimization run row by row.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
+    labels = np.asarray(labels)
+    if space.kind == "explicit_finite":
+        if loss.kind == "zero_one" and _is_sign_space(space):
+            lab = labels.astype(float).reshape(W.shape[1], -1)[:, 0]
+            yhat = [sign_rule(w, labels) for w in W]
+            return [InferenceResult(y_star=np.array([float(y)]),
+                                    objective=float(np.sum(w[lab != y])), certificate=EXACT)
+                    for w, y in zip(W, yhat)]
+        members = enumerate_space(space)
+        table = member_losses(loss, space, labels)
+        results = []
+        for w in W:
+            best_y, best_obj = _lex_argmin(members, [float(np.dot(w, row)) for row in table])
+            results.append(InferenceResult(y_star=best_y, objective=best_obj, certificate=EXACT))
+        return results
     if space.kind in _ADDITIVE_LOSSES:
         if loss.kind not in _ADDITIVE_LOSSES[space.kind]:
             raise ValueError(f"loss {loss.kind!r} is not supported on {space.kind} spaces")
@@ -99,18 +101,34 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
             objs = [assignment_cost(c, y) + off for c, y, off in zip(C, Y, offsets)]
         return [InferenceResult(y_star=y, objective=float(obj), certificate=EXACT)
                 for y, obj in zip(Y, objs)]
-    if space.kind == "flow_polytope" and loss.kind == "absolute":
-        Y, objs, certs = solve_flow_abs_batch(W, labels, space.network, params)
-        return [InferenceResult(y_star=Y[i], objective=float(objs[i]), certificate=certs[i])
-                for i in range(len(W))]
-    return [infer_from_weights(w, labels, loss, space, params) for w in W]
+    if space.kind == "flow_polytope":
+        if loss.kind == "absolute":
+            Y, objs, certs = solve_flow_abs_batch(W, labels, space.network, params)
+            return [InferenceResult(y_star=Y[i], objective=float(objs[i]), certificate=certs[i])
+                    for i in range(len(W))]
+        if loss.kind == "square":
+            return [solve_flow_sq(w, labels, space.network, params) for w in W]
+        raise ValueError(f"loss {loss.kind!r} is not supported on flow polytopes")
+    raise ValueError(f"unsupported (loss, space) pair: ({loss.kind}, {space.kind})")
+
+
+def infer_from_weights(w, labels, loss: LossSpec, space: OutputSpace,
+                       params: SolverParams | None = None) -> InferenceResult:
+    """Minimize the weighted empirical risk ``sum_i w_i loss(y, y_i)`` over the
+    space: the one-row case of ``infer_batch``."""
+    return infer_batch(np.asarray(w, dtype=float).reshape(1, -1), labels, loss, space,
+                       params)[0]
 
 
 def infer(model: TrainedModel, loss: LossSpec, space: OutputSpace, x,
-          params: SolverParams | None = None) -> InferenceResult:
-    """Predict at ``x`` by minimizing the estimated conditional risk."""
-    wv = weights(model, x)
-    return infer_from_weights(wv.effective, model.labels, loss, space, params)
+          params: SolverParams | None = None) -> InferenceResult | list[InferenceResult]:
+    """Predict at ``x`` by minimizing the estimated conditional risk.
+
+    One query ``x`` (p,) gives one ``InferenceResult``; a batch (Q, p) gives
+    a list of them, one per row.
+    """
+    results = infer_batch(weights(model, x).effective, model.labels, loss, space, params)
+    return results if np.ndim(x) == 2 else results[0]
 
 
 def brute_force_argmin(space: OutputSpace, objective, cap: int = 1_000_000) -> np.ndarray:
@@ -118,11 +136,8 @@ def brute_force_argmin(space: OutputSpace, objective, cap: int = 1_000_000) -> n
 
     Ties resolve to the lexicographically smallest optimal encoding.
     """
-    best_y, best_obj = None, np.inf
-    for member in enumerate_space(space, cap=cap):
-        obj = float(objective(member))
-        if obj < best_obj or (obj == best_obj and tuple(member) < tuple(best_y)):
-            best_y, best_obj = member, obj
+    members = enumerate_space(space, cap=cap)
+    best_y, _ = _lex_argmin(members, [float(objective(m)) for m in members])
     if best_y is None:
         raise ValueError("space is empty")
     return np.asarray(best_y)

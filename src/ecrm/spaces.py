@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hierarchy import HierarchyDag
+from .hierarchy import HierarchyDag, _topological_order
 
 SPACE_KINDS = ("hierarchy", "assignment", "flow_polytope", "explicit_finite")
 
@@ -53,21 +53,12 @@ class FlowNetwork:
 
     def topological_order(self) -> list[int] | None:
         """Node order with all arcs forward, or None when the graph has a cycle."""
-        indeg = [0] * self.n_nodes
-        out = [[] for _ in range(self.n_nodes)]
+        tails = [[] for _ in range(self.n_nodes)]
+        heads = [[] for _ in range(self.n_nodes)]
         for t, h in self.arcs:
-            indeg[h] += 1
-            out[t].append(h)
-        order = [v for v in range(self.n_nodes) if indeg[v] == 0]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in out[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    order.append(v)
-        return order if len(order) == self.n_nodes else None
+            tails[h].append(t)
+            heads[t].append(h)
+        return _topological_order(self.n_nodes, tails, heads)
 
     @property
     def is_acyclic(self) -> bool:
@@ -255,10 +246,12 @@ def is_totally_unimodular(cm: ConstraintMatrix, size_cap: int = 2_000_000) -> bo
 
 
 def enumerate_space(space: OutputSpace, cap: int = 1_000_000) -> list[np.ndarray]:
-    """All members of a discrete space, in lexicographic order of the encoding.
+    """All members of a discrete space.
 
-    Raises when the member count would exceed ``cap`` or the space is
-    continuous.
+    Hierarchies and rankings come in lexicographic order of the encoding;
+    an explicit space keeps its construction order, so argmin callers break
+    ties by comparing member tuples.  Raises when the member count would
+    exceed ``cap`` or the space is continuous.
     """
     if space.kind == "explicit_finite":
         if len(space.members) > cap:

@@ -210,6 +210,24 @@ class TestInferAdditive:
         res = infer_additive(model, x)
         assert res.objective == pytest.approx(additive_risk(model, x, res.y_star), abs=1e-8)
 
+    def test_batch_equals_single_rows(self, rng):
+        for _ in range(5):
+            d = int(rng.integers(2, 10))
+            G = random_tree(rng, d)
+            m = int(rng.integers(2, 6))
+            X = rng.normal(size=(m, 3))
+            Y = np.array([random_feasible_label(rng, G) for _ in range(m)])
+            model = fit_additive(X, Y, G, _joint(), 1.0)
+            Xq = rng.normal(size=(6, 3))
+            off, on = node_scores(model, Xq)
+            assert off.shape == on.shape == (6, d)
+            batch = infer_additive(model, Xq)
+            assert len(batch) == 6
+            for q, res in enumerate(batch):
+                single = infer_additive(model, Xq[q])
+                np.testing.assert_array_equal(res.y_star, single.y_star)
+                assert res.objective == pytest.approx(single.objective, abs=1e-12)
+
 
 class TestDecoupledNeighborhood:
     def test_self_rule_decouples_nodes(self, rng):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from ecrm import (BoundInputs, KernelSpec, LossSpec, SurrogateConfig,
-                  bayes_conditional_risk, delta, empirical_surrogate_risk,
-                  eval_kernel, explicit_space, fit, generalization_bound,
-                  generalization_bound_terms, hierarchy_space, infer, loss_bound,
-                  loss_value, make_surrogate_config, realized_loss, surrogate_loss,
-                  surrogate_loss_detailed, weights)
+                  assignment_space, bayes_conditional_risk, delta,
+                  empirical_surrogate_risk, eval_kernel, explicit_space, fit,
+                  generalization_bound, generalization_bound_terms, hierarchy_space,
+                  infer, loss_bound, loss_value, make_surrogate_config, realized_loss,
+                  surrogate_loss, surrogate_loss_detailed, weights)
 from conftest import random_feasible_label, random_tree
-from _oracles import enumerate_feasible, gaussian_solve
+from _oracles import all_permutations, enumerate_feasible, footrule_risks, gaussian_solve
 
 RHO_GRID = np.logspace(-3, 3, 13)
 
@@ -144,6 +144,32 @@ class TestSurrogateProperties:
                         for i, f in enumerate(feas)]
                 assert got == pytest.approx(min(L, max(vals)), abs=1e-8)
 
+    def test_footrule_surrogate_matches_enumeration(self, rng):
+        # The ranking inner maximization against all d! permutations.
+        uncapped = 0
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            m = int(rng.integers(2, 7))
+            labels = np.array([rng.permutation(d) + 1 for _ in range(m)])
+            X = rng.normal(size=(m, 3))
+            model = fit(KernelSpec("rbf", gamma=1.0), 0.3, X, labels)
+            x = rng.normal(size=3)
+            y = rng.permutation(d) + 1
+            space = assignment_space(d)
+            loss = LossSpec("footrule")
+            L = loss_bound(loss, space)
+            rho = float(rng.uniform(0.05, 5.0))
+            got, cert = surrogate_loss_detailed(
+                model, loss, SurrogateConfig(rho, L, space), x, y)
+            assert cert == "exact"
+            w = weights(model, x).effective
+            perms = all_permutations(d)
+            risks = footrule_risks(perms, labels, w)
+            vals = np.abs(perms - y).sum(axis=1) + (risks.min() - risks) / rho
+            assert got == pytest.approx(min(L, vals.max()), abs=1e-8)
+            uncapped += vals.max() < L
+        assert uncapped >= 5
+
     def test_three_point_space_matches_hand_computation(self, rng):
         # Fully independent evaluation: dense Gaussian-elimination weights,
         # manual risks, manual inner maximization.
@@ -187,6 +213,31 @@ class TestSurrogateProperties:
                                             labels[0])
         assert cert == "heuristic"
         assert 0.0 <= val <= cfg.L + 1e-12
+
+    def test_flow_square_surrogate_exact_when_both_solves_are(self):
+        # One training flow gives a positive weight, so the risk minimization
+        # is exact; a small rho keeps the augmented weights' total positive
+        # and their weighted mean inside the polytope, so that one is too.
+        from ecrm import default_flow_network, enumerate_st_paths, flow_space
+        net = default_flow_network()
+        P = enumerate_st_paths(net)
+        space = flow_space(net)
+        label = P.mean(axis=0)
+        model = fit(KernelSpec("rbf", gamma=1.0), 0.1, np.zeros((1, 2)), label[None, :])
+        x = np.array([0.3, -0.2])
+        y = P[0]
+        loss = LossSpec("square")
+        cfg = make_surrogate_config(0.01, loss, space)
+        val, cert = surrogate_loss_detailed(model, loss, cfg, x, y)
+        assert cert == "exact"
+        # Closed form: the risk minimum is 0 at the label, and the augmented
+        # objective -||v - y||^2 + c ||v - label||^2 (c = w / rho > 1) is
+        # minimized at v = (c label - y) / (c - 1), which is a feasible flow.
+        c = float(weights(model, x).effective[0]) / cfg.rho
+        v = (c * label - y) / (c - 1.0)
+        assert np.all(v >= 0)
+        fmin = -np.sum((v - y) ** 2) + c * np.sum((v - label) ** 2)
+        assert val == pytest.approx(min(cfg.L, -fmin), abs=1e-12)
 
 
 class TestEmpiricalSurrogateRisk:

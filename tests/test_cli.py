@@ -74,6 +74,34 @@ class TestTrainPredictEval:
             for c, p in G_parents.items():
                 assert not (y[c] == 1 and y[p] == 0)
 
+    def test_additive_model_commands(self, hierarchy_fixture):
+        # predict and eval use the model's own hierarchy and predict ignores
+        # --loss; the analyses reject an additive model.
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        out = tmp / "madd.ecrm"
+        r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", "rbf", "--gamma", 0.5,
+                    "--lambda", 0.5, "--variant", "additive", "--out", out)
+        assert r.returncode == 0, r.stderr
+        flags = ("--model", out, "--x", xpath, "--space", "hierarchy", "--hierarchy", hpath)
+        hamming_run = run_cli("predict", *flags, "--loss", "hamming")
+        footrule_run = run_cli("predict", *flags, "--loss", "footrule")
+        assert hamming_run.returncode == footrule_run.returncode == 0
+        assert footrule_run.stdout == hamming_run.stdout
+        assert len(hamming_run.stdout.splitlines()) == X.shape[0]
+        pred = np.array([[int(t) for t in line.split()]
+                         for line in hamming_run.stdout.splitlines()])
+        r = run_cli("eval", *flags, "--labels", ypath, "--loss", "hamming")
+        assert r.returncode == 0, r.stderr
+        expect = np.mean([hamming(p, y) for p, y in zip(pred, Y)])
+        assert float(r.stdout.split()[1]) == pytest.approx(expect, abs=1e-12)
+        for command, extra in (("surrogate", ()), ("bound", ("--delta", 0.1))):
+            r = run_cli(command, *flags, "--labels", ypath, "--loss", "hamming",
+                        "--rho", 1.0, *extra)
+            assert r.returncode == 2
+            assert r.stdout == ""
+            assert r.stderr == f"error: {command} analysis expects a base model\n"
+
     def test_eval_matches_hand_computed_mean(self, tmp_path, rng):
         # Three-sample fixture with duplicated training points: predictions
         # are known, so the mean Hamming loss is computable by hand.

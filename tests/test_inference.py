@@ -261,3 +261,52 @@ class TestBruteForce:
     def test_cap_exceeded(self):
         with pytest.raises(ValueError):
             brute_force_argmin(assignment_space(9), lambda y: 0.0, cap=1000)
+
+
+class TestInferBatch:
+    """``infer`` on a (Q, p) batch returns one result per row, equal to the
+    single-query ``infer`` of that row on every kind of space."""
+
+    def _check(self, model, loss, space, Xq, params=None):
+        batch = infer(model, loss, space, Xq, params)
+        assert isinstance(batch, list) and len(batch) == Xq.shape[0]
+        for res, x in zip(batch, Xq):
+            single = infer(model, loss, space, x, params)
+            np.testing.assert_array_equal(res.y_star, single.y_star)
+            assert res.objective == pytest.approx(single.objective, rel=1e-12, abs=1e-12)
+            assert res.certificate.kind == single.certificate.kind
+
+    def test_explicit_sign_rule(self, rng):
+        labels = rng.choice([-1.0, 1.0], size=8)
+        model = fit(KernelSpec("rbf", gamma=0.7), 0.2, rng.normal(size=(8, 3)), labels)
+        self._check(model, LossSpec("zero_one"), explicit_space([[-1.0], [1.0]]),
+                    rng.normal(size=(7, 3)))
+
+    def test_explicit_general(self, rng):
+        members = [rng.normal(size=2) for _ in range(5)]
+        labels = np.stack([members[i] for i in rng.integers(0, 5, size=6)])
+        model = fit(KernelSpec("rbf", gamma=0.7), 0.2, rng.normal(size=(6, 3)), labels)
+        for loss in (LossSpec("square"), LossSpec("absolute"), LossSpec("zero_one")):
+            self._check(model, loss, explicit_space(members), rng.normal(size=(7, 3)))
+
+    def test_hierarchy(self, rng):
+        G = random_tree(rng, 9)
+        labels = np.array([random_feasible_label(rng, G) for _ in range(6)])
+        model = fit(random_kernel(rng), 0.3, rng.normal(size=(6, 3)), labels)
+        for loss in (LossSpec("hamming"), LossSpec("hierarchical", hierarchy=G)):
+            self._check(model, loss, hierarchy_space(G), rng.normal(size=(7, 3)))
+
+    def test_assignment(self, rng):
+        labels = np.array([rng.permutation(5) + 1 for _ in range(6)])
+        model = fit(random_kernel(rng), 0.3, rng.normal(size=(6, 3)), labels)
+        self._check(model, LossSpec("footrule"), assignment_space(5), rng.normal(size=(7, 3)))
+
+    @pytest.mark.parametrize("kind", ["square", "absolute"])
+    def test_flow(self, rng, kind):
+        from ecrm import SolverParams, default_flow_network, enumerate_st_paths, flow_space
+        net = default_flow_network()
+        P = enumerate_st_paths(net)
+        labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(6)])
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.05, rng.normal(size=(6, 3)), labels)
+        self._check(model, LossSpec(kind), flow_space(net), rng.normal(size=(5, 3)),
+                    SolverParams(max_iters=30, restarts=2))

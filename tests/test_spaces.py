@@ -80,6 +80,44 @@ class TestFeasibility:
         assert not is_feasible(space, [0.5, 0.5])
 
 
+def _kahn_order(n, arcs):
+    """Queue-based Kahn order: sources by id, then nodes as their last
+    incoming arc is removed, scanning each node's arcs in arc order."""
+    indeg = [0] * n
+    out = [[] for _ in range(n)]
+    for t, h in arcs:
+        indeg[h] += 1
+        out[t].append(h)
+    order = [v for v in range(n) if indeg[v] == 0]
+    for u in order:
+        for v in out[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    return order if len(order) == n else None
+
+
+class TestFlowNetworkOrder:
+    def test_matches_kahn_order_with_parallel_arcs(self, rng):
+        # The path oracle's tie-breaking depends on this exact order.
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            perm = rng.permutation(n)
+            arcs = []
+            for _ in range(int(rng.integers(1, 3 * n))):
+                i, j = sorted(rng.choice(n, size=2, replace=False))
+                arcs.append((int(perm[i]), int(perm[j])))
+                if rng.random() < 0.2:
+                    arcs.append(arcs[-1])
+            net = FlowNetwork(n, arcs, [0.0] * n)
+            assert net.topological_order() == _kahn_order(n, arcs)
+
+    def test_cycle_gives_none(self):
+        net = FlowNetwork(3, [(0, 1), (1, 2), (2, 1)], [0.0, 0.0, 0.0])
+        assert net.topological_order() is None
+        assert not net.is_acyclic
+
+
 class TestTotallyUnimodular:
     def _cm(self, A):
         A = np.atleast_2d(np.asarray(A))
