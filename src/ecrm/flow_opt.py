@@ -8,6 +8,13 @@ a pairwise Frank-Wolfe over path atoms (iterates are convex combinations of
 paths, hence feasible to machine precision), and the L1 solver is projected
 subgradient descent whose projection step reuses the Frank-Wolfe machinery.
 
+The L1 risk ``sum_i w_i ||y - y_i||_1`` is separable over arcs and piecewise
+linear on each, with breakpoints at the training labels.  The L1 solver
+sorts each arc's labels and builds per-row prefix sums of ``w`` and ``w y``
+once, O(Q m a) time and two (Q, a, m + 1) arrays held for the call; every
+objective and subgradient evaluation after that is a binary search per arc,
+O(Q a log m), with no (Q, m, a) table.
+
 The batch entry points vectorize across query weight vectors; a single
 query is exactly the one-row batch, so both paths produce identical output.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .results import EXACT, Certificate, HEURISTIC, InferenceResult, SolverParams
-from .spaces import FlowNetwork, flow_residual
+from .spaces import FlowNetwork, flow_residuals
 
 _LABEL_FEAS_TOL = 1e-9
 _THETA_EPS = 1e-14
@@ -115,37 +122,49 @@ def _pairwise_fw(P, Z, Theta, scale, gap_tol, max_iters, track_history=False):
     """Pairwise Frank-Wolfe for ``scale_q * ||Theta_q P - Z_q||^2``, batched.
 
     Mutates and returns Theta together with the final duality gaps.  Rows
-    whose gap reaches ``gap_tol`` stop moving.
+    whose gap reaches ``gap_tol`` stop moving, so they leave the working
+    set ``idx``.  Scores are the gradient over ``2 * scale`` against every
+    path, ``(Y - Z) . P_k``, with ``Z . P_k`` computed once; the exact
+    line-search step is scale-free.
     """
-    Q = Z.shape[0]
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), (Q,))
-    rows = np.arange(Q)
+    Q, K = Theta.shape
+    scale2 = 2.0 * np.broadcast_to(np.asarray(scale, dtype=float), (Q,))
     gaps = np.full(Q, np.inf)
     history: list[float] = []
     # Fixed-order einsum reductions keep every row's arithmetic identical
     # whether it runs alone or inside a batch.
+    ZP = np.einsum("qa,ka->qk", Z, P)
+    idx, T = np.arange(Q), np.ascontiguousarray(Theta)
+    base = idx * K
     for _ in range(max_iters):
-        Y = np.einsum("qk,ka->qa", Theta, P)
-        grad = 2.0 * scale[:, None] * (Y - Z)
-        scores = np.einsum("qa,ka->qk", grad, P)
-        fw = np.argmin(scores, axis=1)
-        masked = np.where(Theta > _THETA_EPS, scores, -np.inf)
-        away = np.argmax(masked, axis=1)
-        gaps = np.einsum("qa,qa->q", grad, Y) - scores[rows, fw]
+        scores = np.einsum("qa,ka->qk", np.einsum("qk,ka->qa", T, P), P)
+        scores -= ZP
+        fw = scores.argmin(axis=1)
+        away = np.where(T > _THETA_EPS, scores, -np.inf).argmax(axis=1)
+        flat_s, flat_t = scores.reshape(-1), T.reshape(-1)
+        s_fw = flat_s[base + fw]
+        live_gaps = scale2 * (np.einsum("qk,qk->q", T, scores) - s_fw)
+        gaps[idx] = live_gaps
         if track_history:
             history.append(float(gaps[0]))
-        live = gaps > gap_tol
-        if not np.any(live):
+        live = live_gaps > gap_tol
+        if not live.any():
             break
         d = P[fw] - P[away]
-        denom = 2.0 * scale * np.einsum("qa,qa->q", d, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(denom > 0, -np.einsum("qa,qa->q", grad, d) / denom, 0.0)
-        step = np.clip(step, 0.0, Theta[rows, away])
-        step = np.where(live, step, 0.0)
-        Theta[rows, fw] += step
-        Theta[rows, away] -= step
-        np.clip(Theta, 0.0, None, out=Theta)
+        norm = np.einsum("qa,qa->q", d, d)
+        fw += base
+        away += base
+        step = np.divide(flat_s[away] - s_fw, norm, out=np.zeros(T.shape[0]),
+                         where=live & (norm > 0))
+        np.minimum(step, flat_t[away], out=step)
+        flat_t[fw] += step
+        flat_t[away] -= step
+        np.maximum(T, 0.0, out=T)
+        if not live.all():
+            Theta[idx] = T
+            idx, T, ZP, scale2 = idx[live], T[live], ZP[live], scale2[live]
+            base = np.arange(T.shape[0]) * K
+    Theta[idx] = T
     return Theta, gaps, history
 
 
@@ -172,9 +191,9 @@ def fw_min_quadratic(z, net: FlowNetwork, scale: float = 1.0, gap_tol: float = 1
 
 def _check_labels(labels, net: FlowNetwork) -> np.ndarray:
     labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    for i in range(labels.shape[0]):
-        if flow_residual(net, labels[i]) > _LABEL_FEAS_TOL:
-            raise ValueError(f"training flow {i} violates conservation")
+    bad = np.flatnonzero(flow_residuals(net, labels) > _LABEL_FEAS_TOL)
+    if bad.size:
+        raise ValueError(f"training flow {bad[0]} violates conservation")
     return labels
 
 
@@ -230,6 +249,54 @@ def solve_flow_sq(w, labels, net: FlowNetwork, params: SolverParams | None = Non
     return InferenceResult(y_star=best_y, objective=best_val, certificate=HEURISTIC)
 
 
+def _l1_breakpoints(W, labels):
+    """Per-arc sorted labels with per-row prefix sums of ``W`` and ``W * y``.
+
+    Returns ``(S, CW, CWY)``: ``S[a]`` holds arc ``a``'s labels in ascending
+    (stable) order, and ``CW[q, a, r]`` / ``CWY[q, a, r]`` sum ``w_qi`` /
+    ``w_qi * y_ia`` over the ``r`` smallest of them.  Built one arc at a
+    time, so no (Q, m, a) temporary exists.
+    """
+    order = np.argsort(labels, axis=0, kind="stable")
+    S = np.take_along_axis(labels, order, axis=0).T.copy()
+    (m, a), Q = labels.shape, W.shape[0]
+    CW = np.zeros((Q, a, m + 1))
+    CWY = np.zeros((Q, a, m + 1))
+    Wj = np.empty((Q, m))
+    for j in range(a):
+        # mode="clip" lets take write straight into Wj (indices are valid).
+        np.take(W, order[:, j], axis=1, out=Wj, mode="clip")
+        np.cumsum(Wj, axis=1, out=CW[:, j, 1:])
+        np.cumsum(np.multiply(Wj, S[j], out=Wj), axis=1, out=CWY[:, j, 1:])
+    return S, CW, CWY
+
+
+def _l1_obj_grad(S, CW, CWY, Y):
+    """Objective ``sum_i w_qi ||y_q - y_i||_1`` and the subgradient
+    ``sum_i w_qi sign(y_q - y_i)`` of every row of Y, from breakpoints.
+
+    Per arc, labels below ``t`` add ``w (t - y)`` and labels above it add
+    ``w (y - t)``; labels equal to ``t`` add nothing (``sign(0) = 0``).  Two
+    binary searches per arc, O(Q a log m); arcs are added in order, so each
+    row's arithmetic does not depend on the others.
+    """
+    Q, a, m1 = CW.shape
+    flat_w, flat_wy = CW.reshape(-1), CWY.reshape(-1)
+    base = np.arange(Q) * (a * m1)
+    obj = np.zeros(Q)
+    G = np.empty((Q, a))
+    for j in range(a):
+        t = Y[:, j]
+        row = base + j * m1
+        lo = row + np.searchsorted(S[j], t, side="left")
+        hi = row + np.searchsorted(S[j], t, side="right")
+        top = row + (m1 - 1)
+        g = flat_w[lo] - (flat_w[top] - flat_w[hi])
+        G[:, j] = g
+        obj += t * g - flat_wy[lo] + (flat_wy[top] - flat_wy[hi])
+    return obj, G
+
+
 def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
     """Projected subgradient descent on ``sum_i w_i ||y - y_i||_1``, batched
     over query weight rows.
@@ -265,11 +332,7 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     best_obj = np.full(Q, np.inf)
     best_lb = np.full(Q, -np.inf)
 
-    def eval_obj_grad(Y):
-        diff = Y[:, None, :] - labels[None, :, :]
-        obj = np.einsum("qma,qm->q", np.abs(diff), W)
-        G = np.einsum("qma,qm->qa", np.sign(diff), W)
-        return obj, G
+    breakpoints = _l1_breakpoints(W, labels)
 
     def keep_better(obj, Y):
         improved = obj < best_obj
@@ -281,7 +344,7 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
         Y = np.einsum("qk,ka->qa", Theta, P)
         # max_iters steps; the last pass only evaluates the final iterate.
         for t in range(params.max_iters + 1):
-            obj, G = eval_obj_grad(Y)
+            obj, G = _l1_obj_grad(*breakpoints, Y)
             # Subgradient lower bound: f(v) >= f(y) + g.(v - y) for all v.
             lb = obj - (np.einsum("qa,qa->q", G, Y)
                         - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
@@ -298,13 +361,18 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     # label (feasible by assumption) when the pairwise distance table is
     # affordable.  This snaps exact optima that subgradient steps only
     # approach, e.g. reproducing a lone training flow.  Each row takes its
-    # first cheapest candidate if it beats the incumbent strictly.
+    # first cheapest candidate if it beats the incumbent strictly.  The
+    # prefix arrays go first, and the (k, m) distance table is built one arc
+    # at a time, so the sweep adds no (k, m, a) temporary.
+    del breakpoints
     cands = [P]
     if labels.shape[0] <= _LABEL_CANDIDATE_LIMIT:
         cands.append(labels)
     for C in cands:
-        cand_obj = np.einsum("qm,km->qk", W,
-                             np.einsum("kma->km", np.abs(C[:, None, :] - labels[None, :, :])))
+        D = np.zeros((C.shape[0], labels.shape[0]))
+        for j in range(labels.shape[1]):
+            D += np.abs(C[:, j, None] - labels[None, :, j])
+        cand_obj = np.einsum("qm,km->qk", W, D)
         pick = np.argmin(cand_obj, axis=1)
         keep_better(cand_obj[rows, pick], C[pick])
 

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .hierarchy import HierarchyDag, _topological_order
 
@@ -29,6 +30,7 @@ class FlowNetwork:
     arcs: tuple[tuple[int, int], ...]
     b: tuple[float, ...]
     _paths: list = field(default=None, init=False, repr=False, compare=False)
+    _incidence: object = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, n_nodes: int, arcs, b) -> None:
         arcs = tuple((int(t), int(h)) for t, h in arcs)
@@ -46,6 +48,12 @@ class FlowNetwork:
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_paths", None)
+        # Node-arc incidence, +1 at the tail and -1 at the head; each node's
+        # row lists its arcs in index order.
+        ends = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+        object.__setattr__(self, "_incidence", scipy.sparse.csr_array(
+            (np.tile([1.0, -1.0], len(arcs)), (ends.ravel(), np.repeat(np.arange(len(arcs)), 2))),
+            shape=(n_nodes, len(arcs))))
 
     @property
     def n_arcs(self) -> int:
@@ -73,15 +81,14 @@ class FlowNetwork:
         return src[0], snk[0]
 
     def divergence(self, y) -> np.ndarray:
-        """Node-wise outflow minus inflow for an arc vector."""
-        y = np.asarray(y, dtype=float).ravel()
-        if y.shape[0] != self.n_arcs:
-            raise ValueError(f"flow has {y.shape[0]} entries for {self.n_arcs} arcs")
-        div = np.zeros(self.n_nodes)
-        for a, (t, h) in enumerate(self.arcs):
-            div[t] += y[a]
-            div[h] -= y[a]
-        return div
+        """Node-wise outflow minus inflow for an arc vector, or for each row
+        of an (m, arcs) array."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 2:
+            y = y.ravel()
+        if y.shape[-1] != self.n_arcs:
+            raise ValueError(f"flow has {y.shape[-1]} entries for {self.n_arcs} arcs")
+        return (self._incidence @ y.T).T
 
 
 @dataclass(frozen=True)
@@ -160,10 +167,7 @@ def assignment_constraint_matrix(d: int) -> ConstraintMatrix:
 
 def flow_constraint_matrix(net: FlowNetwork) -> ConstraintMatrix:
     """Node-arc incidence rows (divergence = b) for a flow network."""
-    A = np.zeros((net.n_nodes, net.n_arcs), dtype=np.int64)
-    for a, (t, h) in enumerate(net.arcs):
-        A[t, a] = 1
-        A[h, a] = -1
+    A = net._incidence.toarray().astype(np.int64)
     return ConstraintMatrix(A=A, rhs=np.asarray(net.b), senses=("=",) * net.n_nodes)
 
 
@@ -206,12 +210,18 @@ def is_feasible(space: OutputSpace, y, tol: float | None = None) -> bool:
     raise ValueError(f"unknown space kind {space.kind!r}")
 
 
+def flow_residuals(net: FlowNetwork, Y) -> np.ndarray:
+    """Max absolute conservation violation, including negativity of flows,
+    of each row of an (m, arcs) array."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    resid = np.abs(net.divergence(Y) - np.asarray(net.b)).max(axis=1, initial=0.0)
+    # 0.0 - min keeps a zero minimum at +0.0.
+    return np.maximum(resid, 0.0 - Y.min(axis=1, initial=0.0))
+
+
 def flow_residual(net: FlowNetwork, y) -> float:
     """Max absolute conservation violation, including negativity of flows."""
-    y = np.asarray(y, dtype=float).ravel()
-    resid = float(np.max(np.abs(net.divergence(y) - np.asarray(net.b))))
-    neg = float(max(0.0, -np.min(y))) if y.size else 0.0
-    return max(resid, neg)
+    return float(flow_residuals(net, np.asarray(y, dtype=float).ravel()[None, :])[0])
 
 
 def is_totally_unimodular(cm: ConstraintMatrix, size_cap: int = 2_000_000) -> bool | None:

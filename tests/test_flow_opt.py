@@ -1,11 +1,15 @@
 """Flow-polytope machinery: path LMO, Frank-Wolfe, and the L1/L2 solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from ecrm import (FlowNetwork, SolverParams, default_flow_network,
                   enumerate_path_vertices, enumerate_st_paths, fw_min_quadratic,
                   lmo_flow, solve_flow_abs, solve_flow_abs_batch, solve_flow_sq)
+from ecrm.flow_opt import _l1_breakpoints, _l1_obj_grad, project_batch
 from ecrm.spaces import flow_residual
 from _oracles import abs_flow_objective, simplex_grid
 
@@ -92,6 +96,34 @@ class TestFrankWolfe:
             y, _, _, _ = fw_min_quadratic(z, NET, gap_tol=1e-9)
             assert flow_residual(NET, y) <= 1e-9
 
+    def test_reported_gap_matches_returned_theta(self, rng):
+        P = enumerate_st_paths(NET)
+        for trial in range(20):
+            z = rng.normal(size=NET.n_arcs) * 2
+            scale = 1.0 if trial % 2 else float(rng.uniform(0.1, 5.0))
+            y, theta, gap, _ = fw_min_quadratic(z, NET, scale=scale, gap_tol=1e-10)
+            np.testing.assert_array_equal(y, theta @ P)
+            recomputed = 2.0 * scale * (float((y - z) @ y) - float(np.min(P @ (y - z))))
+            assert abs(gap - recomputed) <= 1e-12
+
+    def test_certified_projection_matches_nnls(self, rng):
+        # Exact projection: min ||P^T theta - z||^2 over the simplex, with the
+        # sum-to-one row weighted by M.  Strong convexity of the squared
+        # distance gives ||y - y*|| <= sqrt(gap) wherever the gap certifies.
+        P = enumerate_st_paths(NET)
+        M = 1e4
+        A = np.vstack([P.T, np.full((1, P.shape[0]), M)])
+        Z = rng.normal(size=(40, NET.n_arcs)) * 2
+        Z[:5] = rng.dirichlet(np.ones(P.shape[0]), size=5) @ P   # inside the polytope
+        tol = 1e-10
+        Y, gaps = project_batch(Z, NET, gap_tol=tol)
+        assert np.all(gaps <= tol)
+        for q in range(Z.shape[0]):
+            theta, _ = nnls(A, np.append(Z[q], M))
+            exact = theta @ P
+            assert np.linalg.norm(Y[q] - exact) <= 1e-5
+            assert flow_residual(NET, Y[q]) <= 1e-9
+
 
 class TestSolveFlowSq:
     def test_single_label_is_returned(self, rng):
@@ -149,6 +181,20 @@ class TestSolveFlowSq:
         bad = np.full((1, NET.n_arcs), 0.3)
         with pytest.raises(ValueError):
             solve_flow_sq(np.array([1.0]), bad, NET)
+
+    def test_first_violating_label_named(self):
+        P = enumerate_st_paths(NET)
+        labels = P[[0, 1, 2, 3, 4]].copy()
+        labels[2, 0] += 1e-6           # breaks conservation
+        labels[3] = 2 * P[3] - P[0]    # conserves, but has a negative arc
+        labels[4] = -P[4]              # both
+        for first in (2, 3, 4):
+            with pytest.raises(ValueError, match=f"training flow {first} violates conservation"):
+                solve_flow_sq(np.ones(5), labels, NET)
+            with pytest.raises(ValueError, match=f"training flow {first} violates conservation"):
+                solve_flow_abs_batch(np.ones((2, 5)), labels, NET)
+            labels[first] = P[first]
+        solve_flow_sq(np.ones(5), labels, NET)
 
 
 class TestSolveFlowAbs:
@@ -214,3 +260,70 @@ class TestSolveFlowAbs:
         Y, _, _ = solve_flow_abs_batch(W, labels, NET, SolverParams(max_iters=50, restarts=2))
         for q in range(Y.shape[0]):
             assert flow_residual(NET, Y[q]) <= 1e-9
+
+
+class TestL1Breakpoints:
+    """The breakpoint evaluator against the definition of the L1 risk."""
+
+    def _instance(self, rng, Q, m):
+        P = enumerate_st_paths(NET)
+        labels = rng.dirichlet(np.ones(P.shape[0]), size=m) @ P
+        labels[::3] = P[rng.integers(P.shape[0], size=labels[::3].shape[0])]
+        labels[1::7] = labels[0]                          # repeated labels
+        W = rng.normal(size=(Q, m))
+        Y = rng.dirichlet(np.ones(P.shape[0]), size=Q) @ P
+        Y[::4] = P[rng.integers(P.shape[0], size=Y[::4].shape[0])]
+        for q in range(1, Q, 2):                          # ties on some arcs
+            arcs = rng.random(NET.n_arcs) < 0.5
+            Y[q, arcs] = labels[rng.integers(m), arcs]
+        return W, labels, Y
+
+    def test_matches_definition_with_ties(self, rng):
+        for _ in range(20):
+            Q, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            W, labels, Y = self._instance(rng, Q, m)
+            obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels), Y)
+            for q in range(Q):
+                tol = 1e-12 * (1.0 + np.abs(W[q]).sum())
+                ref_obj = abs_flow_objective(Y[q:q + 1], labels, W[q])[0]
+                ref_G = W[q] @ np.sign(Y[q] - labels)
+                assert abs(obj[q] - ref_obj) <= tol
+                assert np.max(np.abs(G[q] - ref_G)) <= tol
+
+    def test_tie_uses_zero_sign(self):
+        labels = np.zeros((3, NET.n_arcs))
+        labels[:, 0] = [0.2, 0.5, 0.9]
+        W = np.array([[1.0, 10.0, -3.0]])
+        Y = np.zeros((1, NET.n_arcs))
+        Y[0, 0] = 0.5
+        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels), Y)
+        assert G[0, 0] == 1.0 - (-3.0)
+        assert obj[0] == pytest.approx(1.0 * 0.3 + -3.0 * 0.4, abs=1e-15)
+        # Other arcs tie with every label: zero subgradient, zero objective.
+        np.testing.assert_array_equal(G[0, 1:], 0.0)
+
+    def test_one_row_equals_batch_row_bit_for_bit(self, rng):
+        W, labels, Y = self._instance(rng, 9, 30)
+        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels), Y)
+        for q in range(W.shape[0]):
+            obj1, G1 = _l1_obj_grad(*_l1_breakpoints(W[q:q + 1], labels), Y[q:q + 1])
+            assert obj1[0] == obj[q]
+            np.testing.assert_array_equal(G1[0], G[q])
+
+
+def test_abs_solver_memory_stays_linear_in_q_m_a():
+    # Two (Q, a, m + 1) prefix arrays are the intended working set; a
+    # (Q, m, a) temporary on top of them would break the bound.
+    P = enumerate_st_paths(NET)
+    rng = np.random.default_rng(2024)
+    Q, m, a = 200, 400, NET.n_arcs
+    labels = rng.dirichlet(np.ones(P.shape[0]), size=m) @ P
+    W = rng.normal(size=(Q, m))
+    params = SolverParams(max_iters=3, restarts=1)
+    tracemalloc.start()
+    try:
+        solve_flow_abs_batch(W, labels, NET, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * Q * m * a * 8, f"peak {peak / (Q * m * a * 8):.2f} x Q*m*a*8 bytes"

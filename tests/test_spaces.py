@@ -9,6 +9,7 @@ from ecrm import (ConstraintMatrix, FlowNetwork, HierarchyDag,
                   assignment_constraint_matrix, assignment_space, enumerate_space,
                   explicit_space, flow_space, hierarchy_constraint_matrix,
                   hierarchy_space, is_feasible, is_totally_unimodular)
+from ecrm.spaces import flow_constraint_matrix, flow_residual, flow_residuals
 from conftest import random_dag, random_tree
 
 
@@ -116,6 +117,61 @@ class TestFlowNetworkOrder:
         net = FlowNetwork(3, [(0, 1), (1, 2), (2, 1)], [0.0, 0.0, 0.0])
         assert net.topological_order() is None
         assert not net.is_acyclic
+
+
+def _divergence_by_arcs(net, y):
+    """Outflow minus inflow, one arc at a time in arc order."""
+    div = np.zeros(net.n_nodes)
+    for a, (t, h) in enumerate(net.arcs):
+        div[t] += y[a]
+        div[h] -= y[a]
+    return div
+
+
+class TestFlowResiduals:
+    def test_divergence_matches_arc_loop_bit_for_bit(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                    for _ in range(int(rng.integers(1, 3 * n)))]
+            arcs += arcs[:int(rng.integers(0, 3))]   # parallel arcs
+            net = FlowNetwork(n, arcs, [0.0] * n)
+            Y = rng.normal(size=(4, len(arcs))) * 10.0 ** rng.uniform(-3, 3)
+            D = net.divergence(Y)
+            assert D.shape == (4, n)
+            for i in range(4):
+                expect = _divergence_by_arcs(net, Y[i])
+                np.testing.assert_array_equal(D[i], expect)
+                np.testing.assert_array_equal(net.divergence(Y[i]), expect)
+
+    def test_batch_residuals_equal_single(self, rng):
+        net = FlowNetwork(4, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)], [1.0, 0.0, 0.0, -1.0])
+        Y = rng.normal(size=(30, 5))
+        Y[:3] = [[1, 0, 1, 0, 0], [0.5, 0.5, 0.5, 0.5, 0], [1, 0, 0, 1, 1]]
+        got = flow_residuals(net, Y)
+        assert got[:3].max() == 0.0
+        for i in range(Y.shape[0]):
+            assert got[i] == flow_residual(net, Y[i])
+            neg = max(0.0, -float(Y[i].min()))
+            expect = max(float(np.abs(_divergence_by_arcs(net, Y[i]) - net.b).max()), neg)
+            assert got[i] == expect
+
+    def test_constraint_matrix_is_the_incidence(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                    for _ in range(int(rng.integers(1, 7)))]
+            net = FlowNetwork(n, arcs, [0.0] * n)
+            A = flow_constraint_matrix(net).A
+            assert A.dtype == np.int64
+            for a in range(len(arcs)):
+                np.testing.assert_array_equal(A[:, a], _divergence_by_arcs(net, np.eye(len(arcs))[a]))
+            assert is_totally_unimodular(flow_constraint_matrix(net)) is True
+
+    def test_wrong_width_rejected(self):
+        net = FlowNetwork(2, [(0, 1)], [1.0, -1.0])
+        with pytest.raises(ValueError, match="flow has 2 entries for 1 arcs"):
+            net.divergence(np.zeros((3, 2)))
 
 
 class TestTotallyUnimodular:
