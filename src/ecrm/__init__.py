@@ -25,7 +25,7 @@ from .kernels import KernelSpec, eval_kernel, gram_matrix, kernel_vector
 from .losses import (LossSpec, additive_coefficients, footrule, hamming,
                      hierarchical_loss, hierarchical_loss_closed, loss_bound,
                      loss_value, sibling_weights, vector_loss)
-from .model import TrainedModel, WeightVector, estimate_conditional_risk, fit, weights
+from .model import TrainedModel, estimate_conditional_risk, fit, weights
 from .results import Certificate, InferenceResult, SolverParams
 from .simulate import (FlowGeneratorSpec, conditional_sampler, default_flow_network,
                        sample_conditional, simulate_flow_data)

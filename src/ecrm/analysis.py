@@ -10,8 +10,9 @@ achievable estimated risk at ``x`` and the estimated risk of ``y'``, and
 risk minimization: ``max_{y'} [loss(y', y) - risk(y')/rho]`` is minus the
 minimum of ``sum_i w'_i loss(y', y'_i)`` over the augmented sample that
 prepends the label ``y`` at weight -1 to the training labels at weights
-``w/rho`` (the losses used here are symmetric in their arguments).  Both
-minimizations go through ``infer_from_weights``, so the surrogate is exact
+``w/rho`` (the losses used here are symmetric in their arguments).  A
+dataset takes one weight solve, one ``infer_batch`` call for the risk
+minima and one per block of augmented rows, so the surrogate is exact
 wherever inference is exact.  Explicit finite spaces are enumerated.
 """
 
@@ -22,11 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import infer_from_weights, member_losses
+from .inference import infer_batch, infer_from_weights, member_losses
 from .losses import LossSpec, loss_bound, loss_value
 from .model import TrainedModel, risk_from_weights, weights
 from .results import SolverParams
 from .spaces import OutputSpace, enumerate_space
+
+# Rows per augmented risk minimization: a block puts the labels of all its
+# rows in front of the training labels, each row weighting only its own.
+AUG_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -51,14 +56,15 @@ def make_surrogate_config(rho: float, loss: LossSpec, space: OutputSpace) -> Sur
 def delta(model: TrainedModel, loss: LossSpec, space: OutputSpace, yprime, x,
           params: SolverParams | None = None) -> float:
     """Risk margin of a candidate: best risk at ``x`` minus its own risk (<= 0)."""
-    w = weights(model, x).effective
+    w = weights(model, x)
     best = infer_from_weights(w, model.labels, loss, space, params)
     return best.objective - risk_from_weights(w, model.labels, loss, yprime)
 
 
-def _explicit_risks(w, labels, loss: LossSpec, space: OutputSpace):
-    risks = np.array([float(np.dot(w, row)) for row in member_losses(loss, space, labels)])
-    return enumerate_space(space), risks
+def _explicit_risks(loss: LossSpec, space: OutputSpace, labels, W):
+    """Members in enumeration order and every weight row's risk of each member."""
+    table = member_losses(loss, space, labels)
+    return enumerate_space(space), np.array([[np.dot(w, row) for row in table] for w in W])
 
 
 def realized_loss(model: TrainedModel, loss: LossSpec, space: OutputSpace, x, y,
@@ -69,54 +75,63 @@ def realized_loss(model: TrainedModel, loss: LossSpec, space: OutputSpace, x, y,
     with the highest loss is charged (the pessimistic reading used by the
     surrogate analysis).
     """
-    w = weights(model, x).effective
+    w = weights(model, x)
     if space.kind == "explicit_finite":
-        members, risks = _explicit_risks(w, model.labels, loss, space)
-        rmin = float(np.min(risks))
-        return max(loss_value(loss, members[i], y)
-                   for i in range(len(members)) if risks[i] == rmin)
+        members, (risks,) = _explicit_risks(loss, space, model.labels, [w])
+        rmin = risks.min()
+        return max(loss_value(loss, mbr, y) for mbr, r in zip(members, risks) if r == rmin)
     result = infer_from_weights(w, model.labels, loss, space, params)
     return loss_value(loss, result.y_star, y)
 
 
 def surrogate_loss(model: TrainedModel, loss: LossSpec, cfg: SurrogateConfig, x, y,
-                   params: SolverParams | None = None) -> float:
-    value, _ = surrogate_loss_detailed(model, loss, cfg, x, y, params)
-    return value
+                   params: SolverParams | None = None):
+    """Capped margin surrogate of one sample, or an array of them for a batch."""
+    return surrogate_loss_detailed(model, loss, cfg, x, y, params)[0]
 
 
 def surrogate_loss_detailed(model: TrainedModel, loss: LossSpec, cfg: SurrogateConfig,
-                            x, y, params: SolverParams | None = None) -> tuple[float, str]:
+                            x, y, params: SolverParams | None = None):
     """Capped margin surrogate plus how the inner maximization was certified:
-    "exact" when both risk minimizations are exact, else "heuristic"."""
-    space = cfg.space
-    rho = cfg.rho
-    w = weights(model, x).effective
-    labels = model.labels
+    "exact" when both risk minimizations are exact, else "heuristic".
+
+    One sample ``x`` (p,) with its label ``y`` gives ``(value, certificate)``;
+    a batch ``x`` (Q, p) with labels ``y`` (Q, d) gives a (Q,) value array
+    and a list of Q certificates.
+    """
+    space, rho, labels = cfg.space, cfg.rho, model.labels
+    W = np.atleast_2d(weights(model, x))
+    Y = np.asarray(y).reshape(W.shape[0], -1)
 
     if space.kind == "explicit_finite":
-        members, risks = _explicit_risks(w, labels, loss, space)
-        rmin = float(np.min(risks))
-        vals = [loss_value(loss, members[i], y) + (rmin - risks[i]) / rho
-                for i in range(len(members))]
-        return min(cfg.L, max(vals)), "exact"
-
-    best = infer_from_weights(w, labels, loss, space, params)
-    aug = infer_from_weights(np.concatenate(([-1.0], w / rho)),
-                             np.vstack([np.asarray(y)[None, :], labels]),
-                             loss, space, params)
-    inner = -aug.objective + best.objective / rho
-    exact = best.certificate.kind == "exact" and aug.certificate.kind == "exact"
-    return min(cfg.L, inner), "exact" if exact else "heuristic"
+        members, R = _explicit_risks(loss, space, labels, W)
+        margins = (R.min(axis=1, keepdims=True) - R) / rho
+        vals = [min(cfg.L, max(loss_value(loss, mbr, yq) + g for mbr, g in zip(members, gq)))
+                for gq, yq in zip(margins, Y)]
+        certs = ["exact"] * len(vals)
+    else:
+        best = infer_batch(W, labels, loss, space, params)
+        # The L1 flow solver tries every label as a candidate point, so other
+        # rows' labels would change a row's result: flows take one row per block.
+        block = 1 if space.kind == "flow_polytope" else AUG_BLOCK
+        aug = []
+        for s in range(0, W.shape[0], block):
+            Wb = W[s:s + block]
+            aug += infer_batch(np.hstack([-np.eye(Wb.shape[0]), Wb / rho]),
+                               np.vstack([Y[s:s + block], labels]), loss, space, params)
+        vals = [min(cfg.L, -a.objective + b.objective / rho) for a, b in zip(aug, best)]
+        certs = ["exact" if a.certificate.kind == b.certificate.kind == "exact" else "heuristic"
+                 for a, b in zip(aug, best)]
+    if np.ndim(x) < 2:
+        return vals[0], certs[0]
+    return np.array(vals), certs
 
 
 def empirical_surrogate_risk(model: TrainedModel, loss: LossSpec, cfg: SurrogateConfig,
                              X, Y, params: SolverParams | None = None) -> float:
     """Mean surrogate loss over a dataset."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    vals = [surrogate_loss(model, loss, cfg, X[i], Y[i], params)
-            for i in range(X.shape[0])]
-    return float(np.mean(vals))
+    return float(np.mean(surrogate_loss(model, loss, cfg, X, Y, params)))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: Kern
     if space.kind != "flow_polytope":
         raise ValueError("projection baseline is defined for flow polytopes")
     model = fit(kernel, lam, dataset.X, dataset.Y)
-    W = weights(model, np.atleast_2d(np.asarray(Xq, dtype=float))).w
+    W = weights(model, np.atleast_2d(np.asarray(Xq, dtype=float)))
     Yhat = W @ np.asarray(dataset.Y, dtype=float)
     todo = [i for i in range(len(Yhat)) if not is_feasible(space, Yhat[i], tol=1e-12)]
     out = Yhat.copy()

@@ -166,10 +166,8 @@ def cmd_eval(args) -> int:
 
 def cmd_surrogate(args) -> int:
     model, loss, X, Y, cfg, params = _analysis_inputs(args, "surrogate")
-    vals = [surrogate_loss(model, loss, cfg, X[i], Y[i], params)
-            for i in range(X.shape[0])]
-    for v in vals:
-        print(fmt(v))
+    vals = surrogate_loss(model, loss, cfg, X, Y, params)
+    print("\n".join(fmt(v) for v in vals))
     print(f"mean {fmt(np.mean(vals))}")
     return 0
 

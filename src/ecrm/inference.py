@@ -127,7 +127,7 @@ def infer(model: TrainedModel, loss: LossSpec, space: OutputSpace, x,
     One query ``x`` (p,) gives one ``InferenceResult``; a batch (Q, p) gives
     a list of them, one per row.
     """
-    results = infer_batch(weights(model, x).effective, model.labels, loss, space, params)
+    results = infer_batch(weights(model, x), model.labels, loss, space, params)
     return results if np.ndim(x) == 2 else results[0]
 
 

@@ -82,7 +82,8 @@ def load_permutations(path) -> np.ndarray:
     M = load_matrix(path, dtype=float)
     P = M.astype(np.int64)
     if np.any(P != M):
-        raise DataFormatError(f"{path}:1: permutation ranks must be integers")
+        bad = int(np.argmax((P != M).any(axis=1))) + 1
+        raise DataFormatError(f"{path}:{bad}: permutation ranks must be integers")
     d = P.shape[1]
     want = np.arange(1, d + 1)
     for i in range(P.shape[0]):
@@ -289,6 +290,8 @@ def _load_base(path, lines) -> TrainedModel:
     if len(toks) != 8 or toks[0] != "lambda" or toks[2] != "m" or toks[4] != "p" or toks[6] != "intercept":
         raise DataFormatError(f"{path}:3: bad parameter line {lines[2]!r}")
     lam, m, p, intercept = float(toks[1]), int(toks[3]), int(toks[5]), toks[7]
+    if m < 1:
+        raise DataFormatError(f"{path}:3: model must have at least one sample, found m {m}")
     if len(lines) < 3 + 2 * m:
         raise DataFormatError(f"{path}: expected {3 + 2 * m} lines, found {len(lines)}")
     X = _float_rows(path, 4, lines[3:3 + m], p)
@@ -300,13 +303,15 @@ def _load_base(path, lines) -> TrainedModel:
 
 
 def _load_additive(path, lines) -> AdditiveModel:
-    from .additive import AdditiveModel as AM
-
+    if len(lines) < 6:
+        raise DataFormatError(f"{path}: truncated model file")
     spec = _parse_kernel_line(path, 3, lines[2])
     toks = lines[3].split()
     if len(toks) != 6 or toks[0] != "lambda" or toks[2] != "m" or toks[4] != "d":
         raise DataFormatError(f"{path}:4: bad parameter line {lines[3]!r}")
     lam, m, d = float(toks[1]), int(toks[3]), int(toks[5])
+    if m < 1:
+        raise DataFormatError(f"{path}:4: model must have at least one sample, found m {m}")
     ntoks = lines[4].split()
     if len(ntoks) != 2 or ntoks[0] != "neighbors":
         raise DataFormatError(f"{path}:5: bad neighbors line {lines[4]!r}")
@@ -314,6 +319,9 @@ def _load_additive(path, lines) -> AdditiveModel:
     if len(htoks) != 2 or htoks[0] != "hierarchy":
         raise DataFormatError(f"{path}:6: bad hierarchy line {lines[5]!r}")
     n_arcs = int(htoks[1])
+    if len(lines) < 7 + n_arcs + 2 * m:
+        raise DataFormatError(
+            f"{path}: expected {7 + n_arcs + 2 * m} lines, found {len(lines)}")
     arcs = []
     for i in range(n_arcs):
         lineno = 7 + i
@@ -333,5 +341,5 @@ def _load_additive(path, lines) -> AdditiveModel:
         alpha[i, :, 1] = vals[:d]
         alpha[i, :, 0] = vals[d:]
     G = HierarchyDag(d=d, arcs=arcs)
-    return AM(alpha=alpha, joint=JointKernelSpec(base=spec, neighbors=ntoks[1]),
-              lam=lam, hierarchy=G, inputs=X)
+    return AdditiveModel(alpha=alpha, joint=JointKernelSpec(base=spec, neighbors=ntoks[1]),
+                         lam=lam, hierarchy=G, inputs=X)

@@ -252,18 +252,20 @@ def loss_bound(spec: LossSpec, space=None) -> float:
     if spec.kind == "hamming":
         if spec.hierarchy is not None:
             return float(spec.hierarchy.d)
-        d = _space_dim(space)
-        return float(d)
+        return float(_space_dim(space))
     if spec.kind == "footrule":
         d = _space_dim(space)
         return float((d * d) // 2)
     if spec.kind in ("absolute", "square"):
-        # Convex losses attain their supremum at vertex pairs.
-        verts = _space_vertices(space)
+        # Convex losses attain their supremum at vertex pairs.  Row sums and a
+        # stacked row-by-column matmul reduce as ``vector_loss`` does (pairwise
+        # sum, BLAS dot), so the cap equals its pairwise definition bit for bit.
+        V = _space_vertices(space)
         best = 0.0
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                best = max(best, vector_loss(spec.kind, verts[i], verts[j]))
+        for i in range(len(V) - 1):
+            D = V[i] - V[i + 1:]
+            vals = np.abs(D).sum(axis=1) if spec.kind == "absolute" else D[:, None] @ D[..., None]
+            best = max(best, float(vals.max()))
         return best
     raise ValueError(f"no bound rule for loss kind {spec.kind!r}")
 
@@ -278,13 +280,13 @@ def _space_dim(space) -> int:
     return int(space)
 
 
-def _space_vertices(space):
-    from .flow_opt import enumerate_path_vertices
+def _space_vertices(space) -> np.ndarray:
+    from .flow_opt import enumerate_st_paths
     from .spaces import OutputSpace
 
     if isinstance(space, OutputSpace):
         if space.kind == "explicit_finite":
-            return [np.asarray(mbr, dtype=float) for mbr in space.members]
+            return np.asarray(space.members, dtype=float)
         if space.kind == "flow_polytope":
-            return list(enumerate_path_vertices(space.network))
+            return enumerate_st_paths(space.network)
     raise ValueError("loss bound for vector losses needs an explicit or flow space")

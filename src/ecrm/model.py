@@ -26,28 +26,6 @@ INTERCEPT_MODES = ("none", "centered")
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Solution of ``(K + m*lambda*I) w = v(x)`` for one query or a batch.
-
-    ``w`` is ``(m,)`` for one query and ``(Q, m)`` for a batch, one row per
-    query.  ``adjustment`` is the per-sample constant added when the model
-    was fit with a centered intercept: a float for one query, a ``(Q, 1)``
-    column for a batch.  ``effective`` (same shape as ``w``) is what risk
-    estimates use.
-    """
-
-    w: np.ndarray
-    query: np.ndarray
-    adjustment: float | np.ndarray = 0.0
-
-    @property
-    def effective(self) -> np.ndarray:
-        if np.ndim(self.adjustment) == 0 and self.adjustment == 0.0:
-            return self.w
-        return self.w + self.adjustment
-
-
-@dataclass(frozen=True)
 class TrainedModel:
     kernel: KernelSpec
     lam: float
@@ -98,8 +76,9 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
                         intercept_mode=intercept_mode, factor=factor)
 
 
-def weights(model: TrainedModel, x) -> WeightVector:
-    """Weights for one query ``x`` of shape ``(p,)`` or a batch ``(Q, p)``.
+def weights(model: TrainedModel, x) -> np.ndarray:
+    """Weights for one query ``x`` of shape ``(p,)`` or a batch ``(Q, p)``:
+    an ``(m,)`` vector or a ``(Q, m)`` matrix, one row per query.
 
     A batch costs one cross-Gram build and one multi-right-hand-side
     Cholesky solve.  With a centered intercept the per-target mean is
@@ -111,18 +90,14 @@ def weights(model: TrainedModel, x) -> WeightVector:
         raise ValueError("model has no stored factorization; was it fitted?")
     x = np.asarray(x, dtype=float)
     W = cho_solve(model.factor, cross_gram(model.kernel, np.atleast_2d(x), model.inputs).T).T
-    adj = 0.0
     if model.intercept_mode == "centered":
-        adj = ((1.0 - W.sum(axis=1)) / model.m)[:, None]
-    if x.ndim < 2:
-        return WeightVector(w=W[0], query=x, adjustment=float(np.ravel(adj)[0]))
-    return WeightVector(w=W, query=x, adjustment=adj)
+        W = W + ((1.0 - W.sum(axis=1)) / model.m)[:, None]
+    return W if x.ndim == 2 else W[0]
 
 
 def estimate_conditional_risk(model: TrainedModel, loss: LossSpec, y, x) -> float:
     """Estimated conditional risk of predicting ``y`` at input ``x``."""
-    wv = weights(model, x)
-    return risk_from_weights(wv.effective, model.labels, loss, y)
+    return risk_from_weights(weights(model, x), model.labels, loss, y)
 
 
 def risk_from_weights(w, labels, loss: LossSpec, y) -> float:

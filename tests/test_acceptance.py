@@ -228,7 +228,7 @@ def test_criterion_06_surrogate_suite():
         assert all(v >= realized - 1e-10 for v in vals)            # surrogacy
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))  # rho-monotone
         assert all(v <= L + 1e-12 for v in vals)                    # capped
-        w = weights(model, x).effective
+        w = weights(model, x)
         risks = sorted(risk_from_weights(w, labels, loss, mm) for mm in members)
         gap2 = risks[1] - risks[0]
         spread = max(loss_value(loss, mm, y) for mm in members) + 1e-12
@@ -293,7 +293,7 @@ def test_criterion_09_bayes_convergence():
         for m in (100, 300, 1000):
             data = simulate_flow_data(spec, m, stream=s + 1)
             model = fit(kernel, 0.01, data.X, data.Y)
-            w = weights(model, x0).w
+            w = weights(model, x0)
             res = solve_flow_abs(w, data.Y, net, params)
             RESIDUALS.append(flow_residual(net, res.y_star))
             risk = float(np.abs(res.y_star[None, :] - Ymc).sum(axis=1).mean())

@@ -51,7 +51,7 @@ class TestDelta:
         space, model = _random_explicit_instance(rng)
         loss = LossSpec("absolute")
         x = rng.normal(size=3)
-        w = weights(model, x).effective
+        w = weights(model, x)
         risks = [risk_from_weights(w, model.labels, loss, m) for m in space.members]
         yp = space.members[2]
         expect = min(risks) - risks[2]
@@ -103,7 +103,7 @@ class TestSurrogateProperties:
             L = loss_bound(loss, space)
             x = rng.normal(size=3)
             y = np.asarray(space.members[0])
-            w = weights(model, x).effective
+            w = weights(model, x)
             risks = sorted(risk_from_weights(w, model.labels, loss, m)
                            for m in space.members)
             gap2 = risks[1] - risks[0]
@@ -137,7 +137,7 @@ class TestSurrogateProperties:
                 got, cert = surrogate_loss_detailed(
                     model, loss, SurrogateConfig(rho, L, space), x, y)
                 assert cert == "exact"
-                w = weights(model, x).effective
+                w = weights(model, x)
                 feas = enumerate_feasible(G)
                 risks = np.array([risk_from_weights(w, labels, loss, f) for f in feas])
                 vals = [loss_value(loss, f, y) + (risks.min() - risks[i]) / rho
@@ -162,7 +162,7 @@ class TestSurrogateProperties:
             got, cert = surrogate_loss_detailed(
                 model, loss, SurrogateConfig(rho, L, space), x, y)
             assert cert == "exact"
-            w = weights(model, x).effective
+            w = weights(model, x)
             perms = all_permutations(d)
             risks = footrule_risks(perms, labels, w)
             vals = np.abs(perms - y).sum(axis=1) + (risks.min() - risks) / rho
@@ -233,11 +233,79 @@ class TestSurrogateProperties:
         # Closed form: the risk minimum is 0 at the label, and the augmented
         # objective -||v - y||^2 + c ||v - label||^2 (c = w / rho > 1) is
         # minimized at v = (c label - y) / (c - 1), which is a feasible flow.
-        c = float(weights(model, x).effective[0]) / cfg.rho
+        c = float(weights(model, x)[0]) / cfg.rho
         v = (c * label - y) / (c - 1.0)
         assert np.all(v >= 0)
         fmin = -np.sum((v - y) ** 2) + c * np.sum((v - label) ** 2)
         assert val == pytest.approx(min(cfg.L, -fmin), abs=1e-12)
+
+
+class TestBatchSurrogate:
+    """A (Q, p) batch gives, row for row, the one-sample surrogate computed
+    from the same weight row."""
+
+    def _check(self, monkeypatch, model, loss, cfg, X, Y, params=None, rtol=0.0):
+        import ecrm.analysis
+        W = weights(model, X)
+        monkeypatch.setattr(ecrm.analysis, "AUG_BLOCK", 3)
+        vals, certs = surrogate_loss_detailed(model, loss, cfg, X, Y, params)
+        assert vals.shape == (X.shape[0],) and len(certs) == X.shape[0]
+        for i in range(X.shape[0]):
+            monkeypatch.setattr(ecrm.analysis, "weights", lambda model, x, w=W[i]: w)
+            one, cert = surrogate_loss_detailed(model, loss, cfg, X[i], Y[i], params)
+            assert cert == certs[i]
+            if rtol:
+                assert vals[i] == pytest.approx(one, rel=rtol, abs=0)
+            else:
+                assert vals[i] == one
+        monkeypatch.setattr(ecrm.analysis, "weights", weights)
+        return vals, certs
+
+    def test_hierarchy(self, monkeypatch, rng):
+        G = random_tree(rng, 9)
+        space = hierarchy_space(G)
+        labels = np.array([random_feasible_label(rng, G) for _ in range(12)])
+        model = fit(KernelSpec("rbf", gamma=0.7), 0.2, rng.normal(size=(12, 3)), labels)
+        X = rng.normal(size=(8, 3))
+        Y = np.array([random_feasible_label(rng, G) for _ in range(8)])
+        for loss in (LossSpec("hamming"), LossSpec("hierarchical", hierarchy=G)):
+            cfg = make_surrogate_config(0.4, loss, space)
+            # Zero-weight labels of the block's other rows may move the
+            # coefficient products by rounding only.
+            _, certs = self._check(monkeypatch, model, loss, cfg, X, Y, rtol=1e-12)
+            assert set(certs) == {"exact"}
+
+    def test_ranking(self, monkeypatch, rng):
+        d = 5
+        labels = np.array([rng.permutation(d) + 1 for _ in range(10)])
+        model = fit(KernelSpec("rbf", gamma=0.7), 0.2, rng.normal(size=(10, 3)), labels)
+        X = rng.normal(size=(7, 3))
+        Y = np.array([rng.permutation(d) + 1 for _ in range(7)])
+        loss = LossSpec("footrule")
+        cfg = make_surrogate_config(0.6, loss, assignment_space(d))
+        _, certs = self._check(monkeypatch, model, loss, cfg, X, Y)
+        assert set(certs) == {"exact"}
+
+    def test_explicit(self, monkeypatch, rng):
+        space, model = _random_explicit_instance(rng, n_members=5, m=7)
+        loss = LossSpec("absolute")
+        cfg = make_surrogate_config(0.3, loss, space)
+        X = rng.normal(size=(6, 3))
+        Y = np.stack([np.asarray(space.members[i]) for i in rng.integers(5, size=6)])
+        self._check(monkeypatch, model, loss, cfg, X, Y)
+
+    @pytest.mark.parametrize("kind", ["square", "absolute"])
+    def test_flow(self, monkeypatch, kind):
+        from ecrm import (FlowGeneratorSpec, SolverParams, default_flow_network, flow_space,
+                          simulate_flow_data)
+        spec = FlowGeneratorSpec.create(seed=4, tau=1.0, p=3)
+        train = simulate_flow_data(spec, 12, stream=1)
+        test = simulate_flow_data(spec, 5, stream=2)
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.05, train.X, train.Y)
+        loss = LossSpec(kind)
+        cfg = make_surrogate_config(0.5, loss, flow_space(default_flow_network()))
+        self._check(monkeypatch, model, loss, cfg, test.X, test.Y,
+                    SolverParams(max_iters=40, restarts=2))
 
 
 class TestEmpiricalSurrogateRisk:

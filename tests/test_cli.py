@@ -178,6 +178,63 @@ class TestAnalysisCommands:
         assert tag == "mean"
         assert float(mean) == pytest.approx(np.mean(vals), abs=1e-12)
 
+    def test_bound_empirical_equals_surrogate_mean(self, hierarchy_fixture):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        out = tmp / "model.ecrm"
+        run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                "--hierarchy", hpath, "--kernel", "rbf", "--gamma", 0.5,
+                "--lambda", 0.1, "--out", out)
+        flags = ("--model", out, "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                 "--hierarchy", hpath, "--loss", "hierarchical", "--rho", 0.3)
+        sur = run_cli("surrogate", *flags)
+        bnd = run_cli("bound", *flags, "--delta", 0.05)
+        assert sur.returncode == bnd.returncode == 0, sur.stderr + bnd.stderr
+        lines = sur.stdout.splitlines()
+        vals = [float(v) for v in lines[:-1]]
+        got = dict(line.split() for line in bnd.stdout.splitlines())
+        assert got["empirical"] == lines[-1].split()[1]
+        assert float(got["empirical"]) == np.mean(vals)
+
+    @pytest.mark.parametrize("command", ["surrogate", "bound"])
+    def test_one_weight_solve_and_one_risk_minimization_per_block(
+            self, monkeypatch, capsys, tmp_path, rng, command):
+        # Q = 10 rows in blocks of 4: the risk minima, then 3 augmented blocks.
+        import ecrm.analysis
+        import ecrm.cli
+        import ecrm.inference
+        import ecrm.model
+        G = HierarchyDag(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
+        save_hierarchy(tmp_path / "h.txt", G)
+        Y = np.array([[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 0, 1],
+                      [1, 0, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [1, 1, 1, 0, 0],
+                      [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]])
+        save_matrix(tmp_path / "x.txt", rng.normal(size=(10, 3)))
+        save_matrix(tmp_path / "y.txt", Y)
+        space = ["--space", "hierarchy", "--hierarchy", str(tmp_path / "h.txt")]
+        assert ecrm.cli.main(["train", "--x", str(tmp_path / "x.txt"),
+                              "--labels", str(tmp_path / "y.txt"), *space, "--kernel", "rbf",
+                              "--gamma", "0.5", "--out", str(tmp_path / "m.ecrm")]) == 0
+        calls = {"weights": 0, "infer_batch": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, mods in (("weights", (ecrm.model, ecrm.inference, ecrm.analysis)),
+                           ("infer_batch", (ecrm.inference, ecrm.analysis))):
+            wrapper = counted(name, getattr(mods[0], name))
+            for mod in mods:
+                monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(ecrm.analysis, "AUG_BLOCK", 4)
+        extra = ["--delta", "0.1"] if command == "bound" else []
+        assert ecrm.cli.main([command, "--model", str(tmp_path / "m.ecrm"),
+                              "--x", str(tmp_path / "x.txt"), "--labels", str(tmp_path / "y.txt"),
+                              *space, "--loss", "hamming", "--rho", "0.5", *extra]) == 0
+        assert calls == {"weights": 1, "infer_batch": 1 + 3}
+        capsys.readouterr()
+
 
 class TestSimulateAndBench:
     def test_simulate_flow_reproducible(self, tmp_path):
@@ -417,6 +474,35 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == "error: training labels are not permutations of 1..d\n"
+
+    @pytest.mark.parametrize("case", ["additive_header_only", "additive_cut_after_arcs",
+                                      "base_with_m_0"])
+    def test_malformed_model_file(self, hierarchy_fixture, case):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        bad = tmp / "bad.ecrm"
+        if case == "additive_header_only":
+            bad.write_text("ECRM-MODEL 1\nvariant additive\n")
+        else:
+            variant = "additive" if case == "additive_cut_after_arcs" else "base"
+            good = tmp / "good.ecrm"
+            r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                        "--hierarchy", hpath, "--kernel", "linear", "--lambda", 0.1,
+                        "--variant", variant, "--out", good)
+            assert r.returncode == 0, r.stderr
+            lines = good.read_text().splitlines(keepends=True)
+            if case == "additive_cut_after_arcs":
+                assert lines[5] == "hierarchy 3\n"
+                bad.write_text("".join(lines[:9]))
+            else:
+                assert " m 6 " in lines[2]
+                bad.write_text("".join([*lines[:2], lines[2].replace(" m 6 ", " m 0 "),
+                                        *lines[3:]]))
+        r = run_cli("predict", "--model", bad, "--x", xpath, "--space", "hierarchy",
+                    "--hierarchy", hpath)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith(f"error: {bad}")
 
     def test_malformed_labels_rejected(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture

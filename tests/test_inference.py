@@ -178,7 +178,7 @@ class TestInferDispatch:
         for _ in range(200):
             x = rng.normal(size=3)
             res = infer(model, loss, space, x)
-            w = weights(model, x).w
+            w = weights(model, x)
             assert res.y_star[0] == sign_rule(w, labels)
             assert res.certificate.kind == "exact"
 

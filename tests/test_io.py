@@ -54,6 +54,12 @@ class TestMatrixFiles:
         with pytest.raises(DataFormatError, match=":2:"):
             load_permutations(path)
 
+    def test_non_integer_rank_names_its_line(self, tmp_path):
+        path = tmp_path / "perm.txt"
+        path.write_text("1 2\n2 1\n2 1.5\n1 2.5\n")
+        with pytest.raises(DataFormatError, match=r"perm\.txt:3: permutation ranks must be integers"):
+            load_permutations(path)
+
     def test_fmt_round_trips(self, rng):
         for v in rng.normal(size=50):
             assert float(fmt(v)) == v
@@ -135,7 +141,7 @@ class TestModelPersistence:
         np.testing.assert_array_equal(loaded.inputs, model.inputs)
         np.testing.assert_array_equal(loaded.labels, model.labels)
         x = rng.normal(size=3)
-        np.testing.assert_allclose(weights(loaded, x).w, weights(model, x).w,
+        np.testing.assert_allclose(weights(loaded, x), weights(model, x),
                                    atol=1e-12)
 
     def test_linear_kernel_round_trip(self, tmp_path, rng):

@@ -101,8 +101,8 @@ class TestFit:
     def test_duplicate_inputs_are_fine(self, rng):
         X = np.tile(rng.normal(size=(1, 3)), (5, 1))
         model = fit(KernelSpec("rbf", gamma=1.0), 0.1, X, np.zeros(5))
-        wv = weights(model, X[0])
-        assert np.all(np.isfinite(wv.w))
+        w = weights(model, X[0])
+        assert np.all(np.isfinite(w))
 
     def test_jitter_retry_then_numerical_error(self, rng, monkeypatch):
         import ecrm.model
@@ -137,7 +137,7 @@ class TestWeights:
         lam = 0.7
         model = fit(spec, lam, [x1], [0])
         expected = eval_kernel(spec, x, x1) / (eval_kernel(spec, x1, x1) + lam)
-        assert weights(model, x).w[0] == pytest.approx(expected, rel=1e-12)
+        assert weights(model, x)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_identity_gram_closed_form(self):
         X = np.eye(5)
@@ -145,7 +145,7 @@ class TestWeights:
         model = fit(KernelSpec("linear"), lam, X, np.zeros(5))
         x = np.arange(5.0)
         v = kernel_vector(KernelSpec("linear"), X, x)
-        np.testing.assert_allclose(weights(model, x).w, v / (1 + 5 * lam), atol=1e-12)
+        np.testing.assert_allclose(weights(model, x), v / (1 + 5 * lam), atol=1e-12)
 
     def test_matches_gaussian_elimination_oracle(self, rng):
         for trial in range(10):
@@ -155,17 +155,17 @@ class TestWeights:
             lam = float(rng.uniform(0.1, 1.0))
             model = fit(spec, lam, X, np.zeros(6))
             ref = dense_weight_oracle(lambda a, b: eval_kernel(spec, a, b), X, lam, x)
-            np.testing.assert_allclose(weights(model, x).w, ref, atol=1e-9)
+            np.testing.assert_allclose(weights(model, x), ref, atol=1e-9)
 
     def test_residual_invariant(self, rng):
         X = rng.normal(size=(7, 3))
         spec = KernelSpec("rbf", gamma=1.0)
         model = fit(spec, 0.2, X, np.zeros(7))
         x = rng.normal(size=3)
-        wv = weights(model, x)
+        w = weights(model, x)
         K = gram_matrix(spec, X)
         v = kernel_vector(spec, X, x)
-        resid = np.linalg.norm((K + 7 * 0.2 * np.eye(7)) @ wv.w - v)
+        resid = np.linalg.norm((K + 7 * 0.2 * np.eye(7)) @ w - v)
         assert resid <= 1e-8 * max(1.0, np.linalg.norm(v))
 
     def test_regularization_shrinks_weights(self, rng):
@@ -175,7 +175,7 @@ class TestWeights:
         norms = []
         for lam in (0.01, 0.1, 1.0, 10.0, 1e3, 1e6):
             model = fit(spec, lam, X, np.zeros(6))
-            norms.append(np.linalg.norm(weights(model, x).w))
+            norms.append(np.linalg.norm(weights(model, x)))
         assert all(a > b for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-6
 
@@ -187,11 +187,11 @@ class TestWeights:
         for spec in (KernelSpec("rbf", gamma=0.6), KernelSpec("linear")):
             model = fit(spec, 0.3, X, np.zeros(9), intercept_mode=intercept)
             batch = weights(model, Xq)
-            assert batch.w.shape == batch.effective.shape == (5, 9)
+            assert batch.shape == (5, 9)
             for i in range(5):
                 single = weights(model, Xq[i])
-                assert single.effective.shape == (9,)
-                np.testing.assert_allclose(batch.effective[i], single.effective,
+                assert single.shape == (9,)
+                np.testing.assert_allclose(batch[i], single,
                                            rtol=0, atol=1e-12)
 
 
@@ -237,8 +237,8 @@ class TestEstimateConditionalRisk:
             r_plus = estimate_conditional_risk(model, loss, [1.0], x)
             r_minus = estimate_conditional_risk(model, loss, [-1.0], x)
             argmin = 1.0 if r_plus <= r_minus else -1.0
-            wv = weights(model, x)
-            sign = 1.0 if float(wv.w @ labels) >= 0 else -1.0
+            w = weights(model, x)
+            sign = 1.0 if float(w @ labels) >= 0 else -1.0
             assert argmin == sign
 
     def test_centered_intercept_equals_explicit_centering(self, rng):
@@ -254,7 +254,7 @@ class TestEstimateConditionalRisk:
         loss = LossSpec("hamming")
         L_y = np.array([np.sum(y != labels[i]) for i in range(m)], dtype=float)
         mu = L_y.mean()
-        w_raw = weights(plain, x).w
+        w_raw = weights(plain, x)
         expected = mu + float((L_y - mu) @ w_raw)
         assert estimate_conditional_risk(centered, loss, y, x) == pytest.approx(expected, abs=1e-12)
 

@@ -222,6 +222,44 @@ class TestLossBound:
         sq = loss_bound(LossSpec("square"), space)
         assert ab >= sq > 0  # vertex coordinates are 0/1 so L1 >= L2^2
 
+    @staticmethod
+    def _pairwise_sup(kind, verts):
+        best = 0.0
+        for i in range(len(verts)):
+            for j in range(i + 1, len(verts)):
+                best = max(best, vector_loss(kind, verts[i], verts[j]))
+        return best
+
+    def test_vector_bounds_equal_pairwise_definition_on_explicit_spaces(self, rng):
+        # The cap is printed whenever it binds, so it must equal the pairwise
+        # sup bit for bit, on unrounded and on rounded coordinates alike.
+        from ecrm import explicit_space
+        for _ in range(150):
+            n, d = int(rng.integers(2, 25)), int(rng.integers(1, 150))
+            M = rng.normal(size=(n, d)) * 10 ** rng.uniform(-3, 3)
+            if rng.random() < 0.5:
+                M = np.round(M, int(rng.integers(0, 6)))
+            M = np.unique(M, axis=0)
+            space = explicit_space([tuple(r) for r in M])
+            for kind in ("absolute", "square"):
+                assert loss_bound(LossSpec(kind), space) == self._pairwise_sup(kind, M)
+
+    def test_vector_bounds_equal_pairwise_definition_on_a_layered_network(self):
+        # Three layers of three nodes, complete between layers: 27 paths.
+        from ecrm import FlowNetwork, enumerate_st_paths, flow_space
+        k, layers = 3, 3
+        arcs = [(0, 1 + j) for j in range(k)]
+        for l in range(layers - 1):
+            arcs += [(1 + l * k + a, 1 + (l + 1) * k + b) for a in range(k) for b in range(k)]
+        t = 1 + layers * k
+        arcs += [(1 + (layers - 1) * k + a, t) for a in range(k)]
+        net = FlowNetwork(n_nodes=t + 1, arcs=arcs, b=[1.0] + [0.0] * (t - 1) + [-1.0])
+        P = enumerate_st_paths(net)
+        assert P.shape[0] == 27
+        for kind, expect in (("absolute", 8.0), ("square", 8.0)):
+            got = loss_bound(LossSpec(kind), flow_space(net))
+            assert got == self._pairwise_sup(kind, P) == expect
+
     def test_all_losses_zero_on_equal_pairs(self, rng):
         G = random_tree(rng, 5)
         y = random_feasible_label(rng, G)
