@@ -21,6 +21,8 @@ class HierarchyDag:
     _parents: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _topo: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _arc_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _levels: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
         init=False, repr=False, compare=False)
 
@@ -46,6 +48,9 @@ class HierarchyDag:
         object.__setattr__(self, "_parents", tuple(tuple(ps) for ps in parents))
         object.__setattr__(self, "_children", tuple(tuple(cs) for cs in children))
         object.__setattr__(self, "_topo", tuple(topo))
+        object.__setattr__(self, "_roots", tuple(j for j in range(d) if not parents[j]))
+        object.__setattr__(self, "_arc_index", tuple(
+            np.array(arcs, dtype=np.intp).reshape(-1, 2).T))
         object.__setattr__(self, "_levels", _forest_levels(d, parents, topo))
 
     def parents(self, j: int) -> tuple[int, ...]:
@@ -56,7 +61,7 @@ class HierarchyDag:
 
     @property
     def roots(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.d) if not self._parents[j])
+        return self._roots
 
     @property
     def topological_order(self) -> tuple[int, ...]:
@@ -67,6 +72,11 @@ class HierarchyDag:
         """``(nodes, parents)`` index arrays of the nodes at depth 1, 2, ...
         below the roots, or None when some node has more than one parent."""
         return self._levels
+
+    @property
+    def arc_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(parents, children)`` index arrays of the arcs, in arc order."""
+        return self._arc_index
 
     def ancestors(self, j: int) -> tuple[int, ...]:
         """All strict ancestors of ``j`` (deduplicated, unordered)."""
@@ -82,9 +92,9 @@ class HierarchyDag:
     @property
     def is_arborescence(self) -> bool:
         """True when there is a single root and every other node has one parent."""
-        if len(self.roots) != 1:
-            return False
-        return all(len(self._parents[j]) == 1 for j in range(self.d) if j != self.roots[0])
+        # Every non-root node has at least one parent, so with one root the
+        # in-degrees sum to d - 1 exactly when each of them has one.
+        return len(self._roots) == 1 and len(self.arcs) == self.d - 1
 
 
 def _topological_order(d, parents, children):

@@ -319,6 +319,8 @@ def _load_additive(path, lines) -> AdditiveModel:
     if len(htoks) != 2 or htoks[0] != "hierarchy":
         raise DataFormatError(f"{path}:6: bad hierarchy line {lines[5]!r}")
     n_arcs = int(htoks[1])
+    if n_arcs < 0:
+        raise DataFormatError(f"{path}:6: bad hierarchy line {lines[5]!r}")
     if len(lines) < 7 + n_arcs + 2 * m:
         raise DataFormatError(
             f"{path}: expected {7 + n_arcs + 2 * m} lines, found {len(lines)}")

@@ -1,9 +1,22 @@
 """Kernel families and Gram matrix construction.
 
 Only two kernels are supported: the linear kernel ``k(x,x') = <x,x'>`` and
-the RBF kernel ``k(x,x') = exp(-gamma * ||x - x'||^2)``.  Gram entries are
-computed by a formula that is symmetric under exchanging the two arguments,
-so Gram matrices are exactly symmetric (bitwise), not merely up to round-off.
+the RBF kernel ``k(x,x') = exp(-gamma * ||x - x'||^2)``.  Gram matrices are
+exactly symmetric (bitwise), not merely up to round-off.
+
+RBF blocks are level-3 BLAS products: ``||x - x'||^2 = ||x||^2 + ||x'||^2 -
+2<x,x'>``, with the cross terms from one ``dsyrk`` (Gram) or ``dgemm``
+(kernel vectors).  Both row sets are first centered on the training
+inputs' column mean; the kernel is translation-invariant, so only the
+spread of the features enters the cancellation error, not their offset.
+``dsyrk`` fills the lower triangle and leaves exact zeros above it, so in
+``L + L.T`` one term of every entry is 0 and the sum is symmetric bit for
+bit; the norm terms are added as ``n_i + n_j``, which commutes.  The
+products call scipy's BLAS rather than numpy's ``@``: the two may link
+separate OpenBLAS builds, each with its own thread pool, and the Cholesky
+factor and solves in ``model`` run on scipy's.  Keeping every product of
+the fit and weight path on that one pool avoids the two pools contending
+for the same cores.
 """
 
 from __future__ import annotations
@@ -11,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm, dsyrk
 
 VALID_KINDS = ("linear", "rbf")
 
-# Rows per chunk when building RBF blocks; bounds peak memory of the
-# (rows, m, p) difference tensor.
-_CHUNK_ELEMS = 4_000_000
+# Entries per row block when adding squared norms to an RBF Gram; bounds
+# the temporary next to the two m x m arrays.
+_BLOCK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,13 +74,21 @@ def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
         # einsum keeps a fixed per-entry reduction order, so K[i,j] and
         # K[j,i] are bitwise equal when A is B.
         return np.einsum("ip,jp->ij", A, B)
-    out = np.empty((A.shape[0], B.shape[0]))
-    step = max(1, _CHUNK_ELEMS // max(1, B.shape[0] * B.shape[1]))
-    for lo in range(0, A.shape[0], step):
-        hi = min(lo + step, A.shape[0])
-        diff = A[lo:hi, None, :] - B[None, :, :]
-        out[lo:hi] = np.exp(-spec.gamma * np.einsum("ijp,ijp->ij", diff, diff))
-    return out
+    mu = B.mean(axis=0)
+    A, B = A - mu, B - mu
+    # (m, n) in Fortran order: its transpose is the C-ordered result, and
+    # cho_solve receives it back as a Fortran-ordered right-hand side.
+    D = dgemm(-2.0, B.T, A.T, trans_a=1)
+    D += np.einsum("ip,ip->i", B, B)[:, None]
+    D += np.einsum("ip,ip->i", A, A)
+    return _rbf_in_place(spec.gamma, D).T
+
+
+def _rbf_in_place(gamma: float, D) -> np.ndarray:
+    """``exp(-gamma * max(D, 0))`` written over the squared distances D."""
+    np.maximum(D, 0.0, out=D)
+    D *= -gamma
+    return np.exp(D, out=D)
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -74,7 +96,19 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one input row")
-    return cross_gram(spec, X, X)
+    if spec.kind == "linear":
+        return cross_gram(spec, X, X)
+    A = X - X.mean(axis=0)
+    L = dsyrk(-2.0, A.T, trans=1, lower=1)
+    D = L + L.T
+    n = -0.5 * np.diagonal(L)
+    del L
+    m = D.shape[0]
+    step = max(1, _BLOCK_ELEMS // m)
+    for lo in range(0, m, step):
+        D[lo:lo + step] += n[lo:lo + step, None] + n
+    np.fill_diagonal(D, 0.0)
+    return _rbf_in_place(spec.gamma, D)
 
 
 def kernel_vector(spec: KernelSpec, X, x) -> np.ndarray:

@@ -206,7 +206,7 @@ def _hierarchical_coefficients(spec: LossSpec, Y, W):
     c = spec.penalties
     Q, d = W.shape[0], G.d
     s = G.roots[0]
-    par, ch = np.array(G.arcs, dtype=np.int64).reshape(-1, 2).T
+    par, ch = G.arc_index
     T = W @ Y
     U = W @ (Y[:, par] * Y[:, ch])
     # Arcs that share a parent are summed into it by one flat bincount.

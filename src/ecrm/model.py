@@ -46,6 +46,11 @@ class TrainedModel:
 def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> TrainedModel:
     """Fit the risk estimator: build the Gram matrix and factor ``K + m*lambda*I``.
 
+    The factor is computed in the Gram matrix's own buffer: ``m*lambda`` is
+    added to the diagonal of K in place and LAPACK overwrites K with the
+    factor, so no second m x m array is made.  The lower factor is
+    bit-identical to that of a separately built ``K + m*lambda*I``.
+
     Raises NumericalError when the regularized Gram matrix cannot be
     factored even after a single jitter retry.
     """
@@ -59,14 +64,14 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
     if Y.shape[0] != m:
         raise ValueError(f"inputs have {m} rows but labels have {Y.shape[0]}")
     K = gram_matrix(spec, X)
-    A = K + (m * lam) * np.eye(m)
+    jitter = 1e-10 * float(np.trace(K)) / m
     try:
-        factor = cho_factor(A, lower=True)
+        factor = _factor_shifted(K, m * lam)
     except np.linalg.LinAlgError:
-        # One jitter retry scaled to the mean diagonal mass, then give up.
-        jitter = 1e-10 * float(np.trace(K)) / m
+        # A failed factorization leaves K partly overwritten, so the one
+        # jitter retry (scaled to the mean diagonal mass) rebuilds it.
         try:
-            factor = cho_factor(A + jitter * np.eye(m), lower=True)
+            factor = _factor_shifted(gram_matrix(spec, X), m * lam, jitter)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "Cholesky factorization of K + m*lambda*I failed; the Gram matrix "
@@ -74,6 +79,17 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
             ) from exc
     return TrainedModel(kernel=spec, lam=lam, inputs=X, labels=Y,
                         intercept_mode=intercept_mode, factor=factor)
+
+
+def _factor_shifted(K, *shifts) -> tuple:
+    """Cholesky factor of ``K`` plus each shift on its diagonal, in K's buffer.
+
+    ``K.T`` is the Fortran-ordered view of the symmetric C-ordered K, which
+    LAPACK factors without a copy."""
+    diag = np.diag_indices(K.shape[0])
+    for s in shifts:
+        K[diag] += s
+    return cho_factor(K.T, lower=True, overwrite_a=True)
 
 
 def weights(model: TrainedModel, x) -> np.ndarray:

@@ -504,6 +504,23 @@ class TestExitCodes:
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith(f"error: {bad}")
 
+    def test_negative_arc_count_names_hierarchy_line(self, hierarchy_fixture):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        good, bad = tmp / "good.ecrm", tmp / "bad.ecrm"
+        r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", "linear", "--lambda", 0.1,
+                    "--variant", "additive", "--out", good)
+        assert r.returncode == 0, r.stderr
+        lines = good.read_text().splitlines(keepends=True)
+        assert lines[5] == "hierarchy 3\n"
+        bad.write_text("".join([*lines[:5], "hierarchy -3\n", *lines[6:]]))
+        r = run_cli("predict", "--model", bad, "--x", xpath, "--space", "hierarchy",
+                    "--hierarchy", hpath)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith(f"error: {bad}:6: bad hierarchy line")
+
     def test_malformed_labels_rejected(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
         bad = tmp / "bad.txt"

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from ecrm import (KernelSpec, estimate_conditional_risk, eval_kernel, fit,
                   gram_matrix, kernel_vector, LossSpec, weights)
+from ecrm.kernels import cross_gram
 from conftest import random_kernel
 from _oracles import dense_weight_oracle, gaussian_solve
 
@@ -66,8 +68,60 @@ class TestGramMatrix:
             K = gram_matrix(spec, X)
             assert np.max(np.abs(K - K.T)) == 0.0
 
+    def test_rbf_contract_beyond_one_block(self, rng):
+        # m = 700 spans more than one row block of the norm additions; each
+        # row appears twice, so rounding puts some squared distances below 0.
+        X = np.tile(rng.normal(size=(350, 20)), (2, 1))
+        K = gram_matrix(KernelSpec("rbf", gamma=0.05), X)
+        assert np.array_equal(K, K.T)
+        assert np.all(np.diagonal(K) == 1.0)
+        assert K.min() >= 0.0 and K.max() <= 1.0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_rbf_products_match_entrywise_at_offsets(self, rng, offset):
+        spec = KernelSpec("rbf", gamma=0.3)
+        X = rng.normal(size=(30, 5)) + offset
+        Xq = rng.normal(size=(7, 5)) + offset
+        K = gram_matrix(spec, X)
+        ref = np.array([[eval_kernel(spec, a, b) for b in X] for a in X])
+        np.testing.assert_allclose(K, ref, rtol=0, atol=1e-14)
+        V = cross_gram(spec, Xq, X)
+        ref = np.array([[eval_kernel(spec, a, b) for b in X] for a in Xq])
+        np.testing.assert_allclose(V, ref, rtol=0, atol=1e-14)
+
 
 class TestFit:
+    def test_factor_equals_separately_regularized_gram(self, rng):
+        X = rng.normal(size=(60, 4))
+        lam = 0.02
+        for spec in (KernelSpec("rbf", gamma=0.4), KernelSpec("linear")):
+            got = fit(spec, lam, X, np.zeros(60)).factor
+            ref = cho_factor(gram_matrix(spec, X) + 60 * lam * np.eye(60), lower=True)
+            assert got[1] is True
+            assert np.array_equal(np.tril(got[0]), np.tril(ref[0]))
+
+    def test_jitter_retry_rebuilds_overwritten_matrix(self, rng, monkeypatch):
+        import ecrm.model
+        X = rng.normal(size=(6, 2))
+        spec, lam = KernelSpec("rbf", gamma=0.5), 0.1
+        calls = {"n": 0}
+
+        def spoil_once(A, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                A[...] = np.nan
+                raise np.linalg.LinAlgError("forced")
+            return cho_factor(A, **kwargs)
+
+        monkeypatch.setattr(ecrm.model, "cho_factor", spoil_once)
+        model = fit(spec, lam, X, np.zeros(6))
+        assert calls["n"] == 2
+        K = gram_matrix(spec, X)
+        jitter = 1e-10 * np.trace(K) / 6
+        L = np.tril(model.factor[0])
+        np.testing.assert_allclose(L @ L.T, K + (6 * lam + jitter) * np.eye(6),
+                                   rtol=0, atol=1e-10)
+
     def test_single_sample_scalar_factor(self):
         # k(x1,x1) = 1, lambda = 1: the factored matrix is the scalar 2.
         model = fit(KernelSpec("rbf", gamma=1.0), 1.0, [[0.0]], [0])

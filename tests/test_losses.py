@@ -58,6 +58,32 @@ class TestSiblingWeights:
                 assert c[ch] <= c[p]
 
 
+class TestArborescence:
+    @pytest.mark.parametrize("d, arcs, expected", [
+        (3, [(0, 1), (0, 2)], True),
+        (1, [], True),
+        (4, [(0, 1), (2, 3)], False),
+        (4, [(0, 1), (0, 2), (1, 3), (2, 3)], False),
+        (3, [(0, 1), (0, 1), (1, 2)], False),
+    ], ids=["one_root", "single_node", "two_roots", "two_parents", "repeated_arc"])
+    def test_cases(self, d, arcs, expected):
+        assert HierarchyDag(d, arcs).is_arborescence is expected
+
+    def test_arc_index_lists_arcs_in_order(self):
+        par, ch = HierarchyDag(4, [(0, 2), (2, 3), (0, 1)]).arc_index
+        np.testing.assert_array_equal(par, [0, 2, 0])
+        np.testing.assert_array_equal(ch, [2, 3, 1])
+
+    def test_hundred_thousand_node_star(self):
+        import time
+        d = 100_000
+        G = HierarchyDag(d, [(0, j) for j in range(1, d)])
+        t0 = time.perf_counter()
+        spec = LossSpec("hierarchical", hierarchy=G)
+        assert time.perf_counter() - t0 < 10.0
+        assert spec.c[0] == 1.0 and spec.c[1] == 1.0 / (d - 1)
+
+
 class TestHierarchicalLoss:
     def test_identity_is_zero(self):
         G = HierarchyDag(2, [(0, 1)])
