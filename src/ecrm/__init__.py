@@ -3,8 +3,9 @@
 Train a kernel ridge estimate of the conditional risk of every candidate
 output, then predict by minimizing that estimate over a structured output
 space: label hierarchies (exact, via max-weight closure), rankings (exact,
-via min-cost assignment), network-flow polytopes (Frank-Wolfe and projected
-subgradient), or explicit finite sets (enumeration).
+via min-cost assignment), network-flow polytopes (min-norm-point projection
+to a Frank-Wolfe gap, and projected subgradient), or explicit finite sets
+(enumeration).
 """
 
 from .additive import AdditiveModel, JointKernelSpec, additive_risk, fit_additive, infer_additive

@@ -251,11 +251,18 @@ def _add_space_flags(p) -> None:
 
 
 def _add_solver_flags(p) -> None:
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
-    p.add_argument("--step-a", type=float, default=1.0)
-    p.add_argument("--step-b", type=float, default=0.1)
+    p.add_argument("--max-iters", type=int, default=500,
+                   help="subgradient steps per restart of the L1 flow solver (--loss absolute)")
+    p.add_argument("--restarts", type=int, default=5,
+                   help="starts of the L1 flow solver: the mean of all paths, then random paths")
+    p.add_argument("--gap-tol", type=float, default=1e-6,
+                   help="Frank-Wolfe gap at which the square-loss flow projection stops")
+    p.add_argument("--step-a", type=float, default=1.0,
+                   help="L1 flow solver: step t has size a / (1 + b t); this sets a")
+    p.add_argument("--step-b", type=float, default=0.1,
+                   help="L1 flow solver: step t has size a / (1 + b t); this sets b")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the L1 flow solver's random restart paths")
 
 
 def _add_kernel_flags(p) -> None:
@@ -288,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=LOSSES, default="hamming")
     _add_space_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="mean loss of predictions against labels")
@@ -298,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=LOSSES, required=True)
     _add_space_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("surrogate", help="per-sample surrogate loss and its mean")
@@ -309,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     _add_space_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_surrogate)
 
     p = sub.add_parser("bound", help="generalization-bound terms on a dataset")
@@ -321,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     _add_space_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate-flow", help="write synthetic flow data files")
@@ -358,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     _add_kernel_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_baseline)
 
     return ap

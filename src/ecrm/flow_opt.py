@@ -3,10 +3,13 @@
 The polytope of nonnegative conserving flows on an acyclic network with a
 single unit source and sink is the convex hull of its s-t path indicator
 vectors.  Everything here works in that vertex representation: the linear
-minimization oracle is a shortest-path computation, the quadratic solver is
-a pairwise Frank-Wolfe over path atoms (iterates are convex combinations of
-paths, hence feasible to machine precision), and the L1 solver is projected
-subgradient descent whose projection step reuses the Frank-Wolfe machinery.
+minimization oracle is a shortest-path computation, and one routine, Wolfe's
+min-norm-point method over path atoms, computes every Euclidean projection.
+It stops when the Frank-Wolfe duality gap reaches the tolerance, and its
+iterates are convex combinations of paths, hence feasible to machine
+precision.  The quadratic solver is one such projection; the L1 solver is
+projected subgradient descent whose every step is one, warm-started from
+the previous step's paths.
 
 The L1 risk ``sum_i w_i ||y - y_i||_1`` is separable over arcs and piecewise
 linear on each, with breakpoints at the training labels.  The L1 solver
@@ -27,9 +30,7 @@ from .results import EXACT, Certificate, HEURISTIC, InferenceResult, SolverParam
 from .spaces import FlowNetwork, flow_residuals
 
 _LABEL_FEAS_TOL = 1e-9
-_THETA_EPS = 1e-14
 _PROJECT_TOL = 1e-11
-_PROJECT_ITERS = 60
 _LABEL_CANDIDATE_LIMIT = 1500
 
 
@@ -118,80 +119,166 @@ def lmo_flow(costs, net: FlowNetwork) -> np.ndarray:
     return y
 
 
-def _pairwise_fw(P, Z, Theta, scale, gap_tol, max_iters, track_history=False):
-    """Pairwise Frank-Wolfe for ``scale_q * ||Theta_q P - Z_q||^2``, batched.
+def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None, history=None):
+    """Wolfe's min-norm-point method for ``scale_q * ||theta P - z_q||^2``
+    over the simplex, batched over the rows of Z (Wolfe, "Finding the
+    nearest point in a polytope", Math. Programming 11, 1976).
 
-    Mutates and returns Theta together with the final duality gaps.  Rows
-    whose gap reaches ``gap_tol`` stop moving, so they leave the working
-    set ``idx``.  Scores are the gradient over ``2 * scale`` against every
-    path, ``(Y - Z) . P_k``, with ``Z . P_k`` computed once; the exact
-    line-search step is scale-free.
+    Row q keeps a corral of affinely independent paths ``S[q]`` with
+    positive weights ``lam[q]``; its point is ``y = lam P[S]``.  A major
+    cycle computes the Frank-Wolfe gap ``2 scale ((y - z).y - min_k
+    (y - z).P_k)`` and ends the row when the gap is at most ``gap_tol`` or
+    the Frank-Wolfe vertex cannot enter: it is in the corral already, the
+    corral is full, or ``||y - z||`` did not fall since the row's last major
+    cycle.  Otherwise the vertex joins the corral with weight 0.  A minor
+    cycle solves the bordered system ``[G_SS 1; 1' 0] [alpha; mu] =
+    [(Z P')_S; 1]`` for the minimizer on the corral's affine hull; if every
+    ``alpha > 0`` the row moves there and takes a major cycle, else it
+    steps toward alpha until a weight reaches zero and drops that path.
+    ``max_cycles`` caps each row's major plus minor cycles; without it the
+    method is finite.
+
+    Corrals hold at most ``cap = rank(P)`` paths: every path sends one unit
+    out of the source, so linear and affine independence agree.  An empty
+    slot ``c`` holds the virtual path ``K + c``, a unit vector off the arc
+    space, so every corral's Gram block is ``[G_SS 0; 0 I]`` and every
+    system has size ``cap + 1``, alone or in a batch.  The block is the
+    product of the corral's path rows, exact because integral; no K x K
+    Gram matrix is formed.  ``np.linalg.solve`` factors each matrix on its
+    own and the other reductions are fixed-order einsums, so a row's
+    arithmetic never depends on its batch.
+
+    ``corral`` is a previous call's ``(S, lam)`` to warm-start from; cold
+    rows start at their nearest path.  Returns ``(Y, S, lam, gaps)``: the
+    points, their corrals and the Frank-Wolfe gaps at the returned weights.
+    ``history`` collects row 0's gap at every major cycle.
     """
-    Q, K = Theta.shape
+    (Q, a), K = Z.shape, P.shape[0]
+    cap = np.linalg.matrix_rank(P) if corral is None else corral[0].shape[1]
+    slots = np.arange(cap)
+    PX = np.zeros((K + cap, a + cap))
+    PX[:K, :a] = P
+    PX[K + slots, a + slots] = 1.0
+    ZP = np.zeros((Q, K + cap))
+    np.einsum("qa,ka->qk", Z, P, out=ZP[:, :K])
     scale2 = 2.0 * np.broadcast_to(np.asarray(scale, dtype=float), (Q,))
-    gaps = np.full(Q, np.inf)
-    history: list[float] = []
-    # Fixed-order einsum reductions keep every row's arithmetic identical
-    # whether it runs alone or inside a batch.
-    ZP = np.einsum("qa,ka->qk", Z, P)
-    idx, T = np.arange(Q), np.ascontiguousarray(Theta)
-    base = idx * K
-    for _ in range(max_iters):
-        scores = np.einsum("qa,ka->qk", np.einsum("qk,ka->qa", T, P), P)
-        scores -= ZP
+    # Rounding bound of a score difference: each score sums at most L terms
+    # of size at most 1 + |z|.  A vertex that wins by less may lie on the
+    # corral's affine hull, where the bordered system is singular.
+    L = P.sum(axis=1).max()
+    noise = (L * L * np.finfo(float).eps) * (1.0 + np.abs(Z).max(axis=1, initial=0.0))
+    if corral is None:
+        S = np.tile(K + slots, (Q, 1))
+        lam = np.zeros((Q, cap))
+        S[:, 0] = np.argmin(P.sum(axis=1) - 2.0 * ZP[:, :K], axis=1)
+        lam[:, 0] = 1.0
+    else:
+        S, lam = (np.array(v) for v in corral)
+    # Working state of the unfinished rows; a row that finishes is written
+    # back to S and lam and leaves it.
+    ids, s, w, zp, n = np.arange(Q), S.copy(), lam.copy(), ZP, (S < K).sum(axis=1)
+    tol = np.maximum(gap_tol / scale2, noise)
+    dist = np.full(Q, np.inf)       # ||y - z||^2 - ||z||^2 at the row's last major cycle
+    cycles = np.zeros(Q, dtype=np.intp)
+    while ids.size:
+        rows = np.arange(ids.size)
+        # Minor cycle: every unfinished row is off its corral's affine
+        # minimizer (it just gained a path, or z is new).
+        valid = s < K
+        PS = PX[s]
+        M = np.zeros((ids.size, cap + 1, cap + 1))
+        M[:, :cap, :cap] = PS @ PS.transpose(0, 2, 1)
+        M[:, :cap, cap] = M[:, cap, :cap] = valid
+        rhs = np.ones((ids.size, cap + 1, 1))
+        zps = rhs[:, :cap, 0]
+        zps[:] = zp[rows[:, None], s]
+        sol = np.linalg.solve(M, rhs)
+        # At alpha every corral path scores (y - z).P_k = -mu.  Renormalizing
+        # makes the weights sum to 1 to rounding, and a lone path's exactly.
+        alpha, mu = sol[:, :cap, 0], sol[:, cap, 0]
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        neg = valid & (alpha <= 0.0)
+        inside = ~neg.any(axis=1)
+        # Step to the first weight that alpha drives to zero; a path that
+        # entered with weight 0 and gets alpha <= 0 gives a zero step.
+        ratio = np.where(neg, w, np.inf)
+        np.divide(ratio, w - alpha, out=ratio, where=neg & (w > 0.0))
+        first = ratio.argmin(axis=1)
+        beta = np.where(inside, 0.0, ratio[rows, first])
+        w = np.where(inside[:, None], alpha, w + beta[:, None] * (alpha - w))
+        keep = valid & (w > 0.0) & (inside[:, None] | (slots != first[:, None]))
+        w *= keep
+        cycles += 1
+        # Major cycle for the rows now at their affine minimizer, where
+        # (y - z).y = -mu.
+        scores = np.einsum("qa,ka->qk", np.einsum("qc,qca->qa", w, PS[:, :, :a]), P)
+        scores -= zp[:, :K]
         fw = scores.argmin(axis=1)
-        away = np.where(T > _THETA_EPS, scores, -np.inf).argmax(axis=1)
-        flat_s, flat_t = scores.reshape(-1), T.reshape(-1)
-        s_fw = flat_s[base + fw]
-        live_gaps = scale2 * (np.einsum("qk,qk->q", T, scores) - s_fw)
-        gaps[idx] = live_gaps
-        if track_history:
-            history.append(float(gaps[0]))
-        live = live_gaps > gap_tol
-        if not live.any():
-            break
-        d = P[fw] - P[away]
-        norm = np.einsum("qa,qa->q", d, d)
-        fw += base
-        away += base
-        step = np.divide(flat_s[away] - s_fw, norm, out=np.zeros(T.shape[0]),
-                         where=live & (norm > 0))
-        np.minimum(step, flat_t[away], out=step)
-        flat_t[fw] += step
-        flat_t[away] -= step
-        np.maximum(T, 0.0, out=T)
-        if not live.all():
-            Theta[idx] = T
-            idx, T, ZP, scale2 = idx[live], T[live], ZP[live], scale2[live]
-            base = np.arange(T.shape[0]) * K
-    Theta[idx] = T
-    return Theta, gaps, history
+        gap = -mu - scores[rows, fw]
+        major = inside & (cycles < max_cycles)
+        if history is not None and ids[0] == 0 and major[0]:
+            history.append(float(scale2[0] * gap[0]))
+        d = -mu - np.einsum("qc,qc->q", w, zps)
+        present = (s == fw[:, None]).any(axis=1)
+        done = major & ((gap <= tol) | present | (n == cap) | (d >= dist))
+        dist = np.where(major, d, dist)
+        if not inside.all():
+            order = np.argsort(~keep, axis=1, kind="stable")
+            n = keep.sum(axis=1)
+            s = np.where(slots < n[:, None], s[rows[:, None], order], K + slots)
+            w = w[rows[:, None], order]
+        grow = major & ~done
+        s[grow, n[grow]] = fw[grow]
+        n += grow
+        cycles += major
+        out = done | (cycles >= max_cycles)
+        if out.any():
+            S[ids[out]], lam[ids[out]] = s[out], w[out]
+            stay = ~out
+            ids, s, w, zp, n = ids[stay], s[stay], w[stay], zp[stay], n[stay]
+            dist, cycles, tol = dist[stay], cycles[stay], tol[stay]
+    # Report each gap from the returned weights: (y - z).y is the weighted
+    # mean of the corral's scores, so a vertex or a converged row reads 0.
+    Y = np.einsum("qc,qca->qa", lam, PX[S, :a])
+    scores = np.zeros((Q, K + cap))     # a virtual path scores 0 and weighs 0
+    np.einsum("qa,ka->qk", Y, P, out=scores[:, :K])
+    scores[:, :K] -= ZP[:, :K]
+    ys = np.einsum("qc,qc->q", lam, np.take_along_axis(scores, S, axis=1))
+    gaps = scale2 * (ys - scores[:, :K].min(axis=1))
+    return Y, S, lam, gaps
 
 
 def fw_min_quadratic(z, net: FlowNetwork, scale: float = 1.0, gap_tol: float = 1e-6,
                      max_iters: int = 10_000, theta0=None):
-    """Minimize ``scale * ||y - z||^2`` over the flow polytope.
+    """Minimize ``scale * ||y - z||^2`` over the flow polytope by the
+    min-norm-point method, stopping at Frank-Wolfe gap ``gap_tol``.
 
-    Returns ``(y, theta, gap, gap_history)``; the gap history is the raw
-    per-iteration duality gap (its running minimum is what certificates
-    report).
+    ``max_iters`` caps the major plus minor cycles.  ``theta0``, if given,
+    picks the starting path: its heaviest one (else the path nearest z).
+    Returns ``(y, theta, gap, gap_history)``; the history holds the
+    Frank-Wolfe gap at every major cycle.
     """
     P = enumerate_st_paths(net)
-    K = P.shape[0]
-    if theta0 is None:
-        theta = np.full((1, K), 1.0 / K)
-    else:
-        theta = np.asarray(theta0, dtype=float).reshape(1, K).copy()
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    theta, gaps, history = _pairwise_fw(P, z, theta, scale, gap_tol, max_iters,
-                                        track_history=True)
-    y = (theta @ P)[0]
-    return y, theta[0], float(gaps[0]), history
+    corral = None
+    if theta0 is not None:
+        K, cap = P.shape[0], np.linalg.matrix_rank(P)
+        S, lam = K + np.arange(cap)[None, :], np.zeros((1, cap))
+        S[0, 0] = np.argmax(np.asarray(theta0, dtype=float).ravel())
+        lam[0, 0] = 1.0
+        corral = (S, lam)
+    history: list[float] = []
+    _, S, lam, gaps = _min_norm_point(P, z, scale, gap_tol, max_iters, corral, history)
+    theta = np.zeros(P.shape[0])
+    real = S[0] < P.shape[0]
+    theta[S[0, real]] = lam[0, real]
+    return theta @ P, theta, float(gaps[0]), history
 
 
 def _check_labels(labels, net: FlowNetwork) -> np.ndarray:
     labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    bad = np.flatnonzero(flow_residuals(net, labels) > _LABEL_FEAS_TOL)
+    # Written so that a NaN residual counts as a violation.
+    bad = np.flatnonzero(~(flow_residuals(net, labels) <= _LABEL_FEAS_TOL))
     if bad.size:
         raise ValueError(f"training flow {bad[0]} violates conservation")
     return labels
@@ -203,9 +290,10 @@ def solve_flow_sq(w, labels, net: FlowNetwork, params: SolverParams | None = Non
     With nonnegative weights the optimum is the weighted label mean, which
     is itself a convex combination of feasible flows (certificate exact).
     With mixed signs but positive total weight the objective is a scaled
-    squared distance to that mean, solved by Frank-Wolfe to the requested
-    duality gap.  Nonpositive total weight makes the objective concave, so
-    a multi-start vertex descent is used (certificate heuristic).
+    squared distance to that mean, projected by the min-norm-point method
+    to the requested Frank-Wolfe duality gap.  Nonpositive total weight
+    makes the objective concave, so a multi-start vertex descent is used
+    (certificate heuristic).
     """
     params = params or SolverParams()
     w = np.asarray(w, dtype=float).ravel()
@@ -301,8 +389,9 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     """Projected subgradient descent on ``sum_i w_i ||y - y_i||_1``, batched
     over query weight rows.
 
-    Feasibility is maintained by a warm-started Frank-Wolfe projection after
-    every step, so iterates are always convex combinations of path vertices.
+    Feasibility is maintained by an exact min-norm-point projection after
+    every step, warm-started from the previous step's paths, so iterates are
+    always convex combinations of path vertices.
     Returns ``(Y, objectives, certificates)`` with one row/entry per query.
     For rows with nonnegative weights the objective is convex and the
     certificate carries the achieved duality gap from the subgradient lower
@@ -319,14 +408,11 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     nonneg = np.all(W >= 0.0, axis=1)
     zero_rows = ~np.any(W != 0.0, axis=1)
 
-    starts: list[np.ndarray] = []
-    uniform = np.full(K, 1.0 / K)
-    starts.append(uniform)
+    # Start points: the mean of all paths, then seeded random paths.
+    starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
     for r in range(1, params.restarts):
         rng = np.random.default_rng([params.seed, r])
-        onehot = np.zeros(K)
-        onehot[int(rng.integers(K))] = 1.0
-        starts.append(onehot)
+        starts.append(P[int(rng.integers(K))])
 
     best_Y = np.zeros((Q, net.n_arcs))
     best_obj = np.full(Q, np.inf)
@@ -339,9 +425,9 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
         best_obj[improved] = obj[improved]
         best_Y[improved] = Y[improved]
 
-    for theta0 in starts:
-        Theta = np.tile(theta0, (Q, 1))
-        Y = np.einsum("qk,ka->qa", Theta, P)
+    for y0 in starts:
+        Y = np.tile(y0, (Q, 1))
+        corral = None
         # max_iters steps; the last pass only evaluates the final iterate.
         for t in range(params.max_iters + 1):
             obj, G = _l1_obj_grad(*breakpoints, Y)
@@ -353,9 +439,9 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
             if t == params.max_iters:
                 break
             eta = params.step_a / (1.0 + params.step_b * t)
-            Z = Y - eta * G
-            Theta, _, _ = _pairwise_fw(P, Z, Theta, 1.0, _PROJECT_TOL, _PROJECT_ITERS)
-            Y = np.einsum("qk,ka->qa", Theta, P)
+            # Exact projection of the step, warm-started from the last corral.
+            Y, S, lam, _ = _min_norm_point(P, Y - eta * G, 1.0, _PROJECT_TOL, corral=corral)
+            corral = (S, lam)
 
     # Feasible candidate sweep: every path vertex always, and every training
     # label (feasible by assumption) when the pairwise distance table is
@@ -400,9 +486,10 @@ def solve_flow_abs(w, labels, net: FlowNetwork, params: SolverParams | None = No
 
 
 def project_batch(Z, net: FlowNetwork, gap_tol: float = 1e-6, max_iters: int = 10_000):
-    """Euclidean projection of each row of Z onto the flow polytope."""
+    """Euclidean projection of each row of Z onto the flow polytope by the
+    min-norm-point method; ``max_iters`` caps each row's major plus minor
+    cycles.  Returns the projections and their Frank-Wolfe gaps."""
     P = enumerate_st_paths(net)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Theta = np.full((Z.shape[0], P.shape[0]), 1.0 / P.shape[0])
-    Theta, gaps, _ = _pairwise_fw(P, Z, Theta, 1.0, gap_tol, max_iters)
-    return Theta @ P, gaps
+    Y, _, _, gaps = _min_norm_point(P, Z, 1.0, gap_tol, max_iters)
+    return Y, gaps

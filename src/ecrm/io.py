@@ -59,6 +59,15 @@ def load_matrix(path, dtype=float) -> np.ndarray:
             raise DataFormatError(
                 f"{path}:{lineno}: expected {M.shape[1]} columns, found {row.shape[0]}")
         M[lineno - 1] = row
+    return _finite_rows(path, 1, M)
+
+
+def _finite_rows(path, first_lineno, M) -> np.ndarray:
+    """M itself, after checking that every entry is finite; the first row
+    holding a NaN or infinity is reported by its line number."""
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{first_lineno + bad[0]}: non-finite value")
     return M
 
 
@@ -172,9 +181,10 @@ def load_network(path, require_acyclic: bool = True) -> FlowNetwork:
         if len(toks) != 2:
             raise DataFormatError(f"{path}:{lineno}: expected 'node b_value'")
         try:
-            node, val = int(toks[0]), float(toks[1])
+            node = int(toks[0])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        val = _finite_float(path, lineno, toks[1])
         if not (0 <= node < n_nodes) or seen[node]:
             raise DataFormatError(f"{path}:{lineno}: bad or repeated node id {node}")
         seen[node] = True
@@ -213,8 +223,18 @@ def _parse_kernel_line(path, lineno, line) -> KernelSpec:
     if len(toks) >= 2 and toks[0] == "kernel" and toks[1] == "linear":
         return KernelSpec(kind="linear")
     if len(toks) == 3 and toks[0] == "kernel" and toks[1] == "rbf":
-        return KernelSpec(kind="rbf", gamma=float(toks[2]))
+        return KernelSpec(kind="rbf", gamma=_finite_float(path, lineno, toks[2]))
     raise DataFormatError(f"{path}:{lineno}: bad kernel line {line!r}")
+
+
+def _finite_float(path, lineno, token) -> float:
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not np.isfinite(value):
+        raise DataFormatError(f"{path}:{lineno}: non-finite value")
+    return value
 
 
 def save_model(path, model: TrainedModel) -> None:
@@ -279,7 +299,7 @@ def _float_rows(path, first_lineno, lines, count) -> np.ndarray:
     M = np.empty((len(lines), count))
     for i, line in enumerate(lines):
         M[i] = _floats(path, first_lineno + i, line, count)
-    return M
+    return _finite_rows(path, first_lineno, M)
 
 
 def _load_base(path, lines) -> TrainedModel:
@@ -289,7 +309,7 @@ def _load_base(path, lines) -> TrainedModel:
     toks = lines[2].split()
     if len(toks) != 8 or toks[0] != "lambda" or toks[2] != "m" or toks[4] != "p" or toks[6] != "intercept":
         raise DataFormatError(f"{path}:3: bad parameter line {lines[2]!r}")
-    lam, m, p, intercept = float(toks[1]), int(toks[3]), int(toks[5]), toks[7]
+    lam, m, p, intercept = _finite_float(path, 3, toks[1]), int(toks[3]), int(toks[5]), toks[7]
     if m < 1:
         raise DataFormatError(f"{path}:3: model must have at least one sample, found m {m}")
     if len(lines) < 3 + 2 * m:
@@ -309,7 +329,7 @@ def _load_additive(path, lines) -> AdditiveModel:
     toks = lines[3].split()
     if len(toks) != 6 or toks[0] != "lambda" or toks[2] != "m" or toks[4] != "d":
         raise DataFormatError(f"{path}:4: bad parameter line {lines[3]!r}")
-    lam, m, d = float(toks[1]), int(toks[3]), int(toks[5])
+    lam, m, d = _finite_float(path, 4, toks[1]), int(toks[3]), int(toks[5])
     if m < 1:
         raise DataFormatError(f"{path}:4: model must have at least one sample, found m {m}")
     ntoks = lines[4].split()
@@ -337,11 +357,8 @@ def _load_additive(path, lines) -> AdditiveModel:
     p = int(ptoks[1])
     base = 7 + n_arcs
     X = _float_rows(path, base + 1, lines[base:base + m], p)
-    alpha = np.zeros((m, d, 2))
-    for i in range(m):
-        vals = _floats(path, base + m + i + 1, lines[base + m + i], 2 * d)
-        alpha[i, :, 1] = vals[:d]
-        alpha[i, :, 0] = vals[d:]
+    vals = _float_rows(path, base + m + 1, lines[base + m:base + 2 * m], 2 * d)
+    alpha = np.stack([vals[:, d:], vals[:, :d]], axis=2)
     G = HierarchyDag(d=d, arcs=arcs)
     return AdditiveModel(alpha=alpha, joint=JointKernelSpec(base=spec, neighbors=ntoks[1]),
                          lam=lam, hierarchy=G, inputs=X)

@@ -114,3 +114,30 @@ def abs_flow_objective(Y, labels, w) -> np.ndarray:
     """sum_i w_i ||y - y_i||_1 for each row y of Y."""
     return np.einsum("qma,m->q", np.abs(Y[:, None, :] - labels[None, :, :]),
                      np.asarray(w, dtype=float))
+
+
+def flow_projection(P, z, M=1e4) -> np.ndarray:
+    """Euclidean projection of z onto the convex hull of the rows of P.
+
+    Nonnegative least squares on ``[P^T; M 1^T] theta = [z; M]`` picks the
+    support: the weights above 1e-9.  The sum-to-one row is only a penalty
+    there, which biases the weights by about 1e-7, so the weights on that
+    support are then solved exactly from the bordered normal equations by
+    Gaussian elimination.  Raises unless the result meets the optimality
+    conditions: positive weights, and no path scoring below the projection
+    itself.
+    """
+    from scipy.optimize import nnls
+    A = np.vstack([P.T, np.full((1, P.shape[0]), M)])
+    theta, _ = nnls(A, np.append(z, M))
+    S = np.flatnonzero(theta > 1e-9)
+    s = S.size
+    B = np.zeros((s + 1, s + 1))
+    B[:s, :s] = P[S] @ P[S].T
+    B[:s, s] = B[s, :s] = 1.0
+    sol = gaussian_solve(B, np.append(P[S] @ z, 1.0))
+    y = sol[:s] @ P[S]
+    g = y - z
+    if np.any(sol[:s] <= 0.0) or float(g @ y - np.min(P @ g)) > 1e-12 * (1.0 + float(g @ g)):
+        raise AssertionError("projection oracle could not certify its support")
+    return y

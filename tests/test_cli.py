@@ -521,6 +521,39 @@ class TestExitCodes:
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith(f"error: {bad}:6: bad hierarchy line")
 
+    @pytest.mark.parametrize("where, bad", [
+        ("train-features", "nan"), ("train-labels", "nan"), ("train-labels", "inf"),
+        ("predict-features", "-inf"), ("model-label", "nan"), ("model-lambda", "inf"),
+        ("network-b", "nan")])
+    def test_non_finite_input_names_its_line(self, tmp_path, where, bad):
+        net_path = tmp_path / "net.txt"
+        save_network(net_path, default_flow_network())
+        data = simulate_flow_data(FlowGeneratorSpec.create(seed=3, tau=1.0, p=3), 8)
+        xpath, ypath, model = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "m.ecrm"
+        save_matrix(xpath, data.X)
+        save_matrix(ypath, data.Y)
+        train = ("train", "--x", xpath, "--labels", ypath, "--space", "flow",
+                 "--network", net_path, "--gamma", 0.5, "--out", model)
+        predict = ("predict", "--model", model, "--x", xpath, "--space", "flow",
+                   "--network", net_path, "--loss", "absolute", "--max-iters", 20)
+        if not where.startswith("train"):
+            assert run_cli(*train).returncode == 0
+        # (file, 1-based line, token index on that line)
+        target = {"train-features": (xpath, 4, 1), "train-labels": (ypath, 5, 2),
+                  "predict-features": (xpath, 2, 0), "model-label": (model, 3 + 8 + 6, 2),
+                  "model-lambda": (model, 3, 1), "network-b": (net_path, 2 + 10 + 5, 1)}
+        path, line, tok = target[where]
+        lines = path.read_text().splitlines(keepends=True)
+        toks = lines[line - 1].split()
+        toks[tok] = bad
+        lines[line - 1] = " ".join(toks) + "\n"
+        path.write_text("".join(lines))
+        r = run_cli(*(train if where.startswith("train") else predict))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith(f"error: {path}:{line}: ")
+
     def test_malformed_labels_rejected(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
         bad = tmp / "bad.txt"

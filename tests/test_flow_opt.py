@@ -1,19 +1,45 @@
-"""Flow-polytope machinery: path LMO, Frank-Wolfe, and the L1/L2 solvers."""
+"""Flow-polytope machinery: path LMO, min-norm-point projection, and the
+L1/L2 solvers."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
 
 from ecrm import (FlowNetwork, SolverParams, default_flow_network,
                   enumerate_path_vertices, enumerate_st_paths, fw_min_quadratic,
                   lmo_flow, solve_flow_abs, solve_flow_abs_batch, solve_flow_sq)
-from ecrm.flow_opt import _l1_breakpoints, _l1_obj_grad, project_batch
-from ecrm.spaces import flow_residual
-from _oracles import abs_flow_objective, simplex_grid
+from ecrm.flow_opt import _l1_breakpoints, _l1_obj_grad, _min_norm_point, project_batch
+from ecrm.spaces import flow_residual, flow_residuals
+from _oracles import abs_flow_objective, flow_projection, simplex_grid
 
 NET = default_flow_network()
+
+
+def layered_dag(seed, layers=4, width=4, p_arc=0.7):
+    """Seeded DAG: a source, ``layers`` layers of ``width`` nodes and a sink;
+    each arc between consecutive layers is kept with probability ``p_arc``,
+    and every node keeps at least one arc in and one out."""
+    rng = np.random.default_rng(seed)
+    levels = [[0]] + [list(range(1 + i * width, 1 + (i + 1) * width))
+                      for i in range(layers)] + [[1 + layers * width]]
+    arcs = set()
+    for lo, hi in zip(levels, levels[1:]):
+        for u in lo:
+            for v in hi:
+                if rng.random() < p_arc:
+                    arcs.add((u, v))
+        for u in lo:
+            if not any((u, v) in arcs for v in hi):
+                arcs.add((u, hi[int(rng.integers(len(hi)))]))
+        for v in hi:
+            if not any((u, v) in arcs for u in lo):
+                arcs.add((lo[int(rng.integers(len(lo)))], v))
+    n = 2 + layers * width
+    return FlowNetwork(n, sorted(arcs), [1.0] + [0.0] * (n - 2) + [-1.0])
+
+
+DAG = layered_dag(8)
 
 
 class TestPaths:
@@ -107,22 +133,110 @@ class TestFrankWolfe:
             assert abs(gap - recomputed) <= 1e-12
 
     def test_certified_projection_matches_nnls(self, rng):
-        # Exact projection: min ||P^T theta - z||^2 over the simplex, with the
-        # sum-to-one row weighted by M.  Strong convexity of the squared
-        # distance gives ||y - y*|| <= sqrt(gap) wherever the gap certifies.
+        # Exact projection: min ||P^T theta - z||^2 over the simplex (NNLS
+        # support, then the exact weights on it).  The min-norm-point method
+        # ends on the optimal corral, so it is exact, not only within
+        # sqrt(gap) of the projection.
         P = enumerate_st_paths(NET)
-        M = 1e4
-        A = np.vstack([P.T, np.full((1, P.shape[0]), M)])
         Z = rng.normal(size=(40, NET.n_arcs)) * 2
         Z[:5] = rng.dirichlet(np.ones(P.shape[0]), size=5) @ P   # inside the polytope
         tol = 1e-10
         Y, gaps = project_batch(Z, NET, gap_tol=tol)
         assert np.all(gaps <= tol)
         for q in range(Z.shape[0]):
-            theta, _ = nnls(A, np.append(Z[q], M))
-            exact = theta @ P
-            assert np.linalg.norm(Y[q] - exact) <= 1e-5
+            assert np.linalg.norm(Y[q] - flow_projection(P, Z[q])) <= 1e-9
             assert flow_residual(NET, Y[q]) <= 1e-9
+
+    @pytest.mark.parametrize("net", [NET, DAG], ids=["bundled", "layered-dag"])
+    def test_projection_matches_oracle(self, net, rng):
+        P = enumerate_st_paths(net)
+        if net is DAG:
+            assert P.shape[0] >= 60
+        Z = rng.normal(size=(30, net.n_arcs)) * rng.choice([0.1, 1.0, 10.0], size=(30, 1))
+        Z[:6] = rng.dirichlet(np.full(P.shape[0], 0.3), size=6) @ P
+        Y, gaps = project_batch(Z, net, gap_tol=1e-12)
+        assert np.all(gaps <= 1e-12)
+        assert np.max(flow_residuals(net, Y)) <= 1e-9
+        for q in range(Z.shape[0]):
+            assert np.linalg.norm(Y[q] - flow_projection(P, Z[q])) <= 1e-9
+
+    def test_degenerate_inputs_match_oracle(self, rng):
+        P = enumerate_st_paths(DAG)
+        K = P.shape[0]
+        lengths = P.sum(axis=1)
+        i = 0
+        j = int(np.flatnonzero(lengths == lengths[i])[1])
+        mid = 0.5 * (P[i] + P[j])
+        cases = [P[0], P[K - 1], P[K // 2],                       # z is a vertex
+                 rng.dirichlet(np.ones(K)) @ P,                   # z inside the polytope
+                 rng.dirichlet(np.full(K, 0.1)) @ P,
+                 mid, 1.5 * mid, 3.0 * mid, -mid]                 # as far from P_i as P_j
+        for c in (1.5, 3.0, -1.0):
+            z = c * mid
+            assert np.linalg.norm(z - P[i]) == pytest.approx(np.linalg.norm(z - P[j]))
+        Z = np.array(cases)
+        Y, gaps = project_batch(Z, DAG, gap_tol=1e-12)
+        for q in range(Z.shape[0]):
+            assert np.linalg.norm(Y[q] - flow_projection(P, Z[q])) <= 1e-9
+        np.testing.assert_array_equal(Y[:3], P[[0, K - 1, K // 2]])
+        # The 3000-node chain has one path, so every z projects onto it.
+        n = 3000
+        chain = FlowNetwork(n, [(j, j + 1) for j in range(n - 1)],
+                            [1.0] + [0.0] * (n - 2) + [-1.0])
+        Zc = rng.normal(size=(3, n - 1))
+        Yc, gc = project_batch(Zc, chain, gap_tol=1e-12)
+        for q in range(3):
+            assert np.linalg.norm(Yc[q] - flow_projection(enumerate_st_paths(chain), Zc[q])) <= 1e-9
+        np.testing.assert_array_equal(Yc, 1.0)
+        np.testing.assert_array_equal(gc, 0.0)
+
+    def test_tolerance_below_rounding_stops_cleanly(self, rng):
+        # A gap tolerance no float arithmetic reaches must not let a path
+        # on the corral's affine hull enter, which makes the system singular.
+        P = enumerate_st_paths(DAG)
+        Z = rng.normal(size=(300, DAG.n_arcs))
+        Z[:50] = rng.dirichlet(np.full(P.shape[0], 0.3), size=50) @ P
+        Y, gaps = project_batch(Z, DAG, gap_tol=1e-300)
+        assert np.all(gaps <= 1e-12)
+        for q in range(0, Z.shape[0], 10):
+            assert np.linalg.norm(Y[q] - flow_projection(P, Z[q])) <= 1e-9
+
+    def test_batch_equals_single_bit_for_bit(self, rng):
+        P = enumerate_st_paths(DAG)
+        Z = rng.normal(size=(12, DAG.n_arcs)) * 2
+        Z[:3] = rng.dirichlet(np.ones(P.shape[0]), size=3) @ P
+        Y, gaps = project_batch(Z, DAG, gap_tol=1e-12)
+        scales = rng.uniform(0.5, 4.0, size=Z.shape[0])
+        _, S, lam, sgaps = _min_norm_point(P, Z, scales, 1e-9, 10_000)
+        for q in range(Z.shape[0]):
+            y1, g1 = project_batch(Z[q], DAG, gap_tol=1e-12)
+            np.testing.assert_array_equal(y1[0], Y[q])
+            assert g1[0] == gaps[q]
+            _, theta, gap, _ = fw_min_quadratic(Z[q], DAG, scale=scales[q], gap_tol=1e-9)
+            real = S[q] < P.shape[0]
+            expect = np.zeros(P.shape[0])
+            expect[S[q, real]] = lam[q, real]
+            np.testing.assert_array_equal(theta, expect)
+            assert gap == sgaps[q]
+
+    def test_gap_is_recomputed_when_the_cycle_cap_stops_a_minor_cycle(self, rng):
+        # A cap that lands after a minor cycle's partial step leaves weights
+        # that are not their corral's affine minimizer; the reported gap must
+        # still be the Frank-Wolfe gap of the returned point.
+        P = enumerate_st_paths(DAG)
+        mid_minor = 0
+        for trial in range(20):
+            z = rng.normal(size=DAG.n_arcs) * 0.5
+            # A far starting path makes minor cycles drop paths more often.
+            theta0 = np.eye(P.shape[0])[rng.integers(P.shape[0])] if trial % 2 else None
+            for cap in range(1, 16):
+                y, theta, gap, _ = fw_min_quadratic(z, DAG, scale=2.5, gap_tol=1e-12,
+                                                    max_iters=cap, theta0=theta0)
+                g = y - z
+                assert abs(gap - 5.0 * (float(g @ y) - float(np.min(P @ g)))) <= 1e-12
+                support = P[theta > 0] @ g
+                mid_minor += bool(support.max() - support.min() > 1e-9)
+        assert mid_minor > 0
 
 
 class TestSolveFlowSq:
@@ -195,6 +309,17 @@ class TestSolveFlowSq:
                 solve_flow_abs_batch(np.ones((2, 5)), labels, NET)
             labels[first] = P[first]
         solve_flow_sq(np.ones(5), labels, NET)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_rejected(self, bad):
+        # A NaN residual must count as a violation, not slip past "> tol".
+        P = enumerate_st_paths(NET)
+        labels = P[[0, 1, 2]].copy()
+        labels[1, 3] = bad
+        with pytest.raises(ValueError, match="training flow 1 violates conservation"):
+            solve_flow_sq(np.ones(3), labels, NET)
+        with pytest.raises(ValueError, match="training flow 1 violates conservation"):
+            solve_flow_abs_batch(np.ones((2, 3)), labels, NET)
 
 
 class TestSolveFlowAbs:
