@@ -81,8 +81,8 @@ def fit_additive(X, Y, G: HierarchyDag, joint: JointKernelSpec, lam: float) -> A
     targets are the node-wise disagreement losses of both label values
     against each training label.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and positive")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y)
     m, d = X.shape[0], G.d

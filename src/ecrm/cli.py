@@ -34,9 +34,14 @@ LOSSES = ("hamming", "hierarchical", "footrule", "absolute", "square")
 
 
 def _kernel_from_args(args) -> KernelSpec:
+    """The kernel of --kernel and --gamma; also checks --lambda, read with it."""
+    if not (np.isfinite(args.lam) and args.lam > 0):
+        raise DataFormatError(f"--lambda must be finite and positive, got {args.lam}")
     if args.kernel == "rbf":
         if args.gamma is None:
             raise DataFormatError("rbf kernel requires --gamma")
+        if not (np.isfinite(args.gamma) and args.gamma > 0):
+            raise DataFormatError(f"--gamma must be finite and positive, got {args.gamma}")
         return KernelSpec(kind="rbf", gamma=args.gamma)
     return KernelSpec(kind="linear")
 

@@ -9,14 +9,17 @@ RBF blocks are level-3 BLAS products: ``||x - x'||^2 = ||x||^2 + ||x'||^2 -
 (kernel vectors).  Both row sets are first centered on the training
 inputs' column mean; the kernel is translation-invariant, so only the
 spread of the features enters the cancellation error, not their offset.
-``dsyrk`` fills the lower triangle and leaves exact zeros above it, so in
-``L + L.T`` one term of every entry is 0 and the sum is symmetric bit for
-bit; the norm terms are added as ``n_i + n_j``, which commutes.  The
-products call scipy's BLAS rather than numpy's ``@``: the two may link
-separate OpenBLAS builds, each with its own thread pool, and the Cholesky
-factor and solves in ``model`` run on scipy's.  Keeping every product of
-the fit and weight path on that one pool avoids the two pools contending
-for the same cores.
+The Gram is built lower triangle first, in ``dsyrk``'s own Fortran-ordered
+buffer: the norm terms (added as ``n_i + n_j``), the clamp at 0, the scale
+and the ``exp`` run over column blocks of the lower triangle only, the
+diagonal is set to exactly 1, and the lower triangle is then copied into
+the upper one in column panels.  Every upper entry is a copy of its mirror
+image, so the result is symmetric bit for bit, and no second m x m array
+is made.  The products call scipy's BLAS rather than numpy's ``@``: the
+two may link separate OpenBLAS builds, each with its own thread pool, and
+the Cholesky factor and solves in ``model`` run on scipy's.  Keeping every
+product of the fit and weight path on that one pool avoids the two pools
+contending for the same cores.
 """
 
 from __future__ import annotations
@@ -28,17 +31,19 @@ from scipy.linalg.blas import dgemm, dsyrk
 
 VALID_KINDS = ("linear", "rbf")
 
-# Entries per row block when adding squared norms to an RBF Gram; bounds
-# the temporary next to the two m x m arrays.
+# Entries per column block of the elementwise RBF pass over a Gram's lower
+# triangle; bounds the temporary next to the m x m array.
 _BLOCK_ELEMS = 1 << 18
+# Columns per panel when mirroring a Gram's lower triangle into its upper one.
+_PANEL = 128
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel choice plus parameters.
 
-    gamma is the RBF bandwidth and must be positive; it is ignored for the
-    linear kernel.
+    gamma is the RBF bandwidth and must be finite and positive; it is
+    ignored for the linear kernel.
     """
 
     kind: str
@@ -48,8 +53,8 @@ class KernelSpec:
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {VALID_KINDS}")
         if self.kind == "rbf":
-            if self.gamma is None or not (self.gamma > 0):
-                raise ValueError("rbf kernel requires gamma > 0")
+            if self.gamma is None or not (np.isfinite(self.gamma) and self.gamma > 0):
+                raise ValueError("rbf kernel requires a finite gamma > 0")
 
 
 def eval_kernel(spec: KernelSpec, x, xp) -> float:
@@ -92,23 +97,34 @@ def _rbf_in_place(gamma: float, D) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
-    """Gram matrix of the training inputs; exactly symmetric."""
+    """Gram matrix of the training inputs; exactly symmetric.
+
+    The RBF Gram is returned as the C-ordered transpose of a Fortran-ordered
+    buffer, which ``model.fit`` factors in place."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one input row")
     if spec.kind == "linear":
         return cross_gram(spec, X, X)
     A = X - X.mean(axis=0)
-    L = dsyrk(-2.0, A.T, trans=1, lower=1)
-    D = L + L.T
-    n = -0.5 * np.diagonal(L)
-    del L
+    D = dsyrk(-2.0, A.T, trans=1, lower=1)
+    n = -0.5 * np.diagonal(D)
     m = D.shape[0]
+    # Each block spans the lower triangle of its columns plus the part of
+    # the diagonal block above it, which the mirror below overwrites.
     step = max(1, _BLOCK_ELEMS // m)
     for lo in range(0, m, step):
-        D[lo:lo + step] += n[lo:lo + step, None] + n
-    np.fill_diagonal(D, 0.0)
-    return _rbf_in_place(spec.gamma, D)
+        B = D[lo:, lo:lo + step]
+        B += n[lo:, None] + n[lo:lo + step]
+        _rbf_in_place(spec.gamma, B)
+    np.fill_diagonal(D, 1.0)
+    for lo in range(0, m, _PANEL):
+        hi = lo + _PANEL
+        diag = D[lo:hi, lo:hi]
+        upper = np.triu_indices(diag.shape[0], 1)
+        diag[upper] = diag.T[upper]
+        D[lo:hi, hi:] = D[hi:, lo:hi].T
+    return D.T
 
 
 def kernel_vector(spec: KernelSpec, X, x) -> np.ndarray:

@@ -48,14 +48,18 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
 
     The factor is computed in the Gram matrix's own buffer: ``m*lambda`` is
     added to the diagonal of K in place and LAPACK overwrites K with the
-    factor, so no second m x m array is made.  The lower factor is
-    bit-identical to that of a separately built ``K + m*lambda*I``.
+    factor, so a refit touches one m x m array.  The lower factor is
+    bit-identical to that of a separately built ``K + m*lambda*I``.  The
+    one finiteness check is on the inputs, at O(m*p), not on the m x m
+    matrix: finite inputs, lambda and gamma give a finite K unless a
+    kernel value overflows, and ``_factor_shifted`` catches that.
 
-    Raises NumericalError when the regularized Gram matrix cannot be
-    factored even after a single jitter retry.
+    Raises ValueError for a non-finite or non-positive lambda, or for
+    non-finite inputs, and NumericalError when the regularized Gram matrix
+    cannot be factored even after a single jitter retry.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and positive")
     if intercept_mode not in INTERCEPT_MODES:
         raise ValueError(f"intercept_mode must be one of {INTERCEPT_MODES}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -63,6 +67,8 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
     m = X.shape[0]
     if Y.shape[0] != m:
         raise ValueError(f"inputs have {m} rows but labels have {Y.shape[0]}")
+    if not np.isfinite(X).all():
+        raise ValueError("inputs must be finite")
     K = gram_matrix(spec, X)
     jitter = 1e-10 * float(np.trace(K)) / m
     try:
@@ -85,11 +91,19 @@ def _factor_shifted(K, *shifts) -> tuple:
     """Cholesky factor of ``K`` plus each shift on its diagonal, in K's buffer.
 
     ``K.T`` is the Fortran-ordered view of the symmetric C-ordered K, which
-    LAPACK factors without a copy."""
+    LAPACK factors without a copy.  scipy's finiteness scan of the m x m
+    matrix is skipped: ``fit`` has checked the inputs, lambda and gamma.
+    A factor with a non-finite diagonal (from a Gram whose kernel values
+    overflowed) is reported as a failed factorization.  Each diagonal entry
+    of the factor is computed from every other entry of its row, so the
+    O(m) look at the diagonal covers the whole lower factor."""
     diag = np.diag_indices(K.shape[0])
     for s in shifts:
         K[diag] += s
-    return cho_factor(K.T, lower=True, overwrite_a=True)
+    factor = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
+    if not np.isfinite(np.diagonal(factor[0])).all():
+        raise np.linalg.LinAlgError("Cholesky factor has a non-finite diagonal")
+    return factor
 
 
 def weights(model: TrainedModel, x) -> np.ndarray:
@@ -97,15 +111,19 @@ def weights(model: TrainedModel, x) -> np.ndarray:
     an ``(m,)`` vector or a ``(Q, m)`` matrix, one row per query.
 
     A batch costs one cross-Gram build and one multi-right-hand-side
-    Cholesky solve.  With a centered intercept the per-target mean is
-    subtracted before the ridge solve and added back afterwards; folding
-    that through the weighted sum is equivalent to adding
-    ``(1 - sum(w)) / m`` to every weight of the query's row.
+    Cholesky solve.  Only the query is checked for finiteness, at O(Q*p);
+    the stored factor is finite by construction.  With a centered intercept
+    the per-target mean is subtracted before the ridge solve and added back
+    afterwards; folding that through the weighted sum is equivalent to
+    adding ``(1 - sum(w)) / m`` to every weight of the query's row.
     """
     if model.factor is None:
         raise ValueError("model has no stored factorization; was it fitted?")
     x = np.asarray(x, dtype=float)
-    W = cho_solve(model.factor, cross_gram(model.kernel, np.atleast_2d(x), model.inputs).T).T
+    if not np.isfinite(x).all():
+        raise ValueError("query inputs must be finite")
+    V = cross_gram(model.kernel, np.atleast_2d(x), model.inputs)
+    W = cho_solve(model.factor, V.T, overwrite_b=True, check_finite=False).T
     if model.intercept_mode == "centered":
         W = W + ((1.0 - W.sum(axis=1)) / model.m)[:, None]
     return W if x.ndim == 2 else W[0]

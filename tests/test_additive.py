@@ -103,8 +103,9 @@ class TestFitAdditive:
         X = rng.normal(size=(2, 2))
         with pytest.raises(ValueError):
             fit_additive(X, np.array([[0, 1], [0, 0]]), G, _joint(), 0.5)  # infeasible
-        with pytest.raises(ValueError):
-            fit_additive(X, np.zeros((2, 2), dtype=int), G, _joint(), 0.0)
+        for lam in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                fit_additive(X, np.zeros((2, 2), dtype=int), G, _joint(), lam)
 
 
 class TestAdditiveRisk:

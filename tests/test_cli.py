@@ -554,6 +554,20 @@ class TestExitCodes:
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith(f"error: {path}:{line}: ")
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--lambda"])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_kernel_flag_is_named(self, hierarchy_fixture, flag, bad):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        values = {"--gamma": 0.5, "--lambda": 0.1, flag: bad}
+        out = tmp / "m.ecrm"
+        r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", "rbf", *sum(values.items(), ()),
+                    "--out", out)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: {flag} must be finite and positive, got {bad}\n"
+        assert not out.exists()
+
     def test_malformed_labels_rejected(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
         bad = tmp / "bad.txt"

@@ -42,6 +42,9 @@ class TestEvalKernel:
             KernelSpec("rbf", gamma=0.0)
         with pytest.raises(ValueError):
             KernelSpec("rbf")
+        for gamma in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                KernelSpec("rbf", gamma=gamma)
 
 
 class TestGramMatrix:
@@ -147,10 +150,47 @@ class TestFit:
 
     def test_preconditions(self, rng):
         X = rng.normal(size=(3, 2))
-        with pytest.raises(ValueError):
-            fit(KernelSpec("linear"), 0.0, X, np.zeros(3))
-        with pytest.raises(ValueError):
-            fit(KernelSpec("linear"), 1.0, X, np.zeros(4))
+        for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.5)):
+            for lam in (0.0, np.inf, np.nan):
+                with pytest.raises(ValueError):
+                    fit(spec, lam, X, np.zeros(3))
+            with pytest.raises(ValueError):
+                fit(spec, 1.0, X, np.zeros(4))
+            for bad in (np.nan, np.inf, -np.inf):
+                Xbad = X.copy()
+                Xbad[1, 0] = bad
+                with pytest.raises(ValueError):
+                    fit(spec, 1.0, Xbad, np.zeros(3))
+
+    def test_overflowing_gram_is_a_numerical_error(self):
+        # Finite inputs whose linear Gram overflows to inf.
+        from ecrm.errors import NumericalError
+        with pytest.raises(NumericalError):
+            fit(KernelSpec("linear"), 1.0, [[1e200]], [0])
+
+    def test_rbf_blocks_and_panels_match_full_construction(self, rng):
+        # m = 1100 runs the column-block loop (_BLOCK_ELEMS // m = 238 columns)
+        # five times and the 128-column mirror nine times.  The reference is
+        # the full-matrix construction: dsyrk, L + L.T, row-blocked norm
+        # additions, a zero diagonal, then exp over the whole matrix.
+        from scipy.linalg.blas import dsyrk
+        m, gamma, lam = 1100, 0.05, 0.01
+        X = np.tile(rng.normal(size=(m // 2, 20)), (2, 1))
+        A = X - X.mean(axis=0)
+        L = dsyrk(-2.0, A.T, trans=1, lower=1)
+        ref = L + L.T
+        n = -0.5 * np.diagonal(L)
+        for lo in range(0, m, 200):
+            ref[lo:lo + 200] += n[lo:lo + 200, None] + n
+        np.fill_diagonal(ref, 0.0)
+        ref = np.exp(-gamma * np.maximum(ref, 0.0))
+        spec = KernelSpec("rbf", gamma=gamma)
+        K = gram_matrix(spec, X)
+        assert np.array_equal(K, ref)
+        assert np.array_equal(K, K.T)
+        got = fit(spec, lam, X, np.zeros(m)).factor[0]
+        want = cho_factor(ref + m * lam * np.eye(m), lower=True)[0]
+        assert np.array_equal(np.tril(got), np.tril(want))
 
     def test_duplicate_inputs_are_fine(self, rng):
         X = np.tile(rng.normal(size=(1, 3)), (5, 1))
@@ -184,6 +224,14 @@ class TestFit:
 
 
 class TestWeights:
+    def test_non_finite_query_rejected(self, rng):
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, rng.normal(size=(4, 2)), np.zeros(4))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                weights(model, [0.0, bad])
+            with pytest.raises(ValueError):
+                weights(model, [[0.0, 1.0], [bad, 0.0]])
+
     def test_single_sample_closed_form(self, rng):
         x1 = rng.normal(size=3)
         x = rng.normal(size=3)
