@@ -146,7 +146,10 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None, histor
     product of the corral's path rows, exact because integral; no K x K
     Gram matrix is formed.  ``np.linalg.solve`` factors each matrix on its
     own and the other reductions are fixed-order einsums, so a row's
-    arithmetic never depends on its batch.
+    arithmetic never depends on its batch.  The stacked Gram-block
+    ``matmul`` and that ``solve`` stay on numpy, not on the scipy BLAS pool
+    of the weight products (see ``kernels``): their matrices are at most
+    ``(cap + 1) x (cap + 1)``, too small to wake a BLAS thread pool.
 
     ``corral`` is a previous call's ``(S, lam)`` to warm-start from; cold
     rows start at their nearest path.  Returns ``(Y, S, lam, gaps)``: the

@@ -101,14 +101,21 @@ def load_permutations(path) -> np.ndarray:
     return P
 
 
-def save_matrix(path, M) -> None:
+def _write_rows(fh, M) -> None:
+    """One line per row of M: integers in decimal, anything else as ``fmt``
+    writes it, each row formatted from its own Python values so that only
+    one row at a time is held as Python objects."""
     M = np.atleast_2d(np.asarray(M))
+    if np.issubdtype(M.dtype, np.integer):
+        fh.writelines(" ".join(map(str, r.tolist())) + "\n" for r in M)
+    else:
+        # repr of a Python float is exactly ``fmt``'s string.
+        fh.writelines(" ".join(map(repr, r.tolist())) + "\n" for r in M.astype(float, copy=False))
+
+
+def save_matrix(path, M) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for row in M:
-            if np.issubdtype(M.dtype, np.integer):
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-            else:
-                fh.write(" ".join(fmt(v) for v in row) + "\n")
+        _write_rows(fh, M)
 
 
 def load_hierarchy(path) -> HierarchyDag:
@@ -244,14 +251,8 @@ def save_model(path, model: TrainedModel) -> None:
         fh.write(_kernel_line(model.kernel) + "\n")
         fh.write(f"lambda {fmt(model.lam)} m {model.m} p {model.p} "
                  f"intercept {model.intercept_mode}\n")
-        for row in model.inputs:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
-        Y = np.atleast_2d(np.asarray(model.labels))
-        for row in Y:
-            if np.issubdtype(Y.dtype, np.integer):
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-            else:
-                fh.write(" ".join(fmt(v) for v in row) + "\n")
+        _write_rows(fh, model.inputs)
+        _write_rows(fh, model.labels)
 
 
 def save_additive_model(path, model: AdditiveModel) -> None:
@@ -267,12 +268,8 @@ def save_additive_model(path, model: AdditiveModel) -> None:
         for p, c in model.hierarchy.arcs:
             fh.write(f"{p} {c}\n")
         fh.write(f"p {model.inputs.shape[1]}\n")
-        for row in model.inputs:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
-        for i in range(model.m):
-            on = model.alpha[i, :, 1]
-            off = model.alpha[i, :, 0]
-            fh.write(" ".join(fmt(v) for v in np.concatenate([on, off])) + "\n")
+        _write_rows(fh, model.inputs)
+        _write_rows(fh, np.concatenate([model.alpha[:, :, 1], model.alpha[:, :, 0]], axis=1))
 
 
 def load_model(path):

@@ -15,11 +15,16 @@ and the ``exp`` run over column blocks of the lower triangle only, the
 diagonal is set to exactly 1, and the lower triangle is then copied into
 the upper one in column panels.  Every upper entry is a copy of its mirror
 image, so the result is symmetric bit for bit, and no second m x m array
-is made.  The products call scipy's BLAS rather than numpy's ``@``: the
-two may link separate OpenBLAS builds, each with its own thread pool, and
-the Cholesky factor and solves in ``model`` run on scipy's.  Keeping every
-product of the fit and weight path on that one pool avoids the two pools
-contending for the same cores.
+is made.
+
+The products call scipy's BLAS rather than numpy's ``@``: the two may link
+separate OpenBLAS builds, each with its own thread pool, and the Cholesky
+factor and solves in ``model`` run on scipy's.  Keeping the dense products
+of the predict path on that one pool avoids the two pools contending for
+the same cores; the weight-to-coefficient products in ``losses`` go
+through ``_matmul``.  The weight products of additive models
+(``additive.node_scores``), the projection baseline and the square-loss
+flow solver still use numpy's ``@``.
 """
 
 from __future__ import annotations
@@ -69,8 +74,13 @@ def eval_kernel(spec: KernelSpec, x, xp) -> float:
     return float(np.exp(-spec.gamma * np.dot(diff, diff)))
 
 
-def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
-    """Kernel matrix ``[k(a_i, b_j)]`` for row sets A (n,p) and B (m,p)."""
+def cross_gram(spec: KernelSpec, A, B, terms=None) -> np.ndarray:
+    """Kernel matrix ``[k(a_i, b_j)]`` for row sets A (n,p) and B (m,p).
+
+    ``terms``, if given, is ``_training_terms(spec, B)``, kept by the
+    caller so that B's side of an RBF block is not recomputed per call;
+    the RBF kernel then reads only B's shape, and a ``terms`` whose
+    centered rows do not have that shape raises ``ValueError``."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
@@ -79,14 +89,56 @@ def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
         # einsum keeps a fixed per-entry reduction order, so K[i,j] and
         # K[j,i] are bitwise equal when A is B.
         return np.einsum("ip,jp->ij", A, B)
-    mu = B.mean(axis=0)
-    A, B = A - mu, B - mu
+    if terms is None:
+        terms = _training_terms(spec, B)
+    elif terms[1].shape != B.shape:
+        raise ValueError(f"kernel terms are for {terms[1].shape[0]} x {terms[1].shape[1]} "
+                         f"rows, not {B.shape[0]} x {B.shape[1]}")
+    mu, B, nb = terms
+    A = A - mu
     # (m, n) in Fortran order: its transpose is the C-ordered result, and
     # cho_solve receives it back as a Fortran-ordered right-hand side.
     D = dgemm(-2.0, B.T, A.T, trans_a=1)
-    D += np.einsum("ip,ip->i", B, B)[:, None]
+    D += nb[:, None]
     D += np.einsum("ip,ip->i", A, A)
     return _rbf_in_place(spec.gamma, D).T
+
+
+def _training_terms(spec: KernelSpec, B):
+    """``(mu, B - mu, squared row norms of B - mu)`` for the training row set
+    B of an RBF ``cross_gram``, with ``mu`` its column mean; None for the
+    linear kernel, which has no such terms."""
+    if spec.kind == "linear":
+        return None
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    mu = B.mean(axis=0)
+    B = B - mu
+    return mu, B, np.einsum("ip,ip->i", B, B)
+
+
+def _matmul(A, B) -> np.ndarray:
+    """``A @ B`` on scipy's BLAS, as ``B.T @ A.T`` into a Fortran-ordered
+    array whose C-ordered transpose is returned.  One of A, B may be 1-D.
+
+    A C- or Fortran-ordered operand reaches ``dgemm`` as a view with the
+    matching transpose flag, so only an operand with neither layout (say a
+    column slice) is copied."""
+    if A.ndim == 1:
+        return _matmul(A[None, :], B)[0]
+    if B.ndim == 1:
+        return _matmul(A, B[:, None])[:, 0]
+    a, ta = _as_transpose(A)
+    b, tb = _as_transpose(B)
+    return dgemm(1.0, b, a, trans_a=tb, trans_b=ta).T
+
+
+def _as_transpose(M):
+    """``(X, t)`` with ``op_t(X) = M.T`` (``op_1`` transposes), where X is
+    Fortran-ordered whenever M is C- or Fortran-ordered."""
+    M = np.asarray(M, dtype=float)
+    if M.flags.f_contiguous and not M.flags.c_contiguous:
+        return M, 1
+    return M.T, 0
 
 
 def _rbf_in_place(gamma: float, D) -> np.ndarray:

@@ -5,7 +5,9 @@ coordinates of a binary encoding; ``additive_coefficients`` turns a loss
 plus weighted training labels into the per-coordinate linear objective fed
 to the combinatorial solvers, together with the constant offset that makes
 objective values match the estimated conditional risk.  That objective is
-linear in the weights, so it takes one weight vector or a batch of them.
+linear in the weights, so it takes one weight vector or a batch of them,
+and each weight product runs on scipy's BLAS, on the same thread pool as
+the weight solve that produced them (see ``kernels``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import HierarchyDag
+from .kernels import _matmul
 
 LOSS_KINDS = ("zero_one", "hamming", "hierarchical", "footrule", "absolute", "square")
 
@@ -184,8 +187,8 @@ def additive_coefficients(spec: LossSpec, labels, w):
     Y = np.asarray(labels)
     if spec.kind == "hamming":
         Y = Y.astype(float)
-        coeffs = W @ (1.0 - 2.0 * Y)
-        offset = W @ Y.sum(axis=1)
+        coeffs = _matmul(W, 1.0 - 2.0 * Y)
+        offset = _matmul(W, Y.sum(axis=1))
     elif spec.kind == "hierarchical":
         coeffs, offset = _hierarchical_coefficients(spec, Y.astype(float), W)
     elif spec.kind == "footrule":
@@ -207,15 +210,15 @@ def _hierarchical_coefficients(spec: LossSpec, Y, W):
     Q, d = W.shape[0], G.d
     s = G.roots[0]
     par, ch = G.arc_index
-    T = W @ Y
-    U = W @ (Y[:, par] * Y[:, ch])
+    T = _matmul(W, Y)
+    U = _matmul(W, Y[:, par] * Y[:, ch])
     # Arcs that share a parent are summed into it by one flat bincount.
     flat = (np.arange(Q)[:, None] * d + par[None, :]).ravel()
     coeffs = np.bincount(flat, weights=(c[ch] * T[:, ch]).ravel(),
                          minlength=Q * d).reshape(Q, d)
     # In an arborescence every non-root node is the child of exactly one arc.
     coeffs[:, ch] += c[ch] * (T[:, par] - U - T[:, ch])
-    coeffs[:, s] += c[s] * (W @ (1.0 - 2.0 * Y[:, s]))
+    coeffs[:, s] += c[s] * _matmul(W, 1.0 - 2.0 * Y[:, s])
     return coeffs, c[s] * T[:, s]
 
 
@@ -237,9 +240,10 @@ def footrule_cost_matrix(sigmas, w) -> np.ndarray:
     # Histogram bin of (label j, rank sigma_i(j)); sample i repeats d times.
     bins = (np.arange(d) * d + S.astype(np.int64) - 1).ravel()
     M = np.stack([np.bincount(bins, weights=np.repeat(row, d), minlength=d * d)
-                  for row in W]).reshape(-1, d, d)
+                  for row in W]).reshape(-1, d)
     r = np.arange(d, dtype=float)
-    C = M @ np.abs(r[None, :] - r[:, None])
+    # All Q histograms stacked as one (Q*d, d) operand of a single product.
+    C = _matmul(M, np.abs(r[None, :] - r[:, None])).reshape(-1, d, d)
     return C[0] if w.ndim == 1 else C
 
 

@@ -1,11 +1,12 @@
 """Training and conditional-risk estimation.
 
-Fitting stores the inputs, the structured labels and a Cholesky factor of
-``K + m*lambda*I``.  A query ``x`` yields a weight vector
-``w(x) = (K + m*lambda*I)^-1 v(x)`` and the estimated conditional risk of a
-candidate label ``y`` is the weighted sum ``sum_i w_i(x) loss(y, y_i)``.
-A batch of queries shares one cross-Gram build and one multi-right-hand-side
-solve; a single query is the one-row batch.
+Fitting stores the inputs, the structured labels, a Cholesky factor of
+``K + m*lambda*I`` and the inputs' side of every kernel vector.  A query
+``x`` yields a weight vector ``w(x) = (K + m*lambda*I)^-1 v(x)`` and the
+estimated conditional risk of a candidate label ``y`` is the weighted sum
+``sum_i w_i(x) loss(y, y_i)``.  A batch of queries shares one cross-Gram
+build and one multi-right-hand-side solve; a single query is the one-row
+batch.
 
 Fitting never touches the label contents: the label array is stored as
 passed, so training cost is independent of the output dimension.
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .kernels import KernelSpec, cross_gram, gram_matrix
+from .kernels import KernelSpec, _training_terms, cross_gram, gram_matrix
 from .losses import LossSpec, loss_value
 
 INTERCEPT_MODES = ("none", "centered")
@@ -33,6 +34,7 @@ class TrainedModel:
     labels: np.ndarray
     intercept_mode: str = "none"
     factor: tuple = field(repr=False, compare=False, default=None)
+    kernel_terms: tuple = field(repr=False, compare=False, default=None)
 
     @property
     def m(self) -> int:
@@ -84,7 +86,8 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
                 "is numerically non-positive-definite"
             ) from exc
     return TrainedModel(kernel=spec, lam=lam, inputs=X, labels=Y,
-                        intercept_mode=intercept_mode, factor=factor)
+                        intercept_mode=intercept_mode, factor=factor,
+                        kernel_terms=_training_terms(spec, X))
 
 
 def _factor_shifted(K, *shifts) -> tuple:
@@ -110,19 +113,20 @@ def weights(model: TrainedModel, x) -> np.ndarray:
     """Weights for one query ``x`` of shape ``(p,)`` or a batch ``(Q, p)``:
     an ``(m,)`` vector or a ``(Q, m)`` matrix, one row per query.
 
-    A batch costs one cross-Gram build and one multi-right-hand-side
-    Cholesky solve.  Only the query is checked for finiteness, at O(Q*p);
-    the stored factor is finite by construction.  With a centered intercept
-    the per-target mean is subtracted before the ridge solve and added back
-    afterwards; folding that through the weighted sum is equivalent to
-    adding ``(1 - sum(w)) / m`` to every weight of the query's row.
+    A batch costs one cross-Gram build, from the training-side kernel terms
+    that ``fit`` stored, and one multi-right-hand-side Cholesky solve.  Only
+    the query is checked for finiteness, at O(Q*p); the stored factor is
+    finite by construction.  With a centered intercept the per-target mean
+    is subtracted before the ridge solve and added back afterwards; folding
+    that through the weighted sum is equivalent to adding
+    ``(1 - sum(w)) / m`` to every weight of the query's row.
     """
     if model.factor is None:
         raise ValueError("model has no stored factorization; was it fitted?")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("query inputs must be finite")
-    V = cross_gram(model.kernel, np.atleast_2d(x), model.inputs)
+    V = cross_gram(model.kernel, np.atleast_2d(x), model.inputs, model.kernel_terms)
     W = cho_solve(model.factor, V.T, overwrite_b=True, check_finite=False).T
     if model.intercept_mode == "centered":
         W = W + ((1.0 - W.sum(axis=1)) / model.m)[:, None]

@@ -6,6 +6,7 @@ import pytest
 from ecrm import (AdditiveModel, HierarchyDag, JointKernelSpec, KernelSpec,
                   additive_risk, eval_kernel, fit_additive, infer_additive)
 from ecrm.additive import neighborhood_matrix, node_scores
+from ecrm.kernels import cross_gram
 from conftest import random_feasible_label, random_tree
 from _oracles import enumerate_feasible, gaussian_solve, lex_argmin
 
@@ -228,6 +229,26 @@ class TestInferAdditive:
                 single = infer_additive(model, Xq[q])
                 np.testing.assert_array_equal(res.y_star, single.y_star)
                 assert res.objective == pytest.approx(single.objective, abs=1e-12)
+
+
+class TestNodeScoreProducts:
+    def test_match_numpy_reference(self, rng):
+        G = random_tree(rng, 7)
+        m = 5
+        X = rng.normal(size=(m, 3))
+        Y = np.array([random_feasible_label(rng, G) for _ in range(m)])
+        model = fit_additive(X, Y, G, _joint(), 0.8)
+        N = neighborhood_matrix(G, "adjacent")
+        big = rng.normal(size=(8, 3))
+        # One query, a batch, a strided row slice and a transposed view.
+        for x in (rng.normal(size=3), big, big[::2], np.ascontiguousarray(big.T).T):
+            V = cross_gram(model.joint.base, np.atleast_2d(x), X)
+            ref = [(V @ model.alpha[:, :, v]) @ N for v in (0, 1)]
+            for got, want in zip(node_scores(model, x), ref):
+                want = want if x.ndim == 2 else want[0]
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
 
 
 class TestDecoupledNeighborhood:

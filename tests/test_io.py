@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ecrm import (DataFormatError, HierarchyDag, JointKernelSpec,
-                  KernelSpec, default_flow_network, fit, fit_additive, load_model,
+from ecrm import (AdditiveModel, DataFormatError, HierarchyDag, JointKernelSpec,
+                  KernelSpec, TrainedModel, default_flow_network, fit, fit_additive, load_model,
                   save_additive_model, save_model, weights)
 from ecrm.io import (fmt, load_binary_labels, load_hierarchy, load_matrix,
                      load_network, load_permutations, save_hierarchy, save_matrix,
@@ -169,6 +169,50 @@ class TestModelPersistence:
         np.testing.assert_array_equal(loaded.inputs, model.inputs)
         assert loaded.hierarchy.arcs == G.arcs
         assert loaded.joint == joint and loaded.lam == model.lam
+
+    # Values whose shortest repr is easy to get wrong: a signed zero, the
+    # smallest subnormal, a subnormal, a near-overflow and a rounded sum.
+    SPECIAL = (-0.0, 5e-324, 1e-310, 1e308, 0.1 + 0.2)
+
+    @staticmethod
+    def _per_value(M) -> str:
+        """The rows as the per-value formatter writes them."""
+        if np.issubdtype(M.dtype, np.integer):
+            return "".join(" ".join(str(int(v)) for v in row) + "\n" for row in M)
+        return "".join(" ".join(fmt(v) for v in row) + "\n" for row in M)
+
+    def test_writers_match_per_value_formatting(self, tmp_path):
+        F = np.array([self.SPECIAL, [-v for v in self.SPECIAL]])
+        I = np.array([[-3, 0, 7], [-1, 12, -40]])
+        path = tmp_path / "out.txt"
+        for M in (F, I, I > 0, F[:, ::2]):
+            save_matrix(path, M)
+            assert path.read_text() == self._per_value(M)
+        save_model(path, TrainedModel(kernel=KernelSpec("rbf", gamma=0.5), lam=0.25,
+                                      inputs=F, labels=I))
+        lines = path.read_text().splitlines(keepends=True)
+        assert "".join(lines[3:]) == self._per_value(F) + self._per_value(I)
+        alpha = np.concatenate([F, F[:, :1]], axis=1).reshape(2, 3, 2)
+        G = HierarchyDag(3, [(0, 1), (0, 2)])
+        save_additive_model(path, AdditiveModel(
+            alpha=alpha, joint=JointKernelSpec(base=KernelSpec("rbf", gamma=0.5)),
+            lam=0.25, hierarchy=G, inputs=F))
+        lines = path.read_text().splitlines(keepends=True)
+        rows = np.concatenate([alpha[:, :, 1], alpha[:, :, 0]], axis=1)
+        assert "".join(lines[-4:]) == self._per_value(F) + self._per_value(rows)
+
+    def test_round_trip_is_bit_exact(self, tmp_path, rng):
+        X = rng.normal(size=(5, 4))
+        X[0] = self.SPECIAL[:1] + self.SPECIAL[1:3] + self.SPECIAL[4:]
+        Y = rng.integers(-50, 50, size=(5, 3))
+        path = tmp_path / "model.ecrm"
+        for labels in (Y, Y + 0.1 + 0.2):
+            model = fit(KernelSpec("rbf", gamma=0.5), 0.25, X, labels)
+            save_model(path, model)
+            loaded = load_model(path)
+            assert loaded.inputs.tobytes() == model.inputs.tobytes()
+            assert loaded.labels.dtype == model.labels.dtype
+            assert loaded.labels.tobytes() == model.labels.tobytes()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ecrm"

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemm
 
 from ecrm import (KernelSpec, estimate_conditional_risk, eval_kernel, fit,
                   gram_matrix, kernel_vector, LossSpec, weights)
-from ecrm.kernels import cross_gram
+from ecrm.kernels import _matmul, cross_gram
 from conftest import random_kernel
 from _oracles import dense_weight_oracle, gaussian_solve
 
@@ -91,6 +92,27 @@ class TestGramMatrix:
         V = cross_gram(spec, Xq, X)
         ref = np.array([[eval_kernel(spec, a, b) for b in X] for a in Xq])
         np.testing.assert_allclose(V, ref, rtol=0, atol=1e-14)
+
+
+class TestMatmul:
+    @staticmethod
+    def _layouts(M):
+        """M as a C-ordered array, a Fortran-ordered one and a strided view."""
+        wide = np.zeros((M.shape[0], 2 * M.shape[1]))
+        wide[:, ::2] = M
+        return [M, np.asfortranarray(M), wide[:, ::2]]
+
+    def test_matches_numpy_for_every_layout(self, rng):
+        A, B = rng.normal(size=(6, 9)), rng.normal(size=(9, 4))
+        v, u = rng.normal(size=9), rng.normal(size=6)
+        for a in self._layouts(A):
+            assert a.shape == A.shape
+            np.testing.assert_allclose(_matmul(a, v), A @ v, rtol=1e-13)
+            np.testing.assert_allclose(_matmul(u, a), u @ A, rtol=1e-13)
+            for b in self._layouts(B):
+                got = _matmul(a, b)
+                assert got.flags.c_contiguous
+                np.testing.assert_allclose(got, A @ B, rtol=1e-13)
 
 
 class TestFit:
@@ -295,6 +317,31 @@ class TestWeights:
                 assert single.shape == (9,)
                 np.testing.assert_allclose(batch[i], single,
                                            rtol=0, atol=1e-12)
+
+    def test_stored_kernel_terms_keep_kernel_vectors_bit_identical(self, rng):
+        X = rng.normal(size=(40, 5)) + 3.0
+        Xq = rng.normal(size=(6, 5)) + 3.0
+        spec = KernelSpec("rbf", gamma=0.4)
+        model = fit(spec, 0.05, X, np.zeros(40))
+        # Per-call construction: both row sets centered on X's column mean.
+        mu = X.mean(axis=0)
+        A, B = Xq - mu, X - mu
+        D = dgemm(-2.0, B.T, A.T, trans_a=1)
+        D += np.einsum("ip,ip->i", B, B)[:, None]
+        D += np.einsum("ip,ip->i", A, A)
+        ref = np.exp(-spec.gamma * np.maximum(D, 0.0)).T
+        V = cross_gram(spec, Xq, X, model.kernel_terms)
+        assert V.tobytes() == ref.tobytes() == cross_gram(spec, Xq, X).tobytes()
+        W = cho_solve(model.factor, ref.T, check_finite=False).T
+        assert weights(model, Xq).tobytes() == W.tobytes()
+        assert fit(KernelSpec("linear"), 0.05, X, np.zeros(40)).kernel_terms is None
+
+    def test_kernel_terms_of_other_rows_are_rejected(self, rng):
+        spec = KernelSpec("rbf", gamma=0.4)
+        model = fit(spec, 0.05, rng.normal(size=(40, 5)), np.zeros(40))
+        with pytest.raises(ValueError, match="kernel terms"):
+            cross_gram(spec, rng.normal(size=(2, 5)), rng.normal(size=(30, 5)),
+                       model.kernel_terms)
 
 
 class TestEstimateConditionalRisk:

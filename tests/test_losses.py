@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ecrm import (HierarchyDag, LossSpec, additive_coefficients, footrule, hamming,
-                  hierarchical_loss, hierarchical_loss_closed, loss_bound, loss_value,
+from ecrm import (HierarchyDag, KernelSpec, LossSpec, additive_coefficients,
+                  assignment_space, fit, footrule, hamming, hierarchical_loss,
+                  hierarchical_loss_closed, hierarchy_space, infer, loss_bound, loss_value,
                   sibling_weights, vector_loss)
 from conftest import random_feasible_label, random_tree
 from _oracles import enumerate_feasible
@@ -229,6 +230,73 @@ class TestAdditiveCoefficients:
             additive_coefficients(LossSpec("zero_one"), np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
             additive_coefficients(LossSpec("absolute"), np.array([[1.0]]), np.array([1.0]))
+
+
+def _reference_coefficients(loss, Y, W):
+    """Each additive loss's coefficients and offsets from plain numpy ``@``
+    products, one arc at a time for the hierarchical loss."""
+    W = np.atleast_2d(W)
+    Yf = np.asarray(Y, dtype=float)
+    if loss.kind == "hamming":
+        return W @ (1.0 - 2.0 * Yf), W @ Yf.sum(axis=1)
+    if loss.kind == "footrule":
+        m, d = Y.shape
+        ranks = np.arange(1, d + 1)
+        A = np.abs(ranks[None, None, :] - Yf[:, :, None]).reshape(m, d * d)
+        return (W @ A).reshape(-1, d, d), np.zeros(W.shape[0])
+    G, c = loss.hierarchy, loss.penalties
+    s = G.roots[0]
+    T = W @ Yf
+    C = np.zeros((W.shape[0], G.d))
+    C[:, s] = c[s] * (W @ (1.0 - 2.0 * Yf[:, s]))
+    for par, ch in G.arcs:
+        U = W @ (Yf[:, par] * Yf[:, ch])
+        C[:, par] += c[ch] * T[:, ch]
+        C[:, ch] += c[ch] * (T[:, par] - U - T[:, ch])
+    return C, c[s] * T[:, s]
+
+
+class TestCoefficientProducts:
+    """The weight-to-coefficient products against plain numpy ``@``."""
+
+    @staticmethod
+    def _cases(rng, m):
+        # One query, a batch, a strided row slice and a transposed view.
+        big = rng.normal(size=(10, m))
+        return [rng.normal(size=m), rng.normal(size=(1, m)), rng.normal(size=(5, m)),
+                big[::2], np.ascontiguousarray(big[:4].T).T]
+
+    @staticmethod
+    def _losses(rng):
+        G = random_tree(rng, 12)
+        Y = np.array([random_feasible_label(rng, G) for _ in range(9)])
+        S = np.array([rng.permutation(6) + 1 for _ in range(9)])
+        return [(LossSpec("hamming"), Y, hierarchy_space(G)),
+                (LossSpec("hierarchical", hierarchy=G), Y, hierarchy_space(G)),
+                (LossSpec("footrule"), S, assignment_space(6))]
+
+    def test_match_numpy_reference(self, rng):
+        for loss, Y, _ in self._losses(rng):
+            for W in self._cases(rng, Y.shape[0]):
+                coeffs, offset = additive_coefficients(loss, Y, W)
+                ref_c, ref_o = _reference_coefficients(loss, Y, W)
+                if W.ndim == 1:
+                    ref_c, ref_o = ref_c[0], float(ref_o[0])
+                assert np.shape(coeffs) == ref_c.shape and np.shape(offset) == np.shape(ref_o)
+                scale = np.abs(ref_c).max()
+                np.testing.assert_allclose(coeffs, ref_c, rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(offset, ref_o, rtol=1e-12,
+                                           atol=1e-12 * np.abs(ref_o).max())
+
+    def test_single_query_equals_its_batch_row(self, rng):
+        X = rng.normal(size=(9, 3))
+        Xq = rng.normal(size=(6, 3))
+        for loss, Y, space in self._losses(rng):
+            model = fit(KernelSpec("rbf", gamma=0.7), 0.05, X, Y)
+            batch = infer(model, loss, space, Xq)
+            for q in range(Xq.shape[0]):
+                np.testing.assert_array_equal(infer(model, loss, space, Xq[q]).y_star,
+                                              batch[q].y_star)
 
 
 class TestLossBound:

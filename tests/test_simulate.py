@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ecrm import (Dataset, FlowGeneratorSpec, KernelSpec, LossSpec, SolverParams,
-                  enumerate_st_paths, flow_space,
+                  enumerate_st_paths, fit, flow_space,
                   infer_from_weights, knn_local_risk_predict, krr_project_predict,
-                  sample_conditional, simulate_flow_data)
+                  sample_conditional, simulate_flow_data, weights)
 from ecrm.baselines import krr_project_predict_batch
 from ecrm.spaces import FlowNetwork, flow_residual
 
@@ -152,6 +152,23 @@ class TestKrrProjectBaseline:
             got = krr_project_predict(data, data.space, KernelSpec("rbf", gamma=0.7),
                                       0.05, x)
             assert flow_residual(data.space.network, got) <= 1e-9
+
+    def test_ridge_mean_matches_numpy_reference(self, monkeypatch):
+        # With the projection replaced by the identity, the baseline returns
+        # its ridge means W @ Y.
+        import ecrm.baselines
+
+        monkeypatch.setattr(ecrm.baselines, "project_batch", lambda Y, net, gap_tol: (Y,))
+        data = simulate_flow_data(FlowGeneratorSpec.create(seed=14, tau=1.0, p=3), 20)
+        kernel = KernelSpec("rbf", gamma=0.8)
+        Xq = simulate_flow_data(FlowGeneratorSpec.create(seed=15, tau=1.0, p=3), 8).X
+        ref = weights(fit(kernel, 0.1, data.X, data.Y), Xq) @ data.Y
+        for rows in (slice(0, 1), slice(0, 8), slice(0, 8, 3)):
+            got = krr_project_predict_batch(data, data.space, kernel, 0.1, Xq[rows])
+            np.testing.assert_allclose(got, ref[rows], rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(krr_project_predict(data, data.space, kernel, 0.1, Xq[2]),
+                                   ref[2], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_batch_matches_single(self):
         spec = FlowGeneratorSpec.create(seed=12, tau=1.0, p=4)
