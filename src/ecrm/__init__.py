@@ -14,11 +14,10 @@ from .analysis import (BoundInputs, SurrogateConfig, bayes_conditional_risk, del
                        generalization_bound_terms, make_surrogate_config, realized_loss,
                        surrogate_loss, surrogate_loss_detailed)
 from .assignment import assignment_cost, solve_assignment
-from .baselines import knn_local_risk_predict, krr_project_predict
+from .baselines import knn_local_risk_predict
 from .closure import solve_hierarchy
 from .errors import DataFormatError, EcrmError, NumericalError
-from .flow_opt import (enumerate_path_vertices, enumerate_st_paths, fw_min_quadratic,
-                       lmo_flow, solve_flow_abs, solve_flow_abs_batch, solve_flow_sq)
+from .flow_opt import enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch
 from .hierarchy import HierarchyDag
 from .inference import brute_force_argmin, infer, infer_batch, infer_from_weights, sign_rule
 from .io import Dataset, load_model, save_additive_model, save_model

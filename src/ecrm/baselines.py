@@ -37,14 +37,6 @@ def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace,
     return result.y_star
 
 
-def krr_project_predict(dataset: Dataset, space: OutputSpace, kernel: KernelSpec,
-                        lam: float, x) -> np.ndarray:
-    """Coordinatewise kernel ridge prediction projected onto the flow polytope;
-    the one-row case of ``krr_project_predict_batch``."""
-    return krr_project_predict_batch(dataset, space, kernel, lam,
-                                     np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-
 def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: KernelSpec,
                               lam: float, Xq) -> np.ndarray:
     """Vectorized ridge-then-project over query rows."""

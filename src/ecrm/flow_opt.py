@@ -3,13 +3,14 @@
 The polytope of nonnegative conserving flows on an acyclic network with a
 single unit source and sink is the convex hull of its s-t path indicator
 vectors.  Everything here works in that vertex representation: the linear
-minimization oracle is a shortest-path computation, and one routine, Wolfe's
-min-norm-point method over path atoms, computes every Euclidean projection.
-It stops when the Frank-Wolfe duality gap reaches the tolerance, and its
-iterates are convex combinations of paths, hence feasible to machine
-precision.  The quadratic solver is one such projection; the L1 solver is
-projected subgradient descent whose every step is one, warm-started from
-the previous step's paths.
+minimization oracle is a scan over the enumerated paths, and one routine,
+Wolfe's min-norm-point method over path atoms, computes every Euclidean
+projection.  It stops when the Frank-Wolfe duality gap reaches the
+tolerance, and its iterates are convex combinations of paths, hence
+feasible to machine precision.  The square-loss solver projects all its
+mixed-sign rows in one such call; the L1 solver is projected subgradient
+descent whose every step is one, warm-started from the previous step's
+paths.
 
 The L1 risk ``sum_i w_i ||y - y_i||_1`` is separable over arcs and piecewise
 linear on each, with breakpoints at the training labels.  The L1 solver
@@ -18,15 +19,16 @@ once, O(Q m a) time and two (Q, a, m + 1) arrays held for the call; every
 objective and subgradient evaluation after that is a binary search per arc,
 O(Q a log m), with no (Q, m, a) table.
 
-The batch entry points vectorize across query weight vectors; a single
-query is exactly the one-row batch, so both paths produce identical output.
+Both solvers take a batch of query weight rows and return ``(Y,
+objectives, certificates)``; a single query is the one-row batch, and a
+row's result does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .results import EXACT, Certificate, HEURISTIC, InferenceResult, SolverParams
+from .results import EXACT, Certificate, HEURISTIC, SolverParams
 from .spaces import FlowNetwork, flow_residuals
 
 _LABEL_FEAS_TOL = 1e-9
@@ -70,56 +72,13 @@ def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
     return P
 
 
-def enumerate_path_vertices(net: FlowNetwork) -> list[np.ndarray]:
-    P = enumerate_st_paths(net)
-    return [P[i].copy() for i in range(P.shape[0])]
-
-
 def lex_min_vertex(net: FlowNetwork) -> np.ndarray:
+    """The lexicographically smallest s-t path indicator."""
     P = enumerate_st_paths(net)
-    best = min(range(P.shape[0]), key=lambda i: tuple(P[i]))
-    return P[best].copy()
+    return P[np.lexsort(P.T[::-1])[0]].copy()
 
 
-def lmo_flow(costs, net: FlowNetwork) -> np.ndarray:
-    """Indicator flow of a minimum-cost s-t path (costs may be negative).
-
-    Computed by dynamic programming in topological order; ties keep the
-    earliest candidate in processing order, then by arc index.
-    """
-    costs = np.asarray(costs, dtype=float).ravel()
-    if costs.shape[0] != net.n_arcs:
-        raise ValueError(f"cost vector has {costs.shape[0]} entries for {net.n_arcs} arcs")
-    order = net.topological_order()
-    if order is None:
-        raise ValueError("linear minimization oracle requires an acyclic network")
-    s, t = net.unit_endpoints()
-    out = [[] for _ in range(net.n_nodes)]
-    for a, (tail, head) in enumerate(net.arcs):
-        out[tail].append((a, head))
-    dist = [np.inf] * net.n_nodes
-    pred = [-1] * net.n_nodes
-    dist[s] = 0.0
-    for u in order:
-        if dist[u] == np.inf:
-            continue
-        for a, v in out[u]:
-            cand = dist[u] + costs[a]
-            if cand < dist[v]:
-                dist[v] = cand
-                pred[v] = a
-    if dist[t] == np.inf:
-        raise ValueError("sink is not reachable from the source")
-    y = np.zeros(net.n_arcs)
-    v = t
-    while v != s:
-        a = pred[v]
-        y[a] = 1.0
-        v = net.arcs[a][0]
-    return y
-
-
-def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None, history=None):
+def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
     """Wolfe's min-norm-point method for ``scale_q * ||theta P - z_q||^2``
     over the simplex, batched over the rows of Z (Wolfe, "Finding the
     nearest point in a polytope", Math. Programming 11, 1976).
@@ -154,7 +113,6 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None, histor
     ``corral`` is a previous call's ``(S, lam)`` to warm-start from; cold
     rows start at their nearest path.  Returns ``(Y, S, lam, gaps)``: the
     points, their corrals and the Frank-Wolfe gaps at the returned weights.
-    ``history`` collects row 0's gap at every major cycle.
     """
     (Q, a), K = Z.shape, P.shape[0]
     cap = np.linalg.matrix_rank(P) if corral is None else corral[0].shape[1]
@@ -219,8 +177,6 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None, histor
         fw = scores.argmin(axis=1)
         gap = -mu - scores[rows, fw]
         major = inside & (cycles < max_cycles)
-        if history is not None and ids[0] == 0 and major[0]:
-            history.append(float(scale2[0] * gap[0]))
         d = -mu - np.einsum("qc,qc->q", w, zps)
         present = (s == fw[:, None]).any(axis=1)
         done = major & ((gap <= tol) | present | (n == cap) | (d >= dist))
@@ -251,33 +207,6 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None, histor
     return Y, S, lam, gaps
 
 
-def fw_min_quadratic(z, net: FlowNetwork, scale: float = 1.0, gap_tol: float = 1e-6,
-                     max_iters: int = 10_000, theta0=None):
-    """Minimize ``scale * ||y - z||^2`` over the flow polytope by the
-    min-norm-point method, stopping at Frank-Wolfe gap ``gap_tol``.
-
-    ``max_iters`` caps the major plus minor cycles.  ``theta0``, if given,
-    picks the starting path: its heaviest one (else the path nearest z).
-    Returns ``(y, theta, gap, gap_history)``; the history holds the
-    Frank-Wolfe gap at every major cycle.
-    """
-    P = enumerate_st_paths(net)
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    corral = None
-    if theta0 is not None:
-        K, cap = P.shape[0], np.linalg.matrix_rank(P)
-        S, lam = K + np.arange(cap)[None, :], np.zeros((1, cap))
-        S[0, 0] = np.argmax(np.asarray(theta0, dtype=float).ravel())
-        lam[0, 0] = 1.0
-        corral = (S, lam)
-    history: list[float] = []
-    _, S, lam, gaps = _min_norm_point(P, z, scale, gap_tol, max_iters, corral, history)
-    theta = np.zeros(P.shape[0])
-    real = S[0] < P.shape[0]
-    theta[S[0, real]] = lam[0, real]
-    return theta @ P, theta, float(gaps[0]), history
-
-
 def _check_labels(labels, net: FlowNetwork) -> np.ndarray:
     labels = np.atleast_2d(np.asarray(labels, dtype=float))
     # Written so that a NaN residual counts as a violation.
@@ -287,57 +216,74 @@ def _check_labels(labels, net: FlowNetwork) -> np.ndarray:
     return labels
 
 
-def solve_flow_sq(w, labels, net: FlowNetwork, params: SolverParams | None = None) -> InferenceResult:
-    """Minimize ``sum_i w_i ||y - y_i||^2`` over the flow polytope.
+def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
+    """Minimize ``sum_i w_i ||y - y_i||^2`` over the flow polytope for each
+    query weight row ``w`` of W.
 
-    With nonnegative weights the optimum is the weighted label mean, which
-    is itself a convex combination of feasible flows (certificate exact).
-    With mixed signs but positive total weight the objective is a scaled
-    squared distance to that mean, projected by the min-norm-point method
-    to the requested Frank-Wolfe duality gap.  Nonpositive total weight
-    makes the objective concave, so a multi-start vertex descent is used
-    (certificate heuristic).
+    Returns ``(Y, objectives, certificates)`` with one row/entry per query.
+    A row whose weighted label mean has no negative arc (as with
+    nonnegative weights) takes that mean, a convex combination of feasible
+    flows and the unconstrained optimum (certificate exact).  With mixed
+    signs and positive total weight the objective is a scaled squared
+    distance to the mean; those rows are projected together by the
+    min-norm-point method to the requested Frank-Wolfe duality gap.
+    Nonpositive total weight makes the objective concave, so every path
+    vertex is swept and the lexicographically smallest best one kept
+    (certificate heuristic: the guarantee rests on concavity, which
+    degenerates when the total weight is exactly zero).  All-zero rows take
+    the lexicographically smallest path (exact).
+
+    Means are stacked one-row products, never one (Q, m) x (m, a) product,
+    whose blocking would change their last bits with Q; so a row's result
+    does not depend on its batch.  Objectives are taken row by row, so no
+    (Q, m, a) difference array is formed.
     """
     params = params or SolverParams()
-    w = np.asarray(w, dtype=float).ravel()
+    W = np.atleast_2d(np.asarray(W, dtype=float))
     labels = _check_labels(labels, net)
-    if w.shape[0] != labels.shape[0]:
+    if W.shape[1] != labels.shape[0]:
         raise ValueError("weight and label counts differ")
-
-    def objective(y):
-        diff = y[None, :] - labels
-        return float(w @ np.einsum("ma,ma->m", diff, diff))
-
-    if not np.any(w != 0.0):
-        y = lex_min_vertex(net)
-        return InferenceResult(y_star=y, objective=0.0, certificate=EXACT)
-    total = float(np.sum(w))
-    if total > 0:
-        ybar = (w @ labels) / total
-        if np.all(w >= 0) or float(np.min(ybar)) >= 0.0:
-            # ybar conserves flow by construction; nonnegativity makes it
-            # the unconstrained optimum sitting inside the polytope.
-            return InferenceResult(y_star=ybar, objective=objective(ybar), certificate=EXACT)
-        y, _, gap, _ = fw_min_quadratic(ybar, net, scale=total,
-                                        gap_tol=params.gap_tol)
-        return InferenceResult(y_star=y, objective=objective(y),
-                               certificate=Certificate("gap", gap=gap))
-
-    # Concave (or affine) objective: a minimizer sits at a vertex, so sweep
-    # every path vertex (chunked) and keep the lexicographically smallest
-    # best one.  Labeled heuristic: the guarantee rests on concavity, which
-    # degenerates when the total weight is exactly zero.
     P = enumerate_st_paths(net)
-    best_y, best_val = None, np.inf
-    for lo in range(0, P.shape[0], 4096):
-        block = P[lo:lo + 4096]
-        diff = block[:, None, :] - labels[None, :, :]
-        vals = np.einsum("kma,kma,m->k", diff, diff, w)
-        for i in range(block.shape[0]):
-            v = float(vals[i])
-            if v < best_val or (v == best_val and tuple(block[i]) < tuple(best_y)):
-                best_y, best_val = block[i].copy(), v
-    return InferenceResult(y_star=best_y, objective=best_val, certificate=HEURISTIC)
+    Q, K = W.shape[0], P.shape[0]
+    total = W.sum(axis=1)
+    convex = total > 0.0
+    concave = ~convex & np.any(W != 0.0, axis=1)
+    Y = np.tile(lex_min_vertex(net), (Q, 1))
+    Y[convex] = (W[convex, None, :] @ labels)[:, 0] / total[convex, None]
+    # Written so that a NaN mean counts as infeasible.
+    mixed = convex & ~np.all(W >= 0.0, axis=1) & ~(Y.min(axis=1) >= 0.0)
+    gaps = np.zeros(Q)
+    if mixed.any():
+        _, S, lam, gaps[mixed] = _min_norm_point(P, Y[mixed], total[mixed],
+                                                 params.gap_tol, 10_000)
+        theta = np.zeros((S.shape[0], K))
+        r, c = np.nonzero(S < K)
+        theta[r, S[r, c]] = lam[r, c]
+        Y[mixed] = (theta[:, None, :] @ P)[:, 0]
+    objs = np.zeros(Q)
+    for q in np.flatnonzero(convex):
+        diff = Y[q] - labels
+        objs[q] = W[q] @ np.einsum("ma,ma->m", diff, diff)
+    if concave.any():
+        # A concave (or affine) objective has a vertex minimizer.  Paths are
+        # swept in lexicographic order, so the first minimum is the
+        # lexicographically smallest one.
+        Wc = W[concave]
+        best_k = np.zeros(Wc.shape[0], dtype=np.intp)
+        best_val = np.full(Wc.shape[0], np.inf)
+        order = np.lexsort(P.T[::-1])
+        for lo in range(0, K, 4096):
+            idx = order[lo:lo + 4096]
+            diff = P[idx, None, :] - labels[None, :, :]
+            vals = np.einsum("kma,kma,qm->qk", diff, diff, Wc)
+            j = vals.argmin(axis=1)
+            v = vals[np.arange(Wc.shape[0]), j]
+            better = v < best_val
+            best_k[better], best_val[better] = idx[j[better]], v[better]
+        Y[concave], objs[concave] = P[best_k], best_val
+    certs = [HEURISTIC if cc else Certificate("gap", gap=float(g)) if mx else EXACT
+             for cc, mx, g in zip(concave, mixed, gaps)]
+    return Y, objs, certs
 
 
 def _l1_breakpoints(W, labels):
@@ -479,13 +425,6 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
         else:
             certs.append(HEURISTIC)
     return best_Y, best_obj, certs
-
-
-def solve_flow_abs(w, labels, net: FlowNetwork, params: SolverParams | None = None) -> InferenceResult:
-    """Single-query wrapper around the batched L1 flow solver."""
-    Y, obj, certs = solve_flow_abs_batch(np.asarray(w, dtype=float)[None, :],
-                                         labels, net, params)
-    return InferenceResult(y_star=Y[0], objective=float(obj[0]), certificate=certs[0])
 
 
 def project_batch(Z, net: FlowNetwork, gap_tol: float = 1e-6, max_iters: int = 10_000):

@@ -5,7 +5,7 @@ pair, for every row of a weight matrix at once: explicit finite spaces are
 minimized exhaustively over a member-by-label loss table built once per
 batch, hierarchies by the exact closure solver and rankings by min-cost
 assignment on the additive coefficients of all rows, and flow polytopes by
-the convex/heuristic continuous solvers.  The binary +/-1 zero-one case
+one call of the loss's batched flow solver.  The binary +/-1 zero-one case
 short-circuits to the classification sign rule it reduces to.
 ``infer_from_weights`` is its one-row case, and ``infer`` computes the
 weights of one query or a batch first.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import assignment_cost, solve_assignment
 from .closure import solve_hierarchy
-from .flow_opt import solve_flow_abs_batch, solve_flow_sq
+from .flow_opt import solve_flow_abs_batch, solve_flow_sq_batch
 from .losses import LossSpec, additive_coefficients, loss_value
 from .model import TrainedModel, weights
 from .results import EXACT, InferenceResult, SolverParams
@@ -69,9 +69,9 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
 
     Additive losses get the coefficients of all rows from one
     ``additive_coefficients`` call; hierarchies then take one
-    ``solve_hierarchy`` call for the batch and rankings solve per row.  The
-    L1 flow solver takes the whole batch; the square-loss flow solver and
-    the exhaustive minimization run row by row.
+    ``solve_hierarchy`` call for the batch and rankings solve per row.  Flow
+    polytopes take one call of the loss's batched flow solver; the
+    exhaustive minimization runs row by row.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     labels = np.asarray(labels)
@@ -102,13 +102,14 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
         return [InferenceResult(y_star=y, objective=float(obj), certificate=EXACT)
                 for y, obj in zip(Y, objs)]
     if space.kind == "flow_polytope":
-        if loss.kind == "absolute":
-            Y, objs, certs = solve_flow_abs_batch(W, labels, space.network, params)
-            return [InferenceResult(y_star=Y[i], objective=float(objs[i]), certificate=certs[i])
-                    for i in range(len(W))]
-        if loss.kind == "square":
-            return [solve_flow_sq(w, labels, space.network, params) for w in W]
-        raise ValueError(f"loss {loss.kind!r} is not supported on flow polytopes")
+        # Looked up per call, so a rebinding of either module-level name (a
+        # tracer's or a test's) takes effect.
+        solver = {"absolute": solve_flow_abs_batch, "square": solve_flow_sq_batch}.get(loss.kind)
+        if solver is None:
+            raise ValueError(f"loss {loss.kind!r} is not supported on flow polytopes")
+        Y, objs, certs = solver(W, labels, space.network, params)
+        return [InferenceResult(y_star=y, objective=float(obj), certificate=cert)
+                for y, obj, cert in zip(Y, objs, certs)]
     raise ValueError(f"unsupported (loss, space) pair: ({loss.kind}, {space.kind})")
 
 

@@ -23,8 +23,10 @@ factor and solves in ``model`` run on scipy's.  Keeping the dense products
 of the predict path on that one pool avoids the two pools contending for
 the same cores; the weight-to-coefficient products in ``losses`` go
 through ``_matmul``.  The weight products of additive models
-(``additive.node_scores``), the projection baseline and the square-loss
-flow solver still use numpy's ``@``.
+(``additive.node_scores``) and the projection baseline still use numpy's
+``@``.  So does the square-loss flow solver, on purpose: its weighted means
+are stacked one-row products, ``(Q, 1, m) @ (m, a)``, which give a one-row
+call's bits in any batch, where one ``(Q, m) x (m, a)`` product would not.
 """
 
 from __future__ import annotations

@@ -212,10 +212,11 @@ def _hierarchical_coefficients(spec: LossSpec, Y, W):
     par, ch = G.arc_index
     T = _matmul(W, Y)
     U = _matmul(W, Y[:, par] * Y[:, ch])
-    # Arcs that share a parent are summed into it by one flat bincount.
+    # Arcs that share a parent are summed into it by one flat bincount, which
+    # returns integers when it gets no entries (no queries, or no arcs).
     flat = (np.arange(Q)[:, None] * d + par[None, :]).ravel()
     coeffs = np.bincount(flat, weights=(c[ch] * T[:, ch]).ravel(),
-                         minlength=Q * d).reshape(Q, d)
+                         minlength=Q * d).reshape(Q, d).astype(float, copy=False)
     # In an arborescence every non-root node is the child of exactly one arc.
     coeffs[:, ch] += c[ch] * (T[:, par] - U - T[:, ch])
     coeffs[:, s] += c[s] * _matmul(W, 1.0 - 2.0 * Y[:, s])
@@ -239,8 +240,8 @@ def footrule_cost_matrix(sigmas, w) -> np.ndarray:
         raise ValueError("training labels are not permutations of 1..d")
     # Histogram bin of (label j, rank sigma_i(j)); sample i repeats d times.
     bins = (np.arange(d) * d + S.astype(np.int64) - 1).ravel()
-    M = np.stack([np.bincount(bins, weights=np.repeat(row, d), minlength=d * d)
-                  for row in W]).reshape(-1, d)
+    M = np.array([np.bincount(bins, weights=np.repeat(row, d), minlength=d * d)
+                  for row in W], dtype=float).reshape(-1, d)
     r = np.arange(d, dtype=float)
     # All Q histograms stacked as one (Q*d, d) operand of a single product.
     C = _matmul(M, np.abs(r[None, :] - r[:, None])).reshape(-1, d, d)

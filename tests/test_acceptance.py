@@ -23,7 +23,7 @@ from ecrm import (BoundInputs, FlowGeneratorSpec, KernelSpec, LossSpec,
 from ecrm.assignment import solve_assignment
 from ecrm.baselines import knn_local_risk_predict, krr_project_predict_batch
 from ecrm.additive import JointKernelSpec, additive_risk, fit_additive, infer_additive, node_scores
-from ecrm.flow_opt import enumerate_st_paths, solve_flow_abs, solve_flow_abs_batch, solve_flow_sq
+from ecrm.flow_opt import enumerate_st_paths, solve_flow_abs_batch
 from ecrm.kernels import cross_gram, eval_kernel, gram_matrix
 from ecrm.losses import footrule_cost_matrix, hierarchical_loss, hierarchical_loss_closed, sibling_weights
 from ecrm.model import risk_from_weights
@@ -294,7 +294,7 @@ def test_criterion_09_bayes_convergence():
             data = simulate_flow_data(spec, m, stream=s + 1)
             model = fit(kernel, 0.01, data.X, data.Y)
             w = weights(model, x0)
-            res = solve_flow_abs(w, data.Y, net, params)
+            res = infer_from_weights(w, data.Y, LossSpec("absolute"), flow_space(net), params)
             RESIDUALS.append(flow_residual(net, res.y_star))
             risk = float(np.abs(res.y_star[None, :] - Ymc).sum(axis=1).mean())
             gaps[m].append(risk - bayes.objective)
@@ -345,9 +345,10 @@ def test_criterion_11_flow_feasibility():
         labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(m)])
         for w in (rng.uniform(0.1, 1.0, size=m), rng.normal(size=m),
                   -rng.uniform(0.1, 1.0, size=m), np.zeros(m)):
-            checks.append(solve_flow_sq(w, labels, net).y_star)
-            checks.append(solve_flow_abs(w, labels, net,
-                                         SolverParams(max_iters=60, restarts=2)).y_star)
+            checks.append(infer_from_weights(w, labels, LossSpec("square"),
+                                             flow_space(net)).y_star)
+            checks.append(infer_from_weights(w, labels, LossSpec("absolute"), flow_space(net),
+                                             SolverParams(max_iters=60, restarts=2)).y_star)
     for t in range(5):
         x = rng.uniform(size=5)
         checks.append(knn_local_risk_predict(data, LossSpec("absolute"), data.space,

@@ -397,20 +397,27 @@ class TestDeepHierarchy:
             assert len(row) == d and row == sorted(row, reverse=True)
 
 
+@pytest.fixture
+def flow_fixture(tmp_path):
+    """A flow model trained from the command line on 30 simulated rows."""
+    net = default_flow_network()
+    net_path = tmp_path / "net.txt"
+    save_network(net_path, net)
+    spec = FlowGeneratorSpec.create(seed=17, tau=1.0, p=4)
+    data = simulate_flow_data(spec, 30)
+    save_matrix(tmp_path / "x.txt", data.X)
+    save_matrix(tmp_path / "y.txt", data.Y)
+    out = tmp_path / "m.ecrm"
+    r = run_cli("train", "--x", tmp_path / "x.txt", "--labels", tmp_path / "y.txt",
+                "--space", "flow", "--network", net_path, "--kernel", "rbf",
+                "--gamma", 0.8, "--lambda", 0.05, "--out", out)
+    assert r.returncode == 0, r.stderr
+    return tmp_path, net, net_path, out
+
+
 class TestFlowPredict:
-    def test_flow_predictions_feasible_and_deterministic(self, tmp_path):
-        net = default_flow_network()
-        net_path = tmp_path / "net.txt"
-        save_network(net_path, net)
-        spec = FlowGeneratorSpec.create(seed=17, tau=1.0, p=4)
-        data = simulate_flow_data(spec, 30)
-        save_matrix(tmp_path / "x.txt", data.X)
-        save_matrix(tmp_path / "y.txt", data.Y)
-        out = tmp_path / "m.ecrm"
-        r = run_cli("train", "--x", tmp_path / "x.txt", "--labels", tmp_path / "y.txt",
-                    "--space", "flow", "--network", net_path, "--kernel", "rbf",
-                    "--gamma", 0.8, "--lambda", 0.05, "--out", out)
-        assert r.returncode == 0, r.stderr
+    def test_flow_predictions_feasible_and_deterministic(self, flow_fixture):
+        tmp_path, net, net_path, out = flow_fixture
         args = ("predict", "--model", out, "--x", tmp_path / "x.txt", "--space", "flow",
                 "--network", net_path, "--loss", "absolute", "--max-iters", 60,
                 "--restarts", 2, "--seed", 5)
@@ -421,6 +428,46 @@ class TestFlowPredict:
         for line in r1.stdout.splitlines():
             y = np.array([float(t) for t in line.split()])
             assert flow_residual(net, y) <= 1e-9
+
+    def test_square_loss_predict_matches_library(self, flow_fixture):
+        from ecrm import LossSpec, flow_space, infer
+        from ecrm.io import fmt, load_features, load_model
+        from ecrm.spaces import flow_residual
+        tmp_path, net, net_path, out = flow_fixture
+        # Training rows have exact means, stretched ones need projecting, and
+        # far ones get all-zero weights.
+        X = load_features(tmp_path / "x.txt")[:8]
+        save_matrix(tmp_path / "q.txt", np.vstack([X, 3.0 * X, X + 40.0]))
+        args = ("predict", "--model", out, "--x", tmp_path / "q.txt", "--space", "flow",
+                "--network", net_path, "--loss", "square")
+        r1, r2 = run_cli(*args), run_cli(*args)
+        assert r1.returncode == 0, r1.stderr
+        assert r1.stdout == r2.stdout
+        expect = infer(load_model(out), LossSpec("square"), flow_space(net),
+                       load_features(tmp_path / "q.txt"))
+        assert {r.certificate.kind for r in expect} == {"exact", "gap"}
+        lines = r1.stdout.splitlines()
+        assert lines == [" ".join(fmt(v) for v in r.y_star) for r in expect]
+        for line in lines:
+            assert flow_residual(net, np.array([float(t) for t in line.split()])) <= 1e-9
+
+    def test_square_loss_surrogate_matches_library(self, flow_fixture):
+        from ecrm import LossSpec, SolverParams, flow_space, make_surrogate_config, surrogate_loss
+        from ecrm.io import fmt, load_features, load_flows, load_model
+        tmp_path, net, net_path, out = flow_fixture
+        # At rho = 2 the augmented minimizations have negative total weight,
+        # which the square-loss solver answers by its vertex sweep.
+        args = ("surrogate", "--model", out, "--x", tmp_path / "x.txt",
+                "--labels", tmp_path / "y.txt", "--space", "flow", "--network", net_path,
+                "--loss", "square", "--rho", 2.0)
+        r1, r2 = run_cli(*args), run_cli(*args)
+        assert r1.returncode == 0, r1.stderr
+        assert r1.stdout == r2.stdout
+        loss, space = LossSpec("square"), flow_space(net)
+        vals = surrogate_loss(load_model(out), loss, make_surrogate_config(2.0, loss, space),
+                              load_features(tmp_path / "x.txt"),
+                              load_flows(tmp_path / "y.txt"), SolverParams())
+        assert r1.stdout == "".join(f"{fmt(v)}\n" for v in vals) + f"mean {fmt(np.mean(vals))}\n"
 
     def test_help_available_per_subcommand(self):
         for sub in ("train", "predict", "eval", "surrogate", "bound",

@@ -1,14 +1,13 @@
-"""Flow-polytope machinery: path LMO, min-norm-point projection, and the
-L1/L2 solvers."""
+"""Flow-polytope machinery: path enumeration, min-norm-point projection, and
+the L1/L2 solvers."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ecrm import (FlowNetwork, SolverParams, default_flow_network,
-                  enumerate_path_vertices, enumerate_st_paths, fw_min_quadratic,
-                  lmo_flow, solve_flow_abs, solve_flow_abs_batch, solve_flow_sq)
+from ecrm import (FlowNetwork, InferenceResult, SolverParams, default_flow_network,
+                  enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch)
 from ecrm.flow_opt import _l1_breakpoints, _l1_obj_grad, _min_norm_point, project_batch
 from ecrm.spaces import flow_residual, flow_residuals
 from _oracles import abs_flow_objective, flow_projection, simplex_grid
@@ -42,13 +41,38 @@ def layered_dag(seed, layers=4, width=4, p_arc=0.7):
 DAG = layered_dag(8)
 
 
+def one_row(solver, w, labels, net, params=None):
+    """A batched flow solver's result for the one-row batch ``w``."""
+    Y, obj, certs = solver(np.asarray(w, dtype=float)[None, :], labels, net, params)
+    return InferenceResult(y_star=Y[0], objective=obj[0], certificate=certs[0])
+
+
+def project_one(P, z, scale=1.0, gap_tol=1e-6, max_cycles=10_000, corral=None):
+    """``_min_norm_point`` on the one row z: the point, its weights over the
+    rows of P and its Frank-Wolfe gap."""
+    Y, S, lam, gaps = _min_norm_point(P, np.atleast_2d(z), scale, gap_tol, max_cycles, corral)
+    theta = np.zeros(P.shape[0])
+    real = S[0] < P.shape[0]
+    theta[S[0, real]] = lam[0, real]
+    return Y[0], theta, float(gaps[0])
+
+
+def lone_path_corral(P, k):
+    """A one-row corral holding path k alone, to warm-start from."""
+    cap = np.linalg.matrix_rank(P)
+    S = P.shape[0] + np.arange(cap)[None, :]
+    lam = np.zeros((1, cap))
+    S[0, 0], lam[0, 0] = k, 1.0
+    return S, lam
+
+
 class TestPaths:
     def test_benchmark_network_has_nine_paths(self):
         P = enumerate_st_paths(NET)
         assert P.shape == (9, NET.n_arcs)
 
     def test_each_path_conserves(self):
-        for v in enumerate_path_vertices(NET):
+        for v in enumerate_st_paths(NET):
             assert flow_residual(NET, v) <= 1e-15
 
     def test_deep_chain_network_has_one_path(self):
@@ -61,42 +85,6 @@ class TestPaths:
         net = FlowNetwork(3, [(0, 1), (1, 2), (2, 1)], [1.0, 0.0, -1.0])
         with pytest.raises(ValueError):
             enumerate_st_paths(net)
-        with pytest.raises(ValueError):
-            lmo_flow(np.zeros(3), net)
-
-
-class TestLmoFlow:
-    def test_uniform_costs_give_valid_path(self):
-        y = lmo_flow(np.ones(NET.n_arcs), NET)
-        P = enumerate_st_paths(NET)
-        assert any(np.array_equal(y, P[i]) for i in range(P.shape[0]))
-        hops = P.sum(axis=1)
-        assert y.sum() == hops.min()
-
-    def test_deterministic(self):
-        a = lmo_flow(np.ones(NET.n_arcs), NET)
-        b = lmo_flow(np.ones(NET.n_arcs), NET)
-        np.testing.assert_array_equal(a, b)
-
-    def test_negative_cost_path_chosen(self):
-        costs = np.ones(NET.n_arcs)
-        # Make the path 0->2->4->5 strongly negative.
-        for a, arc in enumerate(NET.arcs):
-            if arc in ((0, 2), (2, 4), (4, 5)):
-                costs[a] = -5.0
-        y = lmo_flow(costs, NET)
-        expect = np.zeros(NET.n_arcs)
-        for a, arc in enumerate(NET.arcs):
-            if arc in ((0, 2), (2, 4), (4, 5)):
-                expect[a] = 1.0
-        np.testing.assert_array_equal(y, expect)
-
-    def test_matches_path_enumeration(self, rng):
-        P = enumerate_st_paths(NET)
-        for _ in range(50):
-            costs = rng.normal(size=NET.n_arcs)
-            y = lmo_flow(costs, NET)
-            assert float(costs @ y) == pytest.approx(float((P @ costs).min()), abs=1e-12)
 
 
 class TestFrankWolfe:
@@ -104,22 +92,20 @@ class TestFrankWolfe:
         P = enumerate_st_paths(NET)
         theta = rng.dirichlet(np.ones(P.shape[0]))
         z = theta @ P
-        y, _, gap, _ = fw_min_quadratic(z, NET, gap_tol=1e-12)
+        y, _, gap = project_one(P, z, gap_tol=1e-12)
         assert gap <= 1e-12
         np.testing.assert_allclose(y, z, atol=1e-6)
 
     def test_gap_running_minimum_reaches_tolerance(self, rng):
         z = rng.normal(size=NET.n_arcs)
-        y, _, gap, history = fw_min_quadratic(z, NET, gap_tol=1e-10)
+        _, _, gap = project_one(enumerate_st_paths(NET), z, gap_tol=1e-10)
         assert gap <= 1e-10
-        running = np.minimum.accumulate(history)
-        assert np.all(np.diff(running) <= 0)
-        assert running[-1] <= 1e-10
 
     def test_projection_is_feasible(self, rng):
+        P = enumerate_st_paths(NET)
         for _ in range(10):
             z = rng.normal(size=NET.n_arcs) * 3
-            y, _, _, _ = fw_min_quadratic(z, NET, gap_tol=1e-9)
+            y, _, _ = project_one(P, z, gap_tol=1e-9)
             assert flow_residual(NET, y) <= 1e-9
 
     def test_reported_gap_matches_returned_theta(self, rng):
@@ -127,8 +113,8 @@ class TestFrankWolfe:
         for trial in range(20):
             z = rng.normal(size=NET.n_arcs) * 2
             scale = 1.0 if trial % 2 else float(rng.uniform(0.1, 5.0))
-            y, theta, gap, _ = fw_min_quadratic(z, NET, scale=scale, gap_tol=1e-10)
-            np.testing.assert_array_equal(y, theta @ P)
+            y, theta, gap = project_one(P, z, scale=scale, gap_tol=1e-10)
+            np.testing.assert_allclose(y, theta @ P, rtol=0, atol=1e-14)
             recomputed = 2.0 * scale * (float((y - z) @ y) - float(np.min(P @ (y - z))))
             assert abs(gap - recomputed) <= 1e-12
 
@@ -212,12 +198,10 @@ class TestFrankWolfe:
             y1, g1 = project_batch(Z[q], DAG, gap_tol=1e-12)
             np.testing.assert_array_equal(y1[0], Y[q])
             assert g1[0] == gaps[q]
-            _, theta, gap, _ = fw_min_quadratic(Z[q], DAG, scale=scales[q], gap_tol=1e-9)
-            real = S[q] < P.shape[0]
-            expect = np.zeros(P.shape[0])
-            expect[S[q, real]] = lam[q, real]
-            np.testing.assert_array_equal(theta, expect)
-            assert gap == sgaps[q]
+            _, S1, lam1, g1 = _min_norm_point(P, Z[q:q + 1], scales[q], 1e-9, 10_000)
+            np.testing.assert_array_equal(S1[0], S[q])
+            np.testing.assert_array_equal(lam1[0], lam[q])
+            assert g1[0] == sgaps[q]
 
     def test_gap_is_recomputed_when_the_cycle_cap_stops_a_minor_cycle(self, rng):
         # A cap that lands after a minor cycle's partial step leaves weights
@@ -228,10 +212,10 @@ class TestFrankWolfe:
         for trial in range(20):
             z = rng.normal(size=DAG.n_arcs) * 0.5
             # A far starting path makes minor cycles drop paths more often.
-            theta0 = np.eye(P.shape[0])[rng.integers(P.shape[0])] if trial % 2 else None
+            corral = lone_path_corral(P, rng.integers(P.shape[0])) if trial % 2 else None
             for cap in range(1, 16):
-                y, theta, gap, _ = fw_min_quadratic(z, DAG, scale=2.5, gap_tol=1e-12,
-                                                    max_iters=cap, theta0=theta0)
+                y, theta, gap = project_one(P, z, scale=2.5, gap_tol=1e-12,
+                                            max_cycles=cap, corral=corral)
                 g = y - z
                 assert abs(gap - 5.0 * (float(g @ y) - float(np.min(P @ g)))) <= 1e-12
                 support = P[theta > 0] @ g
@@ -243,7 +227,7 @@ class TestSolveFlowSq:
     def test_single_label_is_returned(self, rng):
         P = enumerate_st_paths(NET)
         label = 0.5 * P[0] + 0.5 * P[3]
-        res = solve_flow_sq(np.array([1.0]), label[None, :], NET)
+        res = one_row(solve_flow_sq_batch, np.array([1.0]), label[None, :], NET)
         np.testing.assert_allclose(res.y_star, label, atol=1e-12)
         assert res.certificate.kind == "exact"
 
@@ -251,7 +235,7 @@ class TestSolveFlowSq:
         P = enumerate_st_paths(NET)
         labels = P[[0, 2, 5]]
         w = np.array([0.2, 0.5, 0.3])
-        res = solve_flow_sq(w, labels, NET)
+        res = one_row(solve_flow_sq_batch, w, labels, NET)
         np.testing.assert_allclose(res.y_star, w @ labels, atol=1e-14)
         assert res.certificate.kind == "exact"
 
@@ -264,7 +248,7 @@ class TestSolveFlowSq:
             w = rng.normal(size=m) + 0.6  # mixed signs, positive total (usually)
             if w.sum() <= 0 or np.all(w >= 0):
                 continue
-            res = solve_flow_sq(w, labels, NET, params)
+            res = one_row(solve_flow_sq_batch, w, labels, NET, params)
             vertex_vals = [float(w @ np.einsum("ma,ma->m", P[k] - labels, P[k] - labels))
                            for k in range(P.shape[0])]
             assert res.objective <= min(vertex_vals) + 1e-9
@@ -276,7 +260,7 @@ class TestSolveFlowSq:
         P = enumerate_st_paths(NET)
         labels = P[[1, 4]]
         w = np.array([-1.0, -0.5])
-        res = solve_flow_sq(w, labels, NET)
+        res = one_row(solve_flow_sq_batch, w, labels, NET)
         assert res.certificate.kind == "heuristic"
         assert flow_residual(NET, res.y_star) <= 1e-9
         # Concave objective: optimum is at some vertex; check best vertex found.
@@ -286,15 +270,95 @@ class TestSolveFlowSq:
 
     def test_all_zero_weights_lexicographic_vertex(self):
         P = enumerate_st_paths(NET)
-        res = solve_flow_sq(np.zeros(2), P[[0, 1]], NET)
+        res = one_row(solve_flow_sq_batch, np.zeros(2), P[[0, 1]], NET)
         assert res.objective == 0.0
         lex = min((tuple(P[i]) for i in range(P.shape[0])))
         assert tuple(res.y_star) == lex
 
+    def test_four_branches_batch_equals_one_row_calls(self, rng):
+        P = enumerate_st_paths(DAG)
+        labels = rng.dirichlet(np.full(P.shape[0], 0.3), size=8) @ P
+        W = rng.normal(size=(60, 8)) + rng.choice([-0.5, 0.0, 0.5], size=(60, 1))
+        W[:4] = 0.0
+        W[4:10] = np.abs(W[4:10])
+        params = SolverParams(gap_tol=1e-9)
+        Y, obj, certs = solve_flow_sq_batch(W, labels, DAG, params)
+        zero = ~np.any(W != 0.0, axis=1)
+        mean = [c.kind == "exact" and not z for c, z in zip(certs, zero)]
+        kinds = [c.kind for c in certs]
+        assert zero.sum() == 4 and sum(mean) >= 6
+        assert kinds.count("gap") >= 5 and kinds.count("heuristic") >= 5
+        for q in range(W.shape[0]):
+            single = one_row(solve_flow_sq_batch, W[q], labels, DAG, params)
+            np.testing.assert_array_equal(single.y_star, Y[q])
+            assert single.objective == obj[q]
+            assert single.certificate == certs[q]
+            if mean[q]:
+                # The mean and objective of a one-row product, bit for bit.
+                np.testing.assert_array_equal(Y[q], (W[q] @ labels) / W[q].sum())
+                diff = Y[q] - labels
+                assert obj[q] == W[q] @ np.einsum("ma,ma->m", diff, diff)
+
+    @pytest.mark.parametrize("n", [1, 13])
+    def test_tied_paths_resolve_lexicographically(self, n):
+        # A chain of n diamonds, and a label at the mean of its 2^n paths,
+        # exactly as far from each of them.  The tie goes to the
+        # lexicographically smallest path, the second branch of every
+        # diamond, which is enumerated last; with n = 13 the 8192 paths span
+        # two blocks of the sweep.
+        arcs = [a for u in range(0, 3 * n, 3)
+                for a in ((u, u + 1), (u, u + 2), (u + 1, u + 3), (u + 2, u + 3))]
+        net = FlowNetwork(3 * n + 1, arcs, [1.0] + [0.0] * (3 * n - 1) + [-1.0])
+        P = enumerate_st_paths(net)
+        assert P.shape[0] == 2 ** n
+        res = one_row(solve_flow_sq_batch, [-1.0], P.mean(axis=0)[None, :], net)
+        np.testing.assert_array_equal(res.y_star, P[-1])
+        np.testing.assert_array_equal(P[-1], np.tile([0.0, 1.0, 0.0, 1.0], n))
+        assert res.objective == -float(n) and res.certificate.kind == "heuristic"
+
+    def test_concave_rows_match_lexicographic_vertex_sweep(self, rng):
+        # Path labels and integral weights make every value exact, so the
+        # sweep must match the brute force exactly, ties included.
+        P = enumerate_st_paths(DAG)
+        labels = P[rng.integers(P.shape[0], size=5)]
+        W = -rng.integers(0, 3, size=(30, 5)).astype(float)
+        W[:, 0] -= 1.0
+        W[20:] = -np.abs(rng.normal(size=(10, 5)))
+        labels[4] = rng.dirichlet(np.ones(P.shape[0])) @ P
+        Y, obj, certs = solve_flow_sq_batch(W, labels, DAG)
+        ties = 0
+        for q in range(W.shape[0]):
+            vals = np.array([float(W[q] @ np.einsum("ma,ma->m", p - labels, p - labels))
+                             for p in P])
+            assert certs[q].kind == "heuristic"
+            if q < 20 and W[q, 4] == 0.0:
+                best = vals == vals.min()
+                ties += best.sum() > 1
+                np.testing.assert_array_equal(Y[q], min(map(tuple, P[best])))
+                assert obj[q] == vals.min()
+            else:
+                assert obj[q] == pytest.approx(vals.min(), rel=0, abs=1e-12)
+                assert any(np.array_equal(Y[q], p) for p in P)
+        assert ties > 0
+
+    def test_gap_rows_match_oracle_projection(self, rng):
+        # With positive total weight the objective is total * ||y - ybar||^2
+        # plus a constant, so the answer is the projection of the mean ybar.
+        P = enumerate_st_paths(DAG)
+        labels = rng.dirichlet(np.full(P.shape[0], 0.3), size=8) @ P
+        W = rng.normal(size=(40, 8)) + 0.4
+        Y, _, certs = solve_flow_sq_batch(W, labels, DAG, SolverParams(gap_tol=1e-10))
+        rows = [q for q, c in enumerate(certs) if c.kind == "gap"]
+        assert len(rows) >= 5
+        for q in rows:
+            assert certs[q].gap <= 1e-10
+            ybar = (W[q] @ labels) / W[q].sum()
+            assert np.linalg.norm(Y[q] - flow_projection(P, ybar)) <= 1e-9
+
     def test_infeasible_labels_rejected(self):
         bad = np.full((1, NET.n_arcs), 0.3)
         with pytest.raises(ValueError):
-            solve_flow_sq(np.array([1.0]), bad, NET)
+            one_row(solve_flow_sq_batch, np.array([1.0]), bad, NET)
 
     def test_first_violating_label_named(self):
         P = enumerate_st_paths(NET)
@@ -304,11 +368,11 @@ class TestSolveFlowSq:
         labels[4] = -P[4]              # both
         for first in (2, 3, 4):
             with pytest.raises(ValueError, match=f"training flow {first} violates conservation"):
-                solve_flow_sq(np.ones(5), labels, NET)
+                one_row(solve_flow_sq_batch, np.ones(5), labels, NET)
             with pytest.raises(ValueError, match=f"training flow {first} violates conservation"):
                 solve_flow_abs_batch(np.ones((2, 5)), labels, NET)
             labels[first] = P[first]
-        solve_flow_sq(np.ones(5), labels, NET)
+        one_row(solve_flow_sq_batch, np.ones(5), labels, NET)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_label_rejected(self, bad):
@@ -317,7 +381,7 @@ class TestSolveFlowSq:
         labels = P[[0, 1, 2]].copy()
         labels[1, 3] = bad
         with pytest.raises(ValueError, match="training flow 1 violates conservation"):
-            solve_flow_sq(np.ones(3), labels, NET)
+            one_row(solve_flow_sq_batch, np.ones(3), labels, NET)
         with pytest.raises(ValueError, match="training flow 1 violates conservation"):
             solve_flow_abs_batch(np.ones((2, 3)), labels, NET)
 
@@ -326,8 +390,8 @@ class TestSolveFlowAbs:
     def test_single_label_recovered_exactly(self):
         P = enumerate_st_paths(NET)
         label = P[2]
-        res = solve_flow_abs(np.array([1.0]), label[None, :], NET,
-                             SolverParams(max_iters=100, restarts=2))
+        res = one_row(solve_flow_abs_batch, np.array([1.0]), label[None, :], NET,
+                      SolverParams(max_iters=100, restarts=2))
         assert res.objective == 0.0
         np.testing.assert_array_equal(res.y_star, label)
         assert res.certificate.kind == "gap"
@@ -336,8 +400,8 @@ class TestSolveFlowAbs:
         P = enumerate_st_paths(NET)
         label = 0.25 * P[0] + 0.75 * P[6]
         labels = np.tile(label, (3, 1))
-        res = solve_flow_abs(rng.uniform(0.1, 1.0, size=3), labels, NET,
-                             SolverParams(max_iters=100, restarts=2))
+        res = one_row(solve_flow_abs_batch, rng.uniform(0.1, 1.0, size=3), labels, NET,
+                      SolverParams(max_iters=100, restarts=2))
         assert res.objective <= 1e-12
 
     def test_nonneg_weights_close_to_simplex_grid_oracle(self, rng):
@@ -346,7 +410,7 @@ class TestSolveFlowAbs:
         for trial in range(3):
             labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(3)])
             w = rng.uniform(0.2, 1.0, size=3)
-            res = solve_flow_abs(w, labels, NET, params)
+            res = one_row(solve_flow_abs_batch, w, labels, NET, params)
             grid = simplex_grid(P.shape[0], 8) @ P
             oracle = float(abs_flow_objective(grid, labels, w).min())
             assert res.objective <= oracle + 1e-4
@@ -356,7 +420,8 @@ class TestSolveFlowAbs:
         labels = np.array([rng.dirichlet(np.ones(9)) @ enumerate_st_paths(NET)
                            for _ in range(4)])
         w = np.array([1.0, -0.7, 0.4, -0.2])
-        res = solve_flow_abs(w, labels, NET, SolverParams(max_iters=150, restarts=3))
+        res = one_row(solve_flow_abs_batch, w, labels, NET,
+                      SolverParams(max_iters=150, restarts=3))
         assert res.certificate.kind == "heuristic"
         assert flow_residual(NET, res.y_star) <= 1e-9
 
@@ -367,14 +432,15 @@ class TestSolveFlowAbs:
         params = SolverParams(max_iters=60, restarts=2, seed=3)
         Y, obj, certs = solve_flow_abs_batch(W, labels, NET, params)
         for q in range(W.shape[0]):
-            single = solve_flow_abs(W[q], labels, NET, params)
+            single = one_row(solve_flow_abs_batch, W[q], labels, NET, params)
             np.testing.assert_array_equal(Y[q], single.y_star)
             assert obj[q] == single.objective
             assert certs[q].kind == single.certificate.kind
 
     def test_zero_weights_row(self):
         P = enumerate_st_paths(NET)
-        res = solve_flow_abs(np.zeros(2), P[[0, 1]], NET, SolverParams(max_iters=20))
+        res = one_row(solve_flow_abs_batch, np.zeros(2), P[[0, 1]], NET,
+                      SolverParams(max_iters=20))
         assert res.objective == 0.0
         assert res.certificate.kind == "exact"
 

@@ -211,6 +211,20 @@ class TestInferDispatch:
                 solver_val = oracle(res.y_star[None, :], labels, w)[0]
                 assert solver_val == pytest.approx(float(vals.min()), abs=1e-10)
 
+    def test_one_node_hierarchy_matches_brute_force(self, rng):
+        # A lone root has no arcs, so its bincount of arc terms is empty.
+        G = HierarchyDag(1, [])
+        labels = np.array([[1], [0], [1]])
+        feas = enumerate_feasible(G)
+        for loss_spec, vals in (
+                (LossSpec("hamming"), lambda w: hamming_risks(feas, labels, w)),
+                (LossSpec("hierarchical", hierarchy=G),
+                 lambda w: hierarchical_risks_direct(feas, labels, w, G, np.ones(1)))):
+            for w in rng.normal(size=(10, 3)):
+                res = infer_from_weights(w, labels, loss_spec, hierarchy_space(G))
+                np.testing.assert_array_equal(res.y_star, feas[np.argmin(vals(w))])
+                assert res.objective == pytest.approx(float(vals(w).min()), abs=1e-12)
+
     def test_assignment_inference_matches_brute_force(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 7))
@@ -302,11 +316,41 @@ class TestInferBatch:
         self._check(model, LossSpec("footrule"), assignment_space(5), rng.normal(size=(7, 3)))
 
     @pytest.mark.parametrize("kind", ["square", "absolute"])
-    def test_flow(self, rng, kind):
+    def test_flow(self, rng, kind, monkeypatch):
+        import ecrm.inference
         from ecrm import SolverParams, default_flow_network, enumerate_st_paths, flow_space
         net = default_flow_network()
         P = enumerate_st_paths(net)
         labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(6)])
         model = fit(KernelSpec("rbf", gamma=0.5), 0.05, rng.normal(size=(6, 3)), labels)
+        name = {"square": "solve_flow_sq_batch", "absolute": "solve_flow_abs_batch"}[kind]
+        solver, calls = getattr(ecrm.inference, name), []
+        monkeypatch.setattr(ecrm.inference, name,
+                            lambda W, *a: calls.append(len(W)) or solver(W, *a))
         self._check(model, LossSpec(kind), flow_space(net), rng.normal(size=(5, 3)),
                     SolverParams(max_iters=30, restarts=2))
+        # The batch takes one solver call; each of the 5 single queries one more.
+        assert calls == [5] + [1] * 5
+
+    @pytest.mark.parametrize("case", ["hamming", "hierarchical", "footrule",
+                                      "flow-absolute", "flow-square", "explicit"])
+    def test_empty_batch(self, rng, case):
+        from ecrm import default_flow_network, enumerate_st_paths, flow_space
+        if case in ("hamming", "hierarchical"):
+            G = random_tree(rng, 7)
+            labels = np.array([random_feasible_label(rng, G) for _ in range(5)])
+            loss, space = LossSpec(case, hierarchy=G), hierarchy_space(G)
+        elif case == "footrule":
+            labels = np.array([rng.permutation(4) + 1 for _ in range(5)])
+            loss, space = LossSpec("footrule"), assignment_space(4)
+        elif case.startswith("flow"):
+            net = default_flow_network()
+            P = enumerate_st_paths(net)
+            labels = rng.dirichlet(np.ones(P.shape[0]), size=5) @ P
+            loss, space = LossSpec(case[5:]), flow_space(net)
+        else:
+            members = [rng.normal(size=2) for _ in range(3)]
+            labels = np.stack([members[i] for i in (0, 1, 2, 0, 1)])
+            loss, space = LossSpec("square"), explicit_space(members)
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, rng.normal(size=(5, 3)), labels)
+        assert infer(model, loss, space, np.zeros((0, 3))) == []

@@ -5,7 +5,7 @@ import pytest
 
 from ecrm import (Dataset, FlowGeneratorSpec, KernelSpec, LossSpec, SolverParams,
                   enumerate_st_paths, fit, flow_space,
-                  infer_from_weights, knn_local_risk_predict, krr_project_predict,
+                  infer_from_weights, knn_local_risk_predict,
                   sample_conditional, simulate_flow_data, weights)
 from ecrm.baselines import krr_project_predict_batch
 from ecrm.spaces import FlowNetwork, flow_residual
@@ -133,15 +133,15 @@ class TestKrrProjectBaseline:
         net = FlowNetwork(2, [(0, 1)], [0.0, 0.0])
         space = flow_space(net)
         data = Dataset(X=np.array([[0.0], [1.0]]), Y=np.zeros((2, 1)), space=space)
-        got = krr_project_predict(data, space, KernelSpec("rbf", gamma=1.0), 0.5,
-                                  np.array([0.25]))
+        got = krr_project_predict_batch(data, space, KernelSpec("rbf", gamma=1.0), 0.5,
+                                        np.array([[0.25]]))[0]
         np.testing.assert_array_equal(got, np.zeros(1))
 
     def test_interpolating_limit_approaches_training_flow(self):
         spec = FlowGeneratorSpec.create(seed=10, tau=1.0, p=3)
         data = simulate_flow_data(spec, 1)
-        got = krr_project_predict(data, data.space, KernelSpec("rbf", gamma=1.0),
-                                  1e-9, data.X[0])
+        got = krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=1.0),
+                                        1e-9, data.X[0][None, :])[0]
         np.testing.assert_allclose(got, data.Y[0], atol=1e-4)
 
     def test_projection_restores_feasibility(self):
@@ -149,8 +149,8 @@ class TestKrrProjectBaseline:
         data = simulate_flow_data(spec, 30)
         for t in range(5):
             x = np.full(5, 0.1 + 0.2 * t)
-            got = krr_project_predict(data, data.space, KernelSpec("rbf", gamma=0.7),
-                                      0.05, x)
+            got = krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=0.7),
+                                            0.05, x[None, :])[0]
             assert flow_residual(data.space.network, got) <= 1e-9
 
     def test_ridge_mean_matches_numpy_reference(self, monkeypatch):
@@ -167,8 +167,9 @@ class TestKrrProjectBaseline:
             got = krr_project_predict_batch(data, data.space, kernel, 0.1, Xq[rows])
             np.testing.assert_allclose(got, ref[rows], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
-        np.testing.assert_allclose(krr_project_predict(data, data.space, kernel, 0.1, Xq[2]),
-                                   ref[2], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(
+            krr_project_predict_batch(data, data.space, kernel, 0.1, Xq[2][None, :])[0],
+            ref[2], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_batch_matches_single(self):
         spec = FlowGeneratorSpec.create(seed=12, tau=1.0, p=4)
@@ -179,6 +180,6 @@ class TestKrrProjectBaseline:
         # A duality gap of 1e-6 pins the projection within sqrt(gap) of the
         # true nearest point, so two solves can differ by ~1e-3 per coordinate.
         for i in range(6):
-            single = krr_project_predict(data, data.space,
-                                         KernelSpec("rbf", gamma=0.9), 0.1, Xq[i])
+            single = krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=0.9),
+                                               0.1, Xq[i][None, :])[0]
             np.testing.assert_allclose(batch[i], single, atol=3e-3)
