@@ -34,6 +34,9 @@ from .spaces import FlowNetwork, flow_residuals
 _LABEL_FEAS_TOL = 1e-9
 _PROJECT_TOL = 1e-11
 _LABEL_CANDIDATE_LIMIT = 1500
+# Entries of the largest temporary of one block of the concave-row vertex
+# sweep: the (paths, m, a) label differences or the (rows, paths) values.
+_SWEEP_ENTRIES = 1 << 22
 
 
 def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
@@ -236,7 +239,10 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     Means are stacked one-row products, never one (Q, m) x (m, a) product,
     whose blocking would change their last bits with Q; so a row's result
     does not depend on its batch.  Objectives are taken row by row, so no
-    (Q, m, a) difference array is formed.
+    (Q, m, a) difference array is formed; the concave sweep takes the paths
+    in blocks whose (paths, m, a) differences and (rows, paths) values each
+    hold at most ``_SWEEP_ENTRIES`` entries, or one path's differences
+    where those alone are more.
     """
     params = params or SolverParams()
     W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -272,9 +278,11 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
         best_k = np.zeros(Wc.shape[0], dtype=np.intp)
         best_val = np.full(Wc.shape[0], np.inf)
         order = np.lexsort(P.T[::-1])
-        for lo in range(0, K, 4096):
-            idx = order[lo:lo + 4096]
-            diff = P[idx, None, :] - labels[None, :, :]
+        step = max(1, _SWEEP_ENTRIES // max(labels.size, Wc.shape[0]))
+        buf = np.empty((min(step, K),) + labels.shape)
+        for lo in range(0, K, step):
+            idx = order[lo:lo + step]
+            diff = np.subtract(P[idx, None, :], labels, out=buf[:idx.size])
             vals = np.einsum("kma,kma,qm->qk", diff, diff, Wc)
             j = vals.argmin(axis=1)
             v = vals[np.arange(Wc.shape[0]), j]

@@ -3,10 +3,16 @@
 All numeric output uses shortest round-trip decimal representation so that
 written files are stable and diffable.  Loaders fail with the path and
 1-based line number of the offending record.
+
+Beside a base model file ``F``, ``save_model`` writes the binary factor
+cache ``F.factor`` that ``load_model`` reads in place of refitting; only
+this module knows its format.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +21,7 @@ from .additive import AdditiveModel, JointKernelSpec
 from .errors import DataFormatError
 from .hierarchy import HierarchyDag
 from .kernels import KernelSpec
-from .model import TrainedModel, fit
+from .model import TrainedModel, fit, from_factor
 from .spaces import FlowNetwork, OutputSpace
 
 
@@ -31,13 +37,20 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def _read_lines(path) -> list[str]:
+def _read_bytes(path) -> bytes:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file: {exc}") from exc
-    return raw.splitlines()
+
+
+def _read_lines(path, raw=None) -> list[str]:
+    """The lines of the ASCII file at ``path``, or of its bytes ``raw``."""
+    try:
+        return (_read_bytes(path) if raw is None else raw).decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not an ASCII file: {exc}") from exc
 
 
 def load_matrix(path, dtype=float) -> np.ndarray:
@@ -217,6 +230,7 @@ def save_network(path, net: FlowNetwork) -> None:
 
 
 MODEL_MAGIC = "ECRM-MODEL 1"
+FACTOR_MAGIC = "ECRM-FACTOR 1"
 
 
 def _kernel_line(spec: KernelSpec) -> str:
@@ -245,7 +259,18 @@ def _finite_float(path, lineno, token) -> float:
 
 
 def save_model(path, model: TrainedModel) -> None:
-    """Write the model file; the factorization is recomputed on load."""
+    """Write the plain-text model file and, for a model that holds its
+    factorization, the factor cache ``<path>.factor`` beside it.
+
+    The cache is one ASCII header line, ``ECRM-FACTOR 1 <m> <f8 <sha256>``
+    with the SHA-256 of the model file's bytes, then the lower Cholesky
+    factor column by column from the diagonal down: m(m+1)/2 little-endian
+    doubles.  ``load_model`` uses it only when the header names the model
+    file it sits beside and the size is exact; in every other case it
+    refits, so a missing or stale cache costs time, never a wrong answer.
+    A model without a factor writes no cache, and an old one left beside
+    it no longer matches the file's digest.  Raises DataFormatError when the
+    cache cannot be written."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(_kernel_line(model.kernel) + "\n")
@@ -253,6 +278,53 @@ def save_model(path, model: TrainedModel) -> None:
                  f"intercept {model.intercept_mode}\n")
         _write_rows(fh, model.inputs)
         _write_rows(fh, model.labels)
+    if model.factor is not None:
+        _save_factor(path, model.factor)
+
+
+def _factor_path(path) -> str:
+    return os.fspath(path) + ".factor"
+
+
+def _factor_header(raw: bytes, m: int) -> bytes:
+    """The cache header for a model file of bytes ``raw`` with m samples."""
+    return f"{FACTOR_MAGIC} {m} <f8 {hashlib.sha256(raw).hexdigest()}\n".encode("ascii")
+
+
+def _save_factor(path, factor) -> None:
+    c, lower = factor
+    L = c if lower else c.T
+    cache = _factor_path(path)
+    try:
+        # Columns are 8 to 8m bytes; a 1 MiB buffer turns the m writes into
+        # one system call per MiB.
+        with open(cache, "wb", buffering=1 << 20) as fh:
+            fh.write(_factor_header(_read_bytes(path), L.shape[0]))
+            for j in range(L.shape[0]):
+                fh.write(np.ascontiguousarray(L[j:, j], dtype="<f8"))
+    except OSError as exc:
+        raise DataFormatError(f"{cache}: cannot write factor cache: {exc}") from exc
+
+
+def _load_factor(path, raw: bytes, m: int):
+    """The lower factor cached beside the model file at ``path`` of bytes
+    ``raw``, as an (m, m) Fortran-ordered array whose upper triangle is
+    never written; None when the cache is missing, stale, truncated or
+    malformed, or its diagonal is not finite and positive."""
+    try:
+        with open(_factor_path(path), "rb") as fh:
+            header = _factor_header(raw, m)
+            if (fh.readline(len(header)) != header
+                    or os.fstat(fh.fileno()).st_size != len(header) + 4 * m * (m + 1)):
+                return None
+            L = np.empty((m, m), dtype="<f8", order="F")
+            for j in range(m):
+                if fh.readinto(L[j:, j]) != 8 * (m - j):
+                    return None
+    except OSError:
+        return None
+    diag = np.diagonal(L)
+    return L if np.isfinite(diag).all() and (diag > 0).all() else None
 
 
 def save_additive_model(path, model: AdditiveModel) -> None:
@@ -273,13 +345,19 @@ def save_additive_model(path, model: AdditiveModel) -> None:
 
 
 def load_model(path):
-    """Load either model variant; returns TrainedModel or AdditiveModel."""
-    lines = _read_lines(path)
+    """Load either model variant; returns TrainedModel or AdditiveModel.
+
+    A base model takes its factorization from the factor cache beside it
+    when that cache matches (see ``save_model``) and is refitted otherwise;
+    on the machine that wrote the cache the two factors are bit-identical.
+    Additive models have no cache."""
+    raw = _read_bytes(path)
+    lines = _read_lines(path, raw)
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataFormatError(f"{path}:1: not a model file (missing '{MODEL_MAGIC}')")
     if len(lines) >= 2 and lines[1] == "variant additive":
         return _load_additive(path, lines)
-    return _load_base(path, lines)
+    return _load_base(path, raw, lines)
 
 
 def _floats(path, lineno, line, count) -> np.ndarray:
@@ -299,7 +377,7 @@ def _float_rows(path, first_lineno, lines, count) -> np.ndarray:
     return _finite_rows(path, first_lineno, M)
 
 
-def _load_base(path, lines) -> TrainedModel:
+def _load_base(path, raw, lines) -> TrainedModel:
     if len(lines) < 3:
         raise DataFormatError(f"{path}: truncated model file")
     spec = _parse_kernel_line(path, 2, lines[1])
@@ -316,7 +394,10 @@ def _load_base(path, lines) -> TrainedModel:
     Y = _float_rows(path, 4 + m, label_lines, len(label_lines[0].split()))
     if np.all(Y == np.round(Y)):
         Y = Y.astype(np.int64)
-    return fit(spec, lam, X, Y, intercept_mode=intercept)
+    L = _load_factor(path, raw, m)
+    if L is None:
+        return fit(spec, lam, X, Y, intercept_mode=intercept)
+    return from_factor(spec, lam, X, Y, L, intercept_mode=intercept)
 
 
 def _load_additive(path, lines) -> AdditiveModel:

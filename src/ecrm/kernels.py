@@ -15,7 +15,8 @@ and the ``exp`` run over column blocks of the lower triangle only, the
 diagonal is set to exactly 1, and the lower triangle is then copied into
 the upper one in column panels.  Every upper entry is a copy of its mirror
 image, so the result is symmetric bit for bit, and no second m x m array
-is made.
+is made.  ``model.fit`` skips the copy: its Cholesky factor reads only the
+lower triangle.
 
 The products call scipy's BLAS rather than numpy's ``@``: the two may link
 separate OpenBLAS builds, each with its own thread pool, and the Cholesky
@@ -150,11 +151,14 @@ def _rbf_in_place(gamma: float, D) -> np.ndarray:
     return np.exp(D, out=D)
 
 
-def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, X, mirror: bool = True) -> np.ndarray:
     """Gram matrix of the training inputs; exactly symmetric.
 
     The RBF Gram is returned as the C-ordered transpose of a Fortran-ordered
-    buffer, which ``model.fit`` factors in place."""
+    buffer, which ``model.fit`` factors in place.  ``mirror=False`` skips
+    the copy into the other half: only the entries ``K[i, j]`` with
+    ``i <= j`` (the lower triangle of the Fortran-ordered ``K.T``) are then
+    set, which is all that ``fit``'s lower Cholesky factor reads."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one input row")
@@ -172,6 +176,8 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
         B += n[lo:, None] + n[lo:lo + step]
         _rbf_in_place(spec.gamma, B)
     np.fill_diagonal(D, 1.0)
+    if not mirror:
+        return D.T
     for lo in range(0, m, _PANEL):
         hi = lo + _PANEL
         diag = D[lo:hi, lo:hi]

@@ -1,7 +1,10 @@
 """Training and conditional-risk estimation.
 
 Fitting stores the inputs, the structured labels, a Cholesky factor of
-``K + m*lambda*I`` and the inputs' side of every kernel vector.  A query
+``K + m*lambda*I`` and the inputs' side of every kernel vector.  The factor
+is the only O(m^3) part; ``from_factor`` rebuilds a model around a factor
+computed earlier (``io`` keeps one beside each model file), so a loaded
+model costs no refit.  A query
 ``x`` yields a weight vector ``w(x) = (K + m*lambda*I)^-1 v(x)`` and the
 estimated conditional risk of a candidate label ``y`` is the weighted sum
 ``sum_i w_i(x) loss(y, y_i)``.  A batch of queries shares one cross-Gram
@@ -50,8 +53,10 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
 
     The factor is computed in the Gram matrix's own buffer: ``m*lambda`` is
     added to the diagonal of K in place and LAPACK overwrites K with the
-    factor, so a refit touches one m x m array.  The lower factor is
-    bit-identical to that of a separately built ``K + m*lambda*I``.  The
+    factor, so a refit touches one m x m array.  Only the Gram's lower
+    triangle is built (``gram_matrix(..., mirror=False)``), the half the
+    lower factor reads; that factor is bit-identical to the one of a
+    separately built ``K + m*lambda*I``.  The
     one finiteness check is on the inputs, at O(m*p), not on the m x m
     matrix: finite inputs, lambda and gamma give a finite K unless a
     kernel value overflows, and ``_factor_shifted`` catches that.
@@ -60,18 +65,9 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
     non-finite inputs, and NumericalError when the regularized Gram matrix
     cannot be factored even after a single jitter retry.
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError("lambda must be finite and positive")
-    if intercept_mode not in INTERCEPT_MODES:
-        raise ValueError(f"intercept_mode must be one of {INTERCEPT_MODES}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y)
+    X, Y = _checked(lam, intercept_mode, X, Y)
     m = X.shape[0]
-    if Y.shape[0] != m:
-        raise ValueError(f"inputs have {m} rows but labels have {Y.shape[0]}")
-    if not np.isfinite(X).all():
-        raise ValueError("inputs must be finite")
-    K = gram_matrix(spec, X)
+    K = gram_matrix(spec, X, mirror=False)
     jitter = 1e-10 * float(np.trace(K)) / m
     try:
         factor = _factor_shifted(K, m * lam)
@@ -79,15 +75,47 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
         # A failed factorization leaves K partly overwritten, so the one
         # jitter retry (scaled to the mean diagonal mass) rebuilds it.
         try:
-            factor = _factor_shifted(gram_matrix(spec, X), m * lam, jitter)
+            factor = _factor_shifted(gram_matrix(spec, X, mirror=False), m * lam, jitter)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "Cholesky factorization of K + m*lambda*I failed; the Gram matrix "
                 "is numerically non-positive-definite"
             ) from exc
+    return from_factor(spec, lam, X, Y, factor[0], intercept_mode)
+
+
+def from_factor(spec: KernelSpec, lam: float, X, Y, L, intercept_mode: str = "none"
+                ) -> TrainedModel:
+    """The model ``fit(spec, lam, X, Y, intercept_mode)`` returns, around a
+    lower Cholesky factor ``L`` of its ``K + m*lambda*I``: no Gram build and
+    no factorization.  ``fit`` ends here, and ``io`` comes here with a
+    factor it cached.
+
+    ``L`` is an (m, m) array of which only the lower triangle is read;
+    whether it is the factor of these inputs is the caller's to ensure.
+    Raises ValueError as ``fit`` does, and for an ``L`` of another shape.
+    """
+    X, Y = _checked(lam, intercept_mode, X, Y)
+    if np.shape(L) != (X.shape[0], X.shape[0]):
+        raise ValueError(f"factor has shape {np.shape(L)}, not ({X.shape[0]}, {X.shape[0]})")
     return TrainedModel(kernel=spec, lam=lam, inputs=X, labels=Y,
-                        intercept_mode=intercept_mode, factor=factor,
+                        intercept_mode=intercept_mode, factor=(L, True),
                         kernel_terms=_training_terms(spec, X))
+
+
+def _checked(lam, intercept_mode, X, Y):
+    """``(X, Y)`` as arrays, after the argument checks ``fit`` documents."""
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and positive")
+    if intercept_mode not in INTERCEPT_MODES:
+        raise ValueError(f"intercept_mode must be one of {INTERCEPT_MODES}")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.asarray(Y)
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError(f"inputs have {X.shape[0]} rows but labels have {Y.shape[0]}")
+    if not np.isfinite(X).all():
+        raise ValueError("inputs must be finite")
+    return X, Y
 
 
 def _factor_shifted(K, *shifts) -> tuple:

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: formats, determinism, exit codes."""
 
+import functools
 import subprocess
 import sys
 
@@ -660,3 +661,85 @@ class TestExitCodes:
         assert r.stdout == ""
         assert r.stderr == ("error: model labels have 4 entries but the hierarchy "
                             "space has dimension 3\n")
+
+
+class TestFactorCache:
+    """``train`` writes the model's Cholesky factor beside it and ``predict``
+    reads it; a cache that does not fit the model costs one refit and
+    changes no output."""
+
+    @staticmethod
+    def _main(capsys, monkeypatch, *argv):
+        """Exit code, stdout, stderr and ``fit`` calls of one in-process run."""
+        import ecrm
+        import ecrm.cli
+        import ecrm.io
+        import ecrm.model
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ecrm.model.fit(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            for mod in (ecrm, ecrm.cli, ecrm.io):
+                mp.setattr(mod, "fit", counted)
+            code = ecrm.cli.main(list(map(str, argv)))
+        out, err = capsys.readouterr()
+        return code, out, err, len(calls)
+
+    @staticmethod
+    def _train(main, fixture, out, *extra, gamma=0.5):
+        tmp, hpath, xpath, ypath, X, Y = fixture
+        return main("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", "rbf", "--gamma", gamma,
+                    "--lambda", 0.1, "--out", out, *extra)
+
+    @pytest.mark.parametrize("case", ["present", "deleted", "other_model", "truncated",
+                                      "garbage_header", "nan_diagonal"])
+    def test_predict_output_is_the_same_with_any_cache(self, capsys, monkeypatch,
+                                                        hierarchy_fixture, case):
+        tmp, hpath, xpath = hierarchy_fixture[:3]
+        main = functools.partial(self._main, capsys, monkeypatch)
+        out, cache = tmp / "m.ecrm", tmp / "m.ecrm.factor"
+        predict = ("predict", "--model", out, "--x", xpath, "--space", "hierarchy",
+                   "--hierarchy", hpath)
+        assert self._train(main, hierarchy_fixture, out) == (0, "", "", 1)
+        code, expected, err, fits = main(*predict)
+        assert (code, err, fits) == (0, "", 0)
+        body = cache.read_bytes()
+        header_end = body.index(b"\n") + 1
+        if case == "deleted":
+            cache.unlink()
+        elif case == "other_model":
+            # Same inputs and m, another gamma: a valid cache of another file.
+            assert self._train(main, hierarchy_fixture, tmp / "o.ecrm", gamma=0.9)[0] == 0
+            cache.write_bytes((tmp / "o.ecrm.factor").read_bytes())
+        elif case == "truncated":
+            cache.write_bytes(body[:-8])
+        elif case == "garbage_header":
+            cache.write_bytes(b"garbage\n" + body[header_end:])
+        elif case == "nan_diagonal":
+            cache.write_bytes(body[:header_end] + np.array([np.nan]).tobytes()
+                              + body[header_end + 8:])
+        code, got, err, fits = main(*predict)
+        assert (code, err) == (0, "")
+        assert got == expected
+        assert fits == (0 if case == "present" else 1)
+
+    def test_unwritable_cache_exits_2(self, capsys, monkeypatch, hierarchy_fixture):
+        tmp = hierarchy_fixture[0]
+        (tmp / "m.ecrm.factor").mkdir()
+        main = functools.partial(self._main, capsys, monkeypatch)
+        code, out, err, _ = self._train(main, hierarchy_fixture, tmp / "m.ecrm")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp / 'm.ecrm.factor'}: cannot write factor cache")
+
+    def test_additive_train_writes_no_cache(self, capsys, monkeypatch, hierarchy_fixture):
+        tmp = hierarchy_fixture[0]
+        main = functools.partial(self._main, capsys, monkeypatch)
+        code = self._train(main, hierarchy_fixture, tmp / "m.ecrm", "--variant", "additive")[0]
+        assert code == 0
+        assert not (tmp / "m.ecrm.factor").exists()

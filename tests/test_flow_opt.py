@@ -304,8 +304,7 @@ class TestSolveFlowSq:
         # A chain of n diamonds, and a label at the mean of its 2^n paths,
         # exactly as far from each of them.  The tie goes to the
         # lexicographically smallest path, the second branch of every
-        # diamond, which is enumerated last; with n = 13 the 8192 paths span
-        # two blocks of the sweep.
+        # diamond, which is enumerated last.
         arcs = [a for u in range(0, 3 * n, 3)
                 for a in ((u, u + 1), (u, u + 2), (u + 1, u + 3), (u + 2, u + 3))]
         net = FlowNetwork(3 * n + 1, arcs, [1.0] + [0.0] * (3 * n - 1) + [-1.0])
@@ -340,6 +339,30 @@ class TestSolveFlowSq:
                 assert obj[q] == pytest.approx(vals.min(), rel=0, abs=1e-12)
                 assert any(np.array_equal(Y[q], p) for p in P)
         assert ties > 0
+
+    @pytest.mark.parametrize("entries", [1, 7 * 52])
+    def test_sweep_block_size_changes_no_result(self, monkeypatch, rng, entries):
+        # Blocks of one and of seven paths (52 arcs, one label): the tie on
+        # the 8192-path chain of 13 diamonds still goes to the
+        # lexicographically smallest path, and concave rows on the layered
+        # DAG keep the one-block sweep's values bit for bit.
+        import ecrm.flow_opt
+
+        P = enumerate_st_paths(DAG)
+        labels = P[rng.integers(P.shape[0], size=5)]
+        W = -np.abs(rng.normal(size=(12, 5)))
+        Y, obj, _ = solve_flow_sq_batch(W, labels, DAG)
+        arcs = [a for u in range(0, 39, 3)
+                for a in ((u, u + 1), (u, u + 2), (u + 1, u + 3), (u + 2, u + 3))]
+        chain = FlowNetwork(40, arcs, [1.0] + [0.0] * 38 + [-1.0])
+        C = enumerate_st_paths(chain)
+        monkeypatch.setattr(ecrm.flow_opt, "_SWEEP_ENTRIES", entries)
+        Y2, obj2, _ = solve_flow_sq_batch(W, labels, DAG)
+        np.testing.assert_array_equal(Y2, Y)
+        np.testing.assert_array_equal(obj2, obj)
+        res = one_row(solve_flow_sq_batch, [-1.0], C.mean(axis=0)[None, :], chain)
+        np.testing.assert_array_equal(res.y_star, C[-1])
+        assert res.objective == -13.0
 
     def test_gap_rows_match_oracle_projection(self, rng):
         # With positive total weight the objective is total * ||y - ybar||^2
@@ -500,6 +523,29 @@ class TestL1Breakpoints:
             obj1, G1 = _l1_obj_grad(*_l1_breakpoints(W[q:q + 1], labels), Y[q:q + 1])
             assert obj1[0] == obj[q]
             np.testing.assert_array_equal(G1[0], G[q])
+
+
+def test_sq_solver_concave_sweep_memory_is_bounded():
+    # One concave row on a 3585-path, 102-arc DAG with m = 50: in one block
+    # the sweep's path-label differences would be 3585 * 50 * 102 doubles
+    # (139 MiB), more than four times the block budget.
+    from ecrm.flow_opt import _SWEEP_ENTRIES
+
+    net = layered_dag(2, layers=6, width=5)
+    P = enumerate_st_paths(net)
+    m = 50
+    assert P.shape[0] * m * net.n_arcs > 4 * _SWEEP_ENTRIES
+    rng = np.random.default_rng(7)
+    labels = P[rng.integers(P.shape[0], size=m)]
+    W = -np.abs(rng.normal(size=(1, m)))
+    tracemalloc.start()
+    try:
+        _, _, certs = solve_flow_sq_batch(W, labels, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certs[0].kind == "heuristic"
+    assert peak <= 1.25 * _SWEEP_ENTRIES * 8, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_abs_solver_memory_stays_linear_in_q_m_a():

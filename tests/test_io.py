@@ -1,5 +1,7 @@
 """File formats, loaders with positioned errors, and model persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,81 @@ class TestModelPersistence:
         path.write_text("NOT-A-MODEL\n")
         with pytest.raises(DataFormatError, match="ECRM-MODEL"):
             load_model(path)
+
+
+class TestFactorCache:
+    """``save_model`` writes the Cholesky factor beside the model file;
+    ``load_model`` uses it only when it matches that file."""
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        import ecrm.io
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(ecrm.io, "fit", counted)
+        return calls
+
+    @staticmethod
+    def _model(rng, m=30):
+        return fit(KernelSpec("rbf", gamma=0.7), 0.2, rng.normal(size=(m, 3)),
+                   rng.integers(0, 2, size=(m, 4)))
+
+    def test_cache_holds_fits_lower_factor(self, tmp_path, rng, monkeypatch):
+        model = self._model(rng)
+        path = tmp_path / "model.ecrm"
+        save_model(path, model)
+        header, body = (tmp_path / "model.ecrm.factor").read_bytes().split(b"\n", 1)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert header == f"ECRM-FACTOR 1 30 <f8 {digest}".encode()
+        L = model.factor[0]
+        assert body == np.concatenate([L[j:, j] for j in range(30)]).astype("<f8").tobytes()
+        calls = self._count_fits(monkeypatch)
+        loaded = load_model(path)
+        assert calls == []
+        assert np.tril(loaded.factor[0]).tobytes() == np.tril(L).tobytes()
+        x = rng.normal(size=(5, 3))
+        np.testing.assert_array_equal(weights(loaded, x), weights(model, x))
+
+    def test_model_without_factor_writes_no_cache(self, tmp_path, rng, monkeypatch):
+        model = self._model(rng)
+        bare = TrainedModel(kernel=model.kernel, lam=model.lam, inputs=model.inputs,
+                            labels=model.labels)
+        save_model(tmp_path / "bare.ecrm", bare)
+        assert not (tmp_path / "bare.ecrm.factor").exists()
+        # An old cache of another model with the same m stays, unused.
+        path, cache = tmp_path / "model.ecrm", tmp_path / "model.ecrm.factor"
+        save_model(path, self._model(rng))
+        old = cache.read_bytes()
+        save_model(path, bare)
+        assert cache.read_bytes() == old
+        calls = self._count_fits(monkeypatch)
+        loaded = load_model(path)
+        assert len(calls) == 1
+        x = rng.normal(size=(5, 3))
+        np.testing.assert_array_equal(weights(loaded, x), weights(model, x))
+
+    def test_unwritable_cache_raises(self, tmp_path, rng):
+        (tmp_path / "model.ecrm.factor").mkdir()
+        with pytest.raises(DataFormatError, match="cannot write factor cache"):
+            save_model(tmp_path / "model.ecrm", self._model(rng))
+
+    def test_additive_model_writes_and_reads_no_cache(self, tmp_path, rng, monkeypatch):
+        G = HierarchyDag(3, [(0, 1), (0, 2)])
+        X = rng.normal(size=(4, 2))
+        Y = np.array([random_feasible_label(rng, G) for _ in range(4)])
+        model = fit_additive(X, Y, G, JointKernelSpec(base=KernelSpec("rbf", gamma=1.1)), 0.6)
+        path = tmp_path / "model.ecrm"
+        save_additive_model(path, model)
+        assert not (tmp_path / "model.ecrm.factor").exists()
+        import ecrm.io
+
+        monkeypatch.setattr(ecrm.io, "_load_factor",
+                            lambda *args: pytest.fail("an additive load read a factor cache"))
+        loaded = load_model(path)
+        assert isinstance(loaded, AdditiveModel)
+        np.testing.assert_array_equal(loaded.alpha, model.alpha)
