@@ -83,7 +83,7 @@ def _labels_loader(space):
     return {
         "hierarchy": io.load_binary_labels,
         "assignment": io.load_permutations,
-        "flow_polytope": io.load_flows,
+        "flow_polytope": io.load_matrix,
     }[space.kind]
 
 
@@ -91,15 +91,6 @@ def _solver_params(args) -> SolverParams:
     return SolverParams(max_iters=args.max_iters, step_a=args.step_a,
                         step_b=args.step_b, gap_tol=args.gap_tol,
                         restarts=args.restarts, seed=args.seed)
-
-
-def _print_rows(rows, integral: bool) -> None:
-    for row in rows:
-        row = np.asarray(row).ravel()
-        if integral:
-            print(" ".join(str(int(v)) for v in row))
-        else:
-            print(" ".join(fmt(v) for v in row))
 
 
 def _predict_rows(model, loss, space, X, params):
@@ -112,7 +103,7 @@ def _model_queries_space(args):
     """The stored model, the query rows and the output space; an additive
     model brings its own hierarchy."""
     model = io.load_model(args.model)
-    X = io.load_features(args.x)
+    X = io.load_matrix(args.x)
     if isinstance(model, AdditiveModel):
         return model, X, hierarchy_space(model.hierarchy)
     return model, X, _model_space(args, model)
@@ -126,7 +117,7 @@ def _analysis_inputs(args, what: str):
         raise DataFormatError(f"{what} analysis expects a base model")
     space = _model_space(args, model)
     loss = _loss_from_args(args, space)
-    X = io.load_features(args.x)
+    X = io.load_matrix(args.x)
     Y = _labels_loader(space)(args.labels)
     cfg = make_surrogate_config(args.rho, loss, space)
     return model, loss, X, Y, cfg, _solver_params(args)
@@ -135,7 +126,7 @@ def _analysis_inputs(args, what: str):
 def cmd_train(args) -> int:
     kernel = _kernel_from_args(args)
     space = _space_from_args(args)
-    X = io.load_features(args.x)
+    X = io.load_matrix(args.x)
     Y = _labels_loader(space)(args.labels)
     if args.variant == "additive":
         if space.kind != "hierarchy":
@@ -154,8 +145,8 @@ def cmd_predict(args) -> int:
     model, X, space = _model_queries_space(args)
     # The additive model minimizes its own risk estimate; --loss plays no part.
     loss = None if isinstance(model, AdditiveModel) else _loss_from_args(args, space)
-    rows = _predict_rows(model, loss, space, X, _solver_params(args))
-    _print_rows(rows, integral=space.kind in ("hierarchy", "assignment"))
+    # sys.stdout is looked up per call, so a redirection of it takes effect.
+    io.write_rows(sys.stdout, _predict_rows(model, loss, space, X, _solver_params(args)))
     return 0
 
 
@@ -232,10 +223,10 @@ def cmd_tu_check(args) -> int:
 
 def cmd_baseline(args) -> int:
     space = _space_from_args(args)
-    X_train = io.load_features(args.train_x)
+    X_train = io.load_matrix(args.train_x)
     Y_train = _labels_loader(space)(args.train_labels)
     data = Dataset(X=X_train, Y=Y_train, space=space)
-    Xq = io.load_features(args.x)
+    Xq = io.load_matrix(args.x)
     if args.method == "knn":
         loss = _loss_from_args(args, space)
         params = _solver_params(args)
@@ -243,8 +234,8 @@ def cmd_baseline(args) -> int:
                 for i in range(Xq.shape[0])]
     else:
         kernel = _kernel_from_args(args)
-        rows = list(krr_project_predict_batch(data, space, kernel, args.lam, Xq))
-    _print_rows(rows, integral=space.kind in ("hierarchy", "assignment"))
+        rows = krr_project_predict_batch(data, space, kernel, args.lam, Xq)
+    io.write_rows(sys.stdout, rows)
     return 0
 
 

@@ -1,8 +1,13 @@
 """Plain-text file formats: matrices, hierarchies, networks, and model files.
 
 All numeric output uses shortest round-trip decimal representation so that
-written files are stable and diffable.  Loaders fail with the path and
-1-based line number of the offending record.
+written files are stable and diffable.  One helper does each job:
+``_rows`` reads rows of numbers, ``_arcs`` node-id pairs and ``_header``
+``name value ...`` lines, and ``write_rows`` writes every matrix file,
+model block and row of predict or baseline output.  A loader error names
+the path and the 1-based line number of the offending record
+(``path:line:``), or the path alone (``path:``) for a fault of the whole
+structure, such as a cycle.  Networks must be acyclic.
 
 Beside a base model file ``F``, ``save_model`` writes the binary factor
 cache ``F.factor`` that ``load_model`` reads in place of refitting; only
@@ -12,16 +17,17 @@ this module knows its format.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import AdditiveModel, JointKernelSpec
+from .additive import NEIGHBOR_RULES, AdditiveModel, JointKernelSpec
 from .errors import DataFormatError
 from .hierarchy import HierarchyDag
 from .kernels import KernelSpec
-from .model import TrainedModel, fit, from_factor
+from .model import INTERCEPT_MODES, TrainedModel, fit, from_factor
 from .spaces import FlowNetwork, OutputSpace
 
 
@@ -53,47 +59,105 @@ def _read_lines(path, raw=None) -> list[str]:
         raise DataFormatError(f"{path}: not an ASCII file: {exc}") from exc
 
 
-def load_matrix(path, dtype=float) -> np.ndarray:
-    """One sample per line, space-separated numbers, rectangular."""
-    lines = _read_lines(path)
-    if not lines:
-        raise DataFormatError(f"{path}:1: file is empty")
-    M = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            raise DataFormatError(f"{path}:{lineno}: blank line in matrix file")
-        try:
-            row = np.array(line.split(), dtype=dtype)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if M is None:
-            M = np.empty((len(lines), row.shape[0]), dtype=dtype)
-        elif row.shape[0] != M.shape[1]:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {M.shape[1]} columns, found {row.shape[0]}")
-        M[lineno - 1] = row
-    return _finite_rows(path, 1, M)
+def _int(token) -> int:
+    """The nonnegative decimal integer ``token``; ValueError otherwise."""
+    value = int(token)
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer, found {token!r}")
+    return value
 
 
-def _finite_rows(path, first_lineno, M) -> np.ndarray:
-    """M itself, after checking that every entry is finite; the first row
-    holding a NaN or infinity is reported by its line number."""
+def _float(token) -> float:
+    """The finite number ``token``; ValueError otherwise."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
+def _one_of(*words):
+    """A reader, for ``_header``, of a token that must be one of ``words``."""
+    def word(token) -> str:
+        if token not in words:
+            raise ValueError(f"expected one of {', '.join(words)}")
+        return token
+    return word
+
+
+def _rows(path, first_lineno, lines, count=None) -> np.ndarray:
+    """The (len(lines), count) float matrix of the nonempty ``lines``, the
+    first of which is line ``first_lineno`` of ``path``: ``count`` finite
+    numbers per line, as many as on the first line when count is None."""
+    # Sized by the first line, not by a count read from a header, so that
+    # a wrong count fails on that line rather than in the allocation.
+    M = np.empty((len(lines), len(lines[0].split())))
+    count = M.shape[1] if count is None else count
+    try:
+        for i, line in enumerate(lines):
+            toks = line.split()
+            if len(toks) != count or not toks:
+                raise ValueError(f"expected {count} values, found {len(toks)}" if toks
+                                 else "blank line")
+            M[i] = toks
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{first_lineno + i}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
     if bad.size:
         raise DataFormatError(f"{path}:{first_lineno + bad[0]}: non-finite value")
     return M
 
 
-def load_features(path) -> np.ndarray:
-    return load_matrix(path, dtype=float)
+def _arcs(path, numbered) -> list[tuple[int, int]]:
+    """The ``a b`` node-id pairs of the (1-based line number, line) pairs
+    ``numbered``: two distinct nonnegative integers per line."""
+    arcs = []
+    try:
+        for lineno, line in numbered:
+            toks = line.split()
+            if len(toks) != 2:
+                raise ValueError(f"expected two node ids, found {len(toks)} values")
+            a, b = _int(toks[0]), _int(toks[1])
+            if a == b:
+                raise ValueError(f"self-loop arc ({a},{b})")
+            arcs.append((a, b))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return arcs
 
 
-def load_flows(path) -> np.ndarray:
-    return load_matrix(path, dtype=float)
+def _header(path, lineno, line, what, *fields) -> list:
+    """The values of ``line``, line ``lineno`` of ``path``, which must read
+    ``name value ...`` for the ``(name, read)`` pairs ``fields`` in order;
+    each value is what its ``read`` (``_int``, ``_float``, ``_one_of``)
+    returns."""
+    toks = line.split()
+    try:
+        if len(toks) != 2 * len(fields) or toks[::2] != [name for name, _ in fields]:
+            raise ValueError("expected " + " ".join(f"{name} <value>" for name, _ in fields))
+        return [read(tok) for (_, read), tok in zip(fields, toks[1::2])]
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: bad {what} line {line!r}: {exc}") from exc
+
+
+def _built(path, make, *args):
+    """``make(*args)``; a ValueError it raises is a fault of the whole
+    structure read from ``path``, such as a cycle, and names the path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def load_matrix(path) -> np.ndarray:
+    """One sample per line, space-separated numbers, rectangular."""
+    lines = _read_lines(path)
+    if not lines:
+        raise DataFormatError(f"{path}:1: file is empty")
+    return _rows(path, 1, lines)
 
 
 def load_binary_labels(path) -> np.ndarray:
-    M = load_matrix(path, dtype=float)
+    M = load_matrix(path)
     if not np.all(np.isin(M, (0.0, 1.0))):
         bad = int(np.argmax(~np.isin(M, (0.0, 1.0)).all(axis=1))) + 1
         raise DataFormatError(f"{path}:{bad}: binary labels must be 0/1")
@@ -101,7 +165,7 @@ def load_binary_labels(path) -> np.ndarray:
 
 
 def load_permutations(path) -> np.ndarray:
-    M = load_matrix(path, dtype=float)
+    M = load_matrix(path)
     P = M.astype(np.int64)
     if np.any(P != M):
         bad = int(np.argmax((P != M).any(axis=1))) + 1
@@ -114,10 +178,11 @@ def load_permutations(path) -> np.ndarray:
     return P
 
 
-def _write_rows(fh, M) -> None:
-    """One line per row of M: integers in decimal, anything else as ``fmt``
-    writes it, each row formatted from its own Python values so that only
-    one row at a time is held as Python objects."""
+def write_rows(fh, M) -> None:
+    """One line per row of M to the text stream ``fh``: integers in decimal
+    when M's dtype is an integer type, anything else as ``fmt`` writes it.
+    Each row is formatted from its own Python values, so that only one row
+    at a time is held as Python objects."""
     M = np.atleast_2d(np.asarray(M))
     if np.issubdtype(M.dtype, np.integer):
         fh.writelines(" ".join(map(str, r.tolist())) + "\n" for r in M)
@@ -128,36 +193,17 @@ def _write_rows(fh, M) -> None:
 
 def save_matrix(path, M) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        _write_rows(fh, M)
+        write_rows(fh, M)
 
 
 def load_hierarchy(path) -> HierarchyDag:
-    """One arc per line as ``parent child`` (0-based); d = 1 + max id."""
+    """One arc per line as ``parent child`` (0-based); d = 1 + max id.
+    Blank lines are skipped."""
     lines = _read_lines(path)
-    arcs = []
-    max_id = -1
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected 'parent child'")
-        try:
-            p, c = int(toks[0]), int(toks[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if p < 0 or c < 0:
-            raise DataFormatError(f"{path}:{lineno}: node ids must be nonnegative")
-        if p == c:
-            raise DataFormatError(f"{path}:{lineno}: self-loop arc ({p},{c})")
-        arcs.append((p, c))
-        max_id = max(max_id, p, c)
+    arcs = _arcs(path, ((n, line) for n, line in enumerate(lines, start=1) if line.strip()))
     if not arcs:
         raise DataFormatError(f"{path}:1: hierarchy file has no arcs")
-    try:
-        return HierarchyDag(d=max_id + 1, arcs=arcs)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return _built(path, HierarchyDag, 1 + max(map(max, arcs)), arcs)
 
 
 def save_hierarchy(path, G: HierarchyDag) -> None:
@@ -166,56 +212,31 @@ def save_hierarchy(path, G: HierarchyDag) -> None:
             fh.write(f"{p} {c}\n")
 
 
-def load_network(path, require_acyclic: bool = True) -> FlowNetwork:
-    """Header ``nodes N arcs M``, then M ``tail head`` lines, then N ``node b`` lines."""
+def load_network(path) -> FlowNetwork:
+    """Header ``nodes N arcs M``, then M ``tail head`` lines, then N ``node b``
+    lines; the network must be acyclic."""
     lines = _read_lines(path)
     if not lines:
         raise DataFormatError(f"{path}:1: file is empty")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "nodes" or head[2] != "arcs":
-        raise DataFormatError(f"{path}:1: expected header 'nodes N arcs M'")
-    try:
-        n_nodes, n_arcs = int(head[1]), int(head[3])
-    except ValueError as exc:
-        raise DataFormatError(f"{path}:1: {exc}") from exc
+    n_nodes, n_arcs = _header(path, 1, lines[0], "network header", ("nodes", _int),
+                              ("arcs", _int))
     if len(lines) < 1 + n_arcs + n_nodes:
         raise DataFormatError(f"{path}: expected {1 + n_arcs + n_nodes} lines, found {len(lines)}")
-    arcs = []
-    for i in range(n_arcs):
-        lineno = 2 + i
-        toks = lines[1 + i].split()
-        if len(toks) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected 'tail head'")
-        try:
-            t, h = int(toks[0]), int(toks[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if t == h:
-            raise DataFormatError(f"{path}:{lineno}: self-loop arc ({t},{h})")
-        arcs.append((t, h))
-    b = [0.0] * n_nodes
-    seen = [False] * n_nodes
-    for i in range(n_nodes):
-        lineno = 2 + n_arcs + i
-        toks = lines[1 + n_arcs + i].split()
-        if len(toks) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected 'node b_value'")
-        try:
-            node = int(toks[0])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        val = _finite_float(path, lineno, toks[1])
-        if not (0 <= node < n_nodes) or seen[node]:
-            raise DataFormatError(f"{path}:{lineno}: bad or repeated node id {node}")
-        seen[node] = True
-        b[node] = val
-    if abs(sum(b)) > 1e-9:
-        raise DataFormatError(f"{path}: external inflows sum to {sum(b)}, expected 0")
+    arcs = _arcs(path, enumerate(lines[1:1 + n_arcs], start=2))
+    b = [None] * n_nodes
     try:
-        net = FlowNetwork(n_nodes=n_nodes, arcs=arcs, b=b)
+        for lineno, line in enumerate(lines[1 + n_arcs:1 + n_arcs + n_nodes], start=2 + n_arcs):
+            toks = line.split()
+            if len(toks) != 2:
+                raise ValueError("expected 'node b_value'")
+            node = _int(toks[0])
+            if node >= n_nodes or b[node] is not None:
+                raise ValueError(f"bad or repeated node id {node}")
+            b[node] = _float(toks[1])
     except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    if require_acyclic and not net.is_acyclic:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    net = _built(path, FlowNetwork, n_nodes, arcs, b)
+    if not net.is_acyclic:
         raise DataFormatError(f"{path}: cycle detected in network")
     return net
 
@@ -241,21 +262,14 @@ def _kernel_line(spec: KernelSpec) -> str:
 
 def _parse_kernel_line(path, lineno, line) -> KernelSpec:
     toks = line.split()
-    if len(toks) >= 2 and toks[0] == "kernel" and toks[1] == "linear":
-        return KernelSpec(kind="linear")
-    if len(toks) == 3 and toks[0] == "kernel" and toks[1] == "rbf":
-        return KernelSpec(kind="rbf", gamma=_finite_float(path, lineno, toks[2]))
-    raise DataFormatError(f"{path}:{lineno}: bad kernel line {line!r}")
-
-
-def _finite_float(path, lineno, token) -> float:
     try:
-        value = float(token)
+        if toks == ["kernel", "linear"]:
+            return KernelSpec(kind="linear")
+        if len(toks) == 3 and toks[:2] == ["kernel", "rbf"]:
+            return KernelSpec(kind="rbf", gamma=_float(toks[2]))
+        raise ValueError("expected 'kernel linear' or 'kernel rbf <gamma>'")
     except ValueError as exc:
-        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not np.isfinite(value):
-        raise DataFormatError(f"{path}:{lineno}: non-finite value")
-    return value
+        raise DataFormatError(f"{path}:{lineno}: bad kernel line {line!r}: {exc}") from exc
 
 
 def save_model(path, model: TrainedModel) -> None:
@@ -268,17 +282,19 @@ def save_model(path, model: TrainedModel) -> None:
     doubles.  ``load_model`` uses it only when the header names the model
     file it sits beside and the size is exact; in every other case it
     refits, so a missing or stale cache costs time, never a wrong answer.
-    A model without a factor writes no cache, and an old one left beside
-    it no longer matches the file's digest.  Raises DataFormatError when the
-    cache cannot be written."""
+    A model without a factor writes no cache and removes an old one left
+    beside it.  Raises DataFormatError when the cache cannot be written or
+    removed."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(_kernel_line(model.kernel) + "\n")
         fh.write(f"lambda {fmt(model.lam)} m {model.m} p {model.p} "
                  f"intercept {model.intercept_mode}\n")
-        _write_rows(fh, model.inputs)
-        _write_rows(fh, model.labels)
-    if model.factor is not None:
+        write_rows(fh, model.inputs)
+        write_rows(fh, model.labels)
+    if model.factor is None:
+        _remove_factor(path)
+    else:
         _save_factor(path, model.factor)
 
 
@@ -306,6 +322,17 @@ def _save_factor(path, factor) -> None:
         raise DataFormatError(f"{cache}: cannot write factor cache: {exc}") from exc
 
 
+def _remove_factor(path) -> None:
+    """Remove the factor cache beside the model file at ``path``, if any."""
+    cache = _factor_path(path)
+    try:
+        os.remove(cache)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise DataFormatError(f"{cache}: cannot remove stale factor cache: {exc}") from exc
+
+
 def _load_factor(path, raw: bytes, m: int):
     """The lower factor cached beside the model file at ``path`` of bytes
     ``raw``, as an (m, m) Fortran-ordered array whose upper triangle is
@@ -329,7 +356,8 @@ def _load_factor(path, raw: bytes, m: int):
 
 def save_additive_model(path, model: AdditiveModel) -> None:
     """Additive variant: header, neighbor rule, hierarchy arcs, inputs, then
-    per-sample coefficient rows (all on-values then all off-values)."""
+    per-sample coefficient rows (all on-values then all off-values).  It
+    has no factor cache and removes an old one beside ``path``."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write("variant additive\n")
@@ -340,8 +368,9 @@ def save_additive_model(path, model: AdditiveModel) -> None:
         for p, c in model.hierarchy.arcs:
             fh.write(f"{p} {c}\n")
         fh.write(f"p {model.inputs.shape[1]}\n")
-        _write_rows(fh, model.inputs)
-        _write_rows(fh, np.concatenate([model.alpha[:, :, 1], model.alpha[:, :, 0]], axis=1))
+        write_rows(fh, model.inputs)
+        write_rows(fh, np.concatenate([model.alpha[:, :, 1], model.alpha[:, :, 0]], axis=1))
+    _remove_factor(path)
 
 
 def load_model(path):
@@ -360,83 +389,46 @@ def load_model(path):
     return _load_base(path, raw, lines)
 
 
-def _floats(path, lineno, line, count) -> np.ndarray:
-    toks = line.split()
-    if len(toks) != count:
-        raise DataFormatError(f"{path}:{lineno}: expected {count} values, found {len(toks)}")
-    try:
-        return np.array(toks, dtype=float)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-
-
-def _float_rows(path, first_lineno, lines, count) -> np.ndarray:
-    M = np.empty((len(lines), count))
-    for i, line in enumerate(lines):
-        M[i] = _floats(path, first_lineno + i, line, count)
-    return _finite_rows(path, first_lineno, M)
-
-
 def _load_base(path, raw, lines) -> TrainedModel:
     if len(lines) < 3:
         raise DataFormatError(f"{path}: truncated model file")
     spec = _parse_kernel_line(path, 2, lines[1])
-    toks = lines[2].split()
-    if len(toks) != 8 or toks[0] != "lambda" or toks[2] != "m" or toks[4] != "p" or toks[6] != "intercept":
-        raise DataFormatError(f"{path}:3: bad parameter line {lines[2]!r}")
-    lam, m, p, intercept = _finite_float(path, 3, toks[1]), int(toks[3]), int(toks[5]), toks[7]
+    lam, m, p, intercept = _header(path, 3, lines[2], "parameter", ("lambda", _float),
+                                   ("m", _int), ("p", _int),
+                                   ("intercept", _one_of(*INTERCEPT_MODES)))
     if m < 1:
         raise DataFormatError(f"{path}:3: model must have at least one sample, found m {m}")
     if len(lines) < 3 + 2 * m:
         raise DataFormatError(f"{path}: expected {3 + 2 * m} lines, found {len(lines)}")
-    X = _float_rows(path, 4, lines[3:3 + m], p)
-    label_lines = lines[3 + m:3 + 2 * m]
-    Y = _float_rows(path, 4 + m, label_lines, len(label_lines[0].split()))
+    X = _rows(path, 4, lines[3:3 + m], p)
+    Y = _rows(path, 4 + m, lines[3 + m:3 + 2 * m])
     if np.all(Y == np.round(Y)):
         Y = Y.astype(np.int64)
     L = _load_factor(path, raw, m)
     if L is None:
-        return fit(spec, lam, X, Y, intercept_mode=intercept)
-    return from_factor(spec, lam, X, Y, L, intercept_mode=intercept)
+        return _built(path, fit, spec, lam, X, Y, intercept)
+    return _built(path, from_factor, spec, lam, X, Y, L, intercept)
 
 
 def _load_additive(path, lines) -> AdditiveModel:
     if len(lines) < 6:
         raise DataFormatError(f"{path}: truncated model file")
     spec = _parse_kernel_line(path, 3, lines[2])
-    toks = lines[3].split()
-    if len(toks) != 6 or toks[0] != "lambda" or toks[2] != "m" or toks[4] != "d":
-        raise DataFormatError(f"{path}:4: bad parameter line {lines[3]!r}")
-    lam, m, d = _finite_float(path, 4, toks[1]), int(toks[3]), int(toks[5])
+    lam, m, d = _header(path, 4, lines[3], "parameter", ("lambda", _float), ("m", _int),
+                        ("d", _int))
     if m < 1:
         raise DataFormatError(f"{path}:4: model must have at least one sample, found m {m}")
-    ntoks = lines[4].split()
-    if len(ntoks) != 2 or ntoks[0] != "neighbors":
-        raise DataFormatError(f"{path}:5: bad neighbors line {lines[4]!r}")
-    htoks = lines[5].split()
-    if len(htoks) != 2 or htoks[0] != "hierarchy":
-        raise DataFormatError(f"{path}:6: bad hierarchy line {lines[5]!r}")
-    n_arcs = int(htoks[1])
-    if n_arcs < 0:
-        raise DataFormatError(f"{path}:6: bad hierarchy line {lines[5]!r}")
+    (neighbors,) = _header(path, 5, lines[4], "neighbors",
+                           ("neighbors", _one_of(*NEIGHBOR_RULES)))
+    (n_arcs,) = _header(path, 6, lines[5], "hierarchy", ("hierarchy", _int))
     if len(lines) < 7 + n_arcs + 2 * m:
         raise DataFormatError(
             f"{path}: expected {7 + n_arcs + 2 * m} lines, found {len(lines)}")
-    arcs = []
-    for i in range(n_arcs):
-        lineno = 7 + i
-        t = lines[6 + i].split()
-        if len(t) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected 'parent child'")
-        arcs.append((int(t[0]), int(t[1])))
-    ptoks = lines[6 + n_arcs].split()
-    if len(ptoks) != 2 or ptoks[0] != "p":
-        raise DataFormatError(f"{path}:{7 + n_arcs}: bad feature-dim line")
-    p = int(ptoks[1])
+    G = _built(path, HierarchyDag, d, _arcs(path, enumerate(lines[6:6 + n_arcs], start=7)))
     base = 7 + n_arcs
-    X = _float_rows(path, base + 1, lines[base:base + m], p)
-    vals = _float_rows(path, base + m + 1, lines[base + m:base + 2 * m], 2 * d)
+    (p,) = _header(path, base, lines[base - 1], "feature-dim", ("p", _int))
+    X = _rows(path, base + 1, lines[base:base + m], p)
+    vals = _rows(path, base + m + 1, lines[base + m:base + 2 * m], 2 * d)
     alpha = np.stack([vals[:, d:], vals[:, :d]], axis=2)
-    G = HierarchyDag(d=d, arcs=arcs)
-    return AdditiveModel(alpha=alpha, joint=JointKernelSpec(base=spec, neighbors=ntoks[1]),
+    return AdditiveModel(alpha=alpha, joint=JointKernelSpec(base=spec, neighbors=neighbors),
                          lam=lam, hierarchy=G, inputs=X)

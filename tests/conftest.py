@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ecrm
 from ecrm import HierarchyDag, KernelSpec, fit
+
+# Command-line tests run ``python -m ecrm`` in a subprocess, which must import
+# the package these tests import, also when pytest's ``pythonpath`` setting
+# rather than PYTHONPATH put it on the path.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(ecrm.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))
 
 # One line per acceptance criterion, filled by tests/test_acceptance.py and
 # echoed after the run so the verdicts appear without -s.

@@ -315,13 +315,15 @@ class TestAssignmentPredict:
 
 
 class TestBatchEqualsSingle:
-    """``predict`` solves all query rows as one batch; every row must equal
-    the library's single-query ``infer``."""
+    """``predict`` solves all query rows as one batch; its output must be
+    ``save_matrix``'s text of the library's single-query ``infer`` (or
+    ``infer_additive``) rows, so the rows' dtype decides the format:
+    integers for hierarchies and rankings, floats for flows."""
 
     def _check(self, capsys, tmp_path, X, Y, space_flags, space, loss, integral,
-               solver_flags=(), params=None):
+               solver_flags=(), params=None, variant="base"):
         import ecrm.cli
-        from ecrm import infer, load_model
+        from ecrm import infer, infer_additive, load_model
 
         save_matrix(tmp_path / "x.txt", X)
         save_matrix(tmp_path / "y.txt", Y)
@@ -331,16 +333,17 @@ class TestBatchEqualsSingle:
         assert ecrm.cli.main(["train", "--x", str(tmp_path / "x.txt"),
                               "--labels", str(tmp_path / "y.txt"), *space_flags,
                               "--kernel", "rbf", "--gamma", "0.5", "--lambda", "0.1",
-                              "--out", str(out)]) == 0
+                              "--variant", variant, "--out", str(out)]) == 0
         capsys.readouterr()
         assert ecrm.cli.main(["predict", "--model", str(out), "--x", str(tmp_path / "xq.txt"),
                               *space_flags, "--loss", loss.kind, *solver_flags]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == Xq.shape[0]
+        printed = capsys.readouterr().out
         model = load_model(out)
-        for line, x in zip(lines, Xq):
-            row = [int(t) if integral else float(t) for t in line.split()]
-            np.testing.assert_array_equal(row, infer(model, loss, space, x, params).y_star)
+        rows = [infer_additive(model, x).y_star if variant == "additive"
+                else infer(model, loss, space, x, params).y_star for x in Xq]
+        save_matrix(tmp_path / "rows.txt", np.array(rows))
+        assert printed == (tmp_path / "rows.txt").read_text()
+        assert ("." in printed) != integral
 
     @pytest.mark.parametrize("kind", ["hamming", "hierarchical"])
     def test_hierarchy(self, capsys, hierarchy_fixture, kind):
@@ -350,6 +353,13 @@ class TestBatchEqualsSingle:
         loss = LossSpec(kind, hierarchy=G if kind == "hierarchical" else None)
         self._check(capsys, tmp, X, Y, ["--space", "hierarchy", "--hierarchy", str(hpath)],
                     hierarchy_space(G), loss, integral=True)
+
+    def test_additive(self, capsys, hierarchy_fixture):
+        from ecrm import LossSpec, hierarchy_space
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        G = HierarchyDag(4, [(0, 1), (0, 2), (2, 3)])
+        self._check(capsys, tmp, X, Y, ["--space", "hierarchy", "--hierarchy", str(hpath)],
+                    hierarchy_space(G), LossSpec("hamming"), integral=True, variant="additive")
 
     def test_assignment(self, capsys, tmp_path, rng):
         from ecrm import LossSpec, assignment_space
@@ -432,12 +442,12 @@ class TestFlowPredict:
 
     def test_square_loss_predict_matches_library(self, flow_fixture):
         from ecrm import LossSpec, flow_space, infer
-        from ecrm.io import fmt, load_features, load_model
+        from ecrm.io import fmt, load_model
         from ecrm.spaces import flow_residual
         tmp_path, net, net_path, out = flow_fixture
         # Training rows have exact means, stretched ones need projecting, and
         # far ones get all-zero weights.
-        X = load_features(tmp_path / "x.txt")[:8]
+        X = load_matrix(tmp_path / "x.txt")[:8]
         save_matrix(tmp_path / "q.txt", np.vstack([X, 3.0 * X, X + 40.0]))
         args = ("predict", "--model", out, "--x", tmp_path / "q.txt", "--space", "flow",
                 "--network", net_path, "--loss", "square")
@@ -445,7 +455,7 @@ class TestFlowPredict:
         assert r1.returncode == 0, r1.stderr
         assert r1.stdout == r2.stdout
         expect = infer(load_model(out), LossSpec("square"), flow_space(net),
-                       load_features(tmp_path / "q.txt"))
+                       load_matrix(tmp_path / "q.txt"))
         assert {r.certificate.kind for r in expect} == {"exact", "gap"}
         lines = r1.stdout.splitlines()
         assert lines == [" ".join(fmt(v) for v in r.y_star) for r in expect]
@@ -454,7 +464,7 @@ class TestFlowPredict:
 
     def test_square_loss_surrogate_matches_library(self, flow_fixture):
         from ecrm import LossSpec, SolverParams, flow_space, make_surrogate_config, surrogate_loss
-        from ecrm.io import fmt, load_features, load_flows, load_model
+        from ecrm.io import fmt, load_model
         tmp_path, net, net_path, out = flow_fixture
         # At rho = 2 the augmented minimizations have negative total weight,
         # which the square-loss solver answers by its vertex sweep.
@@ -466,8 +476,8 @@ class TestFlowPredict:
         assert r1.stdout == r2.stdout
         loss, space = LossSpec("square"), flow_space(net)
         vals = surrogate_loss(load_model(out), loss, make_surrogate_config(2.0, loss, space),
-                              load_features(tmp_path / "x.txt"),
-                              load_flows(tmp_path / "y.txt"), SolverParams())
+                              load_matrix(tmp_path / "x.txt"),
+                              load_matrix(tmp_path / "y.txt"), SolverParams())
         assert r1.stdout == "".join(f"{fmt(v)}\n" for v in vals) + f"mean {fmt(np.mean(vals))}\n"
 
     def test_help_available_per_subcommand(self):
@@ -523,34 +533,50 @@ class TestExitCodes:
         assert r.stdout == ""
         assert r.stderr == "error: training labels are not permutations of 1..d\n"
 
-    @pytest.mark.parametrize("case", ["additive_header_only", "additive_cut_after_arcs",
-                                      "base_with_m_0"])
+    @staticmethod
+    def _swap(i, old, new):
+        """An edit of a file's lines that replaces ``old`` by ``new`` on line i + 1."""
+        def edit(lines):
+            assert old in lines[i]
+            return [*lines[:i], lines[i].replace(old, new), *lines[i + 1:]]
+        return edit
+
+    # case -> (variant of the trained file, edit of its lines, the line the
+    # error names, or "" for a fault of the whole file).  The fixture's
+    # additive file has its neighbors line at 5, "hierarchy 3" at 6 and the
+    # arcs "0 1", "0 2", "2 3" at 7-9.
+    MALFORMED = {
+        "additive_header_only": ("additive", lambda lines: lines[:2], ""),
+        "additive_cut_after_arcs": ("additive", lambda lines: lines[:9], ""),
+        "base_with_m_0": ("base", _swap(2, " m 6 ", " m 0 "), "3"),
+        "base_m_not_an_integer": ("base", _swap(2, " m 6 ", " m six "), "3"),
+        "base_bad_intercept": ("base", _swap(2, "intercept none", "intercept sideways"), "3"),
+        "base_lambda_0": ("base", _swap(2, "lambda 0.1 ", "lambda 0 "), ""),
+        "base_p_too_large_to_allocate": ("base", _swap(2, " p 3 ", " p 99999999999 "), "4"),
+        "additive_arc_count_not_an_integer": ("additive", _swap(5, "hierarchy 3",
+                                                                "hierarchy two"), "6"),
+        "additive_arc_not_an_integer": ("additive", _swap(6, "0 1", "0 x"), "7"),
+        "additive_bad_neighbors": ("additive", _swap(4, "adjacent", "many"), "5"),
+        "additive_cyclic_arcs": ("additive", _swap(8, "2 3", "2 0"), ""),
+        "additive_arc_out_of_range": ("additive", _swap(8, "2 3", "2 9"), ""),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_model_file(self, hierarchy_fixture, case):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
-        bad = tmp / "bad.ecrm"
-        if case == "additive_header_only":
-            bad.write_text("ECRM-MODEL 1\nvariant additive\n")
-        else:
-            variant = "additive" if case == "additive_cut_after_arcs" else "base"
-            good = tmp / "good.ecrm"
-            r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
-                        "--hierarchy", hpath, "--kernel", "linear", "--lambda", 0.1,
-                        "--variant", variant, "--out", good)
-            assert r.returncode == 0, r.stderr
-            lines = good.read_text().splitlines(keepends=True)
-            if case == "additive_cut_after_arcs":
-                assert lines[5] == "hierarchy 3\n"
-                bad.write_text("".join(lines[:9]))
-            else:
-                assert " m 6 " in lines[2]
-                bad.write_text("".join([*lines[:2], lines[2].replace(" m 6 ", " m 0 "),
-                                        *lines[3:]]))
+        variant, edit, line = self.MALFORMED[case]
+        good, bad = tmp / "good.ecrm", tmp / "bad.ecrm"
+        r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", "linear", "--lambda", 0.1,
+                    "--variant", variant, "--out", good)
+        assert r.returncode == 0, r.stderr
+        bad.write_text("".join(edit(good.read_text().splitlines(keepends=True))))
         r = run_cli("predict", "--model", bad, "--x", xpath, "--space", "hierarchy",
                     "--hierarchy", hpath)
         assert r.returncode == 2
         assert r.stdout == ""
         assert len(r.stderr.splitlines()) == 1
-        assert r.stderr.startswith(f"error: {bad}")
+        assert r.stderr.startswith(f"error: {bad}:{line}:" if line else f"error: {bad}: ")
 
     def test_negative_arc_count_names_hierarchy_line(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture

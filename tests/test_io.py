@@ -114,8 +114,6 @@ class TestNetworkFiles:
         path.write_text("nodes 2 arcs 2\n0 1\n1 0\n0 0.0\n1 0.0\n")
         with pytest.raises(DataFormatError, match="cycle"):
             load_network(path)
-        net = load_network(path, require_acyclic=False)
-        assert not net.is_acyclic
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "net.txt"
@@ -267,12 +265,12 @@ class TestFactorCache:
                             labels=model.labels)
         save_model(tmp_path / "bare.ecrm", bare)
         assert not (tmp_path / "bare.ecrm.factor").exists()
-        # An old cache of another model with the same m stays, unused.
+        # An old cache of another model with the same m is removed.
         path, cache = tmp_path / "model.ecrm", tmp_path / "model.ecrm.factor"
         save_model(path, self._model(rng))
-        old = cache.read_bytes()
+        assert cache.exists()
         save_model(path, bare)
-        assert cache.read_bytes() == old
+        assert not cache.exists()
         calls = self._count_fits(monkeypatch)
         loaded = load_model(path)
         assert len(calls) == 1
@@ -284,12 +282,29 @@ class TestFactorCache:
         with pytest.raises(DataFormatError, match="cannot write factor cache"):
             save_model(tmp_path / "model.ecrm", self._model(rng))
 
-    def test_additive_model_writes_and_reads_no_cache(self, tmp_path, rng, monkeypatch):
+    @staticmethod
+    def _additive(rng):
         G = HierarchyDag(3, [(0, 1), (0, 2)])
         X = rng.normal(size=(4, 2))
         Y = np.array([random_feasible_label(rng, G) for _ in range(4)])
-        model = fit_additive(X, Y, G, JointKernelSpec(base=KernelSpec("rbf", gamma=1.1)), 0.6)
+        return fit_additive(X, Y, G, JointKernelSpec(base=KernelSpec("rbf", gamma=1.1)), 0.6)
+
+    def test_unremovable_stale_cache_raises(self, tmp_path, rng):
+        model = self._model(rng)
+        bare = TrainedModel(kernel=model.kernel, lam=model.lam, inputs=model.inputs,
+                            labels=model.labels)
+        (tmp_path / "model.ecrm.factor").mkdir()
+        with pytest.raises(DataFormatError, match="cannot remove stale factor cache"):
+            save_model(tmp_path / "model.ecrm", bare)
+        with pytest.raises(DataFormatError, match="cannot remove stale factor cache"):
+            save_additive_model(tmp_path / "model.ecrm", self._additive(rng))
+
+    def test_additive_model_writes_and_reads_no_cache(self, tmp_path, rng, monkeypatch):
+        model = self._additive(rng)
         path = tmp_path / "model.ecrm"
+        # The cache of a base model saved to the same path is removed.
+        save_model(path, self._model(rng))
+        assert (tmp_path / "model.ecrm.factor").exists()
         save_additive_model(path, model)
         assert not (tmp_path / "model.ecrm.factor").exists()
         import ecrm.io
