@@ -20,8 +20,8 @@ from .closure import solve_hierarchy
 from .errors import NumericalError
 from .hierarchy import HierarchyDag
 from .kernels import KernelSpec, cross_gram, gram_matrix
-from .losses import _check_hierarchy_feasible
 from .results import EXACT, InferenceResult
+from .spaces import hierarchy_space, nonmembers
 
 NEIGHBOR_RULES = ("adjacent", "self")
 
@@ -88,8 +88,9 @@ def fit_additive(X, Y, G: HierarchyDag, joint: JointKernelSpec, lam: float) -> A
     m, d = X.shape[0], G.d
     if Y.shape != (m, d):
         raise ValueError(f"labels must be {m}x{d} binary vectors")
-    for i in range(m):
-        _check_hierarchy_feasible(G, Y[i])
+    bad, why = nonmembers(hierarchy_space(G), Y)
+    if bad.size:
+        raise ValueError(f"training label {bad[0]} {why}")
 
     Kx = gram_matrix(joint.base, X)
     N = neighborhood_matrix(G, joint.neighbors)
@@ -139,7 +140,10 @@ def node_scores(model: AdditiveModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 def additive_risk(model: AdditiveModel, x, y) -> float:
     """Estimated conditional risk: sum of node scores, affine in each y_j."""
-    y = _check_hierarchy_feasible(model.hierarchy, y)
+    y = np.asarray(y).ravel()
+    bad, why = nonmembers(hierarchy_space(model.hierarchy), y[None, :])
+    if bad.size:
+        raise ValueError(f"label {why}")
     off, on = node_scores(model, x)
     return float(np.sum(off + y * (on - off)))
 

@@ -12,7 +12,7 @@ from .kernels import KernelSpec
 from .losses import LossSpec
 from .model import fit, weights
 from .results import SolverParams
-from .spaces import OutputSpace, is_feasible
+from .spaces import OutputSpace, nonmembers
 
 _PROJECT_GAP = 1e-6
 
@@ -45,8 +45,8 @@ def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: Kern
     model = fit(kernel, lam, dataset.X, dataset.Y)
     W = weights(model, np.atleast_2d(np.asarray(Xq, dtype=float)))
     Yhat = W @ np.asarray(dataset.Y, dtype=float)
-    todo = [i for i in range(len(Yhat)) if not is_feasible(space, Yhat[i], tol=1e-12)]
+    todo = nonmembers(space, Yhat, tol=1e-12)[0]
     out = Yhat.copy()
-    if todo:
+    if todo.size:
         out[todo] = project_batch(Yhat[todo], space.network, gap_tol=_PROJECT_GAP)[0]
     return out

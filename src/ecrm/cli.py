@@ -27,7 +27,7 @@ from .model import fit
 from .results import SolverParams
 from .simulate import FlowGeneratorSpec, default_flow_network, simulate_flow_data
 from .spaces import (ConstraintMatrix, assignment_space, flow_space, hierarchy_space,
-                     is_totally_unimodular)
+                     is_totally_unimodular, nonmembers)
 
 SPACES = ("hierarchy", "assignment", "flow")
 LOSSES = ("hamming", "hierarchical", "footrule", "absolute", "square")
@@ -62,12 +62,15 @@ def _space_from_args(args):
 
 
 def _model_space(args, model):
-    """The requested output space, which must match the stored label width."""
+    """The requested output space, which must hold every stored label."""
     space = _space_from_args(args)
     width = model.labels.shape[1]
     if width != space.dim:
         raise DataFormatError(f"model labels have {width} entries but the {space.kind} "
                               f"space has dimension {space.dim}")
+    bad, why = nonmembers(space, model.labels)
+    if bad.size:
+        raise DataFormatError(f"{args.model}: model label {bad[0] + 1} {why}")
     return space
 
 
@@ -77,14 +80,6 @@ def _loss_from_args(args, space) -> LossSpec:
             raise DataFormatError("hierarchical loss requires --space hierarchy")
         return LossSpec(kind="hierarchical", hierarchy=space.hierarchy)
     return LossSpec(kind=args.loss)
-
-
-def _labels_loader(space):
-    return {
-        "hierarchy": io.load_binary_labels,
-        "assignment": io.load_permutations,
-        "flow_polytope": io.load_matrix,
-    }[space.kind]
 
 
 def _solver_params(args) -> SolverParams:
@@ -118,7 +113,7 @@ def _analysis_inputs(args, what: str):
     space = _model_space(args, model)
     loss = _loss_from_args(args, space)
     X = io.load_matrix(args.x)
-    Y = _labels_loader(space)(args.labels)
+    Y = io.load_labels(args.labels, space)
     cfg = make_surrogate_config(args.rho, loss, space)
     return model, loss, X, Y, cfg, _solver_params(args)
 
@@ -127,7 +122,7 @@ def cmd_train(args) -> int:
     kernel = _kernel_from_args(args)
     space = _space_from_args(args)
     X = io.load_matrix(args.x)
-    Y = _labels_loader(space)(args.labels)
+    Y = io.load_labels(args.labels, space)
     if args.variant == "additive":
         if space.kind != "hierarchy":
             raise DataFormatError("--variant additive requires --space hierarchy")
@@ -153,7 +148,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model, X, space = _model_queries_space(args)
     loss = _loss_from_args(args, space)
-    Y = _labels_loader(space)(args.labels)
+    Y = io.load_labels(args.labels, space)
     rows = _predict_rows(model, loss, space, X, _solver_params(args))
     vals = [loss_value(loss, rows[i], Y[i]) for i in range(len(rows))]
     print(f"mean_loss {fmt(np.mean(vals))}")
@@ -224,7 +219,7 @@ def cmd_tu_check(args) -> int:
 def cmd_baseline(args) -> int:
     space = _space_from_args(args)
     X_train = io.load_matrix(args.train_x)
-    Y_train = _labels_loader(space)(args.train_labels)
+    Y_train = io.load_labels(args.train_labels, space)
     data = Dataset(X=X_train, Y=Y_train, space=space)
     Xq = io.load_matrix(args.x)
     if args.method == "knn":

@@ -29,9 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .results import EXACT, Certificate, HEURISTIC, SolverParams
-from .spaces import FlowNetwork, flow_residuals
+from .spaces import FlowNetwork, flow_space, nonmembers
 
-_LABEL_FEAS_TOL = 1e-9
 _PROJECT_TOL = 1e-11
 _LABEL_CANDIDATE_LIMIT = 1500
 # Entries of the largest temporary of one block of the concave-row vertex
@@ -210,15 +209,6 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
     return Y, S, lam, gaps
 
 
-def _check_labels(labels, net: FlowNetwork) -> np.ndarray:
-    labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    # Written so that a NaN residual counts as a violation.
-    bad = np.flatnonzero(~(flow_residuals(net, labels) <= _LABEL_FEAS_TOL))
-    if bad.size:
-        raise ValueError(f"training flow {bad[0]} violates conservation")
-    return labels
-
-
 def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
     """Minimize ``sum_i w_i ||y - y_i||^2`` over the flow polytope for each
     query weight row ``w`` of W.
@@ -246,7 +236,10 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     """
     params = params or SolverParams()
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = _check_labels(labels, net)
+    labels = np.atleast_2d(np.asarray(labels, dtype=float))
+    bad, why = nonmembers(flow_space(net), labels)
+    if bad.size:
+        raise ValueError(f"training flow {bad[0]} {why}")
     if W.shape[1] != labels.shape[0]:
         raise ValueError("weight and label counts differ")
     P = enumerate_st_paths(net)
@@ -356,7 +349,10 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     """
     params = params or SolverParams()
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = _check_labels(labels, net)
+    labels = np.atleast_2d(np.asarray(labels, dtype=float))
+    bad, why = nonmembers(flow_space(net), labels)
+    if bad.size:
+        raise ValueError(f"training flow {bad[0]} {why}")
     if W.shape[1] != labels.shape[0]:
         raise ValueError("weight and label counts differ")
     P = enumerate_st_paths(net)

@@ -28,7 +28,7 @@ from .errors import DataFormatError
 from .hierarchy import HierarchyDag
 from .kernels import KernelSpec
 from .model import INTERCEPT_MODES, TrainedModel, fit, from_factor
-from .spaces import FlowNetwork, OutputSpace
+from .spaces import FlowNetwork, OutputSpace, nonmembers
 
 
 @dataclass(frozen=True)
@@ -156,26 +156,17 @@ def load_matrix(path) -> np.ndarray:
     return _rows(path, 1, lines)
 
 
-def load_binary_labels(path) -> np.ndarray:
+def load_labels(path, space: OutputSpace) -> np.ndarray:
+    """One label per line, each a member of ``space`` (see
+    ``spaces.nonmembers``); int64 for hierarchies and rankings, float
+    otherwise."""
     M = load_matrix(path)
-    if not np.all(np.isin(M, (0.0, 1.0))):
-        bad = int(np.argmax(~np.isin(M, (0.0, 1.0)).all(axis=1))) + 1
-        raise DataFormatError(f"{path}:{bad}: binary labels must be 0/1")
-    return M.astype(np.int64)
-
-
-def load_permutations(path) -> np.ndarray:
-    M = load_matrix(path)
-    P = M.astype(np.int64)
-    if np.any(P != M):
-        bad = int(np.argmax((P != M).any(axis=1))) + 1
-        raise DataFormatError(f"{path}:{bad}: permutation ranks must be integers")
-    d = P.shape[1]
-    want = np.arange(1, d + 1)
-    for i in range(P.shape[0]):
-        if not np.array_equal(np.sort(P[i]), want):
-            raise DataFormatError(f"{path}:{i + 1}: row is not a permutation of 1..{d}")
-    return P
+    if M.shape[1] != space.dim:
+        raise DataFormatError(f"{path}:1: expected {space.dim} values, found {M.shape[1]}")
+    bad, why = nonmembers(space, M)
+    if bad.size:
+        raise DataFormatError(f"{path}:{bad[0] + 1}: label {why}")
+    return M.astype(np.int64) if space.kind in ("hierarchy", "assignment") else M
 
 
 def write_rows(fh, M) -> None:

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow_opt import enumerate_st_paths
 from .hierarchy import HierarchyDag
 from .kernels import _matmul
+from .spaces import OutputSpace, assignment_space, hierarchy_space, nonmembers
 
 LOSS_KINDS = ("zero_one", "hamming", "hierarchical", "footrule", "absolute", "square")
 
@@ -79,16 +81,14 @@ def sibling_weights(G: HierarchyDag) -> np.ndarray:
     return c
 
 
-def _check_hierarchy_feasible(G: HierarchyDag, y) -> np.ndarray:
-    y = np.asarray(y).ravel()
-    if y.shape[0] != G.d:
-        raise ValueError(f"label length {y.shape[0]} does not match hierarchy size {G.d}")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("hierarchy labels must be 0/1 vectors")
-    for p, ch in G.arcs:
-        if y[ch] == 1 and y[p] == 0:
-            raise ValueError(f"infeasible label: node {ch} active but parent {p} inactive")
-    return y.astype(np.int64)
+def _pair(space: OutputSpace, y, yp) -> np.ndarray:
+    """The two labels as the rows of an int64 array; both must lie in the
+    space, and a length that does not match raises."""
+    Y = np.stack([np.asarray(y).ravel(), np.asarray(yp).ravel()])
+    bad, why = nonmembers(space, Y)
+    if bad.size:
+        raise ValueError(f"label {why}")
+    return Y.astype(np.int64)
 
 
 def hierarchical_loss(G: HierarchyDag, c, y, yp) -> float:
@@ -96,8 +96,7 @@ def hierarchical_loss(G: HierarchyDag, c, y, yp) -> float:
     and every ancestor of ``j`` agrees."""
     if not G.is_arborescence:
         raise ValueError("hierarchical loss is defined on arborescences only")
-    y = _check_hierarchy_feasible(G, y)
-    yp = _check_hierarchy_feasible(G, yp)
+    y, yp = _pair(hierarchy_space(G), y, yp)
     c = np.asarray(c, dtype=float)
     total = 0.0
     for j in range(G.d):
@@ -112,8 +111,7 @@ def hierarchical_loss_closed(G: HierarchyDag, c, y, yp) -> float:
     all pairs of feasible labels."""
     if not G.is_arborescence:
         raise ValueError("hierarchical loss is defined on arborescences only")
-    y = _check_hierarchy_feasible(G, y)
-    yp = _check_hierarchy_feasible(G, yp)
+    y, yp = _pair(hierarchy_space(G), y, yp)
     c = np.asarray(c, dtype=float)
     s = G.roots[0]
     total = c[s] * (y[s] + yp[s] - 2.0 * y[s] * yp[s])
@@ -125,20 +123,12 @@ def hierarchical_loss_closed(G: HierarchyDag, c, y, yp) -> float:
     return float(total)
 
 
-def _check_permutation(sigma) -> np.ndarray:
-    s = np.asarray(sigma).ravel()
-    d = s.shape[0]
-    if not np.array_equal(np.sort(s), np.arange(1, d + 1)):
-        raise ValueError("not a permutation of 1..d")
-    return s.astype(np.int64)
-
-
 def footrule(sigma, sigmap) -> float:
     """Sum of absolute rank differences between two permutations of 1..d."""
-    s = _check_permutation(sigma)
-    sp = _check_permutation(sigmap)
+    s, sp = np.asarray(sigma).ravel(), np.asarray(sigmap).ravel()
     if s.shape != sp.shape:
         raise ValueError(f"length mismatch: {s.shape[0]} vs {sp.shape[0]}")
+    s, sp = _pair(assignment_space(s.shape[0]), s, sp)
     return float(np.sum(np.abs(s - sp)))
 
 
@@ -236,8 +226,9 @@ def footrule_cost_matrix(sigmas, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     W = np.atleast_2d(w)
     d = S.shape[1]
-    if not np.array_equal(np.sort(S, axis=1), np.broadcast_to(np.arange(1, d + 1), S.shape)):
-        raise ValueError("training labels are not permutations of 1..d")
+    bad, why = nonmembers(assignment_space(d), S)
+    if bad.size:
+        raise ValueError(f"training label {bad[0]} {why}")
     # Histogram bin of (label j, rank sigma_i(j)); sample i repeats d times.
     bins = (np.arange(d) * d + S.astype(np.int64) - 1).ravel()
     M = np.array([np.bincount(bins, weights=np.repeat(row, d), minlength=d * d)
@@ -278,17 +269,12 @@ def loss_bound(spec: LossSpec, space=None) -> float:
 def _space_dim(space) -> int:
     if space is None:
         raise ValueError("loss bound requires an output space for this loss kind")
-    from .spaces import OutputSpace
-
     if isinstance(space, OutputSpace):
         return space.dim
     return int(space)
 
 
 def _space_vertices(space) -> np.ndarray:
-    from .flow_opt import enumerate_st_paths
-    from .spaces import OutputSpace
-
     if isinstance(space, OutputSpace):
         if space.kind == "explicit_finite":
             return np.asarray(space.members, dtype=float)

@@ -1,4 +1,11 @@
-"""Structured output spaces, feasibility checks and total-unimodularity tests."""
+"""Structured output spaces, their membership rule and total-unimodularity tests.
+
+``nonmembers`` is the one membership rule of every space kind: it takes a
+batch of labels and returns the rows outside the space and why the first
+is.  ``is_feasible``, ``enumerate_space`` and every module that checks
+labels (losses, the flow solvers, the additive model, the file loader and
+the command line) call it.
+"""
 
 from __future__ import annotations
 
@@ -171,43 +178,63 @@ def flow_constraint_matrix(net: FlowNetwork) -> ConstraintMatrix:
     return ConstraintMatrix(A=A, rhs=np.asarray(net.b), senses=("=",) * net.n_nodes)
 
 
-def is_feasible(space: OutputSpace, y, tol: float | None = None) -> bool:
-    """Membership test; exact for the discrete kinds, tolerance-based for flows."""
+def nonmembers(space: OutputSpace, Y, tol: float | None = None) -> tuple[np.ndarray, str]:
+    """The rows of the (n, dim) array Y outside the space, as ascending
+    indices, and why the first of them is, as a predicate of that row ("has
+    node 2 active but parent 1 inactive"), or "" when every row is inside.
+
+    A hierarchy label is a 0/1 vector in which every active node has all of
+    its parents active; a ranking is a permutation of 1..d; a flow is
+    nonnegative and conserves at every node to ``tol``
+    (``DEFAULT_CONTINUOUS_TOL`` when None); an explicit space holds its
+    listed members.  NaN is in no space.  Raises ValueError when Y is not
+    (n, dim).
+    """
+    Y = np.asarray(Y)
+    if Y.ndim != 2 or Y.shape[1] != space.dim:
+        raise ValueError(f"labels must be an (n, {space.dim}) array for this {space.kind} "
+                         f"space, got shape {Y.shape}")
     if space.kind == "hierarchy":
-        y = np.asarray(y).ravel()
-        G = space.hierarchy
-        if y.shape[0] != G.d:
-            raise ValueError(f"label length {y.shape[0]} does not match hierarchy size {G.d}")
-        if not np.all((y == 0) | (y == 1)):
-            return False
-        return all(not (y[ch] == 1 and y[p] == 0) for p, ch in G.arcs)
+        par, ch = space.hierarchy.arc_index
+        # Byte-sized boolean gathers over the arcs; Y itself is not copied.
+        on = Y == 1
+        binary = (on | (Y == 0)).all(axis=1)
+        bad = np.flatnonzero(~binary | (on[:, ch] > on[:, par]).any(axis=1))
+        if bad.size and binary[bad[0]]:
+            a = np.argmax(on[bad[0], ch] > on[bad[0], par])
+            return bad, f"has node {ch[a]} active but parent {par[a]} inactive"
+        return bad, "is not a 0/1 vector" if bad.size else ""
     if space.kind == "assignment":
-        d = space.dim
-        y = np.asarray(y)
-        if y.ndim == 2:
-            if y.shape != (d, d):
-                raise ValueError(f"assignment matrix must be {d}x{d}")
-            if not np.all((y == 0) | (y == 1)):
-                return False
-            return bool(np.all(y.sum(axis=0) == 1) and np.all(y.sum(axis=1) == 1))
-        y = y.ravel()
-        if y.shape[0] != d:
-            raise ValueError(f"rank vector length {y.shape[0]} does not match d={d}")
-        return bool(np.array_equal(np.sort(y), np.arange(1, d + 1)))
+        # A NaN sorts last and equals no rank.
+        bad = np.flatnonzero(~(np.sort(Y, axis=1) == np.arange(1, space.dim + 1)).all(axis=1))
+        return bad, f"is not a permutation of 1..{space.dim}" if bad.size else ""
     if space.kind == "flow_polytope":
         tol = DEFAULT_CONTINUOUS_TOL if tol is None else tol
-        net = space.network
-        y = np.asarray(y, dtype=float).ravel()
-        if y.shape[0] != net.n_arcs:
-            raise ValueError(f"flow has {y.shape[0]} entries for {net.n_arcs} arcs")
-        if np.any(y < -tol):
-            return False
-        resid = net.divergence(y) - np.asarray(net.b)
-        return bool(np.max(np.abs(resid)) <= tol)
+        resid = flow_residuals(space.network, Y)
+        # Written so that a NaN residual counts as a violation.
+        bad = np.flatnonzero(~(resid <= tol))
+        return bad, f"violates conservation by {resid[bad[0]]:.3g}" if bad.size else ""
     if space.kind == "explicit_finite":
-        key = tuple(float(v) for v in np.asarray(y).ravel())
-        return key in space.members
+        M = np.asarray(space.members)
+        bad = np.flatnonzero(~(Y[:, None, :] == M[None]).all(axis=2).any(axis=1))
+        return bad, "is not a member of the space" if bad.size else ""
     raise ValueError(f"unknown space kind {space.kind!r}")
+
+
+def is_feasible(space: OutputSpace, y, tol: float | None = None) -> bool:
+    """Membership test of one label, the one-row case of ``nonmembers``.  An
+    assignment may also be given as its d x d permutation matrix."""
+    y = np.asarray(y)
+    if space.kind == "assignment" and y.ndim == 2:
+        d = space.dim
+        if y.shape != (d, d):
+            raise ValueError(f"assignment matrix must be {d}x{d}")
+        if not (((y == 0) | (y == 1)).all() and (y.sum(axis=1) == 1).all()):
+            return False
+        # Label j's rank is the column of its one; distinct ranks make the
+        # column sums one as well.
+        y = y @ np.arange(1, d + 1)
+    return not nonmembers(space, y.reshape(1, -1), tol)[0].size
 
 
 def flow_residuals(net: FlowNetwork, Y) -> np.ndarray:
@@ -280,10 +307,7 @@ def enumerate_space(space: OutputSpace, cap: int = 1_000_000) -> list[np.ndarray
         # Bit i of the counter is coordinate i, most significant first, so
         # candidates come out in lexicographic order.
         cand = (np.arange(n, dtype=np.int64)[:, None] >> np.arange(G.d - 1, -1, -1)) & 1
-        ok = np.ones(n, dtype=bool)
-        for p, ch in G.arcs:
-            ok &= cand[:, ch] <= cand[:, p]
-        feas = cand[ok]
+        feas = np.delete(cand, nonmembers(space, cand)[0], axis=0)
         if feas.shape[0] > cap:
             raise ValueError(f"space has {feas.shape[0]} members, cap is {cap}")
         return [feas[i] for i in range(feas.shape[0])]

@@ -531,7 +531,92 @@ class TestExitCodes:
                     "--dim", 4, "--loss", "footrule")
         assert r.returncode == 2
         assert r.stdout == ""
-        assert r.stderr == "error: training labels are not permutations of 1..d\n"
+        assert r.stderr == f"error: {out}: model label 1 is not a permutation of 1..4\n"
+
+    # case -> (space, the 0-based row it breaks, the broken row made from the
+    # good one).  The last row is broken too, so the error must name the first.
+    BAD_LABELS = {
+        "child_on_parent_off": ("hierarchy", 1, lambda y: [1, 0, 0, 1]),
+        "entry_not_0_or_1": ("hierarchy", 2, lambda y: [1, 2, 0, 0]),
+        "repeated_rank": ("assignment", 1, lambda y: [1, 2, 2, 4]),
+        "non_integer_rank": ("assignment", 3, lambda y: [1, 2.5, 3, 4]),
+        "flow_off_conservation_by_1e-6": ("flow", 2, lambda y: y + 1e-6 * np.eye(y.size)[0]),
+    }
+
+    @staticmethod
+    def _labelled_space(kind, tmp, rng):
+        """Space flags, a loss for it, an input file of six rows and six labels
+        in the space."""
+        X = rng.normal(size=(6, 3))
+        if kind == "hierarchy":
+            save_hierarchy(tmp / "h.txt", HierarchyDag(4, [(0, 1), (0, 2), (2, 3)]))
+            flags, loss = ("--space", "hierarchy", "--hierarchy", tmp / "h.txt"), "hamming"
+            Y = np.array([[1, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 0],
+                          [1, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
+        elif kind == "assignment":
+            flags, loss = ("--space", "assignment", "--dim", 4), "footrule"
+            Y = np.array([rng.permutation(4) + 1 for _ in range(6)])
+        else:
+            save_network(tmp / "net.txt", default_flow_network())
+            flags, loss = ("--space", "flow", "--network", tmp / "net.txt"), "absolute"
+            data = simulate_flow_data(FlowGeneratorSpec.create(seed=3, tau=1.0, p=3), 6)
+            X, Y = data.X, data.Y
+        save_matrix(tmp / "x.txt", X)
+        return flags, loss, tmp / "x.txt", Y
+
+    @staticmethod
+    def _main(capsys, *argv):
+        """Exit code, stdout and stderr of one in-process run."""
+        import ecrm.cli
+        code = ecrm.cli.main(list(map(str, argv)))
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("case", list(BAD_LABELS))
+    def test_labels_outside_the_space_name_their_line(self, capsys, tmp_path, rng, case):
+        kind, i, broken = self.BAD_LABELS[case]
+        flags, loss, xpath, Y = self._labelled_space(kind, tmp_path, rng)
+        good, bad, model = tmp_path / "y.txt", tmp_path / "bad.txt", tmp_path / "m.ecrm"
+        save_matrix(good, Y)
+        rows = [list(y) for y in Y]
+        rows[i], rows[-1] = broken(Y[i]), broken(Y[-1])
+        save_matrix(bad, np.array(rows))
+        train = ("train", "--x", xpath, *flags, "--kernel", "linear", "--lambda", 0.1)
+        assert self._main(capsys, *train, "--labels", good, "--out", model) == (0, "", "")
+        analysis = ("--model", model, "--x", xpath, "--labels", bad, "--loss", loss, *flags)
+        commands = {
+            "train": (*train, "--labels", bad, "--out", tmp_path / "bad.ecrm"),
+            "eval": ("eval", *analysis),
+            "surrogate": ("surrogate", *analysis, "--rho", 1.0),
+            "bound": ("bound", *analysis, "--rho", 1.0, "--delta", 0.1),
+            "baseline knn": ("baseline", "--method", "knn", "--train-x", xpath,
+                             "--train-labels", bad, "--x", xpath, "--loss", loss, *flags),
+        }
+        if kind == "hierarchy":
+            commands["train additive"] = (*commands["train"], "--variant", "additive")
+        for name, argv in commands.items():
+            code, out, err = self._main(capsys, *argv)
+            assert (code, out) == (2, ""), name
+            assert len(err.splitlines()) == 1, name
+            assert err.startswith(f"error: {bad}:{i + 1}: label "), (name, err)
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound"])
+    def test_model_labels_outside_the_requested_hierarchy(self, capsys, hierarchy_fixture,
+                                                          command):
+        # The fixture's second label, 1 0 1 1, has the right width for a 4-node
+        # chain but node 2 on with its chain parent 1 off.
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        model, chain = tmp / "m.ecrm", tmp / "chain.txt"
+        save_hierarchy(chain, HierarchyDag(4, [(0, 1), (1, 2), (2, 3)]))
+        assert self._main(capsys, "train", "--x", xpath, "--labels", ypath, "--space",
+                          "hierarchy", "--hierarchy", hpath, "--kernel", "linear",
+                          "--lambda", 0.1, "--out", model) == (0, "", "")
+        extra = {"predict": (), "eval": ("--labels", ypath),
+                 "surrogate": ("--labels", ypath, "--rho", 1.0),
+                 "bound": ("--labels", ypath, "--rho", 1.0, "--delta", 0.1)}[command]
+        assert self._main(capsys, command, "--model", model, "--x", xpath, "--space",
+                          "hierarchy", "--hierarchy", chain, "--loss", "hierarchical",
+                          *extra) == (2, "", f"error: {model}: model label 2 has node 2 "
+                                             "active but parent 1 inactive\n")
 
     @staticmethod
     def _swap(i, old, new):

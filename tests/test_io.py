@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ecrm import (AdditiveModel, DataFormatError, HierarchyDag, JointKernelSpec,
-                  KernelSpec, TrainedModel, default_flow_network, fit, fit_additive, load_model,
-                  save_additive_model, save_model, weights)
-from ecrm.io import (fmt, load_binary_labels, load_hierarchy, load_matrix,
-                     load_network, load_permutations, save_hierarchy, save_matrix,
-                     save_network)
+                  KernelSpec, TrainedModel, assignment_space, default_flow_network,
+                  enumerate_st_paths, fit, fit_additive, flow_space, hierarchy_space,
+                  load_model, save_additive_model, save_model, weights)
+from ecrm.io import (fmt, load_hierarchy, load_labels, load_matrix, load_network,
+                     save_hierarchy, save_matrix, save_network)
 from conftest import random_feasible_label, random_tree
 
 
@@ -45,22 +45,50 @@ class TestMatrixFiles:
             load_matrix(path)
 
     def test_binary_label_validation(self, tmp_path):
+        space = hierarchy_space(HierarchyDag(2, [(0, 1)]))
         path = tmp_path / "y.txt"
-        path.write_text("1 0\n0 2\n")
-        with pytest.raises(DataFormatError):
-            load_binary_labels(path)
+        path.write_text("1 0\n0 2\n0 1\n")
+        with pytest.raises(DataFormatError, match=r"y\.txt:2: label is not a 0/1 vector"):
+            load_labels(path, space)
+        path.write_text("1 0\n0 1\n0 2\n")
+        with pytest.raises(DataFormatError,
+                           match=r"y\.txt:2: label has node 1 active but parent 0 inactive"):
+            load_labels(path, space)
+        path.write_text("1 1 0\n")
+        with pytest.raises(DataFormatError, match=r"y\.txt:1: expected 2 values, found 3"):
+            load_labels(path, space)
+        path.write_text("1 1\n0 0\n")
+        Y = load_labels(path, space)
+        assert Y.dtype == np.int64
+        np.testing.assert_array_equal(Y, [[1, 1], [0, 0]])
 
     def test_permutation_validation(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("1 2 3\n1 1 3\n")
-        with pytest.raises(DataFormatError, match=":2:"):
-            load_permutations(path)
+        with pytest.raises(DataFormatError,
+                           match=r"p\.txt:2: label is not a permutation of 1\.\.3"):
+            load_labels(path, assignment_space(3))
 
     def test_non_integer_rank_names_its_line(self, tmp_path):
         path = tmp_path / "perm.txt"
         path.write_text("1 2\n2 1\n2 1.5\n1 2.5\n")
-        with pytest.raises(DataFormatError, match=r"perm\.txt:3: permutation ranks must be integers"):
-            load_permutations(path)
+        with pytest.raises(DataFormatError,
+                           match=r"perm\.txt:3: label is not a permutation of 1\.\.2"):
+            load_labels(path, assignment_space(2))
+        path.write_text("1 2\n2 1\n")
+        assert load_labels(path, assignment_space(2)).dtype == np.int64
+
+    def test_flow_label_validation(self, tmp_path):
+        net = default_flow_network()
+        path = tmp_path / "f.txt"
+        Y = enumerate_st_paths(net)[:3].copy()
+        save_matrix(path, Y)
+        np.testing.assert_array_equal(load_labels(path, flow_space(net)), Y)
+        Y[1, 0] += 1e-6
+        save_matrix(path, Y)
+        with pytest.raises(DataFormatError,
+                           match=r"f\.txt:2: label violates conservation by 1e-06"):
+            load_labels(path, flow_space(net))
 
     def test_fmt_round_trips(self, rng):
         for v in rng.normal(size=50):

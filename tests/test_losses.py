@@ -222,8 +222,10 @@ class TestAdditiveCoefficients:
 
     def test_footrule_rejects_labels_that_are_not_permutations(self):
         for bad in ([[1, 0, 1]], [[1, 2, 2]], [[0, 1, 2]]):
-            with pytest.raises(ValueError, match="not permutations of 1..d"):
-                additive_coefficients(LossSpec("footrule"), np.array(bad), np.ones(1))
+            with pytest.raises(ValueError,
+                               match=r"training label 1 is not a permutation of 1\.\.3"):
+                additive_coefficients(LossSpec("footrule"), np.array([[3, 1, 2], *bad]),
+                                      np.ones(2))
 
     def test_non_additive_kinds_rejected(self):
         with pytest.raises(ValueError):

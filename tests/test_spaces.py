@@ -1,15 +1,17 @@
 """Output spaces: constraint builders, feasibility, TU checks, enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ecrm import (ConstraintMatrix, FlowNetwork, HierarchyDag,
-                  assignment_constraint_matrix, assignment_space, enumerate_space,
-                  explicit_space, flow_space, hierarchy_constraint_matrix,
-                  hierarchy_space, is_feasible, is_totally_unimodular)
-from ecrm.spaces import flow_constraint_matrix, flow_residual, flow_residuals
+                  assignment_constraint_matrix, assignment_space, default_flow_network,
+                  enumerate_space, enumerate_st_paths, explicit_space, flow_space,
+                  hierarchy_constraint_matrix, hierarchy_space, is_feasible,
+                  is_totally_unimodular)
+from ecrm.spaces import flow_constraint_matrix, flow_residual, flow_residuals, nonmembers
 from conftest import random_dag, random_tree
 
 
@@ -74,6 +76,21 @@ class TestFeasibility:
         circ = np.array([1.0, 1.0, 1.0, 0.0])  # cycle 0->1->2->0
         for scale in (0.5, 1.0, 7.25):
             assert is_feasible(space, y + scale * circ, 1e-9)
+
+    def test_flow_rule_on_paths_mixtures_and_breaks(self, rng):
+        net = default_flow_network()
+        space = flow_space(net)
+        P = enumerate_st_paths(net)
+        assert P.shape[0] >= 3
+        broken = np.array([2 * P[0] - P[1], P[2], P[0]])
+        assert broken[0].min() < 0 and np.allclose(net.divergence(broken[0]), net.b)
+        broken[1, 0] += 1e-6
+        broken[2, 3] = np.nan
+        Y = np.vstack([P, rng.dirichlet(np.full(len(P), 0.5), size=20) @ P, broken])
+        bad, why = nonmembers(space, Y)
+        np.testing.assert_array_equal(bad, len(Y) - 3 + np.arange(3))
+        assert why.startswith("violates conservation by ")
+        assert [is_feasible(space, y) for y in Y] == [True] * (len(Y) - 3) + [False] * 3
 
     def test_explicit_membership(self):
         space = explicit_space([[0.0, 1.0], [1.0, 0.0]])
@@ -217,6 +234,17 @@ class TestEnumerate:
         perms = enumerate_space(space)
         assert len(perms) == math.factorial(3)
         assert [tuple(p) for p in perms] == sorted(tuple(p) for p in perms)
+        # Of every vector in {1..d}^d, and of ones with a fractional or NaN
+        # rank, the batched rule accepts exactly the enumerated permutations.
+        for d in range(1, 5):
+            space = assignment_space(d)
+            Y = np.array(list(itertools.product(range(1, d + 1), repeat=d)), dtype=float)
+            Y = np.vstack([Y, np.arange(1.0, d + 1) + 0.5 * np.eye(d)[0],
+                           np.r_[np.arange(1.0, d), np.nan]])
+            inside = np.ones(len(Y), dtype=bool)
+            inside[nonmembers(space, Y)[0]] = False
+            assert {tuple(y) for y in Y[inside]} == {tuple(p) for p in enumerate_space(space)}
+            assert [is_feasible(space, y) for y in Y] == inside.tolist()
 
     def test_explicit_returns_own_list(self):
         space = explicit_space([[3.0], [1.0]])
@@ -224,13 +252,26 @@ class TestEnumerate:
         assert got == [(3.0,), (1.0,)]
 
     def test_all_outputs_feasible_no_duplicates(self, rng):
-        for _ in range(5):
-            G = random_dag(rng, int(rng.integers(3, 9)), extra=2)
+        # A forest, a diamond and random multi-parent DAGs: of every vector
+        # in {0, 1, 2}^d, the batched rule accepts exactly the enumerated
+        # members, and those are the 0/1 vectors whose active nodes have all
+        # of their parents active.
+        graphs = [HierarchyDag(6, [(0, 1), (0, 2), (3, 4), (4, 5)]),
+                  HierarchyDag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])]
+        graphs += [random_dag(rng, int(rng.integers(3, 7)), extra=2) for _ in range(5)]
+        for G in graphs:
             space = hierarchy_space(G)
             members = enumerate_space(space)
             keys = {tuple(y) for y in members}
             assert len(keys) == len(members)
-            assert all(is_feasible(space, y) for y in members)
+            Y = np.array(list(itertools.product((0, 1, 2), repeat=G.d)))
+            inside = np.ones(len(Y), dtype=bool)
+            inside[nonmembers(space, Y)[0]] = False
+            want = [set(y) <= {0, 1} and all(y[p] >= y[c] for p, c in G.arcs)
+                    for y in Y.tolist()]
+            assert inside.tolist() == want
+            assert {tuple(y) for y in Y[inside]} == keys
+            assert [is_feasible(space, y) for y in Y] == want
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
