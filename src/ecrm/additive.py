@@ -6,6 +6,11 @@ sample, node, value) triple, where a node's expansion sums over its
 neighborhood in the hierarchy.  The total estimated risk is the sum of node
 scores, which is affine in each label coordinate, so exact inference
 reduces to the same linear objective the closure solver handles.
+
+The fit is one exact solve at every size: diagonalizing the input Gram and
+the neighborhood matrix once each diagonalizes their Kronecker system, at a
+cost of O(m^3 + d^3 + m d (m + d)).  If an eigenvalue product cancels lambda
+the system is singular and the fit raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .closure import solve_hierarchy
 from .errors import NumericalError
@@ -24,8 +28,6 @@ from .results import EXACT, InferenceResult
 from .spaces import hierarchy_space, nonmembers
 
 NEIGHBOR_RULES = ("adjacent", "self")
-
-_DENSE_LIMIT = 4000
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,14 @@ def neighborhood_matrix(G: HierarchyDag, rule: str) -> np.ndarray:
 def fit_additive(X, Y, G: HierarchyDag, joint: JointKernelSpec, lam: float) -> AdditiveModel:
     """Fit the per-node risk estimates by regularized least squares.
 
-    The stationarity system ``(Gram + lambda I) alpha = targets`` is solved
-    densely up to 2*m*d = 4000 unknowns and by MINRES beyond that.  The
-    targets are the node-wise disagreement losses of both label values
-    against each training label.
+    The system ``(Kx (x) N (x) I_2 + lambda I) alpha = t`` couples the input
+    Gram ``Kx`` (m x m), the neighborhood matrix ``N`` (d x d) and the
+    node-wise disagreement losses ``t[i, j, v] = 1(v != Y[i, j])``.  With
+    ``Kx = Ux diag(ex) Ux'`` and ``N = Un diag(en) Un'``, each value's block
+    is ``Ux ((Ux' T_v Un) / (ex en' + lambda)) Un'``: O(m^3 + d^3 + m d (m + d)).
+    ``N`` is indefinite, so a denominator can cancel lambda: one below
+    ``max(m, d) * eps`` times the largest (the eigenvalues' rounding level)
+    raises ``NumericalError``.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("lambda must be finite and positive")
@@ -92,36 +98,17 @@ def fit_additive(X, Y, G: HierarchyDag, joint: JointKernelSpec, lam: float) -> A
     if bad.size:
         raise ValueError(f"training label {bad[0]} {why}")
 
-    Kx = gram_matrix(joint.base, X)
-    N = neighborhood_matrix(G, joint.neighbors)
-    # Targets t[(i, j, v)] = 1(v != Y[i, j]) with index order (sample, node, value).
-    t = np.empty((m, d, 2))
-    t[:, :, 0] = (Y != 0).astype(float)
-    t[:, :, 1] = (Y != 1).astype(float)
-    t = t.reshape(-1)
-
-    n = 2 * m * d
-    if n <= _DENSE_LIMIT:
-        Gram = np.kron(Kx, np.kron(N, np.eye(2)))
-        try:
-            alpha = scipy.linalg.solve(Gram + lam * np.eye(n), t, assume_a="sym")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise NumericalError("additive system is singular; increase lambda") from exc
-        if not np.all(np.isfinite(alpha)):
-            raise NumericalError("additive system is singular; increase lambda")
-    else:
-        def matvec(v):
-            V = v.reshape(m, d, 2)
-            out = np.einsum("ij,jkl->ikl", Kx, np.einsum("kq,jql->jkl", N, V))
-            return out.reshape(-1) + lam * v
-
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec)
-        alpha, info = scipy.sparse.linalg.minres(op, t, rtol=1e-7 / max(1.0, np.linalg.norm(t)))
-        if info != 0:
-            raise NumericalError("iterative additive solve did not converge")
-
-    return AdditiveModel(alpha=alpha.reshape(m, d, 2), joint=joint, lam=lam,
-                         hierarchy=G, inputs=X)
+    ex, Ux = scipy.linalg.eigh(gram_matrix(joint.base, X))
+    en, Un = scipy.linalg.eigh(neighborhood_matrix(G, joint.neighbors))
+    # The system's eigenvalues, each once per label value.
+    D = ex[:, None] * en[None, :] + lam
+    if np.abs(D).min() <= np.abs(D).max() * max(m, d) * np.finfo(float).eps:
+        raise NumericalError("additive system is singular; increase lambda")
+    alpha = np.empty((m, d, 2))
+    for v in (0, 1):
+        T = (Y != v).astype(float)
+        alpha[:, :, v] = Ux @ ((Ux.T @ T @ Un) / D) @ Un.T
+    return AdditiveModel(alpha=alpha, joint=joint, lam=lam, hierarchy=G, inputs=X)
 
 
 def node_scores(model: AdditiveModel, x) -> tuple[np.ndarray, np.ndarray]:

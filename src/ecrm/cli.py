@@ -66,12 +66,20 @@ def _model_space(args, model):
     space = _space_from_args(args)
     width = model.labels.shape[1]
     if width != space.dim:
-        raise DataFormatError(f"model labels have {width} entries but the {space.kind} "
-                              f"space has dimension {space.dim}")
+        raise DataFormatError(f"{args.model}: model labels have {width} entries but the "
+                              f"{space.kind} space has dimension {space.dim}")
     bad, why = nonmembers(space, model.labels)
     if bad.size:
         raise DataFormatError(f"{args.model}: model label {bad[0] + 1} {why}")
     return space
+
+
+def _labels_of(X, x_path, labels_path, space) -> np.ndarray:
+    """The labels file that goes row for row with the inputs ``X`` of ``x_path``."""
+    Y = io.load_labels(labels_path, space)
+    if Y.shape[0] != X.shape[0]:
+        raise DataFormatError(f"{x_path} has {X.shape[0]} rows but {labels_path} has {Y.shape[0]}")
+    return Y
 
 
 def _loss_from_args(args, space) -> LossSpec:
@@ -113,7 +121,7 @@ def _analysis_inputs(args, what: str):
     space = _model_space(args, model)
     loss = _loss_from_args(args, space)
     X = io.load_matrix(args.x)
-    Y = io.load_labels(args.labels, space)
+    Y = _labels_of(X, args.x, args.labels, space)
     cfg = make_surrogate_config(args.rho, loss, space)
     return model, loss, X, Y, cfg, _solver_params(args)
 
@@ -122,7 +130,7 @@ def cmd_train(args) -> int:
     kernel = _kernel_from_args(args)
     space = _space_from_args(args)
     X = io.load_matrix(args.x)
-    Y = io.load_labels(args.labels, space)
+    Y = _labels_of(X, args.x, args.labels, space)
     if args.variant == "additive":
         if space.kind != "hierarchy":
             raise DataFormatError("--variant additive requires --space hierarchy")
@@ -148,7 +156,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model, X, space = _model_queries_space(args)
     loss = _loss_from_args(args, space)
-    Y = io.load_labels(args.labels, space)
+    Y = _labels_of(X, args.x, args.labels, space)
     rows = _predict_rows(model, loss, space, X, _solver_params(args))
     vals = [loss_value(loss, rows[i], Y[i]) for i in range(len(rows))]
     print(f"mean_loss {fmt(np.mean(vals))}")
@@ -219,7 +227,7 @@ def cmd_tu_check(args) -> int:
 def cmd_baseline(args) -> int:
     space = _space_from_args(args)
     X_train = io.load_matrix(args.train_x)
-    Y_train = io.load_labels(args.train_labels, space)
+    Y_train = _labels_of(X_train, args.train_x, args.train_labels, space)
     data = Dataset(X=X_train, Y=Y_train, space=space)
     Xq = io.load_matrix(args.x)
     if args.method == "knn":

@@ -6,8 +6,9 @@ import pytest
 from ecrm import (AdditiveModel, HierarchyDag, JointKernelSpec, KernelSpec,
                   additive_risk, eval_kernel, fit_additive, infer_additive)
 from ecrm.additive import neighborhood_matrix, node_scores
+from ecrm.errors import NumericalError
 from ecrm.kernels import cross_gram
-from conftest import random_feasible_label, random_tree
+from conftest import random_dag, random_feasible_label, random_tree
 from _oracles import enumerate_feasible, gaussian_solve, lex_argmin
 
 
@@ -53,15 +54,43 @@ class TestFitAdditive:
         assert model.alpha[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_entrywise_oracle(self, rng):
-        G = HierarchyDag(3, [(0, 1), (1, 2)])
-        m = 3
-        X = rng.normal(size=(m, 2))
+        # A chain, a diamond (node 3 has two parents) and a single node.
+        for G in (HierarchyDag(3, [(0, 1), (1, 2)]),
+                  HierarchyDag(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+                  HierarchyDag(1, [])):
+            m = 3
+            X = rng.normal(size=(m, 2))
+            Y = np.array([random_feasible_label(rng, G) for _ in range(m)])
+            lam = 1.5
+            for neighbors in ("adjacent", "self"):
+                model = fit_additive(X, Y, G, _joint(neighbors=neighbors), lam)
+                ref = _oracle_fit(X, Y, G, _joint(neighbors=neighbors), lam)
+                np.testing.assert_allclose(model.alpha, ref, atol=1e-7)
+
+    def test_large_system_residual(self, rng):
+        # 2 * 40 * 60 = 4800 unknowns.  The residual of
+        # (Kx (x) N (x) I_2 + lam I) alpha = t is formed by its own
+        # matrix-free product, one label value at a time.
+        G = random_dag(rng, 60, extra=10)
+        m, lam = 40, 0.01
+        X = rng.normal(size=(m, 5))
         Y = np.array([random_feasible_label(rng, G) for _ in range(m)])
-        lam = 1.5
         for neighbors in ("adjacent", "self"):
-            model = fit_additive(X, Y, G, _joint(neighbors=neighbors), lam)
-            ref = _oracle_fit(X, Y, G, _joint(neighbors=neighbors), lam)
-            np.testing.assert_allclose(model.alpha, ref, atol=1e-7)
+            joint = _joint(gamma=0.2, neighbors=neighbors)
+            alpha = fit_additive(X, Y, G, joint, lam).alpha
+            Kx = np.array([[eval_kernel(joint.base, a, b) for b in X] for a in X])
+            N = neighborhood_matrix(G, neighbors)
+            for v in (0, 1):
+                t = (Y != v).astype(float)
+                r = Kx @ alpha[:, :, v] @ N + lam * alpha[:, :, v] - t
+                assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(t)
+
+    def test_singular_system_raises(self):
+        # One sample with k(x, x) = 1 and a 5-node star: N has eigenvalue
+        # 1 - 2 = -1, so N (x) I_2 + I is exactly singular at lambda = 1.
+        G = HierarchyDag(5, [(0, j) for j in range(1, 5)])
+        with pytest.raises(NumericalError, match="singular; increase lambda"):
+            fit_additive(np.zeros((1, 2)), np.zeros((1, 5), dtype=int), G, _joint(), 1.0)
 
     def test_objective_not_worse_than_zero(self, rng):
         # The fitted coefficients must not lose to the trivial zero solution.
@@ -89,16 +118,6 @@ class TestFitAdditive:
 
             assert objective(model.alpha) <= objective(np.zeros_like(model.alpha)) + 1e-9
 
-    def test_iterative_solver_matches_dense(self, rng, monkeypatch):
-        import ecrm.additive
-        G = HierarchyDag(3, [(0, 1), (1, 2)])
-        X = rng.normal(size=(3, 2))
-        Y = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]])
-        dense = fit_additive(X, Y, G, _joint(), 1.5)
-        monkeypatch.setattr(ecrm.additive, "_DENSE_LIMIT", 1)
-        iterative = fit_additive(X, Y, G, _joint(), 1.5)
-        np.testing.assert_allclose(iterative.alpha, dense.alpha, atol=1e-7)
-
     def test_invalid_inputs(self, rng):
         G = HierarchyDag(2, [(0, 1)])
         X = rng.normal(size=(2, 2))
@@ -107,6 +126,9 @@ class TestFitAdditive:
         for lam in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 fit_additive(X, np.zeros((2, 2), dtype=int), G, _joint(), lam)
+        X[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            fit_additive(X, np.zeros((2, 2), dtype=int), G, _joint(), 0.5)
 
 
 class TestAdditiveRisk:

@@ -75,6 +75,16 @@ class TestTrainPredictEval:
             for c, p in G_parents.items():
                 assert not (y[c] == 1 and y[p] == 0)
 
+    def test_additive_train_is_byte_identical(self, hierarchy_fixture):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        outs = (tmp / "a1.ecrm", tmp / "a2.ecrm")
+        for out in outs:
+            r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                        "--hierarchy", hpath, "--kernel", "rbf", "--gamma", 0.5,
+                        "--lambda", 0.5, "--variant", "additive", "--out", out)
+            assert r.returncode == 0, r.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_additive_model_commands(self, hierarchy_fixture):
         # predict and eval use the model's own hierarchy and predict ignores
         # --loss; the analyses reject an additive model.
@@ -599,6 +609,42 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1, name
             assert err.startswith(f"error: {bad}:{i + 1}: label "), (name, err)
 
+    @pytest.mark.parametrize("command", ["train", "train additive", "eval", "surrogate",
+                                         "bound", "baseline knn"])
+    def test_row_counts_of_paired_files_must_agree(self, capsys, hierarchy_fixture, command):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        model, xs, ys = tmp / "m.ecrm", tmp / "x3.txt", tmp / "y2.txt"
+        save_matrix(xs, X[:3])
+        save_matrix(ys, Y[:2])
+        flags = ("--space", "hierarchy", "--hierarchy", hpath)
+        train = ("train", *flags, "--kernel", "linear", "--lambda", 0.1)
+        assert self._main(capsys, *train, "--x", xpath, "--labels", ypath,
+                          "--out", model) == (0, "", "")
+        analysis = ("--model", model, "--x", xs, "--labels", ys, "--loss", "hamming", *flags)
+        argv = {
+            "train": (*train, "--x", xs, "--labels", ys, "--out", tmp / "short.ecrm"),
+            "train additive": (*train, "--x", xs, "--labels", ys, "--variant", "additive",
+                               "--out", tmp / "short.ecrm"),
+            "eval": ("eval", *analysis),
+            "surrogate": ("surrogate", *analysis, "--rho", 1.0),
+            "bound": ("bound", *analysis, "--rho", 1.0, "--delta", 0.1),
+            "baseline knn": ("baseline", "--method", "knn", "--train-x", xs,
+                             "--train-labels", ys, "--x", xpath, "--loss", "hamming", *flags),
+        }[command]
+        assert self._main(capsys, *argv) == (2, "", f"error: {xs} has 3 rows but {ys} has 2\n")
+
+    def test_singular_additive_system_exits_3(self, capsys, tmp_path):
+        # One sample and a 5-node star at lambda 1: see
+        # test_additive.py::TestFitAdditive::test_singular_system_raises.
+        save_hierarchy(tmp_path / "h.txt", HierarchyDag(5, [(0, j) for j in range(1, 5)]))
+        save_matrix(tmp_path / "x.txt", np.zeros((1, 2)))
+        save_matrix(tmp_path / "y.txt", np.zeros((1, 5), dtype=np.int64))
+        assert self._main(capsys, "train", "--x", tmp_path / "x.txt", "--labels",
+                          tmp_path / "y.txt", "--space", "hierarchy", "--hierarchy",
+                          tmp_path / "h.txt", "--gamma", 1.0, "--lambda", 1.0, "--variant",
+                          "additive", "--out", tmp_path / "m.ecrm") == (
+            3, "", "error: additive system is singular; increase lambda\n")
+
     @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound"])
     def test_model_labels_outside_the_requested_hierarchy(self, capsys, hierarchy_fixture,
                                                           command):
@@ -750,8 +796,8 @@ class TestExitCodes:
                     "--space", "assignment", "--dim", 3, "--loss", "footrule")
         assert r.returncode == 2
         assert r.stdout == ""
-        assert r.stderr == ("error: model labels have 5 entries but the assignment "
-                            "space has dimension 3\n")
+        assert r.stderr == (f"error: {out}: model labels have 5 entries but the "
+                            "assignment space has dimension 3\n")
 
     @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound"])
     def test_hierarchy_model_with_smaller_hierarchy(self, hierarchy_fixture, command):
@@ -770,8 +816,8 @@ class TestExitCodes:
                     "--hierarchy", small, "--loss", "hamming", *extra)
         assert r.returncode == 2
         assert r.stdout == ""
-        assert r.stderr == ("error: model labels have 4 entries but the hierarchy "
-                            "space has dimension 3\n")
+        assert r.stderr == (f"error: {out}: model labels have 4 entries but the "
+                            "hierarchy space has dimension 3\n")
 
 
 class TestFactorCache:
