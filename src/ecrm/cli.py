@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("base", "additive"), default="base")
     p.add_argument("--neighbors", choices=("adjacent", "self"), default="adjacent")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="one prediction line per input row")

@@ -12,6 +12,10 @@ mixed-sign rows in one such call; the L1 solver is projected subgradient
 descent whose every step is one, warm-started from the previous step's
 paths.
 
+On a path both risks are linear, with arc costs ``c = sum_i w_i - 2 w.labels``,
+so every vertex answer of the solvers is the cheapest path, found by one
+dynamic program, ``min_cost_paths``, with ties to the lexicographically smallest.
+
 The L1 risk ``sum_i w_i ||y - y_i||_1`` is separable over arcs and piecewise
 linear on each, with breakpoints at the training labels.  The L1 solver
 sorts each arc's labels and builds per-row prefix sums of ``w`` and ``w y``
@@ -33,9 +37,6 @@ from .spaces import FlowNetwork, flow_space, nonmembers
 
 _PROJECT_TOL = 1e-11
 _LABEL_CANDIDATE_LIMIT = 1500
-# Entries of the largest temporary of one block of the concave-row vertex
-# sweep: the (paths, m, a) label differences or the (rows, paths) values.
-_SWEEP_ENTRIES = 1 << 22
 
 
 def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
@@ -74,10 +75,43 @@ def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
     return P
 
 
-def lex_min_vertex(net: FlowNetwork) -> np.ndarray:
-    """The lexicographically smallest s-t path indicator."""
-    P = enumerate_st_paths(net)
-    return P[np.lexsort(P.T[::-1])[0]].copy()
+def min_cost_paths(net: FlowNetwork, C) -> np.ndarray:
+    """Indicator of the cheapest s-t path for each row of the (Q, a) arc
+    costs C, by one dynamic program in topological order (Ahuja, Magnanti &
+    Orlin, *Network Flows*, 1993, ch. 4).  Each node keeps per row its
+    cheapest prefix, on equal cost the lexicographically smaller; a suffix
+    shares no arc with a prefix, so the result is the lexicographically
+    smallest cheapest path (among path costs, summed from s, that tie
+    exactly).  Rows never mix, so a row's result does not depend on its batch.
+    """
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    order = net.topological_order()
+    if order is None:
+        raise ValueError("path search requires an acyclic network")
+    s, t = net.unit_endpoints()
+    out = [[] for _ in range(net.n_nodes)]
+    for a, (tail, head) in enumerate(net.arcs):
+        out[tail].append((a, head))
+    rows = np.arange(C.shape[0])
+    # Only nodes reached and not yet expanded hold a prefix: a cut, not all.
+    cost, prefix = {s: np.zeros(C.shape[0])}, {s: np.zeros(C.shape, dtype=bool)}
+    for u in order:
+        if u not in cost or u == t:
+            continue
+        for a, v in out[u]:
+            d, cand = cost[u] + C[:, a], prefix[u].copy()
+            cand[:, a] = True
+            if v in cost:
+                # At the first arc where the prefixes differ, the smaller is off.
+                differ = cand != prefix[v]
+                first = differ.argmax(axis=1)
+                better = (d < cost[v]) | ((d == cost[v]) & prefix[v][rows, first])
+                d, cand = np.where(better, d, cost[v]), np.where(better[:, None], cand, prefix[v])
+            cost[v], prefix[v] = d, cand
+        del cost[u], prefix[u]
+    if t not in prefix:
+        raise ValueError("network has no source-sink path")
+    return prefix[t].astype(float)
 
 
 def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
@@ -220,19 +254,14 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     signs and positive total weight the objective is a scaled squared
     distance to the mean; those rows are projected together by the
     min-norm-point method to the requested Frank-Wolfe duality gap.
-    Nonpositive total weight makes the objective concave, so every path
-    vertex is swept and the lexicographically smallest best one kept
-    (certificate heuristic: the guarantee rests on concavity, which
-    degenerates when the total weight is exactly zero).  All-zero rows take
-    the lexicographically smallest path (exact).
+    Nonpositive total weight makes the objective concave (affine at zero),
+    so a vertex attains its minimum: those rows take the lexicographically
+    smallest cheapest path from ``min_cost_paths`` (certificate exact).
 
     Means are stacked one-row products, never one (Q, m) x (m, a) product,
     whose blocking would change their last bits with Q; so a row's result
     does not depend on its batch.  Objectives are taken row by row, so no
-    (Q, m, a) difference array is formed; the concave sweep takes the paths
-    in blocks whose (paths, m, a) differences and (rows, paths) values each
-    hold at most ``_SWEEP_ENTRIES`` entries, or one path's differences
-    where those alone are more.
+    (Q, m, a) difference array is formed.
     """
     params = params or SolverParams()
     W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -246,9 +275,10 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     Q, K = W.shape[0], P.shape[0]
     total = W.sum(axis=1)
     convex = total > 0.0
-    concave = ~convex & np.any(W != 0.0, axis=1)
-    Y = np.tile(lex_min_vertex(net), (Q, 1))
-    Y[convex] = (W[convex, None, :] @ labels)[:, 0] / total[convex, None]
+    mu = (W[:, None, :] @ labels)[:, 0]
+    Y = np.zeros((Q, net.n_arcs))
+    Y[~convex] = min_cost_paths(net, total[~convex, None] - 2.0 * mu[~convex])
+    Y[convex] = mu[convex] / total[convex, None]
     # Written so that a NaN mean counts as infeasible.
     mixed = convex & ~np.all(W >= 0.0, axis=1) & ~(Y.min(axis=1) >= 0.0)
     gaps = np.zeros(Q)
@@ -260,30 +290,10 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
         theta[r, S[r, c]] = lam[r, c]
         Y[mixed] = (theta[:, None, :] @ P)[:, 0]
     objs = np.zeros(Q)
-    for q in np.flatnonzero(convex):
+    for q in range(Q):
         diff = Y[q] - labels
         objs[q] = W[q] @ np.einsum("ma,ma->m", diff, diff)
-    if concave.any():
-        # A concave (or affine) objective has a vertex minimizer.  Paths are
-        # swept in lexicographic order, so the first minimum is the
-        # lexicographically smallest one.
-        Wc = W[concave]
-        best_k = np.zeros(Wc.shape[0], dtype=np.intp)
-        best_val = np.full(Wc.shape[0], np.inf)
-        order = np.lexsort(P.T[::-1])
-        step = max(1, _SWEEP_ENTRIES // max(labels.size, Wc.shape[0]))
-        buf = np.empty((min(step, K),) + labels.shape)
-        for lo in range(0, K, step):
-            idx = order[lo:lo + step]
-            diff = np.subtract(P[idx, None, :], labels, out=buf[:idx.size])
-            vals = np.einsum("kma,kma,qm->qk", diff, diff, Wc)
-            j = vals.argmin(axis=1)
-            v = vals[np.arange(Wc.shape[0]), j]
-            better = v < best_val
-            best_k[better], best_val[better] = idx[j[better]], v[better]
-        Y[concave], objs[concave] = P[best_k], best_val
-    certs = [HEURISTIC if cc else Certificate("gap", gap=float(g)) if mx else EXACT
-             for cc, mx, g in zip(concave, mixed, gaps)]
+    certs = [Certificate("gap", gap=float(g)) if mx else EXACT for mx, g in zip(mixed, gaps)]
     return Y, objs, certs
 
 
@@ -357,9 +367,7 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
         raise ValueError("weight and label counts differ")
     P = enumerate_st_paths(net)
     Q, K = W.shape[0], P.shape[0]
-    rows = np.arange(Q)
     nonneg = np.all(W >= 0.0, axis=1)
-    zero_rows = ~np.any(W != 0.0, axis=1)
 
     # Start points: the mean of all paths, then seeded random paths.
     starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
@@ -396,38 +404,28 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
             Y, S, lam, _ = _min_norm_point(P, Y - eta * G, 1.0, _PROJECT_TOL, corral=corral)
             corral = (S, lam)
 
-    # Feasible candidate sweep: every path vertex always, and every training
-    # label (feasible by assumption) when the pairwise distance table is
-    # affordable.  This snaps exact optima that subgradient steps only
-    # approach, e.g. reproducing a lone training flow.  Each row takes its
-    # first cheapest candidate if it beats the incumbent strictly.  The
-    # prefix arrays go first, and the (k, m) distance table is built one arc
-    # at a time, so the sweep adds no (k, m, a) temporary.
+    # Feasible candidates, kept where strictly better: the best path, whose
+    # risk is c.V + W.(labels 1) as labels lie in [0, 1], and which is optimal
+    # for the concave risk of a row with no positive weight; and every
+    # training label when the (m, m) distance table, built one arc at a time,
+    # is affordable.  They snap exact optima that subgradient steps only
+    # approach, e.g. reproducing a lone training flow.
     del breakpoints
-    cands = [P]
+    c = W.sum(axis=1)[:, None] - 2.0 * (W[:, None, :] @ labels)[:, 0]
+    V = min_cost_paths(net, c)
+    path_obj = np.einsum("qa,qa->q", c, V) + (W[:, None, :] @ labels.sum(axis=1))[:, 0]
+    keep_better(path_obj, V)
     if labels.shape[0] <= _LABEL_CANDIDATE_LIMIT:
-        cands.append(labels)
-    for C in cands:
-        D = np.zeros((C.shape[0], labels.shape[0]))
+        D = np.zeros((labels.shape[0], labels.shape[0]))
         for j in range(labels.shape[1]):
-            D += np.abs(C[:, j, None] - labels[None, :, j])
+            D += np.abs(labels[:, j, None] - labels[None, :, j])
         cand_obj = np.einsum("qm,km->qk", W, D)
-        pick = np.argmin(cand_obj, axis=1)
-        keep_better(cand_obj[rows, pick], C[pick])
+        keep_better(cand_obj.min(axis=1), labels[cand_obj.argmin(axis=1)])
+    concave = ~np.any(W > 0.0, axis=1)
+    best_Y[concave], best_obj[concave] = V[concave], path_obj[concave]
 
-    if np.any(zero_rows):
-        lexmin = lex_min_vertex(net)
-        best_Y[zero_rows] = lexmin
-        best_obj[zero_rows] = 0.0
-
-    certs: list[Certificate] = []
-    for q in rows:
-        if zero_rows[q]:
-            certs.append(EXACT)
-        elif nonneg[q]:
-            certs.append(Certificate("gap", gap=float(max(0.0, best_obj[q] - best_lb[q]))))
-        else:
-            certs.append(HEURISTIC)
+    certs = [EXACT if cc else Certificate("gap", gap=float(max(0.0, f - lb))) if nn
+             else HEURISTIC for cc, nn, f, lb in zip(concave, nonneg, best_obj, best_lb)]
     return best_Y, best_obj, certs
 
 

@@ -11,7 +11,8 @@ short-circuits to the classification sign rule it reduces to.
 weights of one query or a batch first.
 
 Exhaustive and hierarchy argmins break ties toward the lexicographically
-smallest encoding; rankings return an optimum, with no rule among tied ones.
+smallest encoding, and so does every path (vertex) answer of the flow
+solvers; rankings return an optimum, with no rule among tied ones.
 """
 
 from __future__ import annotations

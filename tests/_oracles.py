@@ -86,6 +86,13 @@ def lex_argmin(cands, values):
     return best
 
 
+def lex_min_cost_path(P, c) -> np.ndarray:
+    """The lexicographically smallest cheapest row of the path matrix P
+    under arc costs c: every path's cost, scanned in lexsort order."""
+    order = np.lexsort(P.T[::-1])
+    return P[order[np.argmin(P[order] @ np.asarray(c, dtype=float))]]
+
+
 def footrule_risks(perms, train_perms, w) -> np.ndarray:
     """Weighted footrule risk of every candidate permutation."""
     diffs = np.abs(perms[:, None, :] - train_perms[None, :, :]).sum(axis=2)

@@ -8,9 +8,10 @@ import pytest
 
 from ecrm import (FlowNetwork, InferenceResult, SolverParams, default_flow_network,
                   enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch)
-from ecrm.flow_opt import _l1_breakpoints, _l1_obj_grad, _min_norm_point, project_batch
+from ecrm.flow_opt import (_l1_breakpoints, _l1_obj_grad, _min_norm_point, min_cost_paths,
+                           project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
-from _oracles import abs_flow_objective, flow_projection, simplex_grid
+from _oracles import abs_flow_objective, flow_projection, lex_min_cost_path, simplex_grid
 
 NET = default_flow_network()
 
@@ -39,6 +40,15 @@ def layered_dag(seed, layers=4, width=4, p_arc=0.7):
 
 
 DAG = layered_dag(8)
+
+
+def diamond_chain(n):
+    """A chain of n diamonds: 2^n s-t paths, all of length 2n.  The
+    lexicographically smallest takes the second branch of every diamond and
+    is enumerated last."""
+    arcs = [a for u in range(0, 3 * n, 3)
+            for a in ((u, u + 1), (u, u + 2), (u + 1, u + 3), (u + 2, u + 3))]
+    return FlowNetwork(3 * n + 1, arcs, [1.0] + [0.0] * (3 * n - 1) + [-1.0])
 
 
 def one_row(solver, w, labels, net, params=None):
@@ -85,6 +95,40 @@ class TestPaths:
         net = FlowNetwork(3, [(0, 1), (1, 2), (2, 1)], [1.0, 0.0, -1.0])
         with pytest.raises(ValueError):
             enumerate_st_paths(net)
+
+
+class TestMinCostPaths:
+    @pytest.mark.parametrize("net", [NET, DAG, layered_dag(3, layers=5, width=4, p_arc=0.8),
+                                     diamond_chain(13)],
+                             ids=["bundled", "layered-dag", "layered-dag-dense", "diamonds-13"])
+    def test_matches_lexsort_oracle_with_ties(self, net, rng):
+        # Small integral costs make every path cost exact, so ties are
+        # real and the oracle must match the brute force exactly.
+        P = enumerate_st_paths(net)
+        C = rng.integers(-2, 3, size=(40, net.n_arcs)).astype(float)
+        C[:3] = 0.0                                   # every path ties
+        C[3:6] = rng.integers(0, 2, size=(3, 1))      # every path of a length ties
+        Y = min_cost_paths(net, C)
+        ties = 0
+        for q in range(C.shape[0]):
+            costs = P @ C[q]
+            ties += (costs == costs.min()).sum() > 1
+            np.testing.assert_array_equal(Y[q], lex_min_cost_path(P, C[q]))
+        assert ties >= 6
+        if net.n_arcs == 52:
+            np.testing.assert_array_equal(Y[0], np.tile([0.0, 1.0, 0.0, 1.0], 13))
+
+    def test_one_row_calls_equal_batch_rows_bit_for_bit(self, rng):
+        C = rng.normal(size=(50, DAG.n_arcs))
+        C[:10] = rng.integers(-1, 2, size=(10, DAG.n_arcs))
+        Y = min_cost_paths(DAG, C)
+        for q in range(C.shape[0]):
+            np.testing.assert_array_equal(min_cost_paths(DAG, C[q])[0], Y[q])
+
+    def test_cyclic_network_rejected(self):
+        net = FlowNetwork(3, [(0, 1), (1, 2), (2, 1)], [1.0, 0.0, -1.0])
+        with pytest.raises(ValueError):
+            min_cost_paths(net, np.zeros((1, 3)))
 
 
 class TestFrankWolfe:
@@ -256,17 +300,20 @@ class TestSolveFlowSq:
             if res.certificate.kind == "gap":
                 assert res.certificate.gap <= 1e-9
 
-    def test_nonpositive_total_weight_is_heuristic_vertex(self, rng):
+    def test_nonpositive_total_weight_is_exact_vertex(self, rng):
         P = enumerate_st_paths(NET)
         labels = P[[1, 4]]
         w = np.array([-1.0, -0.5])
         res = one_row(solve_flow_sq_batch, w, labels, NET)
-        assert res.certificate.kind == "heuristic"
+        assert res.certificate.kind == "exact"
         assert flow_residual(NET, res.y_star) <= 1e-9
-        # Concave objective: optimum is at some vertex; check best vertex found.
-        vertex_vals = [float(w @ np.einsum("ma,ma->m", P[k] - labels, P[k] - labels))
-                       for k in range(P.shape[0])]
-        assert res.objective <= min(vertex_vals) + 1e-12
+        # Concave objective: a vertex is optimal.  Path labels and these
+        # weights make every value exact, so the best vertex is matched
+        # exactly, ties to the lexicographically smallest.
+        vertex_vals = np.array([float(w @ np.einsum("ma,ma->m", P[k] - labels, P[k] - labels))
+                                for k in range(P.shape[0])])
+        assert res.objective == vertex_vals.min()
+        assert tuple(res.y_star) == min(map(tuple, P[vertex_vals == vertex_vals.min()]))
 
     def test_all_zero_weights_lexicographic_vertex(self):
         P = enumerate_st_paths(NET)
@@ -284,15 +331,23 @@ class TestSolveFlowSq:
         params = SolverParams(gap_tol=1e-9)
         Y, obj, certs = solve_flow_sq_batch(W, labels, DAG, params)
         zero = ~np.any(W != 0.0, axis=1)
-        mean = [c.kind == "exact" and not z for c, z in zip(certs, zero)]
+        convex = W.sum(axis=1) > 0.0
+        mean = [c.kind == "exact" and cv for c, cv in zip(certs, convex)]
+        concave = ~convex & ~zero
         kinds = [c.kind for c in certs]
         assert zero.sum() == 4 and sum(mean) >= 6
-        assert kinds.count("gap") >= 5 and kinds.count("heuristic") >= 5
+        assert kinds.count("gap") >= 5 and concave.sum() >= 5
         for q in range(W.shape[0]):
             single = one_row(solve_flow_sq_batch, W[q], labels, DAG, params)
             np.testing.assert_array_equal(single.y_star, Y[q])
             assert single.objective == obj[q]
             assert single.certificate == certs[q]
+            if not convex[q]:
+                # A vertex minimizer, as good as the best path.
+                vals = [float(W[q] @ np.einsum("ma,ma->m", p - labels, p - labels)) for p in P]
+                assert certs[q].kind == "exact"
+                assert any(np.array_equal(Y[q], p) for p in P)
+                assert obj[q] == pytest.approx(min(vals), rel=0, abs=1e-12)
             if mean[q]:
                 # The mean and objective of a one-row product, bit for bit.
                 np.testing.assert_array_equal(Y[q], (W[q] @ labels) / W[q].sum())
@@ -301,23 +356,19 @@ class TestSolveFlowSq:
 
     @pytest.mark.parametrize("n", [1, 13])
     def test_tied_paths_resolve_lexicographically(self, n):
-        # A chain of n diamonds, and a label at the mean of its 2^n paths,
-        # exactly as far from each of them.  The tie goes to the
-        # lexicographically smallest path, the second branch of every
-        # diamond, which is enumerated last.
-        arcs = [a for u in range(0, 3 * n, 3)
-                for a in ((u, u + 1), (u, u + 2), (u + 1, u + 3), (u + 2, u + 3))]
-        net = FlowNetwork(3 * n + 1, arcs, [1.0] + [0.0] * (3 * n - 1) + [-1.0])
+        # A label at the mean of the chain's 2^n paths, exactly as far from
+        # each of them.  The tie goes to the lexicographically smallest path.
+        net = diamond_chain(n)
         P = enumerate_st_paths(net)
         assert P.shape[0] == 2 ** n
         res = one_row(solve_flow_sq_batch, [-1.0], P.mean(axis=0)[None, :], net)
         np.testing.assert_array_equal(res.y_star, P[-1])
         np.testing.assert_array_equal(P[-1], np.tile([0.0, 1.0, 0.0, 1.0], n))
-        assert res.objective == -float(n) and res.certificate.kind == "heuristic"
+        assert res.objective == -float(n) and res.certificate.kind == "exact"
 
     def test_concave_rows_match_lexicographic_vertex_sweep(self, rng):
         # Path labels and integral weights make every value exact, so the
-        # sweep must match the brute force exactly, ties included.
+        # solver must match the brute force exactly, ties included.
         P = enumerate_st_paths(DAG)
         labels = P[rng.integers(P.shape[0], size=5)]
         W = -rng.integers(0, 3, size=(30, 5)).astype(float)
@@ -329,7 +380,7 @@ class TestSolveFlowSq:
         for q in range(W.shape[0]):
             vals = np.array([float(W[q] @ np.einsum("ma,ma->m", p - labels, p - labels))
                              for p in P])
-            assert certs[q].kind == "heuristic"
+            assert certs[q].kind == "exact"
             if q < 20 and W[q, 4] == 0.0:
                 best = vals == vals.min()
                 ties += best.sum() > 1
@@ -339,30 +390,6 @@ class TestSolveFlowSq:
                 assert obj[q] == pytest.approx(vals.min(), rel=0, abs=1e-12)
                 assert any(np.array_equal(Y[q], p) for p in P)
         assert ties > 0
-
-    @pytest.mark.parametrize("entries", [1, 7 * 52])
-    def test_sweep_block_size_changes_no_result(self, monkeypatch, rng, entries):
-        # Blocks of one and of seven paths (52 arcs, one label): the tie on
-        # the 8192-path chain of 13 diamonds still goes to the
-        # lexicographically smallest path, and concave rows on the layered
-        # DAG keep the one-block sweep's values bit for bit.
-        import ecrm.flow_opt
-
-        P = enumerate_st_paths(DAG)
-        labels = P[rng.integers(P.shape[0], size=5)]
-        W = -np.abs(rng.normal(size=(12, 5)))
-        Y, obj, _ = solve_flow_sq_batch(W, labels, DAG)
-        arcs = [a for u in range(0, 39, 3)
-                for a in ((u, u + 1), (u, u + 2), (u + 1, u + 3), (u + 2, u + 3))]
-        chain = FlowNetwork(40, arcs, [1.0] + [0.0] * 38 + [-1.0])
-        C = enumerate_st_paths(chain)
-        monkeypatch.setattr(ecrm.flow_opt, "_SWEEP_ENTRIES", entries)
-        Y2, obj2, _ = solve_flow_sq_batch(W, labels, DAG)
-        np.testing.assert_array_equal(Y2, Y)
-        np.testing.assert_array_equal(obj2, obj)
-        res = one_row(solve_flow_sq_batch, [-1.0], C.mean(axis=0)[None, :], chain)
-        np.testing.assert_array_equal(res.y_star, C[-1])
-        assert res.objective == -13.0
 
     def test_gap_rows_match_oracle_projection(self, rng):
         # With positive total weight the objective is total * ||y - ybar||^2
@@ -467,6 +494,25 @@ class TestSolveFlowAbs:
         assert res.objective == 0.0
         assert res.certificate.kind == "exact"
 
+    def test_rows_without_positive_weight_take_best_path_exactly(self, rng):
+        # Their risk is concave, so the best path is the minimum.  Path
+        # labels and integral weights make every value exact, ties included.
+        P = enumerate_st_paths(DAG)
+        labels = P[rng.integers(P.shape[0], size=6)]
+        W = -rng.integers(0, 3, size=(12, 6)).astype(float)
+        W[0] = 0.0
+        W[1] = -1.0
+        Y, obj, certs = solve_flow_abs_batch(W, labels, DAG, SolverParams(max_iters=20))
+        ties = 0
+        for q in range(W.shape[0]):
+            vals = abs_flow_objective(P, labels, W[q])
+            best = vals == vals.min()
+            ties += best.sum() > 1
+            assert certs[q].kind == "exact"
+            assert obj[q] == vals.min()
+            np.testing.assert_array_equal(Y[q], min(map(tuple, P[best])))
+        assert ties > 0
+
     def test_all_results_feasible(self, rng):
         P = enumerate_st_paths(NET)
         labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(6)])
@@ -526,15 +572,14 @@ class TestL1Breakpoints:
 
 
 def test_sq_solver_concave_sweep_memory_is_bounded():
-    # One concave row on a 3585-path, 102-arc DAG with m = 50: in one block
-    # the sweep's path-label differences would be 3585 * 50 * 102 doubles
-    # (139 MiB), more than four times the block budget.
-    from ecrm.flow_opt import _SWEEP_ENTRIES
-
+    # One concave row on a 3585-path, 102-arc DAG with m = 50: the
+    # path-label differences of a scan over every path would be
+    # 3585 * 50 * 102 doubles (139 MiB); the path search needs none.
     net = layered_dag(2, layers=6, width=5)
     P = enumerate_st_paths(net)
     m = 50
-    assert P.shape[0] * m * net.n_arcs > 4 * _SWEEP_ENTRIES
+    bound = 4 * 2 ** 20
+    assert P.shape[0] * m * net.n_arcs * 8 > 32 * bound
     rng = np.random.default_rng(7)
     labels = P[rng.integers(P.shape[0], size=m)]
     W = -np.abs(rng.normal(size=(1, m)))
@@ -544,8 +589,8 @@ def test_sq_solver_concave_sweep_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert certs[0].kind == "heuristic"
-    assert peak <= 1.25 * _SWEEP_ENTRIES * 8, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert certs[0].kind == "exact"
+    assert peak <= bound, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_abs_solver_memory_stays_linear_in_q_m_a():
