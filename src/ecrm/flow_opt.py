@@ -19,9 +19,11 @@ dynamic program, ``min_cost_paths``, with ties to the lexicographically smallest
 The L1 risk ``sum_i w_i ||y - y_i||_1`` is separable over arcs and piecewise
 linear on each, with breakpoints at the training labels.  The L1 solver
 sorts each arc's labels and builds per-row prefix sums of ``w`` and ``w y``
-once, O(Q m a) time and two (Q, a, m + 1) arrays held for the call; every
-objective and subgradient evaluation after that is a binary search per arc,
-O(Q a log m), with no (Q, m, a) table.
+once, O(Q m a) time and two (a, Q, m + 1) arrays held for the call; every
+objective and subgradient evaluation after that is one search over every
+arc's sorted labels, O(Q a log(a m)), with no (Q, m, a) table.  The same
+prefix sums score every training label as a candidate point, O(Q a m) for
+any m, with no m x m table.
 
 Both solvers take a batch of query weight rows and return ``(Y,
 objectives, certificates)``; a single query is the one-row batch, and a
@@ -36,7 +38,6 @@ from .results import EXACT, Certificate, HEURISTIC, SolverParams
 from .spaces import FlowNetwork, flow_space, nonmembers
 
 _PROJECT_TOL = 1e-11
-_LABEL_CANDIDATE_LIMIT = 1500
 
 
 def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
@@ -298,76 +299,93 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
 
 
 def _l1_breakpoints(W, labels):
-    """Per-arc sorted labels with per-row prefix sums of ``W`` and ``W * y``.
+    """Breakpoints of the L1 risk of every row of W, and its value at every
+    training label.
 
-    Returns ``(S, CW, CWY)``: ``S[a]`` holds arc ``a``'s labels in ascending
-    (stable) order, and ``CW[q, a, r]`` / ``CWY[q, a, r]`` sum ``w_qi`` /
-    ``w_qi * y_ia`` over the ``r`` smallest of them.  Built one arc at a
-    time, so no (Q, m, a) temporary exists.
+    Returns ``((keys, ends, CW, CWY), costs)``.  ``keys`` holds the complex
+    keys ``a + 1j * y_ia`` of arc ``a``'s labels in ascending (stable)
+    order, after those of every earlier arc.  Both parts are exact, and
+    numpy orders complex numbers lexicographically, so one search finds a
+    point's rank on every arc and no rounding merges ties.  ``ends[p]`` is
+    one past the last key equal to ``keys[p]``.
+    ``CW[a, q, r]`` / ``CWY[a, q, r]`` sum ``w_qi`` / ``w_qi * y_ia`` over
+    the ``r`` smallest labels of arc ``a``; arc-major, so that each arc's
+    block is contiguous to gather from.
+
+    ``costs[q, k]`` is the risk of row q at label k.  On each arc, with
+    ``t = y_ka`` and ``lo`` / ``hi`` the counts of labels below / at most
+    ``t``, it adds ``t (CW[lo] - (CW[m] - CW[hi])) - CWY[lo] + (CWY[m] -
+    CWY[hi])``.  The ranks depend on the labels alone, so the candidates
+    cost O(Q a m) for any m, with no m x m table.  Everything is built one
+    arc at a time through one (Q, m) scratch array, so no (Q, m, a)
+    temporary exists.
     """
-    order = np.argsort(labels, axis=0, kind="stable")
-    S = np.take_along_axis(labels, order, axis=0).T.copy()
     (m, a), Q = labels.shape, W.shape[0]
-    CW = np.zeros((Q, a, m + 1))
-    CWY = np.zeros((Q, a, m + 1))
+    order = np.argsort(labels, axis=0, kind="stable")
+    S = np.take_along_axis(labels, order, axis=0)
+    keys = (np.arange(a)[:, None] + 1j * S.T).ravel()
+    ends = np.searchsorted(keys, keys, side="right")
+    first, shift = np.searchsorted(keys, np.arange(a) + 1j * labels), np.arange(a) * m
+    lo, hi = first - shift, ends[first] - shift
+    CW = np.zeros((a, Q, m + 1))
+    CWY = np.zeros((a, Q, m + 1))
     Wj = np.empty((Q, m))
+    costs = np.zeros((Q, m))
     for j in range(a):
         # mode="clip" lets take write straight into Wj (indices are valid).
         np.take(W, order[:, j], axis=1, out=Wj, mode="clip")
-        np.cumsum(Wj, axis=1, out=CW[:, j, 1:])
-        np.cumsum(np.multiply(Wj, S[j], out=Wj), axis=1, out=CWY[:, j, 1:])
-    return S, CW, CWY
+        np.cumsum(Wj, axis=1, out=CW[j, :, 1:])
+        np.cumsum(np.multiply(Wj, S[:, j], out=Wj), axis=1, out=CWY[j, :, 1:])
+        # The label risks on this arc, term by term through Wj, with the
+        # sums above t taken as differences, as in _l1_obj_grad.
+        t, cw, cwy = labels[:, j], CW[j], CWY[j]
+        np.take(cw, hi[:, j], axis=1, out=Wj, mode="clip")
+        costs -= np.multiply(np.subtract(cw[:, m, None], Wj, out=Wj), t, out=Wj)
+        costs += np.multiply(np.take(cw, lo[:, j], axis=1, out=Wj, mode="clip"), t, out=Wj)
+        costs -= np.take(cwy, lo[:, j], axis=1, out=Wj, mode="clip")
+        np.take(cwy, hi[:, j], axis=1, out=Wj, mode="clip")
+        costs += np.subtract(cwy[:, m, None], Wj, out=Wj)
+    return (keys, ends, CW, CWY), costs
 
 
-def _l1_obj_grad(S, CW, CWY, Y):
+def _l1_obj_grad(keys, ends, CW, CWY, Y):
     """Objective ``sum_i w_qi ||y_q - y_i||_1`` and the subgradient
     ``sum_i w_qi sign(y_q - y_i)`` of every row of Y, from breakpoints.
 
     Per arc, labels below ``t`` add ``w (t - y)`` and labels above it add
-    ``w (y - t)``; labels equal to ``t`` add nothing (``sign(0) = 0``).  Two
-    binary searches per arc, O(Q a log m); arcs are added in order, so each
-    row's arithmetic does not depend on the others.
+    ``w (y - t)``; labels equal to ``t`` add nothing (``sign(0) = 0``).  One
+    search over every arc's keys per step, O(Q a log(a m)); a row's arc
+    terms are added left to right, so its arithmetic does not depend on the
+    others.
     """
-    Q, a, m1 = CW.shape
+    a, Q, m1 = CW.shape
     flat_w, flat_wy = CW.reshape(-1), CWY.reshape(-1)
-    base = np.arange(Q) * (a * m1)
-    obj = np.zeros(Q)
-    G = np.empty((Q, a))
-    for j in range(a):
-        t = Y[:, j]
-        row = base + j * m1
-        lo = row + np.searchsorted(S[j], t, side="left")
-        hi = row + np.searchsorted(S[j], t, side="right")
-        top = row + (m1 - 1)
-        g = flat_w[lo] - (flat_w[top] - flat_w[hi])
-        G[:, j] = g
-        obj += t * g - flat_wy[lo] + (flat_wy[top] - flat_wy[hi])
-    return obj, G
+    # Key j m + r is rank r on arc j, at CW[j, q, r]; row holds CW[j, q, 0].
+    row = (np.arange(Q) * m1)[:, None] + np.arange(a) * (Q * m1)
+    shift = row - np.arange(a) * (m1 - 1)
+    y = np.arange(a) + 1j * Y
+    first = np.searchsorted(keys, y)
+    # A point past every key of its arc meets a later arc's key, or the
+    # last key by clipping: unequal, so no label ties it.
+    tied = keys.take(first, mode="clip") == y
+    lo = shift + first
+    hi = shift + np.where(tied, ends.take(first, mode="clip"), first)
+    top = row + (m1 - 1)
+    G = flat_w[lo] - (flat_w[top] - flat_w[hi])
+    terms = Y * G - flat_wy[lo] + (flat_wy[top] - flat_wy[hi])
+    return np.cumsum(terms, axis=1)[:, -1], G
 
 
-def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
-    """Projected subgradient descent on ``sum_i w_i ||y - y_i||_1``, batched
-    over query weight rows.
-
-    Feasibility is maintained by an exact min-norm-point projection after
-    every step, warm-started from the previous step's paths, so iterates are
-    always convex combinations of path vertices.
-    Returns ``(Y, objectives, certificates)`` with one row/entry per query.
-    For rows with nonnegative weights the objective is convex and the
-    certificate carries the achieved duality gap from the subgradient lower
-    bound; other rows are heuristic.
-    """
-    params = params or SolverParams()
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    bad, why = nonmembers(flow_space(net), labels)
-    if bad.size:
-        raise ValueError(f"training flow {bad[0]} {why}")
-    if W.shape[1] != labels.shape[0]:
-        raise ValueError("weight and label counts differ")
-    P = enumerate_st_paths(net)
+def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
+    """Projected subgradient descent on the L1 risk of the rows of W, then
+    the feasible candidates: the best path ``path`` of each row, of risk
+    ``path_obj``, and every training label.  Returns the best point of each
+    row, its risk and the best subgradient lower bound."""
     Q, K = W.shape[0], P.shape[0]
-    nonneg = np.all(W >= 0.0, axis=1)
+    breakpoints, costs = _l1_breakpoints(W, labels)
+    cand = costs.argmin(axis=1)
+    cand_obj = costs[np.arange(Q), cand]
+    del costs
 
     # Start points: the mean of all paths, then seeded random paths.
     starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
@@ -375,11 +393,9 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
         rng = np.random.default_rng([params.seed, r])
         starts.append(P[int(rng.integers(K))])
 
-    best_Y = np.zeros((Q, net.n_arcs))
+    best_Y = np.zeros((Q, P.shape[1]))
     best_obj = np.full(Q, np.inf)
     best_lb = np.full(Q, -np.inf)
-
-    breakpoints = _l1_breakpoints(W, labels)
 
     def keep_better(obj, Y):
         improved = obj < best_obj
@@ -404,28 +420,51 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
             Y, S, lam, _ = _min_norm_point(P, Y - eta * G, 1.0, _PROJECT_TOL, corral=corral)
             corral = (S, lam)
 
-    # Feasible candidates, kept where strictly better: the best path, whose
-    # risk is c.V + W.(labels 1) as labels lie in [0, 1], and which is optimal
-    # for the concave risk of a row with no positive weight; and every
-    # training label when the (m, m) distance table, built one arc at a time,
-    # is affordable.  They snap exact optima that subgradient steps only
-    # approach, e.g. reproducing a lone training flow.
-    del breakpoints
-    c = W.sum(axis=1)[:, None] - 2.0 * (W[:, None, :] @ labels)[:, 0]
-    V = min_cost_paths(net, c)
-    path_obj = np.einsum("qa,qa->q", c, V) + (W[:, None, :] @ labels.sum(axis=1))[:, 0]
-    keep_better(path_obj, V)
-    if labels.shape[0] <= _LABEL_CANDIDATE_LIMIT:
-        D = np.zeros((labels.shape[0], labels.shape[0]))
-        for j in range(labels.shape[1]):
-            D += np.abs(labels[:, j, None] - labels[None, :, j])
-        cand_obj = np.einsum("qm,km->qk", W, D)
-        keep_better(cand_obj.min(axis=1), labels[cand_obj.argmin(axis=1)])
-    concave = ~np.any(W > 0.0, axis=1)
-    best_Y[concave], best_obj[concave] = V[concave], path_obj[concave]
+    # The candidates are kept where strictly better, after the iterates.
+    # They snap exact optima that subgradient steps only approach, e.g.
+    # reproducing a lone training flow.
+    keep_better(path_obj, path)
+    keep_better(cand_obj, labels[cand])
+    return best_Y, best_obj, best_lb
 
-    certs = [EXACT if cc else Certificate("gap", gap=float(max(0.0, f - lb))) if nn
-             else HEURISTIC for cc, nn, f, lb in zip(concave, nonneg, best_obj, best_lb)]
+
+def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
+    """Projected subgradient descent on ``sum_i w_i ||y - y_i||_1``, batched
+    over query weight rows.
+
+    Feasibility is maintained by an exact min-norm-point projection after
+    every step, warm-started from the previous step's paths, so iterates are
+    always convex combinations of path vertices.  The best path and every
+    training label are candidates too.
+    Returns ``(Y, objectives, certificates)`` with one row/entry per query.
+    For rows with nonnegative weights the objective is convex and the
+    certificate carries the achieved duality gap from the subgradient lower
+    bound.  A row with no positive weight has a concave risk, which the best
+    path minimizes: it skips the descent (certificate exact).  Other rows
+    are heuristic.
+    """
+    params = params or SolverParams()
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    labels = np.atleast_2d(np.asarray(labels, dtype=float))
+    bad, why = nonmembers(flow_space(net), labels)
+    if bad.size:
+        raise ValueError(f"training flow {bad[0]} {why}")
+    if W.shape[1] != labels.shape[0]:
+        raise ValueError("weight and label counts differ")
+    P = enumerate_st_paths(net)
+    # On a path the risk is c.V + W.(labels 1), as labels lie in [0, 1].
+    c = W.sum(axis=1)[:, None] - 2.0 * (W[:, None, :] @ labels)[:, 0]
+    best_Y = min_cost_paths(net, c)
+    best_obj = np.einsum("qa,qa->q", c, best_Y) + (W[:, None, :] @ labels.sum(axis=1))[:, 0]
+    best_lb = np.full(W.shape[0], -np.inf)
+    live = np.any(W > 0.0, axis=1)
+    if live.any():
+        # A boolean index copies; with every row live, W itself serves.
+        best_Y[live], best_obj[live], best_lb[live] = _l1_descent(
+            W if live.all() else W[live], labels, P, best_Y[live], best_obj[live], params)
+    nonneg = np.all(W >= 0.0, axis=1)
+    certs = [EXACT if not lv else Certificate("gap", gap=float(max(0.0, f - lb))) if nn
+             else HEURISTIC for lv, nn, f, lb in zip(live, nonneg, best_obj, best_lb)]
     return best_Y, best_obj, certs
 
 

@@ -148,3 +148,29 @@ def flow_projection(P, z, M=1e4) -> np.ndarray:
     if np.any(sol[:s] <= 0.0) or float(g @ y - np.min(P @ g)) > 1e-12 * (1.0 + float(g @ g)):
         raise AssertionError("projection oracle could not certify its support")
     return y
+
+
+def l1_obj_grad_per_arc(W, labels, Y):
+    """L1 risk ``sum_i w_qi ||y_q - y_i||_1`` and subgradient ``sum_i w_qi
+    sign(y_q - y_i)`` of every row of Y by one pair of binary searches per
+    arc into that arc's sorted labels, with per-row prefix sums of ``w`` and
+    ``w y`` built by the same stable sort and cumulative sums as the solver;
+    the arc terms are added one arc at a time from zero."""
+    W, labels, Y = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (W, labels, Y))
+    (m, a), Q = labels.shape, W.shape[0]
+    order = np.argsort(labels, axis=0, kind="stable")
+    S = np.take_along_axis(labels, order, axis=0).T
+    obj, G = np.zeros(Q), np.empty((Q, a))
+    for j in range(a):
+        Wj = W[:, order[:, j]]
+        CW = np.zeros((Q, m + 1))
+        CWY = np.zeros((Q, m + 1))
+        np.cumsum(Wj, axis=1, out=CW[:, 1:])
+        np.cumsum(Wj * S[j], axis=1, out=CWY[:, 1:])
+        t, rows = Y[:, j], np.arange(Q)
+        lo = np.searchsorted(S[j], t, side="left")
+        hi = np.searchsorted(S[j], t, side="right")
+        g = CW[rows, lo] - (CW[:, m] - CW[rows, hi])
+        G[:, j] = g
+        obj += t * g - CWY[rows, lo] + (CWY[:, m] - CWY[rows, hi])
+    return obj, G

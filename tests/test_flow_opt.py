@@ -8,10 +8,12 @@ import pytest
 
 from ecrm import (FlowNetwork, InferenceResult, SolverParams, default_flow_network,
                   enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch)
+from ecrm import flow_opt
 from ecrm.flow_opt import (_l1_breakpoints, _l1_obj_grad, _min_norm_point, min_cost_paths,
                            project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
-from _oracles import abs_flow_objective, flow_projection, lex_min_cost_path, simplex_grid
+from _oracles import (abs_flow_objective, flow_projection, l1_obj_grad_per_arc,
+                      lex_min_cost_path, simplex_grid)
 
 NET = default_flow_network()
 
@@ -476,9 +478,11 @@ class TestSolveFlowAbs:
         assert flow_residual(NET, res.y_star) <= 1e-9
 
     def test_batch_equals_single(self, rng):
+        # Rows with no positive weight skip the descent the others take.
         P = enumerate_st_paths(NET)
         labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(5)])
-        W = rng.normal(size=(4, 5))
+        W = rng.normal(size=(6, 5))
+        W[1], W[4] = -np.abs(W[1]), 0.0
         params = SolverParams(max_iters=60, restarts=2, seed=3)
         Y, obj, certs = solve_flow_abs_batch(W, labels, NET, params)
         for q in range(W.shape[0]):
@@ -513,6 +517,37 @@ class TestSolveFlowAbs:
             np.testing.assert_array_equal(Y[q], min(map(tuple, P[best])))
         assert ties > 0
 
+    def test_rows_without_positive_weight_skip_the_descent(self, rng, monkeypatch):
+        calls = []
+        project = flow_opt._min_norm_point
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(flow_opt, "_min_norm_point", counted)
+        P = enumerate_st_paths(NET)
+        labels = P[rng.integers(P.shape[0], size=100)]
+        W = -np.abs(rng.normal(size=(20, 100)))
+        W[0] = 0.0
+        params = SolverParams(max_iters=30, restarts=1)
+        _, _, certs = solve_flow_abs_batch(W, labels, NET, params)
+        assert calls == []
+        assert all(c.kind == "exact" for c in certs)
+        W[[3, 7]] = rng.normal(size=(2, 100))
+        solve_flow_abs_batch(W, labels, NET, params)
+        assert calls == [2] * 30
+
+    def test_identical_labels_recovered_exactly_at_m_2000(self, rng):
+        # Every m scores the training labels, which snaps this to exactly 0.
+        P = enumerate_st_paths(NET)
+        label = rng.dirichlet(np.ones(P.shape[0])) @ P
+        labels = np.tile(label, (2000, 1))
+        res = one_row(solve_flow_abs_batch, rng.uniform(0.1, 1.0, size=2000), labels, NET,
+                      SolverParams(max_iters=20))
+        assert res.objective == 0.0
+        np.testing.assert_array_equal(res.y_star, label)
+
     def test_all_results_feasible(self, rng):
         P = enumerate_st_paths(NET)
         labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(6)])
@@ -542,7 +577,7 @@ class TestL1Breakpoints:
         for _ in range(20):
             Q, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
             W, labels, Y = self._instance(rng, Q, m)
-            obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels), Y)
+            obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], Y)
             for q in range(Q):
                 tol = 1e-12 * (1.0 + np.abs(W[q]).sum())
                 ref_obj = abs_flow_objective(Y[q:q + 1], labels, W[q])[0]
@@ -556,7 +591,7 @@ class TestL1Breakpoints:
         W = np.array([[1.0, 10.0, -3.0]])
         Y = np.zeros((1, NET.n_arcs))
         Y[0, 0] = 0.5
-        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels), Y)
+        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], Y)
         assert G[0, 0] == 1.0 - (-3.0)
         assert obj[0] == pytest.approx(1.0 * 0.3 + -3.0 * 0.4, abs=1e-15)
         # Other arcs tie with every label: zero subgradient, zero objective.
@@ -564,11 +599,42 @@ class TestL1Breakpoints:
 
     def test_one_row_equals_batch_row_bit_for_bit(self, rng):
         W, labels, Y = self._instance(rng, 9, 30)
-        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels), Y)
+        breakpoints, costs = _l1_breakpoints(W, labels)
+        obj, G = _l1_obj_grad(*breakpoints, Y)
         for q in range(W.shape[0]):
-            obj1, G1 = _l1_obj_grad(*_l1_breakpoints(W[q:q + 1], labels), Y[q:q + 1])
+            breakpoints1, costs1 = _l1_breakpoints(W[q:q + 1], labels)
+            obj1, G1 = _l1_obj_grad(*breakpoints1, Y[q:q + 1])
             assert obj1[0] == obj[q]
             np.testing.assert_array_equal(G1[0], G[q])
+            np.testing.assert_array_equal(costs1[0], costs[q])
+
+    def test_equals_per_arc_searches_bit_for_bit(self, rng):
+        for _ in range(20):
+            Q, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            W, labels, Y = self._instance(rng, Q, m)
+            obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], Y)
+            ref_obj, ref_G = l1_obj_grad_per_arc(W, labels, Y)
+            assert np.array_equal(obj, ref_obj)
+            assert np.array_equal(G, ref_G)
+        # Every path lies past all interior labels on its arcs, the last included.
+        P = enumerate_st_paths(NET)
+        labels = rng.dirichlet(np.ones(P.shape[0]), size=5) @ P
+        W = rng.normal(size=(P.shape[0], 5))
+        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], P)
+        ref_obj, ref_G = l1_obj_grad_per_arc(W, labels, P)
+        assert np.array_equal(obj, ref_obj)
+        assert np.array_equal(G, ref_G)
+
+    def test_label_costs_match_definition(self, rng):
+        for _ in range(20):
+            Q, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            W, labels, _ = self._instance(rng, Q, m)
+            costs = _l1_breakpoints(W, labels)[1]
+            assert costs.shape == (Q, m)
+            for q in range(Q):
+                tol = 1e-12 * (1.0 + np.abs(W[q]).sum())
+                ref = abs_flow_objective(labels, labels, W[q])
+                assert np.max(np.abs(costs[q] - ref)) <= tol
 
 
 def test_sq_solver_concave_sweep_memory_is_bounded():
@@ -609,3 +675,20 @@ def test_abs_solver_memory_stays_linear_in_q_m_a():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * Q * m * a * 8, f"peak {peak / (Q * m * a * 8):.2f} x Q*m*a*8 bytes"
+
+
+def test_abs_solver_label_candidates_need_no_m_by_m_table():
+    # m = 3000 training labels: an (m, m) distance table alone would be
+    # 72 MB; the prefix-sum scoring holds O(Q a m).
+    P = enumerate_st_paths(NET)
+    rng = np.random.default_rng(3000)
+    m = 3000
+    labels = rng.dirichlet(np.ones(P.shape[0]), size=m) @ P
+    W = rng.normal(size=(2, m))
+    tracemalloc.start()
+    try:
+        solve_flow_abs_batch(W, labels, NET, SolverParams(max_iters=3, restarts=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m * m * 8 / 16, f"peak {peak / 2 ** 20:.1f} MiB"
