@@ -111,14 +111,11 @@ def surrogate_loss_detailed(model: TrainedModel, loss: LossSpec, cfg: SurrogateC
         certs = ["exact"] * len(vals)
     else:
         best = infer_batch(W, labels, loss, space, params)
-        # The L1 flow solver tries every label as a candidate point, so other
-        # rows' labels would change a row's result: flows take one row per block.
-        block = 1 if space.kind == "flow_polytope" else AUG_BLOCK
         aug = []
-        for s in range(0, W.shape[0], block):
-            Wb = W[s:s + block]
+        for s in range(0, W.shape[0], AUG_BLOCK):
+            Wb = W[s:s + AUG_BLOCK]
             aug += infer_batch(np.hstack([-np.eye(Wb.shape[0]), Wb / rho]),
-                               np.vstack([Y[s:s + block], labels]), loss, space, params)
+                               np.vstack([Y[s:s + AUG_BLOCK], labels]), loss, space, params)
         vals = [min(cfg.L, -a.objective + b.objective / rho) for a, b in zip(aug, best)]
         certs = ["exact" if a.certificate.kind == b.certificate.kind == "exact" else "heuristic"
                  for a, b in zip(aug, best)]

@@ -1,12 +1,14 @@
 """Reference predictors: local (k-nearest-neighbor) risk minimization and
-coordinatewise kernel ridge regression followed by Euclidean projection."""
+coordinatewise kernel ridge regression followed by Euclidean projection.
+The local one is ``infer_batch`` under the weight map 1/k on each query's
+k nearest training rows, 0 elsewhere."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .flow_opt import project_batch
-from .inference import infer_from_weights
+from .inference import infer_batch
 from .io import Dataset
 from .kernels import KernelSpec
 from .losses import LossSpec
@@ -19,22 +21,23 @@ _PROJECT_GAP = 1e-6
 
 def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace, x,
                            k: int, params: SolverParams | None = None) -> np.ndarray:
-    """Minimize the mean loss against the k nearest training samples.
-
-    Shares the exact inference code path with the kernel predictor; only
-    the weight vector differs (uniform over the neighborhood).
+    """Minimize, for each query row, the mean loss against its k nearest
+    training samples (squared distance, ties to the smaller index) by one
+    ``infer_batch`` call on the training labels, the kernel predictor's
+    entry point.  One query ``x`` (p,) gives one label, a batch (Q, p) a
+    (Q, d) array.
     """
     X = dataset.X
     m = X.shape[0]
     if not (1 <= k <= m):
         raise ValueError(f"k must be in 1..{m}")
-    diff = X - np.asarray(x, dtype=float)[None, :]
-    dist = np.einsum("ip,ip->i", diff, diff)
-    # Sort by distance, breaking ties by sample index.
-    order = np.lexsort((np.arange(m), dist))[:k]
-    w = np.full(k, 1.0 / k)
-    result = infer_from_weights(w, np.asarray(dataset.Y)[order], loss, space, params)
-    return result.y_star
+    Xq = np.atleast_2d(np.asarray(x, dtype=float))
+    dist = np.array([np.einsum("ip,ip->i", X - r, X - r) for r in Xq])  # no (Q, m, p) array
+    near = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    W = np.zeros((Xq.shape[0], m))
+    np.put_along_axis(W, near, 1.0 / k, axis=1)
+    Y = np.array([r.y_star for r in infer_batch(W, dataset.Y, loss, space, params)])
+    return Y if np.ndim(x) == 2 else Y[0]
 
 
 def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: KernelSpec,

@@ -233,8 +233,7 @@ def cmd_baseline(args) -> int:
     if args.method == "knn":
         loss = _loss_from_args(args, space)
         params = _solver_params(args)
-        rows = [knn_local_risk_predict(data, loss, space, Xq[i], args.k, params)
-                for i in range(Xq.shape[0])]
+        rows = knn_local_risk_predict(data, loss, space, Xq, args.k, params)
     else:
         kernel = _kernel_from_args(args)
         rows = krr_project_predict_batch(data, space, kernel, args.lam, Xq)

@@ -23,11 +23,12 @@ once, O(Q m a) time and two (a, Q, m + 1) arrays held for the call; every
 objective and subgradient evaluation after that is one search over every
 arc's sorted labels, O(Q a log(a m)), with no (Q, m, a) table.  The same
 prefix sums score every training label as a candidate point, O(Q a m) for
-any m, with no m x m table.
+any m, with no m x m table; a label of zero weight is not a candidate.
 
 Both solvers take a batch of query weight rows and return ``(Y,
-objectives, certificates)``; a single query is the one-row batch, and a
-row's result does not depend on the rest of its batch.
+objectives, certificates)``; a single query is the one-row batch.  A row's
+result depends neither on the rest of its batch nor, apart from rounding in
+the weighted sums, on the labels it gives zero weight.
 """
 
 from __future__ import annotations
@@ -244,6 +245,19 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
     return Y, S, lam, gaps
 
 
+def _solver_inputs(W, labels, net: FlowNetwork, params: SolverParams | None):
+    """The checked inputs of either flow solver: ``(W, labels, P, params)``
+    with W and labels as float matrices and P the network's s-t paths."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    labels = np.atleast_2d(np.asarray(labels, dtype=float))
+    bad, why = nonmembers(flow_space(net), labels)
+    if bad.size:
+        raise ValueError(f"training flow {bad[0]} {why}")
+    if W.shape[1] != labels.shape[0]:
+        raise ValueError("weight and label counts differ")
+    return W, labels, enumerate_st_paths(net), params or SolverParams()
+
+
 def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
     """Minimize ``sum_i w_i ||y - y_i||^2`` over the flow polytope for each
     query weight row ``w`` of W.
@@ -264,15 +278,7 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     does not depend on its batch.  Objectives are taken row by row, so no
     (Q, m, a) difference array is formed.
     """
-    params = params or SolverParams()
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    bad, why = nonmembers(flow_space(net), labels)
-    if bad.size:
-        raise ValueError(f"training flow {bad[0]} {why}")
-    if W.shape[1] != labels.shape[0]:
-        raise ValueError("weight and label counts differ")
-    P = enumerate_st_paths(net)
+    W, labels, P, params = _solver_inputs(W, labels, net, params)
     Q, K = W.shape[0], P.shape[0]
     total = W.sum(axis=1)
     convex = total > 0.0
@@ -379,10 +385,12 @@ def _l1_obj_grad(keys, ends, CW, CWY, Y):
 def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
     """Projected subgradient descent on the L1 risk of the rows of W, then
     the feasible candidates: the best path ``path`` of each row, of risk
-    ``path_obj``, and every training label.  Returns the best point of each
-    row, its risk and the best subgradient lower bound."""
+    ``path_obj``, and every training label the row weighs: no zero-weight
+    label is a candidate.  Returns the best point of each row, its risk and
+    the best subgradient lower bound."""
     Q, K = W.shape[0], P.shape[0]
     breakpoints, costs = _l1_breakpoints(W, labels)
+    np.copyto(costs, np.inf, where=W == 0.0)
     cand = costs.argmin(axis=1)
     cand_obj = costs[np.arange(Q), cand]
     del costs
@@ -435,7 +443,7 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     Feasibility is maintained by an exact min-norm-point projection after
     every step, warm-started from the previous step's paths, so iterates are
     always convex combinations of path vertices.  The best path and every
-    training label are candidates too.
+    training label the row weighs are candidates too.
     Returns ``(Y, objectives, certificates)`` with one row/entry per query.
     For rows with nonnegative weights the objective is convex and the
     certificate carries the achieved duality gap from the subgradient lower
@@ -443,15 +451,7 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     path minimizes: it skips the descent (certificate exact).  Other rows
     are heuristic.
     """
-    params = params or SolverParams()
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    bad, why = nonmembers(flow_space(net), labels)
-    if bad.size:
-        raise ValueError(f"training flow {bad[0]} {why}")
-    if W.shape[1] != labels.shape[0]:
-        raise ValueError("weight and label counts differ")
-    P = enumerate_st_paths(net)
+    W, labels, P, params = _solver_inputs(W, labels, net, params)
     # On a path the risk is c.V + W.(labels 1), as labels lie in [0, 1].
     c = W.sum(axis=1)[:, None] - 2.0 * (W[:, None, :] @ labels)[:, 0]
     best_Y = min_cost_paths(net, c)

@@ -72,7 +72,8 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
     ``additive_coefficients`` call; hierarchies then take one
     ``solve_hierarchy`` call for the batch and rankings solve per row.  Flow
     polytopes take one call of the loss's batched flow solver; the
-    exhaustive minimization runs row by row.
+    exhaustive minimization runs row by row.  A row's answer depends only
+    on the labels it weighs, up to rounding, so rows may share one label set.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     labels = np.asarray(labels)

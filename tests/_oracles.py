@@ -123,6 +123,26 @@ def abs_flow_objective(Y, labels, w) -> np.ndarray:
                      np.asarray(w, dtype=float))
 
 
+def l1_flow_minimizer(P, labels, w) -> np.ndarray:
+    """A minimizer of ``sum_i w_i ||y - y_i||_1``, for ``w >= 0``, over the
+    convex hull of the rows of P: the linear program over path weights
+    ``theta`` and one epigraph variable ``e_ia >= |y_a - y_ia|`` per label
+    and arc, solved by HiGHS.  The weights are clipped at 0 and renormalized,
+    so the point is a convex combination of paths to rounding."""
+    from scipy.optimize import linprog
+    (K, a), m = P.shape, labels.shape[0]
+    T, E = np.tile(P.T, (m, 1)), -np.eye(m * a)
+    res = linprog(np.concatenate([np.zeros(K), np.repeat(np.asarray(w, dtype=float), a)]),
+                  A_ub=np.vstack([np.hstack([T, E]), np.hstack([-T, E])]),
+                  b_ub=np.concatenate([labels.ravel(), -labels.ravel()]),
+                  A_eq=np.concatenate([np.ones(K), np.zeros(m * a)])[None, :], b_eq=[1.0],
+                  bounds=(0.0, None))
+    if res.status != 0:
+        raise AssertionError(f"L1 oracle failed: {res.message}")
+    theta = np.clip(res.x[:K], 0.0, None)
+    return (theta / theta.sum()) @ P
+
+
 def flow_projection(P, z, M=1e4) -> np.ndarray:
     """Euclidean projection of z onto the convex hull of the rows of P.
 

@@ -349,14 +349,11 @@ def test_criterion_11_flow_feasibility():
                                              flow_space(net)).y_star)
             checks.append(infer_from_weights(w, labels, LossSpec("absolute"), flow_space(net),
                                              SolverParams(max_iters=60, restarts=2)).y_star)
-    for t in range(5):
-        x = rng.uniform(size=5)
-        checks.append(knn_local_risk_predict(data, LossSpec("absolute"), data.space,
-                                             x, k=5, params=SolverParams(max_iters=60,
-                                                                         restarts=2)))
-        checks.append(krr_project_predict_batch(data, data.space,
-                                                KernelSpec("rbf", gamma=0.8), 0.05,
-                                                x[None, :])[0])
+    Xq = rng.uniform(size=(5, 5))
+    checks.extend(knn_local_risk_predict(data, LossSpec("absolute"), data.space, Xq, k=5,
+                                         params=SolverParams(max_iters=60, restarts=2)))
+    checks.extend(krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=0.8),
+                                            0.05, Xq))
     assert max(flow_residual(net, y) for y in checks) <= 1e-9
 
 

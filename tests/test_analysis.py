@@ -304,8 +304,10 @@ class TestBatchSurrogate:
         model = fit(KernelSpec("rbf", gamma=0.5), 0.05, train.X, train.Y)
         loss = LossSpec(kind)
         cfg = make_surrogate_config(0.5, loss, flow_space(default_flow_network()))
+        # As for hierarchies: zero-weight labels of the block's other rows may
+        # move the weighted sums by rounding only.
         self._check(monkeypatch, model, loss, cfg, test.X, test.Y,
-                    SolverParams(max_iters=40, restarts=2))
+                    SolverParams(max_iters=40, restarts=2), rtol=1e-12)
 
 
 class TestEmpiricalSurrogateRisk:

@@ -206,24 +206,34 @@ class TestAnalysisCommands:
         assert got["empirical"] == lines[-1].split()[1]
         assert float(got["empirical"]) == np.mean(vals)
 
+    @pytest.mark.parametrize("space", ["hierarchy", "flow"])
     @pytest.mark.parametrize("command", ["surrogate", "bound"])
     def test_one_weight_solve_and_one_risk_minimization_per_block(
-            self, monkeypatch, capsys, tmp_path, rng, command):
+            self, monkeypatch, capsys, tmp_path, rng, command, space):
         # Q = 10 rows in blocks of 4: the risk minima, then 3 augmented blocks.
         import ecrm.analysis
         import ecrm.cli
         import ecrm.inference
         import ecrm.model
-        G = HierarchyDag(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
-        save_hierarchy(tmp_path / "h.txt", G)
-        Y = np.array([[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 0, 1],
-                      [1, 0, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [1, 1, 1, 0, 0],
-                      [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]])
-        save_matrix(tmp_path / "x.txt", rng.normal(size=(10, 3)))
+        if space == "hierarchy":
+            G = HierarchyDag(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
+            save_hierarchy(tmp_path / "h.txt", G)
+            Y = np.array([[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 0, 1],
+                          [1, 0, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [1, 1, 1, 0, 0],
+                          [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]])
+            X = rng.normal(size=(10, 3))
+            flags = ["--space", "hierarchy", "--hierarchy", str(tmp_path / "h.txt")]
+            loss = ["--loss", "hamming"]
+        else:
+            save_network(tmp_path / "net.txt", default_flow_network())
+            data = simulate_flow_data(FlowGeneratorSpec.create(seed=5, tau=1.0, p=3), 10)
+            X, Y = data.X, data.Y
+            flags = ["--space", "flow", "--network", str(tmp_path / "net.txt")]
+            loss = ["--loss", "absolute", "--max-iters", "20", "--restarts", "1"]
+        save_matrix(tmp_path / "x.txt", X)
         save_matrix(tmp_path / "y.txt", Y)
-        space = ["--space", "hierarchy", "--hierarchy", str(tmp_path / "h.txt")]
         assert ecrm.cli.main(["train", "--x", str(tmp_path / "x.txt"),
-                              "--labels", str(tmp_path / "y.txt"), *space, "--kernel", "rbf",
+                              "--labels", str(tmp_path / "y.txt"), *flags, "--kernel", "rbf",
                               "--gamma", "0.5", "--out", str(tmp_path / "m.ecrm")]) == 0
         calls = {"weights": 0, "infer_batch": 0}
 
@@ -242,7 +252,7 @@ class TestAnalysisCommands:
         extra = ["--delta", "0.1"] if command == "bound" else []
         assert ecrm.cli.main([command, "--model", str(tmp_path / "m.ecrm"),
                               "--x", str(tmp_path / "x.txt"), "--labels", str(tmp_path / "y.txt"),
-                              *space, "--loss", "hamming", "--rho", "0.5", *extra]) == 0
+                              *flags, *loss, "--rho", "0.5", *extra]) == 0
         assert calls == {"weights": 1, "infer_batch": 1 + 3}
         capsys.readouterr()
 

@@ -12,8 +12,8 @@ from ecrm import flow_opt
 from ecrm.flow_opt import (_l1_breakpoints, _l1_obj_grad, _min_norm_point, min_cost_paths,
                            project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
-from _oracles import (abs_flow_objective, flow_projection, l1_obj_grad_per_arc,
-                      lex_min_cost_path, simplex_grid)
+from _oracles import (abs_flow_objective, flow_projection, l1_flow_minimizer,
+                      l1_obj_grad_per_arc, lex_min_cost_path, simplex_grid)
 
 NET = default_flow_network()
 
@@ -490,6 +490,25 @@ class TestSolveFlowAbs:
             np.testing.assert_array_equal(Y[q], single.y_star)
             assert obj[q] == single.objective
             assert certs[q].kind == single.certificate.kind
+
+    def test_labels_a_row_does_not_weigh_change_nothing(self, rng):
+        # Each row's optimum, stacked in front at zero weight with one more
+        # feasible label, beats what two descent steps reach; it must not
+        # become the row's answer, as it would were it a candidate.
+        P = enumerate_st_paths(NET)
+        labels = rng.dirichlet(np.ones(P.shape[0]), size=4) @ P
+        W = rng.uniform(0.1, 1.0, size=(2, 4))
+        optima = np.array([l1_flow_minimizer(P, labels, w) for w in W])
+        params = SolverParams(max_iters=2, restarts=1)
+        Y, obj, certs = solve_flow_abs_batch(W, labels, NET, params)
+        for q in range(W.shape[0]):
+            assert abs_flow_objective(optima[q:q + 1], labels, W[q])[0] < obj[q] - 1e-6
+        padded = np.vstack([optima, rng.dirichlet(np.ones(P.shape[0])) @ P, labels])
+        Yp, objp, certsp = solve_flow_abs_batch(np.hstack([np.zeros((2, 3)), W]), padded,
+                                                NET, params)
+        np.testing.assert_array_equal(Yp, Y)
+        np.testing.assert_array_equal(objp, obj)
+        assert certsp == certs
 
     def test_zero_weights_row(self):
         P = enumerate_st_paths(NET)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from ecrm import (Dataset, FlowGeneratorSpec, KernelSpec, LossSpec, SolverParams,
-                  enumerate_st_paths, fit, flow_space,
+                  assignment_space, default_flow_network, enumerate_st_paths, fit,
+                  flow_space, hierarchy_space,
                   infer_from_weights, knn_local_risk_predict,
                   sample_conditional, simulate_flow_data, weights)
 from ecrm.baselines import krr_project_predict_batch
 from ecrm.spaces import FlowNetwork, flow_residual
+from _oracles import footrule_risks
+from conftest import random_feasible_label, random_tree
 
 
 class TestGenerator:
@@ -60,31 +63,61 @@ class TestGenerator:
             assert flow_residual(spec.network, Y[i]) <= 1e-12
 
 
+def knn_weights(X, Xq, k):
+    """1/k on each query row's k nearest rows of X (squared distance, ties
+    to the smaller index), one row per query."""
+    W = np.zeros((Xq.shape[0], X.shape[0]))
+    for q, x in enumerate(Xq):
+        dist = np.einsum("ip,ip->i", X - x, X - x)
+        W[q, np.lexsort((np.arange(X.shape[0]), dist))[:k]] = 1.0 / k
+    return W
+
+
+def knn_instance(rng, kind):
+    """A 15-row dataset of the space ``kind``, its loss and 8 query rows; the
+    last query is at distance 0 from four training rows."""
+    X = rng.normal(size=(15, 3))
+    X[[6, 11, 13]] = X[2]
+    Xq = np.vstack([rng.normal(size=(7, 3)), X[2]])
+    if kind == "hierarchy":
+        G = random_tree(rng, 9)
+        Y = np.array([random_feasible_label(rng, G) for _ in range(15)])
+        loss = LossSpec("hierarchical", hierarchy=G)
+        return Dataset(X=X, Y=Y, space=hierarchy_space(G)), loss, Xq
+    if kind == "ranking":
+        Y = np.array([rng.permutation(6) + 1 for _ in range(15)])
+        return Dataset(X=X, Y=Y, space=assignment_space(6)), LossSpec("footrule"), Xq
+    P = enumerate_st_paths(default_flow_network())
+    Y = rng.dirichlet(np.ones(P.shape[0]), size=15) @ P
+    return Dataset(X=X, Y=Y, space=flow_space(default_flow_network())), LossSpec(kind), Xq
+
+
 class TestKnnBaseline:
-    def test_shares_the_inference_entry_point(self):
-        # The local predictor must run through the same solver entry point the
-        # kernel predictor uses; only the weight vector differs.
+    def test_shares_the_inference_entry_point(self, rng):
+        # The local predictor runs through the kernel predictor's batched
+        # entry point, once per batch; only the weight map differs.
         import ecrm.baselines
         import ecrm.inference
-        assert ecrm.baselines.infer_from_weights is ecrm.inference.infer_from_weights
+        assert ecrm.baselines.infer_batch is ecrm.inference.infer_batch
         calls = []
-        original = ecrm.inference.infer_from_weights
+        original = ecrm.inference.infer_batch
 
-        def spy(w, labels, loss, space, params=None):
-            calls.append(np.asarray(w))
-            return original(w, labels, loss, space, params)
+        def spy(W, labels, loss, space, params=None):
+            calls.append((np.array(W), np.array(labels)))
+            return original(W, labels, loss, space, params)
 
-        spec = FlowGeneratorSpec.create(seed=21, tau=1.0, p=4)
-        data = simulate_flow_data(spec, 8)
+        data, loss, Xq = knn_instance(rng, "absolute")
         try:
-            ecrm.baselines.infer_from_weights = spy
-            knn_local_risk_predict(data, LossSpec("absolute"), data.space,
-                                   np.zeros(4), k=8,
+            ecrm.baselines.infer_batch = spy
+            knn_local_risk_predict(data, loss, data.space, Xq, k=3,
                                    params=SolverParams(max_iters=30, restarts=1))
         finally:
-            ecrm.baselines.infer_from_weights = original
+            ecrm.baselines.infer_batch = original
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], np.full(8, 1 / 8))
+        W = knn_weights(data.X, Xq, 3)
+        assert np.flatnonzero(W[-1]).tolist() == [2, 6, 11]
+        np.testing.assert_array_equal(calls[0][0], W)
+        np.testing.assert_array_equal(calls[0][1], data.Y)
 
     def test_k_equal_m_matches_uniform_inference(self):
         spec = FlowGeneratorSpec.create(seed=6, tau=1.0, p=4)
@@ -93,13 +126,31 @@ class TestKnnBaseline:
         params = SolverParams(max_iters=80, restarts=2)
         x = np.full(4, 0.5)
         got = knn_local_risk_predict(data, loss, data.space, x, k=12, params=params)
-        # Same code path, uniform weights over all samples; order differs only
-        # by the distance sort, which a shared-weight objective cannot see.
-        dist = np.einsum("ip,ip->i", data.X - x, data.X - x)
-        order = np.lexsort((np.arange(12), dist))
-        ref = infer_from_weights(np.full(12, 1 / 12), data.Y[order], loss,
-                                 data.space, params)
+        # Uniform weights over all samples, on the labels in training order.
+        ref = infer_from_weights(np.full(12, 1 / 12), data.Y, loss, data.space, params)
         np.testing.assert_array_equal(got, ref.y_star)
+
+    @pytest.mark.parametrize("kind", ["hierarchy", "absolute", "square", "ranking"])
+    def test_batch_equals_one_query_calls(self, rng, kind):
+        # Hierarchies and L1 flows are exact to the bit.  The square-loss
+        # mean and the footrule cost matrix sum over the whole batch's
+        # labels, so zero weights move their last bits; tied assignment
+        # optima may then differ, at equal risk.
+        data, loss, Xq = knn_instance(rng, kind)
+        params = SolverParams(max_iters=40, restarts=2)
+        Y = knn_local_risk_predict(data, loss, data.space, Xq, k=3, params=params)
+        W = knn_weights(data.X, Xq, 3)
+        for q, x in enumerate(Xq):
+            one = knn_local_risk_predict(data, loss, data.space, x, k=3, params=params)
+            if kind == "hierarchy":
+                assert Y[q].tobytes() == one.tobytes() and Y.dtype == one.dtype
+            elif kind == "absolute":
+                np.testing.assert_array_equal(Y[q], one)
+            elif kind == "square":
+                np.testing.assert_allclose(Y[q], one, rtol=0, atol=1e-12)
+            else:
+                risk, ref = footrule_risks(np.array([Y[q], one]), data.Y, W[q])
+                assert abs(risk - ref) <= 1e-12 * max(1.0, ref)
 
     def test_k_one_returns_nearest_label(self):
         spec = FlowGeneratorSpec.create(seed=7, tau=1.0, p=4)
