@@ -19,7 +19,7 @@ from .closure import solve_hierarchy
 from .errors import DataFormatError, EcrmError, NumericalError
 from .flow_opt import enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch
 from .hierarchy import HierarchyDag
-from .inference import brute_force_argmin, infer, infer_batch, infer_from_weights, sign_rule
+from .inference import brute_force_argmin, infer, infer_batch, infer_from_weights
 from .io import Dataset, load_model, save_additive_model, save_model
 from .kernels import KernelSpec, eval_kernel, gram_matrix, kernel_vector
 from .losses import (LossSpec, additive_coefficients, footrule, hamming,

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import infer_batch, infer_from_weights, member_losses
+from .inference import explicit_risks, infer_batch, infer_from_weights
 from .losses import LossSpec, loss_bound, loss_value
 from .model import TrainedModel, risk_from_weights, weights
 from .results import SolverParams
-from .spaces import OutputSpace, enumerate_space
+from .spaces import OutputSpace
 
 # Rows per augmented risk minimization: a block puts the labels of all its
 # rows in front of the training labels, each row weighting only its own.
@@ -61,12 +61,6 @@ def delta(model: TrainedModel, loss: LossSpec, space: OutputSpace, yprime, x,
     return best.objective - risk_from_weights(w, model.labels, loss, yprime)
 
 
-def _explicit_risks(loss: LossSpec, space: OutputSpace, labels, W):
-    """Members in enumeration order and every weight row's risk of each member."""
-    table = member_losses(loss, space, labels)
-    return enumerate_space(space), np.array([[np.dot(w, row) for row in table] for w in W])
-
-
 def realized_loss(model: TrainedModel, loss: LossSpec, space: OutputSpace, x, y,
                   params: SolverParams | None = None) -> float:
     """Loss of the risk-minimizing prediction against ``y``.
@@ -77,7 +71,7 @@ def realized_loss(model: TrainedModel, loss: LossSpec, space: OutputSpace, x, y,
     """
     w = weights(model, x)
     if space.kind == "explicit_finite":
-        members, (risks,) = _explicit_risks(loss, space, model.labels, [w])
+        members, (risks,) = explicit_risks(loss, space, model.labels, [w])
         rmin = risks.min()
         return max(loss_value(loss, mbr, y) for mbr, r in zip(members, risks) if r == rmin)
     result = infer_from_weights(w, model.labels, loss, space, params)
@@ -104,7 +98,7 @@ def surrogate_loss_detailed(model: TrainedModel, loss: LossSpec, cfg: SurrogateC
     Y = np.asarray(y).reshape(W.shape[0], -1)
 
     if space.kind == "explicit_finite":
-        members, R = _explicit_risks(loss, space, labels, W)
+        members, R = explicit_risks(loss, space, labels, W)
         margins = (R.min(axis=1, keepdims=True) - R) / rho
         vals = [min(cfg.L, max(loss_value(loss, mbr, yq) + g for mbr, g in zip(members, gq)))
                 for gq, yq in zip(margins, Y)]

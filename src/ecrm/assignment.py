@@ -10,7 +10,6 @@ assignments attain the minimum no particular one is promised.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def solve_assignment(C) -> np.ndarray:
@@ -24,6 +23,8 @@ def solve_assignment(C) -> np.ndarray:
         raise ValueError(f"cost matrix must be square, got {C.shape}")
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix entries must be finite")
+    # Imported on first use: loading scipy.optimize is a large share of start-up.
+    from scipy.optimize import linear_sum_assignment
     _, cols = linear_sum_assignment(C)
     return cols.astype(np.int64) + 1
 

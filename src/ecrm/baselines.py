@@ -23,9 +23,9 @@ def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace,
                            k: int, params: SolverParams | None = None) -> np.ndarray:
     """Minimize, for each query row, the mean loss against its k nearest
     training samples (squared distance, ties to the smaller index) by one
-    ``infer_batch`` call on the training labels, the kernel predictor's
-    entry point.  One query ``x`` (p,) gives one label, a batch (Q, p) a
-    (Q, d) array.
+    ``infer_batch`` call on the training labels that some row weighs, the
+    kernel predictor's entry point.  One query ``x`` (p,) gives one label, a
+    batch (Q, p) a (Q, d) array.
     """
     X = dataset.X
     m = X.shape[0]
@@ -36,7 +36,11 @@ def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace,
     near = np.argsort(dist, axis=1, kind="stable")[:, :k]
     W = np.zeros((Xq.shape[0], m))
     np.put_along_axis(W, near, 1.0 / k, axis=1)
-    Y = np.array([r.y_star for r in infer_batch(W, dataset.Y, loss, space, params)])
+    # A row's answer depends only on the labels it weighs; training order
+    # is kept.
+    cols = np.flatnonzero(W.any(axis=0))
+    results = infer_batch(W[:, cols], np.asarray(dataset.Y)[cols], loss, space, params)
+    Y = np.array([r.y_star for r in results])
     return Y if np.ndim(x) == 2 else Y[0]
 
 

@@ -197,6 +197,8 @@ def cmd_simulate_flow(args) -> int:
 def cmd_bench(args) -> int:
     """Training time against label-vector size; fit cost is label-size free."""
     dims = [int(t) for t in args.dims.split(",")]
+    if args.repeats < 1:
+        raise DataFormatError(f"--repeats must be at least 1, got {args.repeats}")
     kernel = _kernel_from_args(args)
     rng = np.random.default_rng(args.seed)
     X = rng.uniform(size=(args.m, args.p))

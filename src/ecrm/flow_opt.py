@@ -53,9 +53,6 @@ def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
     if not net.is_acyclic:
         raise ValueError("path enumeration requires an acyclic network")
     s, t = net.unit_endpoints()
-    out = [[] for _ in range(net.n_nodes)]
-    for a, (tail, head) in enumerate(net.arcs):
-        out[tail].append((a, head))
     rows: list[list[int]] = []
     # Explicit stack instead of recursion, so deep networks do not hit the
     # recursion limit; pushing arcs in reverse pops them in arc-index order.
@@ -67,7 +64,7 @@ def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
             if len(rows) > cap:
                 raise ValueError(f"more than {cap} source-sink paths")
             continue
-        stack.extend((v, arcs + (a,)) for a, v in reversed(out[u]))
+        stack.extend((v, arcs + (a,)) for a, v in reversed(net.out_arcs[u]))
     if not rows:
         raise ValueError("network has no source-sink path")
     P = np.zeros((len(rows), net.n_arcs))
@@ -87,20 +84,16 @@ def min_cost_paths(net: FlowNetwork, C) -> np.ndarray:
     exactly).  Rows never mix, so a row's result does not depend on its batch.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    order = net.topological_order()
-    if order is None:
+    if not net.is_acyclic:
         raise ValueError("path search requires an acyclic network")
     s, t = net.unit_endpoints()
-    out = [[] for _ in range(net.n_nodes)]
-    for a, (tail, head) in enumerate(net.arcs):
-        out[tail].append((a, head))
     rows = np.arange(C.shape[0])
     # Only nodes reached and not yet expanded hold a prefix: a cut, not all.
     cost, prefix = {s: np.zeros(C.shape[0])}, {s: np.zeros(C.shape, dtype=bool)}
-    for u in order:
+    for u in net.topological_order():
         if u not in cost or u == t:
             continue
-        for a, v in out[u]:
+        for a, v in net.out_arcs[u]:
             d, cand = cost[u] + C[:, a], prefix[u].copy()
             cand[:, a] = True
             if v in cost:

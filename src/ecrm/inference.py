@@ -5,8 +5,7 @@ pair, for every row of a weight matrix at once: explicit finite spaces are
 minimized exhaustively over a member-by-label loss table built once per
 batch, hierarchies by the exact closure solver and rankings by min-cost
 assignment on the additive coefficients of all rows, and flow polytopes by
-one call of the loss's batched flow solver.  The binary +/-1 zero-one case
-short-circuits to the classification sign rule it reduces to.
+one call of the loss's batched flow solver.
 ``infer_from_weights`` is its one-row case, and ``infer`` computes the
 weights of one query or a batch first.
 
@@ -28,27 +27,18 @@ from .results import EXACT, InferenceResult, SolverParams
 from .spaces import OutputSpace, enumerate_space
 
 
-def _is_sign_space(space: OutputSpace) -> bool:
-    if space.kind != "explicit_finite" or space.dim != 1:
-        return False
-    vals = {m[0] for m in space.members}
-    return vals == {-1.0, 1.0}
+def explicit_risks(loss: LossSpec, space: OutputSpace, labels, W):
+    """Members of an explicit space in ``enumerate_space`` order and the
+    (Q, members) risks ``sum_i W[q, i] loss(member, labels[i])``.
 
-
-def sign_rule(w, labels) -> int:
-    """Binary classification rule: predict +1 iff the weighted label sum is
-    nonnegative."""
-    w = np.asarray(w, dtype=float).ravel()
-    lab = np.asarray(labels, dtype=float).reshape(w.shape[0], -1)[:, 0]
-    return 1 if float(np.dot(w, lab)) >= 0.0 else -1
-
-
-def member_losses(loss: LossSpec, space: OutputSpace, labels) -> np.ndarray:
-    """Table ``[loss(member, labels[i])]`` of shape (members, m), with the
-    members of the explicit space in ``enumerate_space`` order."""
-    labels = np.asarray(labels)
-    return np.array([[loss_value(loss, mbr, labels[i]) for i in range(labels.shape[0])]
-                     for mbr in enumerate_space(space)])
+    The member-by-label loss table is built once per batch, evaluating the
+    loss once per distinct label row.
+    """
+    members = enumerate_space(space)
+    distinct, inverse = np.unique(np.asarray(labels), axis=0, return_inverse=True)
+    table = np.array([[loss_value(loss, mbr, u) for u in distinct]
+                      for mbr in members])[:, inverse.ravel()]
+    return members, np.array([[np.dot(w, row) for row in table] for w in W])
 
 
 def _lex_argmin(members, values):
@@ -71,26 +61,17 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
     Additive losses get the coefficients of all rows from one
     ``additive_coefficients`` call; hierarchies then take one
     ``solve_hierarchy`` call for the batch and rankings solve per row.  Flow
-    polytopes take one call of the loss's batched flow solver; the
-    exhaustive minimization runs row by row.  A row's answer depends only
-    on the labels it weighs, up to rounding, so rows may share one label set.
+    polytopes take one call of the loss's batched flow solver, and explicit
+    spaces one ``explicit_risks`` table, minimized row by row.  A row's
+    answer depends only on the labels it weighs, up to rounding, so rows may
+    share one label set.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     labels = np.asarray(labels)
     if space.kind == "explicit_finite":
-        if loss.kind == "zero_one" and _is_sign_space(space):
-            lab = labels.astype(float).reshape(W.shape[1], -1)[:, 0]
-            yhat = [sign_rule(w, labels) for w in W]
-            return [InferenceResult(y_star=np.array([float(y)]),
-                                    objective=float(np.sum(w[lab != y])), certificate=EXACT)
-                    for w, y in zip(W, yhat)]
-        members = enumerate_space(space)
-        table = member_losses(loss, space, labels)
-        results = []
-        for w in W:
-            best_y, best_obj = _lex_argmin(members, [float(np.dot(w, row)) for row in table])
-            results.append(InferenceResult(y_star=best_y, objective=best_obj, certificate=EXACT))
-        return results
+        members, R = explicit_risks(loss, space, labels, W)
+        return [InferenceResult(y_star=y, objective=float(obj), certificate=EXACT)
+                for y, obj in (_lex_argmin(members, r) for r in R)]
     if space.kind in _ADDITIVE_LOSSES:
         if loss.kind not in _ADDITIVE_LOSSES[space.kind]:
             raise ValueError(f"loss {loss.kind!r} is not supported on {space.kind} spaces")

@@ -162,6 +162,8 @@ def gram_matrix(spec: KernelSpec, X, mirror: bool = True) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one input row")
+    if X.shape[1] < 1:
+        raise ValueError("need at least one input feature")
     if spec.kind == "linear":
         return cross_gram(spec, X, X)
     A = X - X.mean(axis=0)

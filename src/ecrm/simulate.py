@@ -52,14 +52,16 @@ class FlowGeneratorSpec:
     def create(cls, seed: int, network: FlowNetwork | None = None, p: int = 20,
                tau: float = 1.0) -> "FlowGeneratorSpec":
         network = network or default_flow_network()
+        if p < 1:
+            raise ValueError("p must be at least 1")
+        if not tau >= 0:
+            raise ValueError("tau must be nonnegative")
         if not network.is_acyclic:
             raise ValueError("flow generator requires an acyclic network")
         network.unit_endpoints()
         K = enumerate_st_paths(network).shape[0]
         rng = np.random.default_rng([seed, _THETA_STREAM])
         theta = rng.standard_normal((K, p))
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
         return cls(network=network, p=p, theta=theta, tau=tau, seed=seed)
 
 

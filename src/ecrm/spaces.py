@@ -36,6 +36,9 @@ class FlowNetwork:
     n_nodes: int
     arcs: tuple[tuple[int, int], ...]
     b: tuple[float, ...]
+    out_arcs: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False,
+                                                              compare=False)
+    _order: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
     _paths: list = field(default=None, init=False, repr=False, compare=False)
     _incidence: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -55,6 +58,15 @@ class FlowNetwork:
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_paths", None)
+        # Per node, its ``(arc, head)`` pairs in arc-index order.
+        out = [[] for _ in range(n_nodes)]
+        into = [[] for _ in range(n_nodes)]
+        for a, (t, h) in enumerate(arcs):
+            out[t].append((a, h))
+            into[h].append(t)
+        object.__setattr__(self, "out_arcs", tuple(tuple(o) for o in out))
+        order = _topological_order(n_nodes, into, [[h for _, h in o] for o in out])
+        object.__setattr__(self, "_order", None if order is None else tuple(order))
         # Node-arc incidence, +1 at the tail and -1 at the head; each node's
         # row lists its arcs in index order.
         ends = np.array(arcs, dtype=np.int64).reshape(-1, 2)
@@ -68,16 +80,11 @@ class FlowNetwork:
 
     def topological_order(self) -> list[int] | None:
         """Node order with all arcs forward, or None when the graph has a cycle."""
-        tails = [[] for _ in range(self.n_nodes)]
-        heads = [[] for _ in range(self.n_nodes)]
-        for t, h in self.arcs:
-            tails[h].append(t)
-            heads[t].append(h)
-        return _topological_order(self.n_nodes, tails, heads)
+        return None if self._order is None else list(self._order)
 
     @property
     def is_acyclic(self) -> bool:
-        return self.topological_order() is not None
+        return self._order is not None
 
     def unit_endpoints(self) -> tuple[int, int]:
         """Source and sink for a unit-throughput network (b is one +1, one -1)."""

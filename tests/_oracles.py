@@ -76,6 +76,15 @@ def hierarchical_risks_direct(cands, labels, w, G, c) -> np.ndarray:
     return total @ np.asarray(w, dtype=float)
 
 
+def sign_rule(w, labels) -> float:
+    """Binary classification rule: +1 iff the weighted sum of the +/-1
+    labels is nonnegative, which the zero-one risk argmin over {-1, +1}
+    reduces to away from exact ties."""
+    w = np.asarray(w, dtype=float).ravel()
+    lab = np.asarray(labels, dtype=float).reshape(w.shape[0], -1)[:, 0]
+    return 1.0 if float(np.dot(w, lab)) >= 0.0 else -1.0
+
+
 def lex_argmin(cands, values):
     """Index of the minimal value; ties go to the lexicographically smallest row."""
     best = 0

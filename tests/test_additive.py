@@ -126,6 +126,8 @@ class TestFitAdditive:
         for lam in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 fit_additive(X, np.zeros((2, 2), dtype=int), G, _joint(), lam)
+        with pytest.raises(ValueError):
+            fit_additive(X[:, :0], np.zeros((2, 2), dtype=int), G, _joint(), 0.5)
         X[1, 0] = np.nan
         with pytest.raises(ValueError):
             fit_additive(X, np.zeros((2, 2), dtype=int), G, _joint(), 0.5)

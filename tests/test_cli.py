@@ -284,6 +284,20 @@ class TestSimulateAndBench:
             d, secs = line.split(",")
             assert float(secs) > 0
 
+    @pytest.mark.parametrize("args", [
+        ("bench", "--p", 0, "--dims", 10, "--m", 20, "--gamma", 1),
+        ("bench", "--repeats", 0, "--dims", 10, "--m", 20, "--gamma", 1),
+        ("simulate-flow", "--m", 5, "--p", 0),
+        ("simulate-flow", "--m", 5, "--tau", "nan"),
+    ], ids=["bench-p0", "bench-repeats0", "simulate-p0", "simulate-tau-nan"])
+    def test_bad_input_exits_2(self, tmp_path, args):
+        if args[0] == "simulate-flow":
+            args += ("--out-x", tmp_path / "X.txt", "--out-y", tmp_path / "Y.txt")
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTuCheckAndBaseline:
     def test_tu_check_verdicts(self, tmp_path):
@@ -506,6 +520,16 @@ class TestFlowPredict:
             r = run_cli(sub, "--help")
             assert r.returncode == 0
             assert sub in r.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only the assignment solver needs it, so the program does not pay for
+    # it on every start.
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, ecrm; print('scipy.optimize' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
 
 
 class TestExitCodes:

@@ -5,14 +5,14 @@ import pytest
 
 from ecrm import (HierarchyDag, KernelSpec, LossSpec, assignment_cost,
                   assignment_space, brute_force_argmin, explicit_space, fit,
-                  hierarchy_space, infer, infer_from_weights, is_feasible, sign_rule,
+                  hierarchy_space, infer, infer_batch, infer_from_weights, is_feasible,
                   solve_assignment, solve_hierarchy, weights)
 from ecrm.closure import _solve_dinic
 from ecrm.losses import footrule_cost_matrix
 from ecrm.model import risk_from_weights
 from conftest import random_dag, random_feasible_label, random_kernel, random_tree
 from _oracles import (all_permutations, enumerate_feasible, footrule_risks,
-                      hamming_risks, hierarchical_risks_direct, lex_argmin)
+                      hamming_risks, hierarchical_risks_direct, lex_argmin, sign_rule)
 
 
 class TestSolveHierarchy:
@@ -182,6 +182,15 @@ class TestInferDispatch:
             assert res.y_star[0] == sign_rule(w, labels)
             assert res.certificate.kind == "exact"
 
+    def test_binary_exact_tie_goes_to_lex_smallest(self):
+        # Both members have risk 0.5; -1 is the lexicographically smaller,
+        # whatever the order the space lists them in.
+        for members in ([[1.0], [-1.0]], [[-1.0], [1.0]]):
+            res = infer_batch([[0.5, 0.5]], [[1.0], [-1.0]], LossSpec("zero_one"),
+                              explicit_space(members))[0]
+            np.testing.assert_array_equal(res.y_star, [-1.0])
+            assert res.objective == 0.5
+
     def test_explicit_space_exhaustive_argmin(self, rng):
         members = [rng.normal(size=3) for _ in range(5)]
         space = explicit_space(members)
@@ -293,8 +302,11 @@ class TestInferBatch:
     def test_explicit_sign_rule(self, rng):
         labels = rng.choice([-1.0, 1.0], size=8)
         model = fit(KernelSpec("rbf", gamma=0.7), 0.2, rng.normal(size=(8, 3)), labels)
-        self._check(model, LossSpec("zero_one"), explicit_space([[-1.0], [1.0]]),
-                    rng.normal(size=(7, 3)))
+        loss, space = LossSpec("zero_one"), explicit_space([[-1.0], [1.0]])
+        Xq = rng.normal(size=(7, 3))
+        self._check(model, loss, space, Xq)
+        assert ([r.y_star[0] for r in infer(model, loss, space, Xq)]
+                == [sign_rule(w, labels) for w in weights(model, Xq)])
 
     def test_explicit_general(self, rng):
         members = [rng.normal(size=2) for _ in range(5)]

@@ -53,6 +53,14 @@ class TestGramMatrix:
         K = gram_matrix(KernelSpec("rbf", gamma=2.0), [[1.0, 2.0]])
         assert K.shape == (1, 1) and K[0, 0] == 1.0
 
+    def test_zero_features_rejected(self, capfd):
+        # Before any BLAS call, which would print its own message on an empty
+        # operand.
+        for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=1.0)):
+            with pytest.raises(ValueError, match="at least one input feature"):
+                fit(spec, 0.1, np.zeros((5, 0)), np.zeros((5, 2)))
+        assert capfd.readouterr().err == ""
+
     def test_rbf_duplicate_rows_all_ones(self):
         X = np.tile([0.5, -0.25, 3.0], (4, 1))
         K = gram_matrix(KernelSpec("rbf", gamma=0.7), X)

@@ -6,7 +6,7 @@ import pytest
 from ecrm import (Dataset, FlowGeneratorSpec, KernelSpec, LossSpec, SolverParams,
                   assignment_space, default_flow_network, enumerate_st_paths, fit,
                   flow_space, hierarchy_space,
-                  infer_from_weights, knn_local_risk_predict,
+                  infer_batch, infer_from_weights, knn_local_risk_predict,
                   sample_conditional, simulate_flow_data, weights)
 from ecrm.baselines import krr_project_predict_batch
 from ecrm.spaces import FlowNetwork, flow_residual
@@ -116,8 +116,11 @@ class TestKnnBaseline:
         assert len(calls) == 1
         W = knn_weights(data.X, Xq, 3)
         assert np.flatnonzero(W[-1]).tolist() == [2, 6, 11]
-        np.testing.assert_array_equal(calls[0][0], W)
-        np.testing.assert_array_equal(calls[0][1], data.Y)
+        # Only the training rows some query weighs, in training order.
+        cols = np.flatnonzero(W.any(axis=0))
+        assert cols.size < W.shape[1]
+        np.testing.assert_array_equal(calls[0][0], W[:, cols])
+        np.testing.assert_array_equal(calls[0][1], data.Y[cols])
 
     def test_k_equal_m_matches_uniform_inference(self):
         spec = FlowGeneratorSpec.create(seed=6, tau=1.0, p=4)
@@ -132,25 +135,28 @@ class TestKnnBaseline:
 
     @pytest.mark.parametrize("kind", ["hierarchy", "absolute", "square", "ranking"])
     def test_batch_equals_one_query_calls(self, rng, kind):
-        # Hierarchies and L1 flows are exact to the bit.  The square-loss
-        # mean and the footrule cost matrix sum over the whole batch's
-        # labels, so zero weights move their last bits; tied assignment
-        # optima may then differ, at equal risk.
+        # Each batched row equals its one-query call and its row of the
+        # inference call on all training labels.  Hierarchies and L1 flows
+        # are exact to the bit.  The square-loss mean and the footrule cost
+        # matrix sum over all labels of the call, so zero weights move their
+        # last bits; tied assignment optima may then differ, at equal risk.
         data, loss, Xq = knn_instance(rng, kind)
         params = SolverParams(max_iters=40, restarts=2)
         Y = knn_local_risk_predict(data, loss, data.space, Xq, k=3, params=params)
         W = knn_weights(data.X, Xq, 3)
+        full = [r.y_star for r in infer_batch(W, data.Y, loss, data.space, params)]
         for q, x in enumerate(Xq):
             one = knn_local_risk_predict(data, loss, data.space, x, k=3, params=params)
-            if kind == "hierarchy":
-                assert Y[q].tobytes() == one.tobytes() and Y.dtype == one.dtype
-            elif kind == "absolute":
-                np.testing.assert_array_equal(Y[q], one)
-            elif kind == "square":
-                np.testing.assert_allclose(Y[q], one, rtol=0, atol=1e-12)
-            else:
-                risk, ref = footrule_risks(np.array([Y[q], one]), data.Y, W[q])
-                assert abs(risk - ref) <= 1e-12 * max(1.0, ref)
+            for ref in (one, full[q]):
+                if kind == "hierarchy":
+                    assert Y[q].tobytes() == ref.tobytes() and Y.dtype == ref.dtype
+                elif kind == "absolute":
+                    np.testing.assert_array_equal(Y[q], ref)
+                elif kind == "square":
+                    np.testing.assert_allclose(Y[q], ref, rtol=0, atol=1e-12)
+                else:
+                    risk, best = footrule_risks(np.array([Y[q], ref]), data.Y, W[q])
+                    assert abs(risk - best) <= 1e-12 * max(1.0, best)
 
     def test_k_one_returns_nearest_label(self):
         spec = FlowGeneratorSpec.create(seed=7, tau=1.0, p=4)
