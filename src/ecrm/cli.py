@@ -196,7 +196,13 @@ def cmd_simulate_flow(args) -> int:
 
 def cmd_bench(args) -> int:
     """Training time against label-vector size; fit cost is label-size free."""
-    dims = [int(t) for t in args.dims.split(",")]
+    try:
+        dims = [int(t) for t in args.dims.split(",")]
+    except ValueError:
+        dims = [0]
+    if min(dims) < 1:
+        raise DataFormatError(f"--dims must be positive integers separated by commas, "
+                              f"got {args.dims!r}")
     if args.repeats < 1:
         raise DataFormatError(f"--repeats must be at least 1, got {args.repeats}")
     kernel = _kernel_from_args(args)

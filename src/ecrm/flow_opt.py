@@ -10,7 +10,12 @@ tolerance, and its iterates are convex combinations of paths, hence
 feasible to machine precision.  The square-loss solver projects all its
 mixed-sign rows in one such call; the L1 solver is projected subgradient
 descent whose every step is one, warm-started from the previous step's
-paths.
+paths.  What depends only on the network and the batch is built once per
+solve: the padded path matrix, its rank and length bounds, the minor
+cycle's bordered-system buffers and the L1 breakpoints with their index
+arrays.  A step builds only what moves with its point: the path scores,
+the rounding bound and the corral state.  Frank-Wolfe gaps are reported
+by a separate pass, which only the callers that return them run.
 
 On a path both risks are linear, with arc costs ``c = sum_i w_i - 2 w.labels``,
 so every vertex answer of the solvers is the cheapest path, found by one
@@ -32,6 +37,8 @@ the weighted sums, on the labels it gives zero weight.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +116,41 @@ def min_cost_paths(net: FlowNetwork, C) -> np.ndarray:
     return prefix[t].astype(float)
 
 
-def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
+class _PathAtoms(NamedTuple):
+    """What every projection over a network's paths shares, built once per
+    solver call by ``_path_atoms``: the (K, a) path matrix ``P``; ``PX``, P
+    padded with ``cap`` virtual paths; ``cap = rank(P)``, the most paths a
+    corral holds; the path ``lengths``; and ``noise = L^2 eps`` for the
+    longest length L."""
+
+    P: np.ndarray
+    PX: np.ndarray
+    cap: int
+    lengths: np.ndarray
+    noise: float
+
+
+def _path_atoms(P) -> _PathAtoms:
+    (K, a), cap = P.shape, int(np.linalg.matrix_rank(P))
+    slots = np.arange(cap)
+    PX = np.zeros((K + cap, a + cap))
+    PX[:K, :a] = P
+    PX[K + slots, a + slots] = 1.0
+    lengths = P.sum(axis=1)
+    L = lengths.max()
+    return _PathAtoms(P, PX, cap, lengths, L * L * np.finfo(float).eps)
+
+
+def _bordered_system(Q, cap):
+    """Buffers ``(M, rhs)`` for the bordered systems of Q rows' minor
+    cycles.  Every cycle overwrites all of M but its zero corner and all of
+    rhs but its last entry, 1, so one pair serves any number of
+    ``_min_norm_point`` calls of at most Q rows."""
+    return np.zeros((Q, cap + 1, cap + 1)), np.ones((Q, cap + 1, 1))
+
+
+def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, corral=None,
+                    system=None):
     """Wolfe's min-norm-point method for ``scale_q * ||theta P - z_q||^2``
     over the simplex, batched over the rows of Z (Wolfe, "Finding the
     nearest point in a polytope", Math. Programming 11, 1976).
@@ -141,35 +182,35 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
     of the weight products (see ``kernels``): their matrices are at most
     ``(cap + 1) x (cap + 1)``, too small to wake a BLAS thread pool.
 
-    ``corral`` is a previous call's ``(S, lam)`` to warm-start from; cold
-    rows start at their nearest path.  Returns ``(Y, S, lam, gaps)``: the
-    points, their corrals and the Frank-Wolfe gaps at the returned weights.
+    Built once per solver call and passed in: ``atoms``, the padded path
+    matrix and the bounds of ``_path_atoms``, and optionally ``system``,
+    the buffers of ``_bordered_system`` for at least Q rows.  Built on
+    every call: ``Z P'``, the rounding bound of each row and the working
+    state.  ``corral`` is a previous call's ``(S, lam)`` to warm-start
+    from; cold rows start at their nearest path.  Returns ``(Y, S, lam)``:
+    the points and their corrals; ``_fw_gaps`` reports their gaps.
     """
+    P, PX, cap = atoms.P, atoms.PX, atoms.cap
     (Q, a), K = Z.shape, P.shape[0]
-    cap = np.linalg.matrix_rank(P) if corral is None else corral[0].shape[1]
     slots = np.arange(cap)
-    PX = np.zeros((K + cap, a + cap))
-    PX[:K, :a] = P
-    PX[K + slots, a + slots] = 1.0
     ZP = np.zeros((Q, K + cap))
     np.einsum("qa,ka->qk", Z, P, out=ZP[:, :K])
-    scale2 = 2.0 * np.broadcast_to(np.asarray(scale, dtype=float), (Q,))
     # Rounding bound of a score difference: each score sums at most L terms
     # of size at most 1 + |z|.  A vertex that wins by less may lie on the
     # corral's affine hull, where the bordered system is singular.
-    L = P.sum(axis=1).max()
-    noise = (L * L * np.finfo(float).eps) * (1.0 + np.abs(Z).max(axis=1, initial=0.0))
+    noise = atoms.noise * (1.0 + np.abs(Z).max(axis=1, initial=0.0))
     if corral is None:
         S = np.tile(K + slots, (Q, 1))
         lam = np.zeros((Q, cap))
-        S[:, 0] = np.argmin(P.sum(axis=1) - 2.0 * ZP[:, :K], axis=1)
+        S[:, 0] = np.argmin(atoms.lengths - 2.0 * ZP[:, :K], axis=1)
         lam[:, 0] = 1.0
     else:
         S, lam = (np.array(v) for v in corral)
+    M, rhs = system or _bordered_system(Q, cap)
     # Working state of the unfinished rows; a row that finishes is written
     # back to S and lam and leaves it.
     ids, s, w, zp, n = np.arange(Q), S.copy(), lam.copy(), ZP, (S < K).sum(axis=1)
-    tol = np.maximum(gap_tol / scale2, noise)
+    tol = np.maximum(gap_tol / (2.0 * np.asarray(scale, dtype=float)), noise)
     dist = np.full(Q, np.inf)       # ||y - z||^2 - ||z||^2 at the row's last major cycle
     cycles = np.zeros(Q, dtype=np.intp)
     while ids.size:
@@ -178,27 +219,32 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
         # minimizer (it just gained a path, or z is new).
         valid = s < K
         PS = PX[s]
-        M = np.zeros((ids.size, cap + 1, cap + 1))
-        M[:, :cap, :cap] = PS @ PS.transpose(0, 2, 1)
-        M[:, :cap, cap] = M[:, cap, :cap] = valid
-        rhs = np.ones((ids.size, cap + 1, 1))
-        zps = rhs[:, :cap, 0]
+        Mq, rq = M[:ids.size], rhs[:ids.size]
+        np.matmul(PS, PS.transpose(0, 2, 1), out=Mq[:, :cap, :cap])
+        Mq[:, :cap, cap] = Mq[:, cap, :cap] = valid
+        zps = rq[:, :cap, 0]
         zps[:] = zp[rows[:, None], s]
-        sol = np.linalg.solve(M, rhs)
+        sol = np.linalg.solve(Mq, rq)
         # At alpha every corral path scores (y - z).P_k = -mu.  Renormalizing
         # makes the weights sum to 1 to rounding, and a lone path's exactly.
         alpha, mu = sol[:, :cap, 0], sol[:, cap, 0]
         alpha /= alpha.sum(axis=1, keepdims=True)
         neg = valid & (alpha <= 0.0)
         inside = ~neg.any(axis=1)
-        # Step to the first weight that alpha drives to zero; a path that
-        # entered with weight 0 and gets alpha <= 0 gives a zero step.
-        ratio = np.where(neg, w, np.inf)
-        np.divide(ratio, w - alpha, out=ratio, where=neg & (w > 0.0))
-        first = ratio.argmin(axis=1)
-        beta = np.where(inside, 0.0, ratio[rows, first])
-        w = np.where(inside[:, None], alpha, w + beta[:, None] * (alpha - w))
-        keep = valid & (w > 0.0) & (inside[:, None] | (slots != first[:, None]))
+        settled = inside.all()
+        if settled:
+            # Every row lands inside its corral's affine hull: no ratio test.
+            w = alpha
+            keep = valid & (w > 0.0)
+        else:
+            # Step to the first weight that alpha drives to zero; a path that
+            # entered with weight 0 and gets alpha <= 0 gives a zero step.
+            ratio = np.where(neg, w, np.inf)
+            np.divide(ratio, w - alpha, out=ratio, where=neg & (w > 0.0))
+            first = ratio.argmin(axis=1)
+            beta = np.where(inside, 0.0, ratio[rows, first])
+            w = np.where(inside[:, None], alpha, w + beta[:, None] * (alpha - w))
+            keep = valid & (w > 0.0) & (inside[:, None] | (slots != first[:, None]))
         w *= keep
         cycles += 1
         # Major cycle for the rows now at their affine minimizer, where
@@ -212,7 +258,7 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
         present = (s == fw[:, None]).any(axis=1)
         done = major & ((gap <= tol) | present | (n == cap) | (d >= dist))
         dist = np.where(major, d, dist)
-        if not inside.all():
+        if not settled:
             order = np.argsort(~keep, axis=1, kind="stable")
             n = keep.sum(axis=1)
             s = np.where(slots < n[:, None], s[rows[:, None], order], K + slots)
@@ -222,20 +268,30 @@ def _min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
         n += grow
         cycles += major
         out = done | (cycles >= max_cycles)
+        if out.all():
+            S[ids], lam[ids] = s, w
+            break
         if out.any():
             S[ids[out]], lam[ids[out]] = s[out], w[out]
             stay = ~out
             ids, s, w, zp, n = ids[stay], s[stay], w[stay], zp[stay], n[stay]
             dist, cycles, tol = dist[stay], cycles[stay], tol[stay]
-    # Report each gap from the returned weights: (y - z).y is the weighted
-    # mean of the corral's scores, so a vertex or a converged row reads 0.
-    Y = np.einsum("qc,qca->qa", lam, PX[S, :a])
-    scores = np.zeros((Q, K + cap))     # a virtual path scores 0 and weighs 0
-    np.einsum("qa,ka->qk", Y, P, out=scores[:, :K])
+    return np.einsum("qc,qca->qa", lam, PX[S, :a]), S, lam
+
+
+def _fw_gaps(atoms: _PathAtoms, Z, scale, Y, S, lam):
+    """The Frank-Wolfe gaps ``2 scale ((y - z).y - min_k (y - z).P_k)`` of
+    the points ``Y``, corrals ``(S, lam)``, that ``_min_norm_point`` returned
+    for Z.  ``(y - z).y`` is the weighted mean of the corral's scores, so a
+    vertex or a converged row reads 0."""
+    (Q, _), K = Z.shape, atoms.P.shape[0]
+    ZP = np.zeros((Q, K + atoms.cap))
+    np.einsum("qa,ka->qk", Z, atoms.P, out=ZP[:, :K])
+    scores = np.zeros((Q, K + atoms.cap))     # a virtual path scores 0 and weighs 0
+    np.einsum("qa,ka->qk", Y, atoms.P, out=scores[:, :K])
     scores[:, :K] -= ZP[:, :K]
     ys = np.einsum("qc,qc->q", lam, np.take_along_axis(scores, S, axis=1))
-    gaps = scale2 * (ys - scores[:, :K].min(axis=1))
-    return Y, S, lam, gaps
+    return 2.0 * np.asarray(scale, dtype=float) * (ys - scores[:, :K].min(axis=1))
 
 
 def _solver_inputs(W, labels, net: FlowNetwork, params: SolverParams | None):
@@ -283,8 +339,9 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     mixed = convex & ~np.all(W >= 0.0, axis=1) & ~(Y.min(axis=1) >= 0.0)
     gaps = np.zeros(Q)
     if mixed.any():
-        _, S, lam, gaps[mixed] = _min_norm_point(P, Y[mixed], total[mixed],
-                                                 params.gap_tol, 10_000)
+        atoms, Z = _path_atoms(P), Y[mixed]
+        Ym, S, lam = _min_norm_point(atoms, Z, total[mixed], params.gap_tol, 10_000)
+        gaps[mixed] = _fw_gaps(atoms, Z, total[mixed], Ym, S, lam)
         theta = np.zeros((S.shape[0], K))
         r, c = np.nonzero(S < K)
         theta[r, S[r, c]] = lam[r, c]
@@ -301,15 +358,18 @@ def _l1_breakpoints(W, labels):
     """Breakpoints of the L1 risk of every row of W, and its value at every
     training label.
 
-    Returns ``((keys, ends, CW, CWY), costs)``.  ``keys`` holds the complex
-    keys ``a + 1j * y_ia`` of arc ``a``'s labels in ascending (stable)
-    order, after those of every earlier arc.  Both parts are exact, and
-    numpy orders complex numbers lexicographically, so one search finds a
-    point's rank on every arc and no rounding merges ties.  ``ends[p]`` is
+    Returns ``((keys, ends, CW, CWY, shift, top), costs)``.  ``keys`` holds
+    the complex keys ``a + 1j * y_ia`` of arc ``a``'s labels in ascending
+    (stable) order, after those of every earlier arc.  Both parts are
+    exact, and numpy orders complex numbers lexicographically, so one search
+    finds a point's rank on every arc and no rounding merges ties.  ``ends[p]`` is
     one past the last key equal to ``keys[p]``.
     ``CW[a, q, r]`` / ``CWY[a, q, r]`` sum ``w_qi`` / ``w_qi * y_ia`` over
     the ``r`` smallest labels of arc ``a``; arc-major, so that each arc's
-    block is contiguous to gather from.
+    block is contiguous to gather from.  Key ``j m + r`` is rank ``r`` on
+    arc ``j``, at flat index ``shift[q, j] + j m + r`` of row q's
+    ``CW[j, q, r]``; ``top[q, j]`` is the flat index of ``CW[j, q, m]``.
+    These index arrays are built here, once per solve, for every step.
 
     ``costs[q, k]`` is the risk of row q at label k.  On each arc, with
     ``t = y_ka`` and ``lo`` / ``hi`` the counts of labels below / at most
@@ -344,10 +404,11 @@ def _l1_breakpoints(W, labels):
         costs -= np.take(cwy, lo[:, j], axis=1, out=Wj, mode="clip")
         np.take(cwy, hi[:, j], axis=1, out=Wj, mode="clip")
         costs += np.subtract(cwy[:, m, None], Wj, out=Wj)
-    return (keys, ends, CW, CWY), costs
+    row = (np.arange(Q) * (m + 1))[:, None] + np.arange(a) * (Q * (m + 1))
+    return (keys, ends, CW, CWY, row - np.arange(a) * m, row + m), costs
 
 
-def _l1_obj_grad(keys, ends, CW, CWY, Y):
+def _l1_obj_grad(keys, ends, CW, CWY, shift, top, Y):
     """Objective ``sum_i w_qi ||y_q - y_i||_1`` and the subgradient
     ``sum_i w_qi sign(y_q - y_i)`` of every row of Y, from breakpoints.
 
@@ -357,19 +418,14 @@ def _l1_obj_grad(keys, ends, CW, CWY, Y):
     terms are added left to right, so its arithmetic does not depend on the
     others.
     """
-    a, Q, m1 = CW.shape
     flat_w, flat_wy = CW.reshape(-1), CWY.reshape(-1)
-    # Key j m + r is rank r on arc j, at CW[j, q, r]; row holds CW[j, q, 0].
-    row = (np.arange(Q) * m1)[:, None] + np.arange(a) * (Q * m1)
-    shift = row - np.arange(a) * (m1 - 1)
-    y = np.arange(a) + 1j * Y
+    y = np.arange(CW.shape[0]) + 1j * Y
     first = np.searchsorted(keys, y)
     # A point past every key of its arc meets a later arc's key, or the
     # last key by clipping: unequal, so no label ties it.
     tied = keys.take(first, mode="clip") == y
     lo = shift + first
     hi = shift + np.where(tied, ends.take(first, mode="clip"), first)
-    top = row + (m1 - 1)
     G = flat_w[lo] - (flat_w[top] - flat_w[hi])
     terms = Y * G - flat_wy[lo] + (flat_wy[top] - flat_wy[hi])
     return np.cumsum(terms, axis=1)[:, -1], G
@@ -380,13 +436,20 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
     the feasible candidates: the best path ``path`` of each row, of risk
     ``path_obj``, and every training label the row weighs: no zero-weight
     label is a candidate.  Returns the best point of each row, its risk and
-    the best subgradient lower bound."""
+    the best subgradient lower bound, which only rows with nonnegative
+    weights read: it stays ``-inf`` when the batch has none.
+
+    Built once here for every step: the breakpoints with their index
+    arrays, the projection's path atoms and its bordered-system buffers."""
     Q, K = W.shape[0], P.shape[0]
     breakpoints, costs = _l1_breakpoints(W, labels)
     np.copyto(costs, np.inf, where=W == 0.0)
     cand = costs.argmin(axis=1)
     cand_obj = costs[np.arange(Q), cand]
     del costs
+    bound = np.all(W >= 0.0, axis=1).any()
+    atoms = _path_atoms(P)
+    system = _bordered_system(Q, atoms.cap)
 
     # Start points: the mean of all paths, then seeded random paths.
     starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
@@ -400,8 +463,8 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
 
     def keep_better(obj, Y):
         improved = obj < best_obj
-        best_obj[improved] = obj[improved]
-        best_Y[improved] = Y[improved]
+        np.copyto(best_obj, obj, where=improved)
+        np.copyto(best_Y, Y, where=improved[:, None])
 
     for y0 in starts:
         Y = np.tile(y0, (Q, 1))
@@ -409,16 +472,18 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
         # max_iters steps; the last pass only evaluates the final iterate.
         for t in range(params.max_iters + 1):
             obj, G = _l1_obj_grad(*breakpoints, Y)
-            # Subgradient lower bound: f(v) >= f(y) + g.(v - y) for all v.
-            lb = obj - (np.einsum("qa,qa->q", G, Y)
-                        - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
-            np.maximum(best_lb, lb, out=best_lb)
+            if bound:
+                # Subgradient lower bound: f(v) >= f(y) + g.(v - y) for all v.
+                lb = obj - (np.einsum("qa,qa->q", G, Y)
+                            - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
+                np.maximum(best_lb, lb, out=best_lb)
             keep_better(obj, Y)
             if t == params.max_iters:
                 break
             eta = params.step_a / (1.0 + params.step_b * t)
             # Exact projection of the step, warm-started from the last corral.
-            Y, S, lam, _ = _min_norm_point(P, Y - eta * G, 1.0, _PROJECT_TOL, corral=corral)
+            Y, S, lam = _min_norm_point(atoms, Y - eta * G, 1.0, _PROJECT_TOL,
+                                        corral=corral, system=system)
             corral = (S, lam)
 
     # The candidates are kept where strictly better, after the iterates.
@@ -465,7 +530,7 @@ def project_batch(Z, net: FlowNetwork, gap_tol: float = 1e-6, max_iters: int = 1
     """Euclidean projection of each row of Z onto the flow polytope by the
     min-norm-point method; ``max_iters`` caps each row's major plus minor
     cycles.  Returns the projections and their Frank-Wolfe gaps."""
-    P = enumerate_st_paths(net)
+    atoms = _path_atoms(enumerate_st_paths(net))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Y, _, _, gaps = _min_norm_point(P, Z, 1.0, gap_tol, max_iters)
-    return Y, gaps
+    Y, S, lam = _min_norm_point(atoms, Z, 1.0, gap_tol, max_iters)
+    return Y, _fw_gaps(atoms, Z, 1.0, Y, S, lam)

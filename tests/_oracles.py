@@ -203,3 +203,135 @@ def l1_obj_grad_per_arc(W, labels, Y):
         G[:, j] = g
         obj += t * g - CWY[rows, lo] + (CWY[:, m] - CWY[rows, hi])
     return obj, G
+
+
+# The min-norm-point projection as written when it built its path set-up
+# and its gap report on every call.  The solver now builds the set-up once
+# per solve and reports gaps separately; both must equal this bit for bit.
+def wolfe_min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
+    """Wolfe's min-norm-point method for ``scale_q * ||theta P - z_q||^2``
+    over the simplex, batched over the rows of Z (Wolfe, "Finding the
+    nearest point in a polytope", Math. Programming 11, 1976).
+
+    Row q keeps a corral of affinely independent paths ``S[q]`` with
+    positive weights ``lam[q]``; its point is ``y = lam P[S]``.  A major
+    cycle computes the Frank-Wolfe gap ``2 scale ((y - z).y - min_k
+    (y - z).P_k)`` and ends the row when the gap is at most ``gap_tol`` or
+    the Frank-Wolfe vertex cannot enter: it is in the corral already, the
+    corral is full, or ``||y - z||`` did not fall since the row's last major
+    cycle.  Otherwise the vertex joins the corral with weight 0.  A minor
+    cycle solves the bordered system ``[G_SS 1; 1' 0] [alpha; mu] =
+    [(Z P')_S; 1]`` for the minimizer on the corral's affine hull; if every
+    ``alpha > 0`` the row moves there and takes a major cycle, else it
+    steps toward alpha until a weight reaches zero and drops that path.
+    ``max_cycles`` caps each row's major plus minor cycles; without it the
+    method is finite.
+
+    Corrals hold at most ``cap = rank(P)`` paths: every path sends one unit
+    out of the source, so linear and affine independence agree.  An empty
+    slot ``c`` holds the virtual path ``K + c``, a unit vector off the arc
+    space, so every corral's Gram block is ``[G_SS 0; 0 I]`` and every
+    system has size ``cap + 1``, alone or in a batch.  The block is the
+    product of the corral's path rows, exact because integral; no K x K
+    Gram matrix is formed.  ``np.linalg.solve`` factors each matrix on its
+    own and the other reductions are fixed-order einsums, so a row's
+    arithmetic never depends on its batch.  The stacked Gram-block
+    ``matmul`` and that ``solve`` stay on numpy, not on the scipy BLAS pool
+    of the weight products (see ``kernels``): their matrices are at most
+    ``(cap + 1) x (cap + 1)``, too small to wake a BLAS thread pool.
+
+    ``corral`` is a previous call's ``(S, lam)`` to warm-start from; cold
+    rows start at their nearest path.  Returns ``(Y, S, lam, gaps)``: the
+    points, their corrals and the Frank-Wolfe gaps at the returned weights.
+    """
+    (Q, a), K = Z.shape, P.shape[0]
+    cap = np.linalg.matrix_rank(P) if corral is None else corral[0].shape[1]
+    slots = np.arange(cap)
+    PX = np.zeros((K + cap, a + cap))
+    PX[:K, :a] = P
+    PX[K + slots, a + slots] = 1.0
+    ZP = np.zeros((Q, K + cap))
+    np.einsum("qa,ka->qk", Z, P, out=ZP[:, :K])
+    scale2 = 2.0 * np.broadcast_to(np.asarray(scale, dtype=float), (Q,))
+    # Rounding bound of a score difference: each score sums at most L terms
+    # of size at most 1 + |z|.  A vertex that wins by less may lie on the
+    # corral's affine hull, where the bordered system is singular.
+    L = P.sum(axis=1).max()
+    noise = (L * L * np.finfo(float).eps) * (1.0 + np.abs(Z).max(axis=1, initial=0.0))
+    if corral is None:
+        S = np.tile(K + slots, (Q, 1))
+        lam = np.zeros((Q, cap))
+        S[:, 0] = np.argmin(P.sum(axis=1) - 2.0 * ZP[:, :K], axis=1)
+        lam[:, 0] = 1.0
+    else:
+        S, lam = (np.array(v) for v in corral)
+    # Working state of the unfinished rows; a row that finishes is written
+    # back to S and lam and leaves it.
+    ids, s, w, zp, n = np.arange(Q), S.copy(), lam.copy(), ZP, (S < K).sum(axis=1)
+    tol = np.maximum(gap_tol / scale2, noise)
+    dist = np.full(Q, np.inf)       # ||y - z||^2 - ||z||^2 at the row's last major cycle
+    cycles = np.zeros(Q, dtype=np.intp)
+    while ids.size:
+        rows = np.arange(ids.size)
+        # Minor cycle: every unfinished row is off its corral's affine
+        # minimizer (it just gained a path, or z is new).
+        valid = s < K
+        PS = PX[s]
+        M = np.zeros((ids.size, cap + 1, cap + 1))
+        M[:, :cap, :cap] = PS @ PS.transpose(0, 2, 1)
+        M[:, :cap, cap] = M[:, cap, :cap] = valid
+        rhs = np.ones((ids.size, cap + 1, 1))
+        zps = rhs[:, :cap, 0]
+        zps[:] = zp[rows[:, None], s]
+        sol = np.linalg.solve(M, rhs)
+        # At alpha every corral path scores (y - z).P_k = -mu.  Renormalizing
+        # makes the weights sum to 1 to rounding, and a lone path's exactly.
+        alpha, mu = sol[:, :cap, 0], sol[:, cap, 0]
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        neg = valid & (alpha <= 0.0)
+        inside = ~neg.any(axis=1)
+        # Step to the first weight that alpha drives to zero; a path that
+        # entered with weight 0 and gets alpha <= 0 gives a zero step.
+        ratio = np.where(neg, w, np.inf)
+        np.divide(ratio, w - alpha, out=ratio, where=neg & (w > 0.0))
+        first = ratio.argmin(axis=1)
+        beta = np.where(inside, 0.0, ratio[rows, first])
+        w = np.where(inside[:, None], alpha, w + beta[:, None] * (alpha - w))
+        keep = valid & (w > 0.0) & (inside[:, None] | (slots != first[:, None]))
+        w *= keep
+        cycles += 1
+        # Major cycle for the rows now at their affine minimizer, where
+        # (y - z).y = -mu.
+        scores = np.einsum("qa,ka->qk", np.einsum("qc,qca->qa", w, PS[:, :, :a]), P)
+        scores -= zp[:, :K]
+        fw = scores.argmin(axis=1)
+        gap = -mu - scores[rows, fw]
+        major = inside & (cycles < max_cycles)
+        d = -mu - np.einsum("qc,qc->q", w, zps)
+        present = (s == fw[:, None]).any(axis=1)
+        done = major & ((gap <= tol) | present | (n == cap) | (d >= dist))
+        dist = np.where(major, d, dist)
+        if not inside.all():
+            order = np.argsort(~keep, axis=1, kind="stable")
+            n = keep.sum(axis=1)
+            s = np.where(slots < n[:, None], s[rows[:, None], order], K + slots)
+            w = w[rows[:, None], order]
+        grow = major & ~done
+        s[grow, n[grow]] = fw[grow]
+        n += grow
+        cycles += major
+        out = done | (cycles >= max_cycles)
+        if out.any():
+            S[ids[out]], lam[ids[out]] = s[out], w[out]
+            stay = ~out
+            ids, s, w, zp, n = ids[stay], s[stay], w[stay], zp[stay], n[stay]
+            dist, cycles, tol = dist[stay], cycles[stay], tol[stay]
+    # Report each gap from the returned weights: (y - z).y is the weighted
+    # mean of the corral's scores, so a vertex or a converged row reads 0.
+    Y = np.einsum("qc,qca->qa", lam, PX[S, :a])
+    scores = np.zeros((Q, K + cap))     # a virtual path scores 0 and weighs 0
+    np.einsum("qa,ka->qk", Y, P, out=scores[:, :K])
+    scores[:, :K] -= ZP[:, :K]
+    ys = np.einsum("qc,qc->q", lam, np.take_along_axis(scores, S, axis=1))
+    gaps = scale2 * (ys - scores[:, :K].min(axis=1))
+    return Y, S, lam, gaps

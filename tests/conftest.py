@@ -11,7 +11,7 @@ import pytest
 import ecrm
 from ecrm import HierarchyDag, KernelSpec, fit
 
-# Command-line tests run ``python -m ecrm`` in a subprocess, which must import
+# The real-process command-line tests run ``python -m ecrm``, which must import
 # the package these tests import, also when pytest's ``pythonpath`` setting
 # rather than PYTHONPATH put it on the path.
 os.environ["PYTHONPATH"] = os.pathsep.join(

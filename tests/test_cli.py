@@ -1,20 +1,46 @@
-"""End-to-end command-line checks: formats, determinism, exit codes."""
+"""End-to-end command-line checks: formats, determinism, exit codes.
 
+Commands run in-process through ``ecrm.cli.main``, where an exception that
+escapes ``main`` fails the test.  ``TestRealProcess`` and
+``test_import_leaves_scipy_optimize_unloaded`` start ``python -m ecrm`` for
+what only a fresh process shows: its exit codes and stderr, its output
+under another hash seed, and the modules its import loads.
+"""
+
+import contextlib
 import functools
+import io
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ecrm.cli
 from ecrm import (FlowGeneratorSpec, HierarchyDag, default_flow_network, hamming,
                   simulate_flow_data)
 from ecrm.io import load_matrix, save_hierarchy, save_matrix, save_network
 
 
 def run_cli(*args):
+    """``ecrm.cli.main`` on ``args``, in-process, as a finished process:
+    the exit code (argparse's ``SystemExit`` for ``--help`` or a bad flag
+    becomes it) and everything written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ecrm.cli.main(list(map(str, args)))
+        except SystemExit as exc:
+            code = exc.code or 0
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args, **env):
+    """``python -m ecrm`` on ``args`` in a fresh process, with ``env`` added
+    to its environment."""
     return subprocess.run([sys.executable, "-m", "ecrm", *map(str, args)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, **env})
 
 
 @pytest.fixture
@@ -298,6 +324,13 @@ class TestSimulateAndBench:
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dims", ["-5", "0", "10,,20", "abc"])
+    def test_bad_dims_exit_2_before_any_output(self, dims):
+        r = run_cli("bench", "--dims", dims, "--m", 20, "--gamma", 1)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == ("error: --dims must be positive integers separated by commas, "
+                            f"got {dims!r}\n")
+
 
 class TestTuCheckAndBaseline:
     def test_tu_check_verdicts(self, tmp_path):
@@ -520,6 +553,52 @@ class TestFlowPredict:
             r = run_cli(sub, "--help")
             assert r.returncode == 0
             assert sub in r.stdout
+
+
+class TestRealProcess:
+    """``python -m ecrm`` in a fresh process."""
+
+    def test_exit_codes_0_2_3_without_traceback(self, tmp_path):
+        (tmp_path / "A.txt").write_text("1 0\n0 1\n")
+        # One sample and a 5-node star at lambda 1: a singular additive system.
+        save_hierarchy(tmp_path / "h.txt", HierarchyDag(5, [(0, j) for j in range(1, 5)]))
+        save_matrix(tmp_path / "x.txt", np.zeros((1, 2)))
+        save_matrix(tmp_path / "y.txt", np.zeros((1, 5), dtype=np.int64))
+        cases = [
+            (0, "true\n", ("tu-check", "--matrix", tmp_path / "A.txt")),
+            (2, "", ("tu-check", "--matrix", tmp_path / "absent.txt")),
+            (3, "", ("train", "--x", tmp_path / "x.txt", "--labels", tmp_path / "y.txt",
+                     "--space", "hierarchy", "--hierarchy", tmp_path / "h.txt",
+                     "--gamma", 1.0, "--lambda", 1.0, "--variant", "additive",
+                     "--out", tmp_path / "m.ecrm")),
+        ]
+        for code, stdout, args in cases:
+            r = run_process(*args)
+            assert (r.returncode, r.stdout) == (code, stdout), r.stderr
+            assert "Traceback" not in r.stderr
+            if code:
+                assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+            else:
+                assert r.stderr == ""
+
+    @pytest.mark.parametrize("space", ["hierarchy", "flow"])
+    def test_predict_stdout_identical_under_two_hash_seeds(self, request, space):
+        if space == "hierarchy":
+            tmp, hpath, xpath, ypath, X, Y = request.getfixturevalue("hierarchy_fixture")
+            out = tmp / "m.ecrm"
+            assert run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                           "--hierarchy", hpath, "--kernel", "rbf", "--gamma", 0.5,
+                           "--lambda", 0.1, "--out", out).returncode == 0
+            flags = ("--space", "hierarchy", "--hierarchy", hpath, "--loss", "hamming")
+        else:
+            tmp, net, net_path, out = request.getfixturevalue("flow_fixture")
+            xpath = tmp / "x.txt"
+            flags = ("--space", "flow", "--network", net_path, "--loss", "absolute",
+                     "--max-iters", 60, "--restarts", 2, "--seed", 5)
+        runs = [run_process("predict", "--model", out, "--x", xpath, *flags,
+                            PYTHONHASHSEED=seed) for seed in ("0", "4242")]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
 def test_import_leaves_scipy_optimize_unloaded():

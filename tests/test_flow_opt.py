@@ -1,6 +1,7 @@
 """Flow-polytope machinery: path enumeration, min-norm-point projection, and
 the L1/L2 solvers."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from ecrm import (FlowNetwork, InferenceResult, SolverParams, default_flow_network,
                   enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch)
 from ecrm import flow_opt
-from ecrm.flow_opt import (_l1_breakpoints, _l1_obj_grad, _min_norm_point, min_cost_paths,
-                           project_batch)
+from ecrm.flow_opt import (_bordered_system, _fw_gaps, _l1_breakpoints, _l1_obj_grad,
+                           _min_norm_point, _path_atoms, min_cost_paths, project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
 from _oracles import (abs_flow_objective, flow_projection, l1_flow_minimizer,
-                      l1_obj_grad_per_arc, lex_min_cost_path, simplex_grid)
+                      l1_obj_grad_per_arc, lex_min_cost_path, simplex_grid,
+                      wolfe_min_norm_point)
 
 NET = default_flow_network()
 
@@ -59,10 +61,18 @@ def one_row(solver, w, labels, net, params=None):
     return InferenceResult(y_star=Y[0], objective=obj[0], certificate=certs[0])
 
 
+def min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
+    """``_min_norm_point`` over the paths P with its gap report: ``(Y, S,
+    lam, gaps)``."""
+    atoms = _path_atoms(P)
+    Y, S, lam = _min_norm_point(atoms, Z, scale, gap_tol, max_cycles, corral)
+    return Y, S, lam, _fw_gaps(atoms, Z, scale, Y, S, lam)
+
+
 def project_one(P, z, scale=1.0, gap_tol=1e-6, max_cycles=10_000, corral=None):
     """``_min_norm_point`` on the one row z: the point, its weights over the
     rows of P and its Frank-Wolfe gap."""
-    Y, S, lam, gaps = _min_norm_point(P, np.atleast_2d(z), scale, gap_tol, max_cycles, corral)
+    Y, S, lam, gaps = min_norm_point(P, np.atleast_2d(z), scale, gap_tol, max_cycles, corral)
     theta = np.zeros(P.shape[0])
     real = S[0] < P.shape[0]
     theta[S[0, real]] = lam[0, real]
@@ -239,15 +249,40 @@ class TestFrankWolfe:
         Z[:3] = rng.dirichlet(np.ones(P.shape[0]), size=3) @ P
         Y, gaps = project_batch(Z, DAG, gap_tol=1e-12)
         scales = rng.uniform(0.5, 4.0, size=Z.shape[0])
-        _, S, lam, sgaps = _min_norm_point(P, Z, scales, 1e-9, 10_000)
+        _, S, lam, sgaps = min_norm_point(P, Z, scales, 1e-9, 10_000)
         for q in range(Z.shape[0]):
             y1, g1 = project_batch(Z[q], DAG, gap_tol=1e-12)
             np.testing.assert_array_equal(y1[0], Y[q])
             assert g1[0] == gaps[q]
-            _, S1, lam1, g1 = _min_norm_point(P, Z[q:q + 1], scales[q], 1e-9, 10_000)
+            _, S1, lam1, g1 = min_norm_point(P, Z[q:q + 1], scales[q], 1e-9, 10_000)
             np.testing.assert_array_equal(S1[0], S[q])
             np.testing.assert_array_equal(lam1[0], lam[q])
             assert g1[0] == sgaps[q]
+
+    @pytest.mark.parametrize("Q", [1, 40])
+    @pytest.mark.parametrize("net", [NET, DAG], ids=["bundled", "layered-dag"])
+    def test_equals_reference_bit_for_bit(self, net, Q, rng):
+        # A cold call, then calls warm-started from the last corral that share
+        # one set of bordered-system buffers, as in the L1 descent.  The
+        # scale, tolerance and cycle cap of each caller, and a cap that stops
+        # rows in the middle of a minor cycle.
+        P = enumerate_st_paths(net)
+        atoms = _path_atoms(P)
+        system = _bordered_system(Q, atoms.cap)
+        for scale, tol, cycles in ((1.0, 1e-11, np.inf),
+                                   (rng.uniform(0.5, 4.0, size=Q), 1e-9, 10_000),
+                                   (2.5, 1e-12, 3)):
+            Z = rng.normal(size=(Q, net.n_arcs)) * rng.choice([0.1, 1.0, 10.0], size=(Q, 1))
+            Z[::3] = rng.dirichlet(np.full(P.shape[0], 0.3), size=Z[::3].shape[0]) @ P
+            corral = None
+            for step in range(5):
+                want = wolfe_min_norm_point(P, Z, scale, tol, cycles, corral)
+                Y, S, lam = _min_norm_point(atoms, Z, scale, tol, cycles, corral, system)
+                got = (Y, S, lam, _fw_gaps(atoms, Z, scale, Y, S, lam))
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                corral = (S, lam)
+                Z = Y + 0.5 * rng.normal(size=Z.shape)
 
     def test_gap_is_recomputed_when_the_cycle_cap_stops_a_minor_cycle(self, rng):
         # A cap that lands after a minor cycle's partial step leaves weights
@@ -479,17 +514,37 @@ class TestSolveFlowAbs:
 
     def test_batch_equals_single(self, rng):
         # Rows with no positive weight skip the descent the others take.
+        # Rows with nonnegative weights, mixed among the others, carry a gap
+        # from the subgradient bound, which a batch without them skips.
         P = enumerate_st_paths(NET)
         labels = np.array([rng.dirichlet(np.ones(P.shape[0])) @ P for _ in range(5)])
         W = rng.normal(size=(6, 5))
         W[1], W[4] = -np.abs(W[1]), 0.0
+        W = np.insert(W, [2, 5], np.abs(rng.normal(size=(2, 5))), axis=0)
         params = SolverParams(max_iters=60, restarts=2, seed=3)
         Y, obj, certs = solve_flow_abs_batch(W, labels, NET, params)
+        assert [c.kind for c in certs].count("gap") == 2
         for q in range(W.shape[0]):
             single = one_row(solve_flow_abs_batch, W[q], labels, NET, params)
             np.testing.assert_array_equal(Y[q], single.y_star)
             assert obj[q] == single.objective
             assert certs[q].kind == single.certificate.kind
+            assert certs[q] == single.certificate
+
+    def test_outputs_keep_their_recorded_bits(self):
+        # SHA-256 of the points and objectives as recorded when every
+        # projection step rebuilt its path set-up and gap report (numpy 2.4,
+        # OpenBLAS, x86-64).  Work moved out of the steps must not move a bit.
+        rng = np.random.default_rng(2021)
+        P = enumerate_st_paths(NET)
+        labels = rng.dirichlet(np.ones(P.shape[0]), size=60) @ P
+        W = rng.normal(size=(40, 60))
+        W[::4] = np.abs(W[::4])
+        Y, obj, certs = solve_flow_abs_batch(W, labels, NET,
+                                             SolverParams(max_iters=100, restarts=2))
+        assert [c.kind for c in certs] == ["gap", "heuristic", "heuristic", "heuristic"] * 10
+        assert hashlib.sha256(Y.tobytes() + obj.tobytes()).hexdigest() == (
+            "dfab8b45705dc5d1a2d322237de1bdd6703183c5374b0ea044afa447db704278")
 
     def test_labels_a_row_does_not_weigh_change_nothing(self, rng):
         # Each row's optimum, stacked in front at zero weight with one more
