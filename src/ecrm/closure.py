@@ -7,14 +7,21 @@ best subtree value is its own cost plus the negative parts of its
 children's; top-down, a node is selected when that value is strictly
 negative and its parent is selected.
 
-A multi-parent DAG is solved per row as a maximum-weight closure problem,
-the complement of the minimization.  That reduces to a minimum s-t cut
-(Picard, "Maximal closure of a graph", Management Science 1976): source
-arcs carry the positive node weights, sink arcs the negative ones, and
-dependency arcs get infinite capacity.  Because the relaxed constraint
-system is totally unimodular, the cut optimum matches the
-linear-programming optimum and is integral, so the reduction is exact for
-any real cost vector.
+A multi-parent DAG is solved as a maximum-weight closure problem, the
+complement of the minimization.  That reduces to a minimum s-t cut
+(Picard, "Maximal closure of a graph", Management Science 1976) on the
+closure network: source arcs carry the positive node weights, sink arcs
+the negative ones, and each dependency arc runs from child to parent with
+infinite capacity.  Because the relaxed constraint system is totally
+unimodular, the cut optimum matches the linear-programming optimum and is
+integral, so the reduction is exact for any real cost vector.
+
+Dinic's algorithm runs on that network directly.  No level-graph path
+uses the reverse of a source or sink arc, and a dependency arc is open
+from parent to child only while it carries flow, so a row's whole state
+is its residual source and sink capacity per node plus one flow value per
+arc.  The moves out of each node are built once per batch; the level
+search that misses the sink returns the cut.
 
 Both paths return the inclusion-minimal optimum, which is also the
 lexicographically smallest one.
@@ -22,94 +29,9 @@ lexicographically smallest one.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-
 import numpy as np
 
 from .hierarchy import HierarchyDag
-
-
-class _MaxFlow:
-    """Dinic's algorithm on an adjacency-list residual graph."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, c: float) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-
-    def _bfs(self, s: int, t: int, eps: float) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > eps and level[v] < 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        return level if level[t] >= 0 else None
-
-    def _augment(self, s: int, t: int, level, it, eps: float) -> float:
-        """Push flow along one s-t path of the level graph, found depth-first
-        without recursion; ``it[u]`` skips only arcs that led to dead ends."""
-        head, to, cap = self.head, self.to, self.cap
-        path: list[int] = []
-        u = s
-        while u != t:
-            if it[u] == len(head[u]):
-                if not path:
-                    return 0.0
-                u = to[path.pop() ^ 1]  # back up to the arc's tail; that arc is dead
-                it[u] += 1
-                continue
-            e = head[u][it[u]]
-            if cap[e] > eps and level[to[e]] == level[u] + 1:
-                path.append(e)
-                u = to[e]
-            else:
-                it[u] += 1
-        f = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= f
-            cap[e ^ 1] += f
-        return f
-
-    def max_flow(self, s: int, t: int, eps: float) -> float:
-        total = 0.0
-        while True:
-            level = self._bfs(s, t, eps)
-            if level is None:
-                return total
-            it = [0] * self.n
-            while True:
-                f = self._augment(s, t, level, it, eps)
-                if f <= 0.0:
-                    break
-                total += f
-
-    def reachable_from(self, s: int, eps: float) -> list[bool]:
-        seen = [False] * self.n
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > eps and not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        return seen
 
 
 def solve_hierarchy(costs, G: HierarchyDag) -> np.ndarray:
@@ -129,7 +51,7 @@ def solve_hierarchy(costs, G: HierarchyDag) -> np.ndarray:
         raise ValueError("costs must be finite")
     levels = G.forest_levels
     if levels is None:
-        Y = np.array([_solve_dinic(c, G) for c in C], dtype=np.int64).reshape(C.shape)
+        Y = _solve_dinic(C, G)
     else:
         best = C.T.copy()  # (d, Q): row j holds node j's best subtree value
         for nodes, parents in reversed(levels):
@@ -141,24 +63,71 @@ def solve_hierarchy(costs, G: HierarchyDag) -> np.ndarray:
     return Y[0] if single else Y
 
 
-def _solve_dinic(c: np.ndarray, G: HierarchyDag) -> np.ndarray:
-    """One cost row of ``solve_hierarchy`` by max-flow; any DAG."""
-    weights = -c  # maximize total weight of the selected closure
-    if not np.any(weights > 0):
-        return np.zeros(G.d, dtype=np.int64)
-    scale = float(np.max(np.abs(weights)))
-    eps = 1e-12 * max(1.0, scale)
-    s, t = G.d, G.d + 1
-    mf = _MaxFlow(G.d + 2)
-    for j in range(G.d):
-        if weights[j] > 0:
-            mf.add_edge(s, j, weights[j])
-        elif weights[j] < 0:
-            mf.add_edge(j, t, -weights[j])
-    for parent, child in G.arcs:
-        # Selecting the child forces the parent into the closure.
-        mf.add_edge(child, parent, math.inf)
-    mf.max_flow(s, t, eps)
-    reach = mf.reachable_from(s, eps)
-    y = np.array([1 if reach[j] else 0 for j in range(G.d)], dtype=np.int64)
-    return y
+def _solve_dinic(C: np.ndarray, G: HierarchyDag) -> np.ndarray:
+    """The (Q, d) rows of ``solve_hierarchy`` by Dinic's algorithm; any DAG."""
+    d = G.d
+    # Moves out of each node along arc k: child -> parent is always open,
+    # parent -> child only while arc k carries flow.
+    moves: list[list[tuple[int, int, bool]]] = [[] for _ in range(d)]
+    for k, (parent, child) in enumerate(G.arcs):
+        moves[child].append((k, parent, True))
+        moves[parent].append((k, child, False))
+    Y = np.zeros(C.shape, dtype=np.int64)
+    for row, weights in enumerate((-C).tolist()):  # maximize the closure's weight
+        if not any(w > 0 for w in weights):
+            continue
+        eps = 1e-12 * max(1.0, max(map(abs, weights)))
+        src = [max(w, 0.0) for w in weights]  # residual source and sink arcs
+        snk = [max(-w, 0.0) for w in weights]
+        flow = [0.0] * len(G.arcs)
+        while True:
+            # Level search from the source; the one that misses the sink
+            # leaves the source side of the inclusion-minimal cut in ``order``.
+            order = [j for j in range(d) if src[j] > eps]
+            level = [-1] * d
+            for j in order:
+                level[j] = 0
+            sink = -1
+            for u in order:
+                if sink < 0 and snk[u] > eps:
+                    sink = level[u] + 1
+                for k, v, up in moves[u]:
+                    if level[v] < 0 and (up or flow[k] > eps):
+                        level[v] = level[u] + 1
+                        order.append(v)
+            if sink < 0:
+                Y[row, order] = 1
+                break
+            # Blocking flow, one depth-first path at a time; ``it[u]`` is 0
+            # while u's sink arc is untried, else 1 + the index of its move.
+            it = [0] * d
+            for j in range(d):
+                while src[j] > eps and level[j] == 0:
+                    path = [j]
+                    while path:
+                        u = path[-1]
+                        i = it[u]
+                        if i == 0:
+                            if snk[u] > eps and level[u] + 1 == sink:
+                                break
+                            it[u] = 1
+                        elif i > len(moves[u]):
+                            path.pop()  # dead end: the move into u is spent
+                            if path:
+                                it[path[-1]] += 1
+                        else:
+                            k, v, up = moves[u][i - 1]
+                            if level[v] == level[u] + 1 and (up or flow[k] > eps):
+                                path.append(v)
+                            else:
+                                it[u] += 1
+                    if not path:
+                        break
+                    steps = [moves[u][it[u] - 1] for u in path[:-1]]
+                    f = min([src[j], snk[path[-1]]]
+                            + [flow[k] for k, _, up in steps if not up])
+                    src[j] -= f
+                    snk[path[-1]] -= f
+                    for k, _, up in steps:
+                        flow[k] += f if up else -f
+    return Y

@@ -262,17 +262,19 @@ def is_totally_unimodular(cm: ConstraintMatrix, size_cap: int = 2_000_000) -> bo
     """Exhaustively test every square submatrix determinant.
 
     Returns True/False, or None ("unknown") when the number of square
-    submatrices exceeds ``size_cap``.  This is a brute-force verification
-    utility, not part of the inference path.
+    submatrices exceeds ``size_cap``.  An entry outside {-1, 0, 1} is a 1x1
+    submatrix that proves False at any size, so it is checked before the
+    cap.  This is a brute-force verification utility, not part of the
+    inference path.
     """
     A = np.asarray(cm.A, dtype=float)
+    if not np.all(np.isin(A, (-1.0, 0.0, 1.0))):
+        return False
     n, d = A.shape
     kmax = min(n, d)
     total = sum(math.comb(n, k) * math.comb(d, k) for k in range(1, kmax + 1))
     if total > size_cap:
         return None
-    if not np.all(np.isin(A, (-1.0, 0.0, 1.0))):
-        return False
     for k in range(2, kmax + 1):
         rows = list(itertools.combinations(range(n), k))
         cols = list(itertools.combinations(range(d), k))

@@ -11,7 +11,7 @@ from ecrm import (BoundInputs, KernelSpec, LossSpec, SurrogateConfig,
                   generalization_bound, generalization_bound_terms, hierarchy_space,
                   infer, loss_bound, loss_value, make_surrogate_config, realized_loss,
                   surrogate_loss, surrogate_loss_detailed, weights)
-from conftest import random_feasible_label, random_tree
+from conftest import random_dag, random_feasible_label, random_tree
 from _oracles import all_permutations, enumerate_feasible, footrule_risks, gaussian_solve
 
 RHO_GRID = np.logspace(-3, 3, 13)
@@ -82,6 +82,24 @@ class TestSurrogateProperties:
                 val = surrogate_loss(model, loss, SurrogateConfig(rho, L, space), x, y)
                 assert val >= realized - 1e-10
                 assert val <= L + 1e-12
+
+    def test_surrogacy_bound_on_hierarchies(self, rng):
+        # A non-explicit space: the realized loss is that of the one
+        # prediction, and every rho's surrogate is at least it.
+        loss = LossSpec("hamming")
+        for _ in range(6):
+            d = int(rng.integers(3, 8))
+            G = random_dag(rng, d, extra=2)
+            space = hierarchy_space(G)
+            labels = np.array([random_feasible_label(rng, G) for _ in range(7)])
+            model = fit(KernelSpec("rbf", gamma=0.7), 0.3, rng.normal(size=(7, 3)), labels)
+            L = loss_bound(loss, space)
+            x, y = rng.normal(size=3), random_feasible_label(rng, G)
+            realized = realized_loss(model, loss, space, x, y)
+            assert realized == loss_value(loss, infer(model, loss, space, x).y_star, y)
+            for rho in RHO_GRID:
+                val = surrogate_loss(model, loss, SurrogateConfig(rho, L, space), x, y)
+                assert val >= realized - 1e-10
 
     def test_monotone_in_rho(self, rng):
         for _ in range(10):

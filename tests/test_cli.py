@@ -169,15 +169,21 @@ class TestTrainPredictEval:
 
 
 class TestAnalysisCommands:
-    def test_bound_matches_library(self, hierarchy_fixture):
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_bound_matches_library(self, hierarchy_fixture, kernel):
         from ecrm import (BoundInputs, KernelSpec, LossSpec, fit,
                           empirical_surrogate_risk, generalization_bound_terms,
                           hierarchy_space, make_surrogate_config)
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        # sup k(x, x): 1 for the RBF kernel, the largest squared training
+        # norm for the linear one.
+        spec, kappa = ((KernelSpec("rbf", gamma=0.5), 1.0) if kernel == "rbf"
+                       else (KernelSpec("linear"), float(max(x @ x for x in X))))
         out = tmp / "model.ecrm"
-        run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
-                "--hierarchy", hpath, "--kernel", "rbf", "--gamma", 0.5,
-                "--lambda", 0.1, "--out", out)
+        r = run_cli("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                    "--hierarchy", hpath, "--kernel", kernel, "--gamma", 0.5,
+                    "--lambda", 0.1, "--out", out)
+        assert r.returncode == 0, r.stderr
         r = run_cli("bound", "--model", out, "--x", xpath, "--labels", ypath,
                     "--space", "hierarchy", "--hierarchy", hpath, "--loss", "hamming",
                     "--rho", 0.1, "--delta", 0.05)
@@ -187,10 +193,10 @@ class TestAnalysisCommands:
         G = load_hierarchy(hpath)
         space = hierarchy_space(G)
         loss = LossSpec("hamming")
-        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, X, Y)
+        model = fit(spec, 0.1, X, Y)
         cfg = make_surrogate_config(0.1, loss, space)
         emp = empirical_surrogate_risk(model, loss, cfg, X, Y)
-        b = BoundInputs(empirical_risk=emp, L=4.0, kappa=1.0, lam=0.1, rho=0.1,
+        b = BoundInputs(empirical_risk=emp, L=4.0, kappa=kappa, lam=0.1, rho=0.1,
                         delta=0.05, m=6)
         emp2, stab, conf, total = generalization_bound_terms(b)
         assert float(got["empirical"]) == pytest.approx(emp2, abs=1e-10)
@@ -786,12 +792,18 @@ class TestExitCodes:
         return edit
 
     # case -> (variant of the trained file, edit of its lines, the line the
-    # error names, or "" for a fault of the whole file).  The fixture's
-    # additive file has its neighbors line at 5, "hierarchy 3" at 6 and the
-    # arcs "0 1", "0 2", "2 3" at 7-9.
+    # error names, or the start of its message for a fault of the whole
+    # file).  The fixture's base file has 15 lines: inputs at 4-9, labels at
+    # 10-15.  Its additive file has its parameter line at 4, neighbors at 5,
+    # "hierarchy 3" at 6 and the arcs "0 1", "0 2", "2 3" at 7-9.
     MALFORMED = {
         "additive_header_only": ("additive", lambda lines: lines[:2], ""),
         "additive_cut_after_arcs": ("additive", lambda lines: lines[:9], ""),
+        "additive_with_m_0": ("additive", _swap(3, " m 6 ", " m 0 "), "4"),
+        "base_cut_to_2_lines": ("base", lambda lines: lines[:2], "truncated model file"),
+        "base_cut_before_labels": ("base", lambda lines: lines[:9],
+                                   "expected 15 lines, found 9"),
+        "base_kernel_cubic": ("base", _swap(1, "kernel linear", "kernel cubic"), "2"),
         "base_with_m_0": ("base", _swap(2, " m 6 ", " m 0 "), "3"),
         "base_m_not_an_integer": ("base", _swap(2, " m 6 ", " m six "), "3"),
         "base_bad_intercept": ("base", _swap(2, "intercept none", "intercept sideways"), "3"),
@@ -820,7 +832,8 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stdout == ""
         assert len(r.stderr.splitlines()) == 1
-        assert r.stderr.startswith(f"error: {bad}:{line}:" if line else f"error: {bad}: ")
+        assert r.stderr.startswith(f"error: {bad}:{line}:" if line.isdigit()
+                                   else f"error: {bad}: {line}")
 
     def test_negative_arc_count_names_hierarchy_line(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture

@@ -149,6 +149,18 @@ class TestNetworkFiles:
         with pytest.raises(DataFormatError, match=":1:"):
             load_network(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 2 arcs 1\n0 1\n0 -1.0\n", r"net\.txt: expected 4 lines, found 3"),
+        ("nodes 2 arcs 1\n0 1\n0 -1.0 7\n1 1.0\n", r"net\.txt:3: expected 'node b_value'"),
+        ("nodes 2 arcs 1\n0 1\n0 -1.0\n0 1.0\n", r"net\.txt:4: bad or repeated node id 0"),
+        ("nodes 2 arcs 1\n0 1\n0 -1.0\n2 1.0\n", r"net\.txt:4: bad or repeated node id 2"),
+    ], ids=["short_file", "three_value_node_line", "repeated_node_id", "node_id_past_n"])
+    def test_malformed_node_lines(self, tmp_path, text, message):
+        path = tmp_path / "net.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            load_network(path)
+
 
 class TestModelPersistence:
     def test_base_round_trip(self, tmp_path, rng):

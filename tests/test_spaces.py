@@ -205,6 +205,10 @@ class TestTotallyUnimodular:
 
     def test_entries_outside_ternary_fail(self):
         assert is_totally_unimodular(self._cm([[2, 0], [0, 1]])) is False
+        # The 1x1 submatrix [2] decides it however many submatrices there are.
+        big = np.eye(30)
+        big[7, 7] = 2.0
+        assert is_totally_unimodular(self._cm(big), size_cap=10) is False
 
     def test_hierarchy_matrices_are_tu(self, rng):
         for _ in range(10):
