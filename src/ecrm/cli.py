@@ -46,11 +46,13 @@ def _kernel_from_args(args) -> KernelSpec:
     return KernelSpec(kind="linear")
 
 
-def _space_from_args(args):
+def _space_from_args(args, width):
+    """The space of --space and its flags, for labels of ``width`` entries,
+    a bound on a hierarchy's node ids."""
     if args.space == "hierarchy":
         if not args.hierarchy:
             raise DataFormatError("--space hierarchy requires --hierarchy FILE")
-        G = io.load_hierarchy(args.hierarchy)
+        G = io.load_hierarchy(args.hierarchy, width)
         return hierarchy_space(G)
     if args.space == "assignment":
         if args.dim is None:
@@ -63,8 +65,8 @@ def _space_from_args(args):
 
 def _model_space(args, model):
     """The requested output space, which must hold every stored label."""
-    space = _space_from_args(args)
     width = model.labels.shape[1]
+    space = _space_from_args(args, width)
     if width != space.dim:
         raise DataFormatError(f"{args.model}: model labels have {width} entries but the "
                               f"{space.kind} space has dimension {space.dim}")
@@ -74,12 +76,23 @@ def _model_space(args, model):
     return space
 
 
-def _labels_of(X, x_path, labels_path, space) -> np.ndarray:
-    """The labels file that goes row for row with the inputs ``X`` of ``x_path``."""
-    Y = io.load_labels(labels_path, space)
+def _labels_of(X, x_path, labels_path, space, M=None) -> np.ndarray:
+    """The labels file that goes row for row with the inputs ``X`` of
+    ``x_path``; ``M`` is its matrix when already read."""
+    Y = io.load_labels(labels_path, space, M)
     if Y.shape[0] != X.shape[0]:
         raise DataFormatError(f"{x_path} has {X.shape[0]} rows but {labels_path} has {Y.shape[0]}")
     return Y
+
+
+def _training_set(args, x_path, labels_path):
+    """The inputs, labels and output space of a training set.  The labels
+    file is read before the space, so that its width bounds the node ids
+    of a hierarchy."""
+    X = io.load_matrix(x_path)
+    M = io.load_matrix(labels_path)
+    space = _space_from_args(args, M.shape[1])
+    return X, _labels_of(X, x_path, labels_path, space, M), space
 
 
 def _loss_from_args(args, space) -> LossSpec:
@@ -128,9 +141,7 @@ def _analysis_inputs(args, what: str):
 
 def cmd_train(args) -> int:
     kernel = _kernel_from_args(args)
-    space = _space_from_args(args)
-    X = io.load_matrix(args.x)
-    Y = _labels_of(X, args.x, args.labels, space)
+    X, Y, space = _training_set(args, args.x, args.labels)
     if args.variant == "additive":
         if space.kind != "hierarchy":
             raise DataFormatError("--variant additive requires --space hierarchy")
@@ -207,12 +218,24 @@ def cmd_bench(args) -> int:
         raise DataFormatError(f"--repeats must be at least 1, got {args.repeats}")
     kernel = _kernel_from_args(args)
     rng = np.random.default_rng(args.seed)
-    X = rng.uniform(size=(args.m, args.p))
+    try:
+        X = rng.uniform(size=(args.m, args.p))
+    except MemoryError as exc:
+        raise DataFormatError(f"--m {args.m} --p {args.p}: cannot hold the inputs: {exc}"
+                              ) from exc
+    # All-roots-off labels, feasible in any hierarchy, built before any
+    # output so that a size too large to hold prints nothing.
+    Ys = []
+    for d in dims:
+        try:
+            Ys.append(np.zeros((args.m, d), dtype=np.int64))
+        except (MemoryError, ValueError) as exc:
+            raise DataFormatError(f"--dims {d}: cannot hold {args.m} x {d} labels: {exc}"
+                                  ) from exc
     fit(kernel, args.lam, X, np.zeros((args.m, 1)))  # warm up BLAS paths
     print("d,train_seconds")
-    # All-roots-off labels, feasible in any hierarchy.  The sizes are timed
-    # round-robin, so a burst of machine load is spread over all of them.
-    Ys = [np.zeros((args.m, d), dtype=np.int64) for d in dims]
+    # The sizes are timed round-robin, so a burst of machine load is spread
+    # over all of them.
     best = [np.inf] * len(dims)
     for _ in range(args.repeats):
         for i, Y in enumerate(Ys):
@@ -233,9 +256,7 @@ def cmd_tu_check(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    space = _space_from_args(args)
-    X_train = io.load_matrix(args.train_x)
-    Y_train = _labels_of(X_train, args.train_x, args.train_labels, space)
+    X_train, Y_train, space = _training_set(args, args.train_x, args.train_labels)
     data = Dataset(X=X_train, Y=Y_train, space=space)
     Xq = io.load_matrix(args.x)
     if args.method == "knn":

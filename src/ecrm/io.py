@@ -10,8 +10,10 @@ the path and the 1-based line number of the offending record
 structure, such as a cycle.  Networks must be acyclic.
 
 Beside a base model file ``F``, ``save_model`` writes the binary factor
-cache ``F.factor`` that ``load_model`` reads in place of refitting; only
-this module knows its format.
+cache ``F.factor``: the training inputs and the Cholesky factor, as
+bytes.  ``load_model`` takes both from it in place of parsing the input
+block and refitting, and still parses the labels from text; only this
+module knows the cache format.
 """
 
 from __future__ import annotations
@@ -107,9 +109,10 @@ def _rows(path, first_lineno, lines, count=None) -> np.ndarray:
     return M
 
 
-def _arcs(path, numbered) -> list[tuple[int, int]]:
+def _arcs(path, numbered, width=None) -> list[tuple[int, int]]:
     """The ``a b`` node-id pairs of the (1-based line number, line) pairs
-    ``numbered``: two distinct nonnegative integers per line."""
+    ``numbered``: two distinct nonnegative integers per line, each below
+    ``width`` when it is given."""
     arcs = []
     try:
         for lineno, line in numbered:
@@ -119,6 +122,8 @@ def _arcs(path, numbered) -> list[tuple[int, int]]:
             a, b = _int(toks[0]), _int(toks[1])
             if a == b:
                 raise ValueError(f"self-loop arc ({a},{b})")
+            if width is not None and max(a, b) >= width:
+                raise ValueError(f"node id {max(a, b)} does not fit labels of {width} entries")
             arcs.append((a, b))
     except ValueError as exc:
         raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
@@ -156,11 +161,12 @@ def load_matrix(path) -> np.ndarray:
     return _rows(path, 1, lines)
 
 
-def load_labels(path, space: OutputSpace) -> np.ndarray:
+def load_labels(path, space: OutputSpace, M=None) -> np.ndarray:
     """One label per line, each a member of ``space`` (see
     ``spaces.nonmembers``); int64 for hierarchies and rankings, float
-    otherwise."""
-    M = load_matrix(path)
+    otherwise.  ``M`` is the file's ``load_matrix`` when the caller has
+    read it already."""
+    M = load_matrix(path) if M is None else M
     if M.shape[1] != space.dim:
         raise DataFormatError(f"{path}:1: expected {space.dim} values, found {M.shape[1]}")
     bad, why = nonmembers(space, M)
@@ -187,11 +193,14 @@ def save_matrix(path, M) -> None:
         write_rows(fh, M)
 
 
-def load_hierarchy(path) -> HierarchyDag:
+def load_hierarchy(path, width=None) -> HierarchyDag:
     """One arc per line as ``parent child`` (0-based); d = 1 + max id.
-    Blank lines are skipped."""
+    Blank lines are skipped.  Given the ``width`` of the labels the
+    hierarchy is for, the first arc with a node id of at least ``width``
+    is an error, so an id never sizes the graph beyond its labels."""
     lines = _read_lines(path)
-    arcs = _arcs(path, ((n, line) for n, line in enumerate(lines, start=1) if line.strip()))
+    arcs = _arcs(path, ((n, line) for n, line in enumerate(lines, start=1) if line.strip()),
+                 width)
     if not arcs:
         raise DataFormatError(f"{path}:1: hierarchy file has no arcs")
     return _built(path, HierarchyDag, 1 + max(map(max, arcs)), arcs)
@@ -242,7 +251,7 @@ def save_network(path, net: FlowNetwork) -> None:
 
 
 MODEL_MAGIC = "ECRM-MODEL 1"
-FACTOR_MAGIC = "ECRM-FACTOR 1"
+FACTOR_MAGIC = "ECRM-FACTOR 2"
 
 
 def _kernel_line(spec: KernelSpec) -> str:
@@ -267,15 +276,16 @@ def save_model(path, model: TrainedModel) -> None:
     """Write the plain-text model file and, for a model that holds its
     factorization, the factor cache ``<path>.factor`` beside it.
 
-    The cache is one ASCII header line, ``ECRM-FACTOR 1 <m> <f8 <sha256>``
-    with the SHA-256 of the model file's bytes, then the lower Cholesky
-    factor column by column from the diagonal down: m(m+1)/2 little-endian
-    doubles.  ``load_model`` uses it only when the header names the model
+    The cache is one ASCII header line, ``ECRM-FACTOR 2 <m> <p> <f8
+    <sha256>`` with the SHA-256 of the model file's bytes, then the inputs
+    row by row (m*p little-endian doubles), then the lower Cholesky factor
+    column by column from the diagonal down (m(m+1)/2 little-endian
+    doubles).  ``load_model`` uses it only when the header names the model
     file it sits beside and the size is exact; in every other case it
-    refits, so a missing or stale cache costs time, never a wrong answer.
-    A model without a factor writes no cache and removes an old one left
-    beside it.  Raises DataFormatError when the cache cannot be written or
-    removed."""
+    parses the inputs and refits, so a missing, stale or older-format
+    cache costs time, never a wrong answer.  A model without a factor
+    writes no cache and removes an old one left beside it.  Raises
+    DataFormatError when the cache cannot be written or removed."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(_kernel_line(model.kernel) + "\n")
@@ -286,19 +296,20 @@ def save_model(path, model: TrainedModel) -> None:
     if model.factor is None:
         _remove_factor(path)
     else:
-        _save_factor(path, model.factor)
+        _save_factor(path, model.inputs, model.factor)
 
 
 def _factor_path(path) -> str:
     return os.fspath(path) + ".factor"
 
 
-def _factor_header(raw: bytes, m: int) -> bytes:
-    """The cache header for a model file of bytes ``raw`` with m samples."""
-    return f"{FACTOR_MAGIC} {m} <f8 {hashlib.sha256(raw).hexdigest()}\n".encode("ascii")
+def _factor_header(raw: bytes, m: int, p: int) -> bytes:
+    """The cache header for a model file of bytes ``raw`` with m samples of
+    p features."""
+    return f"{FACTOR_MAGIC} {m} {p} <f8 {hashlib.sha256(raw).hexdigest()}\n".encode("ascii")
 
 
-def _save_factor(path, factor) -> None:
+def _save_factor(path, X, factor) -> None:
     c, lower = factor
     L = c if lower else c.T
     cache = _factor_path(path)
@@ -306,7 +317,8 @@ def _save_factor(path, factor) -> None:
         # Columns are 8 to 8m bytes; a 1 MiB buffer turns the m writes into
         # one system call per MiB.
         with open(cache, "wb", buffering=1 << 20) as fh:
-            fh.write(_factor_header(_read_bytes(path), L.shape[0]))
+            fh.write(_factor_header(_read_bytes(path), *X.shape))
+            fh.write(np.ascontiguousarray(X, dtype="<f8"))
             for j in range(L.shape[0]):
                 fh.write(np.ascontiguousarray(L[j:, j], dtype="<f8"))
     except OSError as exc:
@@ -324,25 +336,33 @@ def _remove_factor(path) -> None:
         raise DataFormatError(f"{cache}: cannot remove stale factor cache: {exc}") from exc
 
 
-def _load_factor(path, raw: bytes, m: int):
-    """The lower factor cached beside the model file at ``path`` of bytes
-    ``raw``, as an (m, m) Fortran-ordered array whose upper triangle is
-    never written; None when the cache is missing, stale, truncated or
-    malformed, or its diagonal is not finite and positive."""
+def _load_factor(path, raw: bytes, m: int, p: int):
+    """``(X, L)`` cached beside the model file at ``path`` of bytes ``raw``:
+    the (m, p) inputs and the lower factor, an (m, m) Fortran-ordered
+    array whose upper triangle is never written.  None when the cache is
+    missing, stale, truncated, malformed or of the older format without
+    inputs, or when X is not finite or L's diagonal not finite and
+    positive."""
     try:
         with open(_factor_path(path), "rb") as fh:
-            header = _factor_header(raw, m)
+            header = _factor_header(raw, m, p)
             if (fh.readline(len(header)) != header
-                    or os.fstat(fh.fileno()).st_size != len(header) + 4 * m * (m + 1)):
+                    or os.fstat(fh.fileno()).st_size
+                    != len(header) + 8 * m * p + 4 * m * (m + 1)):
                 return None
+            X = np.empty((m, p), dtype="<f8")
             L = np.empty((m, m), dtype="<f8", order="F")
+            if fh.readinto(X) != 8 * m * p:
+                return None
             for j in range(m):
                 if fh.readinto(L[j:, j]) != 8 * (m - j):
                     return None
     except OSError:
         return None
     diag = np.diagonal(L)
-    return L if np.isfinite(diag).all() and (diag > 0).all() else None
+    if not (np.isfinite(X).all() and np.isfinite(diag).all() and (diag > 0).all()):
+        return None
+    return X, L
 
 
 def save_additive_model(path, model: AdditiveModel) -> None:
@@ -367,9 +387,11 @@ def save_additive_model(path, model: AdditiveModel) -> None:
 def load_model(path):
     """Load either model variant; returns TrainedModel or AdditiveModel.
 
-    A base model takes its factorization from the factor cache beside it
-    when that cache matches (see ``save_model``) and is refitted otherwise;
-    on the machine that wrote the cache the two factors are bit-identical.
+    A base model takes its inputs and factorization from the factor cache
+    beside it when that cache matches (see ``save_model``), and parses only
+    its labels from text.  Otherwise it parses the inputs too and is
+    refitted; the cached inputs are the bytes the text parses to, and on
+    the machine that wrote the cache the two factors are bit-identical.
     Additive models have no cache."""
     raw = _read_bytes(path)
     lines = _read_lines(path, raw)
@@ -391,14 +413,14 @@ def _load_base(path, raw, lines) -> TrainedModel:
         raise DataFormatError(f"{path}:3: model must have at least one sample, found m {m}")
     if len(lines) < 3 + 2 * m:
         raise DataFormatError(f"{path}: expected {3 + 2 * m} lines, found {len(lines)}")
-    X = _rows(path, 4, lines[3:3 + m], p)
+    cached = _load_factor(path, raw, m, p)
+    X = _rows(path, 4, lines[3:3 + m], p) if cached is None else cached[0]
     Y = _rows(path, 4 + m, lines[3 + m:3 + 2 * m])
     if np.all(Y == np.round(Y)):
         Y = Y.astype(np.int64)
-    L = _load_factor(path, raw, m)
-    if L is None:
+    if cached is None:
         return _built(path, fit, spec, lam, X, Y, intercept)
-    return _built(path, from_factor, spec, lam, X, Y, L, intercept)
+    return _built(path, from_factor, spec, lam, X, Y, cached[1], intercept)
 
 
 def _load_additive(path, lines) -> AdditiveModel:
@@ -415,11 +437,14 @@ def _load_additive(path, lines) -> AdditiveModel:
     if len(lines) < 7 + n_arcs + 2 * m:
         raise DataFormatError(
             f"{path}: expected {7 + n_arcs + 2 * m} lines, found {len(lines)}")
-    G = _built(path, HierarchyDag, d, _arcs(path, enumerate(lines[6:6 + n_arcs], start=7)))
+    arcs = _arcs(path, enumerate(lines[6:6 + n_arcs], start=7))
     base = 7 + n_arcs
     (p,) = _header(path, base, lines[base - 1], "feature-dim", ("p", _int))
     X = _rows(path, base + 1, lines[base:base + m], p)
     vals = _rows(path, base + m + 1, lines[base + m:base + 2 * m], 2 * d)
+    # Built once the coefficient rows hold 2d values each, so that a d
+    # larger than the file holds never sizes the graph.
+    G = _built(path, HierarchyDag, d, arcs)
     alpha = np.stack([vals[:, d:], vals[:, :d]], axis=2)
     return AdditiveModel(alpha=alpha, joint=JointKernelSpec(base=spec, neighbors=neighbors),
                          lam=lam, hierarchy=G, inputs=X)

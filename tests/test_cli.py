@@ -319,9 +319,12 @@ class TestSimulateAndBench:
     @pytest.mark.parametrize("args", [
         ("bench", "--p", 0, "--dims", 10, "--m", 20, "--gamma", 1),
         ("bench", "--repeats", 0, "--dims", 10, "--m", 20, "--gamma", 1),
+        # 4e15 bytes of inputs, beyond any address space.
+        ("bench", "--p", 10 ** 13, "--dims", 10, "--m", 50, "--gamma", 1),
         ("simulate-flow", "--m", 5, "--p", 0),
         ("simulate-flow", "--m", 5, "--tau", "nan"),
-    ], ids=["bench-p0", "bench-repeats0", "simulate-p0", "simulate-tau-nan"])
+    ], ids=["bench-p0", "bench-repeats0", "bench-p-too-large", "simulate-p0",
+            "simulate-tau-nan"])
     def test_bad_input_exits_2(self, tmp_path, args):
         if args[0] == "simulate-flow":
             args += ("--out-x", tmp_path / "X.txt", "--out-y", tmp_path / "Y.txt")
@@ -330,12 +333,21 @@ class TestSimulateAndBench:
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("dims", ["-5", "0", "10,,20", "abc"])
+    # Sizes whose labels cannot be allocated: 4e15 bytes at m = 50, beyond
+    # any address space, and more entries than an array index can count.
+    TOO_LARGE = ("10,10000000000000", "10000000000000000000")
+
+    @pytest.mark.parametrize("dims", ["-5", "0", "10,,20", "abc", *TOO_LARGE])
     def test_bad_dims_exit_2_before_any_output(self, dims):
-        r = run_cli("bench", "--dims", dims, "--m", 20, "--gamma", 1)
+        r = run_cli("bench", "--dims", dims, "--m", 50, "--gamma", 1)
         assert (r.returncode, r.stdout) == (2, "")
-        assert r.stderr == ("error: --dims must be positive integers separated by commas, "
-                            f"got {dims!r}\n")
+        if dims in self.TOO_LARGE:
+            big = dims.split(",")[-1]
+            assert len(r.stderr.splitlines()) == 1
+            assert r.stderr.startswith(f"error: --dims {big}: cannot hold 50 x {big} labels: ")
+        else:
+            assert r.stderr == ("error: --dims must be positive integers separated by "
+                                f"commas, got {dims!r}\n")
 
 
 class TestTuCheckAndBaseline:
@@ -815,6 +827,9 @@ class TestExitCodes:
         "additive_bad_neighbors": ("additive", _swap(4, "adjacent", "many"), "5"),
         "additive_cyclic_arcs": ("additive", _swap(8, "2 3", "2 0"), ""),
         "additive_arc_out_of_range": ("additive", _swap(8, "2 3", "2 9"), ""),
+        # A d the coefficient rows do not hold fails on the first of them
+        # (line 17), before any graph of d nodes is built.
+        "additive_d_too_large": ("additive", _swap(3, " d 4", " d 1000000000000"), "17"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -925,6 +940,29 @@ class TestExitCodes:
         assert r.stderr == (f"error: {out}: model labels have 5 entries but the "
                             "assignment space has dimension 3\n")
 
+    @pytest.mark.parametrize("command", ["train", "baseline", "predict", "eval"])
+    def test_huge_hierarchy_node_id_names_its_line(self, hierarchy_fixture, command):
+        # A node id sizes the hierarchy, so one beyond the labels' width
+        # (the labels file's for train and baseline, the model's otherwise)
+        # is an error on its line, before any graph of that size is built.
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        out, huge = tmp / "m.ecrm", tmp / "huge.txt"
+        huge.write_text("0 1\n0 1000000000000\n")
+        train = ("train", "--x", xpath, "--labels", ypath, "--kernel", "linear",
+                 "--lambda", 0.1, "--out", out)
+        if command in ("predict", "eval"):
+            assert run_cli(*train, "--space", "hierarchy", "--hierarchy", hpath).returncode == 0
+        argv = {"train": train,
+                "baseline": ("baseline", "--method", "knn", "--train-x", xpath,
+                             "--train-labels", ypath, "--x", xpath, "--loss", "hamming"),
+                "predict": ("predict", "--model", out, "--x", xpath),
+                "eval": ("eval", "--model", out, "--x", xpath, "--labels", ypath,
+                         "--loss", "hamming")}[command]
+        r = run_cli(*argv, "--space", "hierarchy", "--hierarchy", huge)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == (f"error: {huge}:2: node id 1000000000000 does not fit labels "
+                            "of 4 entries\n")
+
     @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound"])
     def test_hierarchy_model_with_smaller_hierarchy(self, hierarchy_fixture, command):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
@@ -980,7 +1018,8 @@ class TestFactorCache:
                     "--lambda", 0.1, "--out", out, *extra)
 
     @pytest.mark.parametrize("case", ["present", "deleted", "other_model", "truncated",
-                                      "garbage_header", "nan_diagonal"])
+                                      "garbage_header", "nan_diagonal", "nan_inputs",
+                                      "v1_cache"])
     def test_predict_output_is_the_same_with_any_cache(self, capsys, monkeypatch,
                                                         hierarchy_fixture, case):
         tmp, hpath, xpath = hierarchy_fixture[:3]
@@ -993,6 +1032,11 @@ class TestFactorCache:
         assert (code, err, fits) == (0, "", 0)
         body = cache.read_bytes()
         header_end = body.index(b"\n") + 1
+        # The header reads ECRM-FACTOR 2 <m> <p> <f8 <sha256>; the m*p inputs
+        # come before the factor's columns.
+        m, p = map(int, body[:header_end].split()[2:4])
+        inputs_end = header_end + 8 * m * p
+        nan = np.array([np.nan]).tobytes()
         if case == "deleted":
             cache.unlink()
         elif case == "other_model":
@@ -1004,8 +1048,13 @@ class TestFactorCache:
         elif case == "garbage_header":
             cache.write_bytes(b"garbage\n" + body[header_end:])
         elif case == "nan_diagonal":
-            cache.write_bytes(body[:header_end] + np.array([np.nan]).tobytes()
-                              + body[header_end + 8:])
+            cache.write_bytes(body[:inputs_end] + nan + body[inputs_end + 8:])
+        elif case == "nan_inputs":
+            cache.write_bytes(body[:header_end] + nan + body[header_end + 8:])
+        elif case == "v1_cache":
+            # The layout before the cache held the inputs: no p, no inputs.
+            digest = body[:header_end].split()[-1]
+            cache.write_bytes(b"ECRM-FACTOR 1 %d <f8 %s\n" % (m, digest) + body[inputs_end:])
         code, got, err, fits = main(*predict)
         assert (code, err) == (0, "")
         assert got == expected

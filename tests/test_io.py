@@ -1,6 +1,7 @@
 """File formats, loaders with positioned errors, and model persistence."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ class TestHierarchyFiles:
         save_hierarchy(path, G)
         G2 = load_hierarchy(path)
         assert G2.d == G.d and G2.arcs == G.arcs
+
+    def test_width_bounds_node_ids(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("0 1\n\n1 2\n3 2\n")
+        assert load_hierarchy(path, 4).d == 4
+        assert load_hierarchy(path, 5).d == 4
+        # The first arc with an id of at least the width names its line;
+        # the blank line 2 still counts.
+        for width, line, node in ((3, 4, 3), (2, 3, 2)):
+            with pytest.raises(DataFormatError,
+                               match=f"^{re.escape(str(path))}:{line}: node id {node} "
+                                     f"does not fit labels of {width} entries$"):
+                load_hierarchy(path, width)
 
 
 class TestNetworkFiles:
@@ -266,16 +280,20 @@ class TestFactorCache:
     ``load_model`` uses it only when it matches that file."""
 
     @staticmethod
-    def _count_fits(monkeypatch):
+    def _count_calls(monkeypatch):
+        """The number of calls of ``io``'s ``fit`` and ``_rows`` from now on."""
         import ecrm.io
 
-        calls = []
+        calls = {"fit": 0, "_rows": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return fit(*args, **kwargs)
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(ecrm.io, "fit", counted)
+        for name in calls:
+            monkeypatch.setattr(ecrm.io, name, counting(name, getattr(ecrm.io, name)))
         return calls
 
     @staticmethod
@@ -284,20 +302,34 @@ class TestFactorCache:
                    rng.integers(0, 2, size=(m, 4)))
 
     def test_cache_holds_fits_lower_factor(self, tmp_path, rng, monkeypatch):
-        model = self._model(rng)
-        path = tmp_path / "model.ecrm"
+        X = rng.normal(size=(30, 3))
+        # A signed zero and two subnormals, then a rounded sum.
+        X[0], X[1, 0] = TestModelPersistence.SPECIAL[:3], TestModelPersistence.SPECIAL[4]
+        model = fit(KernelSpec("rbf", gamma=0.7), 0.2, X, rng.integers(0, 2, size=(30, 4)))
+        path, cache = tmp_path / "model.ecrm", tmp_path / "model.ecrm.factor"
         save_model(path, model)
-        header, body = (tmp_path / "model.ecrm.factor").read_bytes().split(b"\n", 1)
+        header, body = cache.read_bytes().split(b"\n", 1)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert header == f"ECRM-FACTOR 1 30 <f8 {digest}".encode()
+        assert header == f"ECRM-FACTOR 2 30 3 <f8 {digest}".encode()
+        assert body[:8 * 90] == X.astype("<f8").tobytes()
         L = model.factor[0]
-        assert body == np.concatenate([L[j:, j] for j in range(30)]).astype("<f8").tobytes()
-        calls = self._count_fits(monkeypatch)
+        assert body[8 * 90:] == np.concatenate([L[j:, j] for j in range(30)]).astype(
+            "<f8").tobytes()
+        # A hit parses the labels only and does not refit.
+        calls = self._count_calls(monkeypatch)
         loaded = load_model(path)
-        assert calls == []
+        assert calls == {"fit": 0, "_rows": 1}
+        assert loaded.inputs.tobytes() == X.tobytes()
+        assert loaded.labels.tobytes() == model.labels.tobytes()
         assert np.tril(loaded.factor[0]).tobytes() == np.tril(L).tobytes()
         x = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(weights(loaded, x), weights(model, x))
+        # A miss parses the inputs too, to the same bytes, and refits.
+        cache.unlink()
+        refit = load_model(path)
+        assert calls == {"fit": 1, "_rows": 3}
+        assert refit.inputs.tobytes() == X.tobytes()
+        np.testing.assert_array_equal(weights(refit, x), weights(model, x))
 
     def test_model_without_factor_writes_no_cache(self, tmp_path, rng, monkeypatch):
         model = self._model(rng)
@@ -311,9 +343,9 @@ class TestFactorCache:
         assert cache.exists()
         save_model(path, bare)
         assert not cache.exists()
-        calls = self._count_fits(monkeypatch)
+        calls = self._count_calls(monkeypatch)
         loaded = load_model(path)
-        assert len(calls) == 1
+        assert calls["fit"] == 1
         x = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(weights(loaded, x), weights(model, x))
 
