@@ -29,9 +29,9 @@ from .model import TrainedModel, estimate_conditional_risk, fit, weights
 from .results import Certificate, InferenceResult, SolverParams
 from .simulate import (FlowGeneratorSpec, conditional_sampler, default_flow_network,
                        sample_conditional, simulate_flow_data)
-from .spaces import (ConstraintMatrix, FlowNetwork, OutputSpace, assignment_space,
-                     assignment_constraint_matrix, enumerate_space, explicit_space,
-                     flow_space, hierarchy_constraint_matrix, hierarchy_space,
-                     is_feasible, is_totally_unimodular)
+from .spaces import (FlowNetwork, OutputSpace, assignment_constraint_matrix,
+                     assignment_space, enumerate_space, explicit_space, flow_space,
+                     hierarchy_constraint_matrix, hierarchy_space, is_feasible,
+                     is_totally_unimodular)
 
 __version__ = "0.1.0"

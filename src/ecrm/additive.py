@@ -23,7 +23,7 @@ import scipy.linalg
 from .closure import solve_hierarchy
 from .errors import NumericalError
 from .hierarchy import HierarchyDag
-from .kernels import KernelSpec, cross_gram, gram_matrix
+from .kernels import KernelSpec, _gram_too_large, cross_gram, gram_matrix
 from .results import EXACT, InferenceResult
 from .spaces import hierarchy_space, nonmembers
 
@@ -85,7 +85,8 @@ def fit_additive(X, Y, G: HierarchyDag, joint: JointKernelSpec, lam: float) -> A
     is ``Ux ((Ux' T_v Un) / (ex en' + lambda)) Un'``: O(m^3 + d^3 + m d (m + d)).
     ``N`` is indefinite, so a denominator can cancel lambda: one below
     ``max(m, d) * eps`` times the largest (the eigenvalues' rounding level)
-    raises ``NumericalError``.
+    raises ``NumericalError``; an input Gram or eigenbasis too large to
+    allocate raises ``EcrmError``.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("lambda must be finite and positive")
@@ -99,7 +100,10 @@ def fit_additive(X, Y, G: HierarchyDag, joint: JointKernelSpec, lam: float) -> A
         raise ValueError(f"training label {bad[0]} {why}")
 
     # Divide and conquer: faster than the default driver, more orthogonal vectors.
-    ex, Ux = scipy.linalg.eigh(gram_matrix(joint.base, X), driver="evd")
+    try:
+        ex, Ux = scipy.linalg.eigh(gram_matrix(joint.base, X), driver="evd")
+    except MemoryError as exc:
+        raise _gram_too_large(m) from exc
     en, Un = scipy.linalg.eigh(neighborhood_matrix(G, joint.neighbors), driver="evd")
     # The system's eigenvalues, each once per label value.
     D = ex[:, None] * en[None, :] + lam

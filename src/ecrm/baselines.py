@@ -16,8 +16,6 @@ from .model import fit, weights
 from .results import SolverParams
 from .spaces import OutputSpace, nonmembers
 
-_PROJECT_GAP = 1e-6
-
 
 def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace, x,
                            k: int, params: SolverParams | None = None) -> np.ndarray:
@@ -55,5 +53,5 @@ def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: Kern
     todo = nonmembers(space, Yhat, tol=1e-12)[0]
     out = Yhat.copy()
     if todo.size:
-        out[todo] = project_batch(Yhat[todo], space.network, gap_tol=_PROJECT_GAP)[0]
+        out[todo] = project_batch(Yhat[todo], space.network)[0]
     return out

@@ -26,8 +26,8 @@ from .losses import LossSpec, loss_value
 from .model import fit
 from .results import SolverParams
 from .simulate import FlowGeneratorSpec, default_flow_network, simulate_flow_data
-from .spaces import (ConstraintMatrix, assignment_space, flow_space, hierarchy_space,
-                     is_totally_unimodular, nonmembers)
+from .spaces import (assignment_space, flow_space, hierarchy_space, is_totally_unimodular,
+                     nonmembers)
 
 SPACES = ("hierarchy", "assignment", "flow")
 LOSSES = ("hamming", "hierarchical", "footrule", "absolute", "square")
@@ -76,6 +76,15 @@ def _model_space(args, model):
     return space
 
 
+def _queries(path, inputs) -> np.ndarray:
+    """The query rows of ``path``, which must be as wide as the training
+    ``inputs``."""
+    X = io.load_matrix(path)
+    if X.shape[1] != inputs.shape[1]:
+        raise DataFormatError(f"{path}:1: expected {inputs.shape[1]} values, found {X.shape[1]}")
+    return X
+
+
 def _labels_of(X, x_path, labels_path, space, M=None) -> np.ndarray:
     """The labels file that goes row for row with the inputs ``X`` of
     ``x_path``; ``M`` is its matrix when already read."""
@@ -119,7 +128,7 @@ def _model_queries_space(args):
     """The stored model, the query rows and the output space; an additive
     model brings its own hierarchy."""
     model = io.load_model(args.model)
-    X = io.load_matrix(args.x)
+    X = _queries(args.x, model.inputs)
     if isinstance(model, AdditiveModel):
         return model, X, hierarchy_space(model.hierarchy)
     return model, X, _model_space(args, model)
@@ -133,7 +142,7 @@ def _analysis_inputs(args, what: str):
         raise DataFormatError(f"{what} analysis expects a base model")
     space = _model_space(args, model)
     loss = _loss_from_args(args, space)
-    X = io.load_matrix(args.x)
+    X = _queries(args.x, model.inputs)
     Y = _labels_of(X, args.x, args.labels, space)
     cfg = make_surrogate_config(args.rho, loss, space)
     return model, loss, X, Y, cfg, _solver_params(args)
@@ -248,9 +257,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_tu_check(args) -> int:
-    M = io.load_matrix(args.matrix)
-    cm = ConstraintMatrix(A=M, rhs=np.zeros(M.shape[0]), senses=("<=",) * M.shape[0])
-    verdict = is_totally_unimodular(cm, size_cap=args.cap)
+    verdict = is_totally_unimodular(io.load_matrix(args.matrix), size_cap=args.cap)
     print("unknown" if verdict is None else ("true" if verdict else "false"))
     return 0
 
@@ -258,7 +265,7 @@ def cmd_tu_check(args) -> int:
 def cmd_baseline(args) -> int:
     X_train, Y_train, space = _training_set(args, args.train_x, args.train_labels)
     data = Dataset(X=X_train, Y=Y_train, space=space)
-    Xq = io.load_matrix(args.x)
+    Xq = _queries(args.x, X_train)
     if args.method == "knn":
         loss = _loss_from_args(args, space)
         params = _solver_params(args)

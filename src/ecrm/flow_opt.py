@@ -11,11 +11,11 @@ feasible to machine precision.  The square-loss solver projects all its
 mixed-sign rows in one such call; the L1 solver is projected subgradient
 descent whose every step is one, warm-started from the previous step's
 paths.  What depends only on the network and the batch is built once per
-solve: the padded path matrix, its rank and length bounds, the minor
-cycle's bordered-system buffers and the L1 breakpoints with their index
-arrays.  A step builds only what moves with its point: the path scores,
-the rounding bound and the corral state.  Frank-Wolfe gaps are reported
-by a separate pass, which only the callers that return them run.
+solve: the padded path matrix with its rank and length bounds, and the L1
+breakpoints with their index arrays.  A step builds only what moves with
+its point: the path scores, the rounding bound, the bordered systems of
+its minor cycles and the corral state.  Frank-Wolfe gaps are reported by
+a separate pass, which only the callers that return them run.
 
 On a path both risks are linear, with arc costs ``c = sum_i w_i - 2 w.labels``,
 so every vertex answer of the solvers is the cheapest path, found by one
@@ -46,14 +46,17 @@ from .results import EXACT, Certificate, HEURISTIC, SolverParams
 from .spaces import FlowNetwork, flow_space, nonmembers
 
 _PROJECT_TOL = 1e-11
+# Major plus minor cycles of one row of a square-loss projection.
+_PROJECT_CYCLES = 10_000
+_PATH_CAP = 100_000
 
 
-def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
+def enumerate_st_paths(net: FlowNetwork) -> np.ndarray:
     """Arc-indicator matrix of every s-t path, one row per path.
 
     Paths are generated by depth-first search following outgoing arcs in
     arc-index order, so the row order is deterministic.  The result is
-    cached on the network.
+    cached on the network.  Raises ValueError above ``_PATH_CAP`` paths.
     """
     if net._paths is not None:
         return net._paths
@@ -68,8 +71,8 @@ def enumerate_st_paths(net: FlowNetwork, cap: int = 100_000) -> np.ndarray:
         u, arcs = stack.pop()
         if u == t:
             rows.append(list(arcs))
-            if len(rows) > cap:
-                raise ValueError(f"more than {cap} source-sink paths")
+            if len(rows) > _PATH_CAP:
+                raise ValueError(f"more than {_PATH_CAP} source-sink paths")
             continue
         stack.extend((v, arcs + (a,)) for a, v in reversed(net.out_arcs[u]))
     if not rows:
@@ -141,16 +144,7 @@ def _path_atoms(P) -> _PathAtoms:
     return _PathAtoms(P, PX, cap, lengths, L * L * np.finfo(float).eps)
 
 
-def _bordered_system(Q, cap):
-    """Buffers ``(M, rhs)`` for the bordered systems of Q rows' minor
-    cycles.  Every cycle overwrites all of M but its zero corner and all of
-    rhs but its last entry, 1, so one pair serves any number of
-    ``_min_norm_point`` calls of at most Q rows."""
-    return np.zeros((Q, cap + 1, cap + 1)), np.ones((Q, cap + 1, 1))
-
-
-def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, corral=None,
-                    system=None):
+def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
     """Wolfe's min-norm-point method for ``scale_q * ||theta P - z_q||^2``
     over the simplex, batched over the rows of Z (Wolfe, "Finding the
     nearest point in a polytope", Math. Programming 11, 1976).
@@ -183,12 +177,13 @@ def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, cor
     ``(cap + 1) x (cap + 1)``, too small to wake a BLAS thread pool.
 
     Built once per solver call and passed in: ``atoms``, the padded path
-    matrix and the bounds of ``_path_atoms``, and optionally ``system``,
-    the buffers of ``_bordered_system`` for at least Q rows.  Built on
-    every call: ``Z P'``, the rounding bound of each row and the working
-    state.  ``corral`` is a previous call's ``(S, lam)`` to warm-start
-    from; cold rows start at their nearest path.  Returns ``(Y, S, lam)``:
-    the points and their corrals; ``_fw_gaps`` reports their gaps.
+    matrix and the bounds of ``_path_atoms``.  Built on every call: ``Z
+    P'``, the rounding bound of each row, one bordered system per row,
+    whose every cycle overwrites all but the zero corner and the last
+    right-hand side entry, 1, and the working state.  ``corral`` is a
+    previous call's ``(S, lam)`` to warm-start from; cold rows start at
+    their nearest path.  Returns ``(Y, S, lam)``: the points ``Y = lam
+    P[S]`` and their corrals; ``_fw_gaps`` reports their gaps.
     """
     P, PX, cap = atoms.P, atoms.PX, atoms.cap
     (Q, a), K = Z.shape, P.shape[0]
@@ -206,7 +201,7 @@ def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, cor
         lam[:, 0] = 1.0
     else:
         S, lam = (np.array(v) for v in corral)
-    M, rhs = system or _bordered_system(Q, cap)
+    M, rhs = np.zeros((Q, cap + 1, cap + 1)), np.ones((Q, cap + 1, 1))
     # Working state of the unfinished rows; a row that finishes is written
     # back to S and lam and leaves it.
     ids, s, w, zp, n = np.arange(Q), S.copy(), lam.copy(), ZP, (S < K).sum(axis=1)
@@ -328,7 +323,7 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     (Q, m, a) difference array is formed.
     """
     W, labels, P, params = _solver_inputs(W, labels, net, params)
-    Q, K = W.shape[0], P.shape[0]
+    Q = W.shape[0]
     total = W.sum(axis=1)
     convex = total > 0.0
     mu = (W[:, None, :] @ labels)[:, 0]
@@ -340,12 +335,9 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     gaps = np.zeros(Q)
     if mixed.any():
         atoms, Z = _path_atoms(P), Y[mixed]
-        Ym, S, lam = _min_norm_point(atoms, Z, total[mixed], params.gap_tol, 10_000)
+        Ym, S, lam = _min_norm_point(atoms, Z, total[mixed], params.gap_tol, _PROJECT_CYCLES)
         gaps[mixed] = _fw_gaps(atoms, Z, total[mixed], Ym, S, lam)
-        theta = np.zeros((S.shape[0], K))
-        r, c = np.nonzero(S < K)
-        theta[r, S[r, c]] = lam[r, c]
-        Y[mixed] = (theta[:, None, :] @ P)[:, 0]
+        Y[mixed] = Ym
     objs = np.zeros(Q)
     for q in range(Q):
         diff = Y[q] - labels
@@ -440,7 +432,7 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
     weights read: it stays ``-inf`` when the batch has none.
 
     Built once here for every step: the breakpoints with their index
-    arrays, the projection's path atoms and its bordered-system buffers."""
+    arrays and the projection's path atoms."""
     Q, K = W.shape[0], P.shape[0]
     breakpoints, costs = _l1_breakpoints(W, labels)
     np.copyto(costs, np.inf, where=W == 0.0)
@@ -449,7 +441,6 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
     del costs
     bound = np.all(W >= 0.0, axis=1).any()
     atoms = _path_atoms(P)
-    system = _bordered_system(Q, atoms.cap)
 
     # Start points: the mean of all paths, then seeded random paths.
     starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
@@ -483,7 +474,7 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
             eta = params.step_a / (1.0 + params.step_b * t)
             # Exact projection of the step, warm-started from the last corral.
             Y, S, lam = _min_norm_point(atoms, Y - eta * G, 1.0, _PROJECT_TOL,
-                                        corral=corral, system=system)
+                                        corral=corral)
             corral = (S, lam)
 
     # The candidates are kept where strictly better, after the iterates.
@@ -526,11 +517,11 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     return best_Y, best_obj, certs
 
 
-def project_batch(Z, net: FlowNetwork, gap_tol: float = 1e-6, max_iters: int = 10_000):
+def project_batch(Z, net: FlowNetwork, gap_tol: float = 1e-6):
     """Euclidean projection of each row of Z onto the flow polytope by the
-    min-norm-point method; ``max_iters`` caps each row's major plus minor
-    cycles.  Returns the projections and their Frank-Wolfe gaps."""
+    min-norm-point method, at most ``_PROJECT_CYCLES`` major plus minor
+    cycles per row.  Returns the projections and their Frank-Wolfe gaps."""
     atoms = _path_atoms(enumerate_st_paths(net))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Y, S, lam = _min_norm_point(atoms, Z, 1.0, gap_tol, max_iters)
+    Y, S, lam = _min_norm_point(atoms, Z, 1.0, gap_tol, _PROJECT_CYCLES)
     return Y, _fw_gaps(atoms, Z, 1.0, Y, S, lam)

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm, dsyrk
 
+from .errors import EcrmError
+
 VALID_KINDS = ("linear", "rbf")
 
 # Entries per column block of the elementwise RBF pass over a Gram's lower
@@ -121,13 +123,12 @@ def _training_terms(spec: KernelSpec, B):
 
 def _matmul(A, B) -> np.ndarray:
     """``A @ B`` on scipy's BLAS, as ``B.T @ A.T`` into a Fortran-ordered
-    array whose C-ordered transpose is returned.  One of A, B may be 1-D.
+    array whose C-ordered transpose is returned.  A is 2-D; a 1-D B gives
+    the 1-D product.
 
     A C- or Fortran-ordered operand reaches ``dgemm`` as a view with the
     matching transpose flag, so only an operand with neither layout (say a
     column slice) is copied."""
-    if A.ndim == 1:
-        return _matmul(A[None, :], B)[0]
     if B.ndim == 1:
         return _matmul(A, B[:, None])[:, 0]
     a, ta = _as_transpose(A)
@@ -187,6 +188,13 @@ def gram_matrix(spec: KernelSpec, X, mirror: bool = True) -> np.ndarray:
         diag[upper] = diag.T[upper]
         D[lo:hi, hi:] = D[hi:, lo:hi].T
     return D.T
+
+
+def _gram_too_large(m: int) -> EcrmError:
+    """The error for m training rows whose m x m Gram matrix cannot be
+    allocated, for a ``MemoryError`` where a fit builds one."""
+    return EcrmError(f"{m} training rows need a {m} x {m} Gram matrix of "
+                     f"{8 * m * m / 2 ** 30:.3g} GiB, which cannot be allocated")
 
 
 def kernel_vector(spec: KernelSpec, X, x) -> np.ndarray:

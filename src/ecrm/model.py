@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .kernels import KernelSpec, _training_terms, cross_gram, gram_matrix
+from .kernels import KernelSpec, _gram_too_large, _training_terms, cross_gram, gram_matrix
 from .losses import LossSpec, loss_value
 
 INTERCEPT_MODES = ("none", "centered")
@@ -62,12 +62,13 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
     kernel value overflows, and ``_factor_shifted`` catches that.
 
     Raises ValueError for a non-finite or non-positive lambda, or for
-    non-finite inputs, and NumericalError when the regularized Gram matrix
-    cannot be factored even after a single jitter retry.
+    non-finite inputs, NumericalError when the regularized Gram matrix
+    cannot be factored even after a single jitter retry, and EcrmError,
+    naming m and the size, when the Gram matrix cannot be allocated.
     """
     X, Y = _checked(lam, intercept_mode, X, Y)
     m = X.shape[0]
-    K = gram_matrix(spec, X, mirror=False)
+    K = _lower_gram(spec, X)
     jitter = 1e-10 * float(np.trace(K)) / m
     try:
         factor = _factor_shifted(K, m * lam)
@@ -75,7 +76,7 @@ def fit(spec: KernelSpec, lam: float, X, Y, intercept_mode: str = "none") -> Tra
         # A failed factorization leaves K partly overwritten, so the one
         # jitter retry (scaled to the mean diagonal mass) rebuilds it.
         try:
-            factor = _factor_shifted(gram_matrix(spec, X, mirror=False), m * lam, jitter)
+            factor = _factor_shifted(_lower_gram(spec, X), m * lam, jitter)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "Cholesky factorization of K + m*lambda*I failed; the Gram matrix "
@@ -101,6 +102,15 @@ def from_factor(spec: KernelSpec, lam: float, X, Y, L, intercept_mode: str = "no
     return TrainedModel(kernel=spec, lam=lam, inputs=X, labels=Y,
                         intercept_mode=intercept_mode, factor=(L, True),
                         kernel_terms=_training_terms(spec, X))
+
+
+def _lower_gram(spec: KernelSpec, X) -> np.ndarray:
+    """``gram_matrix(spec, X, mirror=False)``; an m x m array that cannot be
+    allocated raises EcrmError, naming m and its size."""
+    try:
+        return gram_matrix(spec, X, mirror=False)
+    except MemoryError as exc:
+        raise _gram_too_large(X.shape[0]) from exc
 
 
 def _checked(lam, intercept_mode, X, Y):

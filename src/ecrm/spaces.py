@@ -21,6 +21,8 @@ from .hierarchy import HierarchyDag, _topological_order
 SPACE_KINDS = ("hierarchy", "assignment", "flow_polytope", "explicit_finite")
 
 DEFAULT_CONTINUOUS_TOL = 1e-9
+# Hierarchy candidates generated and checked at a time by enumerate_space.
+_ENUM_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -106,26 +108,6 @@ class FlowNetwork:
 
 
 @dataclass(frozen=True)
-class ConstraintMatrix:
-    """Linear constraint system ``A y (sense) b`` with senses in {<=, >=, =}."""
-
-    A: np.ndarray
-    rhs: np.ndarray
-    senses: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        A = np.atleast_2d(np.asarray(self.A))
-        rhs = np.asarray(self.rhs, dtype=float).ravel()
-        if A.shape[0] != rhs.shape[0] or A.shape[0] != len(self.senses):
-            raise ValueError("row count, rhs and senses must agree")
-        for s in self.senses:
-            if s not in ("<=", ">=", "="):
-                raise ValueError(f"bad sense {s!r}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "rhs", rhs)
-
-
-@dataclass(frozen=True)
 class OutputSpace:
     kind: str
     hierarchy: HierarchyDag | None = None
@@ -160,29 +142,31 @@ def explicit_space(members) -> OutputSpace:
     return OutputSpace(kind="explicit_finite", members=canon, dim=dims.pop())
 
 
-def hierarchy_constraint_matrix(G: HierarchyDag) -> ConstraintMatrix:
-    """One row per arc: +1 on the child, -1 on the parent, ``<= 0``."""
+def hierarchy_constraint_matrix(G: HierarchyDag) -> np.ndarray:
+    """One row per arc, +1 on the child and -1 on the parent; the labels
+    are the 0/1 points y with ``A y <= 0``."""
     A = np.zeros((len(G.arcs), G.d), dtype=np.int64)
     for r, (parent, child) in enumerate(G.arcs):
         A[r, child] = 1
         A[r, parent] = -1
-    return ConstraintMatrix(A=A, rhs=np.zeros(len(G.arcs)), senses=("<=",) * len(G.arcs))
+    return A
 
 
-def assignment_constraint_matrix(d: int) -> ConstraintMatrix:
-    """Bipartite perfect-matching system over the d*d placement variables."""
+def assignment_constraint_matrix(d: int) -> np.ndarray:
+    """Bipartite perfect-matching rows over the d*d placement variables;
+    the rankings are the 0/1 points x with ``A x = 1``."""
     A = np.zeros((2 * d, d * d), dtype=np.int64)
     for j in range(d):
         A[j, j * d:(j + 1) * d] = 1          # each label gets one rank
     for k in range(d):
         A[d + k, k::d] = 1                   # each rank gets one label
-    return ConstraintMatrix(A=A, rhs=np.ones(2 * d), senses=("=",) * (2 * d))
+    return A
 
 
-def flow_constraint_matrix(net: FlowNetwork) -> ConstraintMatrix:
-    """Node-arc incidence rows (divergence = b) for a flow network."""
-    A = net._incidence.toarray().astype(np.int64)
-    return ConstraintMatrix(A=A, rhs=np.asarray(net.b), senses=("=",) * net.n_nodes)
+def flow_constraint_matrix(net: FlowNetwork) -> np.ndarray:
+    """Node-arc incidence rows of a flow network; the flows are the points
+    y >= 0 with ``A y = b``."""
+    return net._incidence.toarray().astype(np.int64)
 
 
 def nonmembers(space: OutputSpace, Y, tol: float | None = None) -> tuple[np.ndarray, str]:
@@ -229,19 +213,9 @@ def nonmembers(space: OutputSpace, Y, tol: float | None = None) -> tuple[np.ndar
 
 
 def is_feasible(space: OutputSpace, y, tol: float | None = None) -> bool:
-    """Membership test of one label, the one-row case of ``nonmembers``.  An
-    assignment may also be given as its d x d permutation matrix."""
-    y = np.asarray(y)
-    if space.kind == "assignment" and y.ndim == 2:
-        d = space.dim
-        if y.shape != (d, d):
-            raise ValueError(f"assignment matrix must be {d}x{d}")
-        if not (((y == 0) | (y == 1)).all() and (y.sum(axis=1) == 1).all()):
-            return False
-        # Label j's rank is the column of its one; distinct ranks make the
-        # column sums one as well.
-        y = y @ np.arange(1, d + 1)
-    return not nonmembers(space, y.reshape(1, -1), tol)[0].size
+    """Membership test of one label, given in the encoding of ``nonmembers``
+    (a ranking as its d ranks): the one-row case of ``nonmembers``."""
+    return not nonmembers(space, np.reshape(y, (1, -1)), tol)[0].size
 
 
 def flow_residuals(net: FlowNetwork, Y) -> np.ndarray:
@@ -258,8 +232,8 @@ def flow_residual(net: FlowNetwork, y) -> float:
     return float(flow_residuals(net, np.asarray(y, dtype=float).ravel()[None, :])[0])
 
 
-def is_totally_unimodular(cm: ConstraintMatrix, size_cap: int = 2_000_000) -> bool | None:
-    """Exhaustively test every square submatrix determinant.
+def is_totally_unimodular(A, size_cap: int = 2_000_000) -> bool | None:
+    """Exhaustively test every square submatrix determinant of the matrix A.
 
     Returns True/False, or None ("unknown") when the number of square
     submatrices exceeds ``size_cap``.  An entry outside {-1, 0, 1} is a 1x1
@@ -267,7 +241,7 @@ def is_totally_unimodular(cm: ConstraintMatrix, size_cap: int = 2_000_000) -> bo
     cap.  This is a brute-force verification utility, not part of the
     inference path.
     """
-    A = np.asarray(cm.A, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isin(A, (-1.0, 0.0, 1.0))):
         return False
     n, d = A.shape
@@ -312,12 +286,17 @@ def enumerate_space(space: OutputSpace, cap: int = 1_000_000) -> list[np.ndarray
         G = space.hierarchy
         if G.d > 24:
             raise ValueError("hierarchy too large to enumerate exhaustively")
-        n = 1 << G.d
         # Bit i of the counter is coordinate i, most significant first, so
-        # candidates come out in lexicographic order.
-        cand = (np.arange(n, dtype=np.int64)[:, None] >> np.arange(G.d - 1, -1, -1)) & 1
-        feas = np.delete(cand, nonmembers(space, cand)[0], axis=0)
-        if feas.shape[0] > cap:
-            raise ValueError(f"space has {feas.shape[0]} members, cap is {cap}")
-        return [feas[i] for i in range(feas.shape[0])]
+        # candidates come out in lexicographic order, one block at a time.
+        n, shifts, members, count = 1 << G.d, np.arange(G.d - 1, -1, -1), [], 0
+        for lo in range(0, n, _ENUM_BLOCK):
+            cand = np.arange(lo, min(lo + _ENUM_BLOCK, n), dtype=np.int64)[:, None]
+            cand = (cand >> shifts) & 1
+            feas = np.delete(cand, nonmembers(space, cand)[0], axis=0)
+            count += feas.shape[0]
+            if count <= cap:
+                members.extend(feas)
+        if count > cap:
+            raise ValueError(f"space has {count} members, cap is {cap}")
+        return members
     raise ValueError(f"cannot enumerate a {space.kind} space")

@@ -764,6 +764,61 @@ class TestExitCodes:
         }[command]
         assert self._main(capsys, *argv) == (2, "", f"error: {xs} has 3 rows but {ys} has 2\n")
 
+    @pytest.mark.parametrize("command", ["predict", "predict additive", "eval", "surrogate",
+                                         "bound", "baseline knn"])
+    def test_query_width_must_match_the_training_inputs(self, capsys, hierarchy_fixture,
+                                                        command):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        model, wide = tmp / "m.ecrm", tmp / "wide.txt"
+        save_matrix(wide, np.zeros((2, X.shape[1] + 2)))
+        flags = ("--space", "hierarchy", "--hierarchy", hpath)
+        train = ("train", *flags, "--kernel", "linear", "--lambda", 0.1, "--x", xpath,
+                 "--labels", ypath, "--out", model)
+        if command == "predict additive":
+            train += ("--variant", "additive")
+        assert self._main(capsys, *train) == (0, "", "")
+        analysis = ("--model", model, "--x", wide, "--labels", ypath, "--loss", "hamming",
+                    *flags)
+        argv = {
+            "predict": ("predict", "--model", model, "--x", wide, *flags),
+            "predict additive": ("predict", "--model", model, "--x", wide, *flags),
+            "eval": ("eval", *analysis),
+            "surrogate": ("surrogate", *analysis, "--rho", 1.0),
+            "bound": ("bound", *analysis, "--rho", 1.0, "--delta", 0.1),
+            "baseline knn": ("baseline", "--method", "knn", "--train-x", xpath,
+                             "--train-labels", ypath, "--x", wide, "--loss", "hamming", *flags),
+        }[command]
+        assert self._main(capsys, *argv) == (
+            2, "", f"error: {wide}:1: expected {X.shape[1]} values, found {X.shape[1] + 2}\n")
+
+    @pytest.mark.parametrize("command", ["train", "train additive", "bench"])
+    def test_gram_too_large_to_allocate_exits_2(self, capsys, monkeypatch, hierarchy_fixture,
+                                                command):
+        # gram_matrix raises MemoryError as it would for an m x m array beyond
+        # memory; no test allocates one for real.
+        import ecrm.additive
+        import ecrm.model
+
+        def no_room(spec, X, mirror=True):
+            raise MemoryError(f"Unable to allocate an array of {len(X)} x {len(X)}")
+
+        monkeypatch.setattr(ecrm.model, "gram_matrix", no_room)
+        monkeypatch.setattr(ecrm.additive, "gram_matrix", no_room)
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        train = ("train", "--x", xpath, "--labels", ypath, "--space", "hierarchy",
+                 "--hierarchy", hpath, "--gamma", 1.0, "--out", tmp / "m.ecrm")
+        argv, m = {
+            "train": (train, len(X)),
+            "train additive": ((*train, "--variant", "additive"), len(X)),
+            "bench": (("bench", "--m", 30, "--dims", 4, "--p", 2, "--gamma", 1,
+                       "--repeats", 1), 30),
+        }[command]
+        code, out, err = self._main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {m} training rows need a {m} x {m} Gram matrix of "
+                       f"{8 * m * m / 2 ** 30:.3g} GiB, which cannot be allocated\n")
+        assert not (tmp / "m.ecrm").exists()
+
     def test_singular_additive_system_exits_3(self, capsys, tmp_path):
         # One sample and a 5-node star at lambda 1: see
         # test_additive.py::TestFitAdditive::test_singular_system_raises.

@@ -10,8 +10,8 @@ import pytest
 from ecrm import (FlowNetwork, InferenceResult, SolverParams, default_flow_network,
                   enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch)
 from ecrm import flow_opt
-from ecrm.flow_opt import (_bordered_system, _fw_gaps, _l1_breakpoints, _l1_obj_grad,
-                           _min_norm_point, _path_atoms, min_cost_paths, project_batch)
+from ecrm.flow_opt import (_fw_gaps, _l1_breakpoints, _l1_obj_grad, _min_norm_point,
+                           _path_atoms, min_cost_paths, project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
 from _oracles import (abs_flow_objective, flow_projection, l1_flow_minimizer,
                       l1_obj_grad_per_arc, lex_min_cost_path, simplex_grid,
@@ -262,13 +262,11 @@ class TestFrankWolfe:
     @pytest.mark.parametrize("Q", [1, 40])
     @pytest.mark.parametrize("net", [NET, DAG], ids=["bundled", "layered-dag"])
     def test_equals_reference_bit_for_bit(self, net, Q, rng):
-        # A cold call, then calls warm-started from the last corral that share
-        # one set of bordered-system buffers, as in the L1 descent.  The
-        # scale, tolerance and cycle cap of each caller, and a cap that stops
-        # rows in the middle of a minor cycle.
+        # A cold call, then calls warm-started from the last corral, as in
+        # the L1 descent.  The scale, tolerance and cycle cap of each caller,
+        # and a cap that stops rows in the middle of a minor cycle.
         P = enumerate_st_paths(net)
         atoms = _path_atoms(P)
-        system = _bordered_system(Q, atoms.cap)
         for scale, tol, cycles in ((1.0, 1e-11, np.inf),
                                    (rng.uniform(0.5, 4.0, size=Q), 1e-9, 10_000),
                                    (2.5, 1e-12, 3)):
@@ -277,7 +275,7 @@ class TestFrankWolfe:
             corral = None
             for step in range(5):
                 want = wolfe_min_norm_point(P, Z, scale, tol, cycles, corral)
-                Y, S, lam = _min_norm_point(atoms, Z, scale, tol, cycles, corral, system)
+                Y, S, lam = _min_norm_point(atoms, Z, scale, tol, cycles, corral)
                 got = (Y, S, lam, _fw_gaps(atoms, Z, scale, Y, S, lam))
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)

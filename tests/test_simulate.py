@@ -215,7 +215,7 @@ class TestKrrProjectBaseline:
         # its ridge means W @ Y.
         import ecrm.baselines
 
-        monkeypatch.setattr(ecrm.baselines, "project_batch", lambda Y, net, gap_tol: (Y,))
+        monkeypatch.setattr(ecrm.baselines, "project_batch", lambda Y, net: (Y,))
         data = simulate_flow_data(FlowGeneratorSpec.create(seed=14, tau=1.0, p=3), 20)
         kernel = KernelSpec("rbf", gamma=0.8)
         Xq = simulate_flow_data(FlowGeneratorSpec.create(seed=15, tau=1.0, p=3), 8).X

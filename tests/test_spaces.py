@@ -2,36 +2,37 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ecrm import (ConstraintMatrix, FlowNetwork, HierarchyDag,
-                  assignment_constraint_matrix, assignment_space, default_flow_network,
-                  enumerate_space, enumerate_st_paths, explicit_space, flow_space,
-                  hierarchy_constraint_matrix, hierarchy_space, is_feasible,
+from ecrm import (FlowNetwork, HierarchyDag, assignment_constraint_matrix, assignment_space,
+                  default_flow_network, enumerate_space, enumerate_st_paths, explicit_space,
+                  flow_space, hierarchy_constraint_matrix, hierarchy_space, is_feasible,
                   is_totally_unimodular)
-from ecrm.spaces import flow_constraint_matrix, flow_residual, flow_residuals, nonmembers
+from ecrm.spaces import (_ENUM_BLOCK, flow_constraint_matrix, flow_residual, flow_residuals,
+                         nonmembers)
 from conftest import random_dag, random_tree
 
 
 class TestHierarchyConstraintMatrix:
     def test_single_arc(self):
-        cm = hierarchy_constraint_matrix(HierarchyDag(2, [(0, 1)]))
-        np.testing.assert_array_equal(cm.A, [[-1, 1]])
-        assert cm.senses == ("<=",) and cm.rhs[0] == 0.0
+        A = hierarchy_constraint_matrix(HierarchyDag(2, [(0, 1)]))
+        np.testing.assert_array_equal(A, [[-1, 1]])
+        assert A.dtype == np.int64
 
     def test_empty_arc_set(self):
-        cm = hierarchy_constraint_matrix(HierarchyDag(3, []))
-        assert cm.A.shape == (0, 3)
+        A = hierarchy_constraint_matrix(HierarchyDag(3, []))
+        assert A.shape == (0, 3)
 
     def test_diamond_rows_sum_to_zero(self):
         G = HierarchyDag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        cm = hierarchy_constraint_matrix(G)
-        assert cm.A.shape == (4, 4)
-        np.testing.assert_array_equal(cm.A.sum(axis=1), np.zeros(4))
-        assert np.all(np.sort(cm.A, axis=1)[:, 0] == -1)
-        assert np.all(np.sort(cm.A, axis=1)[:, -1] == 1)
+        A = hierarchy_constraint_matrix(G)
+        assert A.shape == (4, 4)
+        np.testing.assert_array_equal(A.sum(axis=1), np.zeros(4))
+        assert np.all(np.sort(A, axis=1)[:, 0] == -1)
+        assert np.all(np.sort(A, axis=1)[:, -1] == 1)
 
 
 class TestFeasibility:
@@ -48,13 +49,12 @@ class TestFeasibility:
         assert is_feasible(space, [1, 1, 1])
 
     def test_assignment_matrix_and_ranks(self):
+        # A ranking is its vector of d ranks; a d x d matrix is not one.
         space = assignment_space(3)
-        P = np.eye(3, dtype=int)
-        assert is_feasible(space, P)
         assert is_feasible(space, [2, 3, 1])
         assert not is_feasible(space, [1, 1, 3])
-        bad = np.ones((3, 3), dtype=int)
-        assert not is_feasible(space, bad)
+        with pytest.raises(ValueError, match=r"labels must be an \(n, 3\) array"):
+            is_feasible(space, np.eye(3, dtype=int))
 
     def test_zero_flow_with_zero_inflows(self):
         net = FlowNetwork(3, [(0, 1), (1, 2)], [0.0, 0.0, 0.0])
@@ -179,7 +179,7 @@ class TestFlowResiduals:
             arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
                     for _ in range(int(rng.integers(1, 7)))]
             net = FlowNetwork(n, arcs, [0.0] * n)
-            A = flow_constraint_matrix(net).A
+            A = flow_constraint_matrix(net)
             assert A.dtype == np.int64
             for a in range(len(arcs)):
                 np.testing.assert_array_equal(A[:, a], _divergence_by_arcs(net, np.eye(len(arcs))[a]))
@@ -192,23 +192,18 @@ class TestFlowResiduals:
 
 
 class TestTotallyUnimodular:
-    def _cm(self, A):
-        A = np.atleast_2d(np.asarray(A))
-        return ConstraintMatrix(A=A, rhs=np.zeros(A.shape[0]),
-                                senses=("<=",) * A.shape[0])
-
     def test_identity_is_tu(self):
-        assert is_totally_unimodular(self._cm(np.eye(4))) is True
+        assert is_totally_unimodular(np.eye(4)) is True
 
     def test_two_by_two_counterexample(self):
-        assert is_totally_unimodular(self._cm([[1, 1], [1, -1]])) is False
+        assert is_totally_unimodular([[1, 1], [1, -1]]) is False
 
     def test_entries_outside_ternary_fail(self):
-        assert is_totally_unimodular(self._cm([[2, 0], [0, 1]])) is False
+        assert is_totally_unimodular([[2, 0], [0, 1]]) is False
         # The 1x1 submatrix [2] decides it however many submatrices there are.
         big = np.eye(30)
         big[7, 7] = 2.0
-        assert is_totally_unimodular(self._cm(big), size_cap=10) is False
+        assert is_totally_unimodular(big, size_cap=10) is False
 
     def test_hierarchy_matrices_are_tu(self, rng):
         for _ in range(10):
@@ -223,8 +218,7 @@ class TestTotallyUnimodular:
             assert is_totally_unimodular(assignment_constraint_matrix(d)) is True
 
     def test_size_cap_yields_unknown(self):
-        cm = self._cm(np.eye(30))
-        assert is_totally_unimodular(cm, size_cap=10) is None
+        assert is_totally_unimodular(np.eye(30), size_cap=10) is None
 
 
 class TestEnumerate:
@@ -280,6 +274,33 @@ class TestEnumerate:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             enumerate_space(assignment_space(8), cap=100)
+
+    def test_hierarchy_blocks_keep_order_and_cap(self, rng):
+        # Over several blocks of candidates, the members and their order are
+        # those of the whole candidate table, and the cap error counts them all.
+        G = random_dag(rng, 16, extra=4)
+        assert 1 << G.d > 2 * _ENUM_BLOCK
+        cand = (np.arange(1 << G.d)[:, None] >> np.arange(G.d - 1, -1, -1)) & 1
+        space = hierarchy_space(G)
+        want = np.delete(cand, nonmembers(space, cand)[0], axis=0)
+        got = enumerate_space(space)
+        assert all(y.dtype == np.int64 for y in got)
+        np.testing.assert_array_equal(np.array(got), want)
+        with pytest.raises(ValueError, match=f"space has {len(want)} members, cap is 5$"):
+            enumerate_space(space, cap=5)
+
+    def test_twenty_node_chain_in_bounded_memory(self):
+        # 2^20 candidates and 21 members.  The whole candidate table and its
+        # checks would take ~240 MB; block by block they take a few MB.
+        space = hierarchy_space(HierarchyDag(20, [(j, j + 1) for j in range(19)]))
+        tracemalloc.start()
+        try:
+            members = enumerate_space(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert [y.tolist() for y in members] == [[1] * k + [0] * (20 - k) for k in range(21)]
 
     def test_continuous_rejected(self):
         net = FlowNetwork(2, [(0, 1)], [1.0, -1.0])
