@@ -12,8 +12,9 @@ minimum of ``sum_i w'_i loss(y', y'_i)`` over the augmented sample that
 prepends the label ``y`` at weight -1 to the training labels at weights
 ``w/rho`` (the losses used here are symmetric in their arguments).  A
 dataset takes one weight solve, one ``infer_batch`` call for the risk
-minima and one per block of augmented rows, so the surrogate is exact
-wherever inference is exact.  Explicit finite spaces are enumerated.
+minima and one per block of ``inference.BLOCK_ROWS`` augmented rows, so
+the surrogate is exact wherever inference is exact.  Explicit finite
+spaces are enumerated.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inference
 from .inference import explicit_risks, infer_batch, infer_from_weights
 from .losses import LossSpec, loss_bound, loss_value
 from .model import TrainedModel, risk_from_weights, weights
 from .results import SolverParams
 from .spaces import OutputSpace
-
-# Rows per augmented risk minimization: a block puts the labels of all its
-# rows in front of the training labels, each row weighting only its own.
-AUG_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,13 @@ def surrogate_loss_detailed(model: TrainedModel, loss: LossSpec, cfg: SurrogateC
         certs = ["exact"] * len(vals)
     else:
         best = infer_batch(W, labels, loss, space, params)
-        aug = []
-        for s in range(0, W.shape[0], AUG_BLOCK):
-            Wb = W[s:s + AUG_BLOCK]
+        # A block of augmented rows puts the labels of all its rows in front
+        # of the training labels, each row weighting only its own.
+        aug, step = [], inference.BLOCK_ROWS
+        for s in range(0, W.shape[0], step):
+            Wb = W[s:s + step]
             aug += infer_batch(np.hstack([-np.eye(Wb.shape[0]), Wb / rho]),
-                               np.vstack([Y[s:s + AUG_BLOCK], labels]), loss, space, params)
+                               np.vstack([Y[s:s + step], labels]), loss, space, params)
         vals = [min(cfg.L, -a.objective + b.objective / rho) for a, b in zip(aug, best)]
         certs = ["exact" if a.certificate.kind == b.certificate.kind == "exact" else "heuristic"
                  for a, b in zip(aug, best)]

@@ -10,9 +10,8 @@ import numpy as np
 from .flow_opt import project_batch
 from .inference import infer_batch
 from .io import Dataset
-from .kernels import KernelSpec
 from .losses import LossSpec
-from .model import fit, weights
+from .model import TrainedModel, weights
 from .results import SolverParams
 from .spaces import OutputSpace, nonmembers
 
@@ -42,14 +41,14 @@ def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace,
     return Y if np.ndim(x) == 2 else Y[0]
 
 
-def krr_project_predict_batch(dataset: Dataset, space: OutputSpace, kernel: KernelSpec,
-                              lam: float, Xq) -> np.ndarray:
-    """Vectorized ridge-then-project over query rows."""
+def krr_project_predict_batch(model: TrainedModel, space: OutputSpace, Xq) -> np.ndarray:
+    """Ridge-then-project over query rows: the ridge means ``W @ labels``
+    of the fitted ``model``, each projected onto the flow polytope when it
+    is outside it."""
     if space.kind != "flow_polytope":
         raise ValueError("projection baseline is defined for flow polytopes")
-    model = fit(kernel, lam, dataset.X, dataset.Y)
     W = weights(model, np.atleast_2d(np.asarray(Xq, dtype=float)))
-    Yhat = W @ np.asarray(dataset.Y, dtype=float)
+    Yhat = W @ np.asarray(model.labels, dtype=float)
     todo = nonmembers(space, Yhat, tol=1e-12)[0]
     out = Yhat.copy()
     if todo.size:

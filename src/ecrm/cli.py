@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on usage or input errors, 3 on numerical
 failure.  All randomness is derived from --seed; identical invocations
-produce byte-identical output.
+produce byte-identical output.  Commands that take a query file run it in
+blocks of ``inference.BLOCK_ROWS`` rows, one library call per block.
 """
 
 from __future__ import annotations
@@ -10,13 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
-from . import io
+from . import inference, io
 from .additive import AdditiveModel, JointKernelSpec, fit_additive, infer_additive
-from .analysis import (BoundInputs, empirical_surrogate_risk, generalization_bound_terms,
-                       make_surrogate_config, surrogate_loss)
+from .analysis import (BoundInputs, generalization_bound_terms, make_surrogate_config,
+                       surrogate_loss)
 from .baselines import knn_local_risk_predict, krr_project_predict_batch
 from .errors import DataFormatError, EcrmError, NumericalError
 from .inference import infer
@@ -118,6 +120,23 @@ def _solver_params(args) -> SolverParams:
                         restarts=args.restarts, seed=args.seed)
 
 
+def _blocks(run, X, x_path, m, *aligned):
+    """The results of ``run`` on each block of ``inference.BLOCK_ROWS``
+    rows of the query rows ``X``, read from ``x_path``, and of each
+    row-aligned array in ``aligned``, in order.  One block is held at a
+    time, so memory is O(BLOCK_ROWS * m) for m training rows; a block that
+    cannot be allocated raises EcrmError, naming its rows and m."""
+    step = inference.BLOCK_ROWS
+    for s in range(0, X.shape[0], step):
+        e = min(s + step, X.shape[0])
+        try:
+            out = run(X[s:e], *(A[s:e] for A in aligned))
+        except MemoryError as exc:
+            raise EcrmError(f"{x_path}: rows {s + 1}-{e}: a block of {e - s} query rows "
+                            f"against {m} training rows cannot be allocated") from exc
+        yield out
+
+
 def _predict_rows(model, loss, space, X, params):
     if isinstance(model, AdditiveModel):
         return [r.y_star for r in infer_additive(model, X)]
@@ -134,9 +153,9 @@ def _model_queries_space(args):
     return model, X, _model_space(args, model)
 
 
-def _analysis_inputs(args, what: str):
-    """Base model, loss, data, surrogate config and solver settings shared by
-    the surrogate and bound analyses."""
+def _surrogate_values(args, what: str):
+    """Base model, surrogate config and the per-row surrogate losses of the
+    dataset, shared by the surrogate and bound analyses."""
     model = io.load_model(args.model)
     if isinstance(model, AdditiveModel):
         raise DataFormatError(f"{what} analysis expects a base model")
@@ -145,7 +164,8 @@ def _analysis_inputs(args, what: str):
     X = _queries(args.x, model.inputs)
     Y = _labels_of(X, args.x, args.labels, space)
     cfg = make_surrogate_config(args.rho, loss, space)
-    return model, loss, X, Y, cfg, _solver_params(args)
+    run = partial(surrogate_loss, model, loss, cfg, params=_solver_params(args))
+    return model, cfg, np.concatenate(list(_blocks(run, X, args.x, model.m, Y)))
 
 
 def cmd_train(args) -> int:
@@ -168,8 +188,10 @@ def cmd_predict(args) -> int:
     model, X, space = _model_queries_space(args)
     # The additive model minimizes its own risk estimate; --loss plays no part.
     loss = None if isinstance(model, AdditiveModel) else _loss_from_args(args, space)
-    # sys.stdout is looked up per call, so a redirection of it takes effect.
-    io.write_rows(sys.stdout, _predict_rows(model, loss, space, X, _solver_params(args)))
+    run = partial(_predict_rows, model, loss, space, params=_solver_params(args))
+    for rows in _blocks(run, X, args.x, model.m):
+        # sys.stdout is looked up per call, so a redirection of it takes effect.
+        io.write_rows(sys.stdout, rows)
     return 0
 
 
@@ -177,26 +199,29 @@ def cmd_eval(args) -> int:
     model, X, space = _model_queries_space(args)
     loss = _loss_from_args(args, space)
     Y = _labels_of(X, args.x, args.labels, space)
-    rows = _predict_rows(model, loss, space, X, _solver_params(args))
-    vals = [loss_value(loss, rows[i], Y[i]) for i in range(len(rows))]
+    params = _solver_params(args)
+
+    def losses(Xb, Yb):
+        return [loss_value(loss, r, y)
+                for r, y in zip(_predict_rows(model, loss, space, Xb, params), Yb)]
+
+    vals = [v for block in _blocks(losses, X, args.x, model.m, Y) for v in block]
     print(f"mean_loss {fmt(np.mean(vals))}")
     return 0
 
 
 def cmd_surrogate(args) -> int:
-    model, loss, X, Y, cfg, params = _analysis_inputs(args, "surrogate")
-    vals = surrogate_loss(model, loss, cfg, X, Y, params)
+    _, _, vals = _surrogate_values(args, "surrogate")
     print("\n".join(fmt(v) for v in vals))
     print(f"mean {fmt(np.mean(vals))}")
     return 0
 
 
 def cmd_bound(args) -> int:
-    model, loss, X, Y, cfg, params = _analysis_inputs(args, "bound")
-    emp = empirical_surrogate_risk(model, loss, cfg, X, Y, params)
-    b = BoundInputs(empirical_risk=emp, L=cfg.L,
+    model, cfg, vals = _surrogate_values(args, "bound")
+    b = BoundInputs(empirical_risk=float(np.mean(vals)), L=cfg.L,
                     kappa=kernel_sup_bound(model.kernel, model.inputs),
-                    lam=model.lam, rho=args.rho, delta=args.delta, m=X.shape[0])
+                    lam=model.lam, rho=args.rho, delta=args.delta, m=len(vals))
     emp, stab, conf, total = generalization_bound_terms(b)
     print(f"empirical {fmt(emp)}")
     print(f"stability {fmt(stab)}")
@@ -264,16 +289,17 @@ def cmd_tu_check(args) -> int:
 
 def cmd_baseline(args) -> int:
     X_train, Y_train, space = _training_set(args, args.train_x, args.train_labels)
-    data = Dataset(X=X_train, Y=Y_train, space=space)
     Xq = _queries(args.x, X_train)
     if args.method == "knn":
-        loss = _loss_from_args(args, space)
-        params = _solver_params(args)
-        rows = knn_local_risk_predict(data, loss, space, Xq, args.k, params)
+        run = partial(knn_local_risk_predict, Dataset(X=X_train, Y=Y_train, space=space),
+                      _loss_from_args(args, space), space, k=args.k,
+                      params=_solver_params(args))
     else:
-        kernel = _kernel_from_args(args)
-        rows = krr_project_predict_batch(data, space, kernel, args.lam, Xq)
-    io.write_rows(sys.stdout, rows)
+        # One fit; each block only projects.
+        model = fit(_kernel_from_args(args), args.lam, X_train, Y_train)
+        run = partial(krr_project_predict_batch, model, space)
+    for rows in _blocks(run, Xq, args.x, X_train.shape[0]):
+        io.write_rows(sys.stdout, rows)
     return 0
 
 

@@ -26,6 +26,12 @@ from .model import TrainedModel, weights
 from .results import EXACT, InferenceResult, SolverParams
 from .spaces import OutputSpace, enumerate_space
 
+# Query rows per block: the command line runs a query file this many rows
+# at a time, so its memory is O(BLOCK_ROWS * m) for m training rows, and
+# the surrogate's augmented risk minimization puts the labels of this many
+# rows in front of the training labels.
+BLOCK_ROWS = 256
+
 
 def explicit_risks(loss: LossSpec, space: OutputSpace, labels, W):
     """Members of an explicit space in ``enumerate_space`` order and the

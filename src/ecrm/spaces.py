@@ -163,12 +163,6 @@ def assignment_constraint_matrix(d: int) -> np.ndarray:
     return A
 
 
-def flow_constraint_matrix(net: FlowNetwork) -> np.ndarray:
-    """Node-arc incidence rows of a flow network; the flows are the points
-    y >= 0 with ``A y = b``."""
-    return net._incidence.toarray().astype(np.int64)
-
-
 def nonmembers(space: OutputSpace, Y, tol: float | None = None) -> tuple[np.ndarray, str]:
     """The rows of the (n, dim) array Y outside the space, as ascending
     indices, and why the first of them is, as a predicate of that row ("has

@@ -320,7 +320,7 @@ def test_criterion_10_ordering():
         for i in range(0, 500, 25):
             RESIDUALS.append(flow_residual(spec.network, Y[i]))
         ecrm_means.append(float(np.abs(Y - test.Y).sum(axis=1).mean()))
-        preds = krr_project_predict_batch(train, train.space, kernel, lam, test.X)
+        preds = krr_project_predict_batch(model, train.space, test.X)
         for i in range(0, 500, 25):
             RESIDUALS.append(flow_residual(spec.network, preds[i]))
         krr_means.append(float(np.abs(preds - test.Y).sum(axis=1).mean()))
@@ -352,8 +352,8 @@ def test_criterion_11_flow_feasibility():
     Xq = rng.uniform(size=(5, 5))
     checks.extend(knn_local_risk_predict(data, LossSpec("absolute"), data.space, Xq, k=5,
                                          params=SolverParams(max_iters=60, restarts=2)))
-    checks.extend(krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=0.8),
-                                            0.05, Xq))
+    checks.extend(krr_project_predict_batch(
+        fit(KernelSpec("rbf", gamma=0.8), 0.05, data.X, data.Y), data.space, Xq))
     assert max(flow_residual(net, y) for y in checks) <= 1e-9
 
 

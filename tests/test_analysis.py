@@ -264,8 +264,9 @@ class TestBatchSurrogate:
 
     def _check(self, monkeypatch, model, loss, cfg, X, Y, params=None, rtol=0.0):
         import ecrm.analysis
+        import ecrm.inference
         W = weights(model, X)
-        monkeypatch.setattr(ecrm.analysis, "AUG_BLOCK", 3)
+        monkeypatch.setattr(ecrm.inference, "BLOCK_ROWS", 3)
         vals, certs = surrogate_loss_detailed(model, loss, cfg, X, Y, params)
         assert vals.shape == (X.shape[0],) and len(certs) == X.shape[0]
         for i in range(X.shape[0]):

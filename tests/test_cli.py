@@ -21,6 +21,7 @@ import ecrm.cli
 from ecrm import (FlowGeneratorSpec, HierarchyDag, default_flow_network, hamming,
                   simulate_flow_data)
 from ecrm.io import load_matrix, save_hierarchy, save_matrix, save_network
+from conftest import random_feasible_label, random_tree
 
 
 def run_cli(*args):
@@ -242,7 +243,8 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize("command", ["surrogate", "bound"])
     def test_one_weight_solve_and_one_risk_minimization_per_block(
             self, monkeypatch, capsys, tmp_path, rng, command, space):
-        # Q = 10 rows in blocks of 4: the risk minima, then 3 augmented blocks.
+        # Q = 10 rows in blocks of 4: each of the 3 blocks takes one weight
+        # solve, one risk minimization and one augmented one.
         import ecrm.analysis
         import ecrm.cli
         import ecrm.inference
@@ -280,12 +282,12 @@ class TestAnalysisCommands:
             wrapper = counted(name, getattr(mods[0], name))
             for mod in mods:
                 monkeypatch.setattr(mod, name, wrapper)
-        monkeypatch.setattr(ecrm.analysis, "AUG_BLOCK", 4)
+        monkeypatch.setattr(ecrm.inference, "BLOCK_ROWS", 4)
         extra = ["--delta", "0.1"] if command == "bound" else []
         assert ecrm.cli.main([command, "--model", str(tmp_path / "m.ecrm"),
                               "--x", str(tmp_path / "x.txt"), "--labels", str(tmp_path / "y.txt"),
                               *flags, *loss, "--rho", "0.5", *extra]) == 0
-        assert calls == {"weights": 1, "infer_batch": 1 + 3}
+        assert calls == {"weights": 3, "infer_batch": 3 + 3}
         capsys.readouterr()
 
 
@@ -400,7 +402,7 @@ class TestAssignmentPredict:
 
 
 class TestBatchEqualsSingle:
-    """``predict`` solves all query rows as one batch; its output must be
+    """``predict`` solves its query rows in blocks; its output must be
     ``save_matrix``'s text of the library's single-query ``infer`` (or
     ``infer_additive``) rows, so the rows' dtype decides the format:
     integers for hierarchies and rankings, floats for flows."""
@@ -1130,3 +1132,189 @@ class TestFactorCache:
         code = self._train(main, hierarchy_fixture, tmp / "m.ecrm", "--variant", "additive")[0]
         assert code == 0
         assert not (tmp / "m.ecrm.factor").exists()
+
+
+class TestQueryBlocks:
+    """Commands that take a query file run it in blocks of
+    ``inference.BLOCK_ROWS`` rows.  With a small block the output must be
+    what one call on the whole file prints (flow values and hierarchy
+    surrogates to 1e-12), memory must not grow with the number of blocks,
+    and an allocation failure in a block exits 2.  No test allocates a
+    large array."""
+
+    @staticmethod
+    def _dataset(kind, tmp, rng, m=20, q=13, p=3):
+        """Space and loss flags, then a training set of m rows and a labelled
+        query set of q rows, as files."""
+        if kind == "flow":
+            save_network(tmp / "net.txt", default_flow_network())
+            flags = ["--space", "flow", "--network", tmp / "net.txt"]
+            loss = ["--loss", "absolute", "--max-iters", 20, "--restarts", 1]
+            train = simulate_flow_data(FlowGeneratorSpec.create(seed=5, tau=1.0, p=p), m)
+            query = simulate_flow_data(FlowGeneratorSpec.create(seed=6, tau=1.0, p=p), q)
+            sets = [(train.X, train.Y), (query.X, query.Y)]
+        else:
+            if kind == "assignment":
+                flags, loss = ["--space", "assignment", "--dim", 5], ["--loss", "footrule"]
+
+                def label():
+                    return rng.permutation(5) + 1
+            else:
+                G = random_tree(rng, 7)
+                save_hierarchy(tmp / "h.txt", G)
+                flags = ["--space", "hierarchy", "--hierarchy", tmp / "h.txt"]
+                loss = ["--loss", kind]
+
+                def label():
+                    return random_feasible_label(rng, G)
+            sets = [(rng.normal(size=(n, p)), np.array([label() for _ in range(n)]))
+                    for n in (m, q)]
+        paths = []
+        for name, (X, Y) in zip(("train", "query"), sets):
+            save_matrix(tmp / f"{name}_x.txt", X)
+            save_matrix(tmp / f"{name}_y.txt", Y)
+            paths += [tmp / f"{name}_x.txt", tmp / f"{name}_y.txt"]
+        model = tmp / "m.ecrm"
+        assert run_cli("train", "--x", paths[0], "--labels", paths[1], *flags, "--gamma", 0.5,
+                       "--lambda", 0.1, "--out", model).returncode == 0
+        return flags, loss, model, *paths
+
+    @staticmethod
+    def _argv(command, flags, loss, model, train_x, train_y, query_x, query_y):
+        analysis = ("--model", model, "--x", query_x, "--labels", query_y, *loss, *flags)
+        return {
+            "predict": ("predict", "--model", model, "--x", query_x, *loss, *flags),
+            "eval": ("eval", *analysis),
+            "surrogate": ("surrogate", *analysis, "--rho", 0.5),
+            "bound": ("bound", *analysis, "--rho", 0.5, "--delta", 0.1),
+            "baseline knn": ("baseline", "--method", "knn", "--train-x", train_x,
+                             "--train-labels", train_y, "--x", query_x, "--k", 3, *loss,
+                             *flags),
+            "baseline krr-project": ("baseline", "--method", "krr-project", "--train-x",
+                                     train_x, "--train-labels", train_y, "--x", query_x,
+                                     "--gamma", 0.5, *flags),
+        }[command]
+
+    @pytest.mark.parametrize("kind", ["hamming", "hierarchical", "assignment", "flow"])
+    @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound"])
+    def test_blocks_print_what_one_batch_prints(self, monkeypatch, tmp_path, rng, kind,
+                                                command):
+        # The reference runs the whole file as one library call; the block
+        # size also sets the surrogate's augmented blocks, which both runs
+        # share.  Labels print the same bytes.  Flows, and the surrogate
+        # values of hierarchies, may move in the last bits.
+        import ecrm.inference
+
+        def one_batch(run, X, x_path, m, *aligned):
+            yield run(X, *aligned)
+
+        argv = self._argv(command, *self._dataset(kind, tmp_path, rng))
+        for rows in (4, 1):
+            monkeypatch.setattr(ecrm.inference, "BLOCK_ROWS", rows)
+            with monkeypatch.context() as mp:
+                mp.setattr(ecrm.cli, "_blocks", one_batch)
+                whole = run_cli(*argv)
+            split = run_cli(*argv)
+            assert (whole.returncode, whole.stderr, split.returncode, split.stderr) == (
+                0, "", 0, "")
+            if kind != "flow" and not (kind in ("hamming", "hierarchical")
+                                       and command in ("surrogate", "bound")):
+                assert split.stdout == whole.stdout
+                continue
+            a, b = ([float(t) for t in r.stdout.split() if not t[0].isalpha()]
+                    for r in (split, whole))
+            assert len(a) == len(b)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound",
+                                         "baseline knn"])
+    def test_empty_query_file_exits_2(self, monkeypatch, tmp_path, rng, command):
+        import ecrm.inference
+        monkeypatch.setattr(ecrm.inference, "BLOCK_ROWS", 4)
+        flags, loss, model, train_x, train_y, query_x, query_y = self._dataset(
+            "hamming", tmp_path, rng)
+        query_x.write_text("")
+        r = run_cli(*self._argv(command, flags, loss, model, train_x, train_y, query_x,
+                                query_y))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {query_x}:1: file is "
+                                                               f"empty\n")
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound",
+                                         "baseline knn", "baseline krr-project"])
+    def test_block_that_cannot_be_allocated_exits_2(self, monkeypatch, tmp_path, rng,
+                                                    command):
+        # The second block's first allocation raises MemoryError, as numpy
+        # does for an array beyond memory.
+        import ecrm.baselines
+        import ecrm.inference
+        import ecrm.model
+        kind = "flow" if command == "baseline krr-project" else "hamming"
+        files = self._dataset(kind, tmp_path, rng, m=20, q=10)
+        argv = self._argv(command, *files)
+        monkeypatch.setattr(ecrm.inference, "BLOCK_ROWS", 4)
+        first_block = "".join(run_cli(*argv).stdout.splitlines(keepends=True)[:4])
+        calls = []
+
+        def no_room_the_second_time(real):
+            def call(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise MemoryError("Unable to allocate 305. MiB for an array with shape "
+                                      "(2000, 20000) and data type float64")
+                return real(*args, **kwargs)
+            return call
+
+        if command == "baseline knn":
+            monkeypatch.setattr(ecrm.baselines, "infer_batch",
+                                no_room_the_second_time(ecrm.baselines.infer_batch))
+        else:
+            monkeypatch.setattr(ecrm.model, "cross_gram",
+                                no_room_the_second_time(ecrm.model.cross_gram))
+        r = run_cli(*argv)
+        query_x = files[5]
+        assert (r.returncode, r.stderr) == (
+            2, f"error: {query_x}: rows 5-8: a block of 4 query rows against 20 training "
+               f"rows cannot be allocated\n")
+        assert r.stdout == (first_block if command in ("predict", "baseline knn",
+                                                       "baseline krr-project") else "")
+
+    def test_krr_project_baseline_fits_once(self, monkeypatch, tmp_path, rng):
+        import ecrm.inference
+        argv = self._argv("baseline krr-project", *self._dataset("flow", tmp_path, rng, q=10))
+        monkeypatch.setattr(ecrm.inference, "BLOCK_ROWS", 4)
+        fits, real_fit = [], ecrm.cli.fit
+
+        def counted_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(ecrm.cli, "fit", counted_fit)
+        r = run_cli(*argv)
+        assert (r.returncode, len(r.stdout.splitlines()), len(fits)) == (0, 10, 1)
+
+    @pytest.mark.parametrize("kind", ["hamming", "flow"])
+    def test_peak_memory_does_not_grow_with_the_block_count(self, monkeypatch, tmp_path,
+                                                            kind):
+        # m = 200 training rows, blocks of 32: 8 blocks must peak within
+        # 1.25 times one block, where one batch of all 256 rows holds 8
+        # times the block's (Q, m) weights (and an L1 flow's (a, Q, m + 1)
+        # prefix sums).
+        import tracemalloc
+
+        import ecrm.inference
+        flags, loss, model, *_ = self._dataset(kind, tmp_path, np.random.default_rng(9),
+                                               m=200, q=1)
+        monkeypatch.setattr(ecrm.inference, "BLOCK_ROWS", 32)
+        rng = np.random.default_rng(10)
+        peaks = []
+        for q in (32, 32, 256):   # the first run only warms up
+            save_matrix(tmp_path / "xq.txt", rng.normal(size=(q, 3)))
+            argv = ["predict", "--model", model, "--x", tmp_path / "xq.txt", *loss, *flags]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert ecrm.cli.main(list(map(str, argv))) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[2] <= 1.25 * peaks[1], peaks

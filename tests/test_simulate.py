@@ -190,24 +190,24 @@ class TestKrrProjectBaseline:
         net = FlowNetwork(2, [(0, 1)], [0.0, 0.0])
         space = flow_space(net)
         data = Dataset(X=np.array([[0.0], [1.0]]), Y=np.zeros((2, 1)), space=space)
-        got = krr_project_predict_batch(data, space, KernelSpec("rbf", gamma=1.0), 0.5,
-                                        np.array([[0.25]]))[0]
+        got = krr_project_predict_batch(fit(KernelSpec("rbf", gamma=1.0), 0.5, data.X, data.Y),
+                                        space, np.array([[0.25]]))[0]
         np.testing.assert_array_equal(got, np.zeros(1))
 
     def test_interpolating_limit_approaches_training_flow(self):
         spec = FlowGeneratorSpec.create(seed=10, tau=1.0, p=3)
         data = simulate_flow_data(spec, 1)
-        got = krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=1.0),
-                                        1e-9, data.X[0][None, :])[0]
+        got = krr_project_predict_batch(fit(KernelSpec("rbf", gamma=1.0), 1e-9, data.X, data.Y),
+                                        data.space, data.X[0][None, :])[0]
         np.testing.assert_allclose(got, data.Y[0], atol=1e-4)
 
     def test_projection_restores_feasibility(self):
         spec = FlowGeneratorSpec.create(seed=11, tau=1.0, p=5)
         data = simulate_flow_data(spec, 30)
+        model = fit(KernelSpec("rbf", gamma=0.7), 0.05, data.X, data.Y)
         for t in range(5):
             x = np.full(5, 0.1 + 0.2 * t)
-            got = krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=0.7),
-                                            0.05, x[None, :])[0]
+            got = krr_project_predict_batch(model, data.space, x[None, :])[0]
             assert flow_residual(data.space.network, got) <= 1e-9
 
     def test_ridge_mean_matches_numpy_reference(self, monkeypatch):
@@ -219,24 +219,24 @@ class TestKrrProjectBaseline:
         data = simulate_flow_data(FlowGeneratorSpec.create(seed=14, tau=1.0, p=3), 20)
         kernel = KernelSpec("rbf", gamma=0.8)
         Xq = simulate_flow_data(FlowGeneratorSpec.create(seed=15, tau=1.0, p=3), 8).X
-        ref = weights(fit(kernel, 0.1, data.X, data.Y), Xq) @ data.Y
+        model = fit(kernel, 0.1, data.X, data.Y)
+        ref = weights(model, Xq) @ data.Y
         for rows in (slice(0, 1), slice(0, 8), slice(0, 8, 3)):
-            got = krr_project_predict_batch(data, data.space, kernel, 0.1, Xq[rows])
+            got = krr_project_predict_batch(model, data.space, Xq[rows])
             np.testing.assert_allclose(got, ref[rows], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
         np.testing.assert_allclose(
-            krr_project_predict_batch(data, data.space, kernel, 0.1, Xq[2][None, :])[0],
+            krr_project_predict_batch(model, data.space, Xq[2][None, :])[0],
             ref[2], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_batch_matches_single(self):
         spec = FlowGeneratorSpec.create(seed=12, tau=1.0, p=4)
         data = simulate_flow_data(spec, 25)
         Xq = simulate_flow_data(FlowGeneratorSpec.create(seed=13, tau=1.0, p=4), 6).X
-        batch = krr_project_predict_batch(data, data.space,
-                                          KernelSpec("rbf", gamma=0.9), 0.1, Xq)
+        model = fit(KernelSpec("rbf", gamma=0.9), 0.1, data.X, data.Y)
+        batch = krr_project_predict_batch(model, data.space, Xq)
         # A duality gap of 1e-6 pins the projection within sqrt(gap) of the
         # true nearest point, so two solves can differ by ~1e-3 per coordinate.
         for i in range(6):
-            single = krr_project_predict_batch(data, data.space, KernelSpec("rbf", gamma=0.9),
-                                               0.1, Xq[i][None, :])[0]
+            single = krr_project_predict_batch(model, data.space, Xq[i][None, :])[0]
             np.testing.assert_allclose(batch[i], single, atol=3e-3)

@@ -11,8 +11,7 @@ from ecrm import (FlowNetwork, HierarchyDag, assignment_constraint_matrix, assig
                   default_flow_network, enumerate_space, enumerate_st_paths, explicit_space,
                   flow_space, hierarchy_constraint_matrix, hierarchy_space, is_feasible,
                   is_totally_unimodular)
-from ecrm.spaces import (_ENUM_BLOCK, flow_constraint_matrix, flow_residual, flow_residuals,
-                         nonmembers)
+from ecrm.spaces import _ENUM_BLOCK, flow_residual, flow_residuals, nonmembers
 from conftest import random_dag, random_tree
 
 
@@ -136,6 +135,12 @@ class TestFlowNetworkOrder:
         assert not net.is_acyclic
 
 
+def _flow_constraint_matrix(net):
+    """Node-arc incidence rows of a flow network, as the network holds them
+    for ``divergence``; the flows are the points y >= 0 with ``A y = b``."""
+    return net._incidence.toarray().astype(np.int64)
+
+
 def _divergence_by_arcs(net, y):
     """Outflow minus inflow, one arc at a time in arc order."""
     div = np.zeros(net.n_nodes)
@@ -179,11 +184,12 @@ class TestFlowResiduals:
             arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
                     for _ in range(int(rng.integers(1, 7)))]
             net = FlowNetwork(n, arcs, [0.0] * n)
-            A = flow_constraint_matrix(net)
+            A = _flow_constraint_matrix(net)
             assert A.dtype == np.int64
             for a in range(len(arcs)):
                 np.testing.assert_array_equal(A[:, a], _divergence_by_arcs(net, np.eye(len(arcs))[a]))
-            assert is_totally_unimodular(flow_constraint_matrix(net)) is True
+            assert is_totally_unimodular(A) is True
+        assert is_totally_unimodular(_flow_constraint_matrix(default_flow_network())) is True
 
     def test_wrong_width_rejected(self):
         net = FlowNetwork(2, [(0, 1)], [1.0, -1.0])
