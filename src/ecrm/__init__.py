@@ -21,7 +21,7 @@ from .flow_opt import enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_ba
 from .hierarchy import HierarchyDag
 from .inference import brute_force_argmin, infer, infer_batch, infer_from_weights
 from .io import Dataset, load_model, save_additive_model, save_model
-from .kernels import KernelSpec, eval_kernel, gram_matrix, kernel_vector
+from .kernels import KernelSpec, eval_kernel, gram_matrix
 from .losses import (LossSpec, additive_coefficients, footrule, hamming,
                      hierarchical_loss, hierarchical_loss_closed, loss_bound,
                      loss_value, sibling_weights, vector_loss)
@@ -31,7 +31,6 @@ from .simulate import (FlowGeneratorSpec, conditional_sampler, default_flow_netw
                        sample_conditional, simulate_flow_data)
 from .spaces import (FlowNetwork, OutputSpace, assignment_constraint_matrix,
                      assignment_space, enumerate_space, explicit_space, flow_space,
-                     hierarchy_constraint_matrix, hierarchy_space, is_feasible,
-                     is_totally_unimodular)
+                     hierarchy_constraint_matrix, hierarchy_space, is_totally_unimodular)
 
 __version__ = "0.1.0"

@@ -232,8 +232,12 @@ def cmd_bound(args) -> int:
 
 def cmd_simulate_flow(args) -> int:
     net = io.load_network(args.network) if args.network else default_flow_network()
-    spec = FlowGeneratorSpec.create(seed=args.seed, network=net, p=args.p, tau=args.tau)
-    data = simulate_flow_data(spec, args.m)
+    try:
+        spec = FlowGeneratorSpec.create(seed=args.seed, network=net, p=args.p, tau=args.tau)
+        data = simulate_flow_data(spec, args.m)
+    except MemoryError as exc:
+        raise DataFormatError(f"--m {args.m} --p {args.p}: cannot hold the samples: {exc}"
+                              ) from exc
     io.save_matrix(args.out_x, data.X)
     io.save_matrix(args.out_y, data.Y)
     return 0

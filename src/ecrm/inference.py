@@ -70,7 +70,8 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
     polytopes take one call of the loss's batched flow solver, and explicit
     spaces one ``explicit_risks`` table, minimized row by row.  A row's
     answer depends only on the labels it weighs, up to rounding, so rows may
-    share one label set.
+    share one label set.  A hierarchical loss must be defined on the
+    space's hierarchy.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     labels = np.asarray(labels)
@@ -81,6 +82,10 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
     if space.kind in _ADDITIVE_LOSSES:
         if loss.kind not in _ADDITIVE_LOSSES[space.kind]:
             raise ValueError(f"loss {loss.kind!r} is not supported on {space.kind} spaces")
+        # Identity first: callers pass the space's own hierarchy.
+        if loss.kind == "hierarchical" and not (loss.hierarchy is space.hierarchy
+                                                or loss.hierarchy == space.hierarchy):
+            raise ValueError("hierarchical loss is defined on another hierarchy than the space")
         C, offsets = additive_coefficients(loss, labels, W)
         if space.kind == "hierarchy":
             Y = solve_hierarchy(C, space.hierarchy)

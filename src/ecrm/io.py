@@ -54,11 +54,16 @@ def _read_bytes(path) -> bytes:
 
 
 def _read_lines(path, raw=None) -> list[str]:
-    """The lines of the ASCII file at ``path``, or of its bytes ``raw``."""
+    """The lines of the ASCII file at ``path``, or of its bytes ``raw``; a
+    non-ASCII byte is an error on its line."""
+    raw = _read_bytes(path) if raw is None else raw
     try:
-        return (_read_bytes(path) if raw is None else raw).decode("ascii").splitlines()
+        return raw.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not an ASCII file: {exc}") from exc
+        # Lines as splitlines counts them: the ASCII bytes before the first
+        # bad one, and a stand-in for it.
+        lineno = len((raw[:exc.start].decode("ascii") + "?").splitlines())
+        raise DataFormatError(f"{path}:{lineno}: not an ASCII file: {exc}") from exc
 
 
 def _int(token) -> int:
@@ -296,7 +301,8 @@ def save_model(path, model: TrainedModel) -> None:
     if model.factor is None:
         _remove_factor(path)
     else:
-        _save_factor(path, model.inputs, model.factor)
+        # Every model holds ``from_factor``'s lower ``(L, True)`` pair.
+        _save_factor(path, model.inputs, model.factor[0])
 
 
 def _factor_path(path) -> str:
@@ -309,9 +315,7 @@ def _factor_header(raw: bytes, m: int, p: int) -> bytes:
     return f"{FACTOR_MAGIC} {m} {p} <f8 {hashlib.sha256(raw).hexdigest()}\n".encode("ascii")
 
 
-def _save_factor(path, X, factor) -> None:
-    c, lower = factor
-    L = c if lower else c.T
+def _save_factor(path, X, L) -> None:
     cache = _factor_path(path)
     try:
         # Columns are 8 to 8m bytes; a 1 MiB buffer turns the m writes into

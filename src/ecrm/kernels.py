@@ -197,15 +197,6 @@ def _gram_too_large(m: int) -> EcrmError:
                      f"{8 * m * m / 2 ** 30:.3g} GiB, which cannot be allocated")
 
 
-def kernel_vector(spec: KernelSpec, X, x) -> np.ndarray:
-    """The vector ``[k(x, x_i)]_i`` against stored training inputs."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != X.shape[1]:
-        raise ValueError(f"dimension mismatch: query has {x.shape[0]} features, model has {X.shape[1]}")
-    return cross_gram(spec, x[None, :], X)[0]
-
-
 def kernel_sup_bound(spec: KernelSpec, X) -> float:
     """Upper bound on ``k(x,x)`` used by the generalization bound.
 

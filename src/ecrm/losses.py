@@ -12,7 +12,7 @@ the weight solve that produced them (see ``kernels``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,34 +28,26 @@ LOSS_KINDS = ("zero_one", "hamming", "hierarchical", "footrule", "absolute", "sq
 class LossSpec:
     """Tagged loss family.
 
-    ``hierarchy`` and the per-node penalty vector ``c`` are required for the
-    hierarchical loss only; ``c`` defaults to the sibling weights.
+    ``hierarchy`` is required for the hierarchical loss only.  Its per-node
+    penalties are that hierarchy's ``sibling_weights``, computed once here
+    into the read-only array ``penalties`` (None for every other kind).
     """
 
     kind: str
     hierarchy: HierarchyDag | None = None
-    c: tuple | None = None
+    penalties: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, kind: str, hierarchy: HierarchyDag | None = None, c=None) -> None:
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-        if kind == "hierarchical":
-            if hierarchy is None:
+    def __post_init__(self) -> None:
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
+        if self.kind == "hierarchical":
+            if self.hierarchy is None:
                 raise ValueError("hierarchical loss requires a hierarchy")
-            if not hierarchy.is_arborescence:
+            if not self.hierarchy.is_arborescence:
                 raise ValueError("hierarchical loss is defined on arborescences only")
-            if c is None:
-                c = sibling_weights(hierarchy)
-            c = tuple(float(v) for v in c)
-            if len(c) != hierarchy.d:
-                raise ValueError("penalty vector length does not match hierarchy size")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "hierarchy", hierarchy)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def penalties(self) -> np.ndarray:
-        return np.asarray(self.c, dtype=float)
+            c = sibling_weights(self.hierarchy)
+            c.flags.writeable = False
+            object.__setattr__(self, "penalties", c)
 
 
 def hamming(y, yp) -> float:
@@ -68,7 +60,9 @@ def hamming(y, yp) -> float:
 
 
 def sibling_weights(G: HierarchyDag) -> np.ndarray:
-    """Per-node penalties: 1 at the root, parent's weight split among siblings."""
+    """Per-node penalties of the hierarchical loss: 1 at the root, a
+    parent's weight split evenly among its children.  ``LossSpec`` holds
+    them as ``penalties``."""
     if not G.is_arborescence:
         raise ValueError("sibling weights require an arborescence")
     c = np.zeros(G.d)
@@ -239,19 +233,20 @@ def footrule_cost_matrix(sigmas, w) -> np.ndarray:
     return C[0] if w.ndim == 1 else C
 
 
-def loss_bound(spec: LossSpec, space=None) -> float:
-    """Finite upper bound ``sup loss`` given the output space."""
+def loss_bound(spec: LossSpec, space: OutputSpace | None = None) -> float:
+    """Finite upper bound ``sup loss``: the zero-one and hierarchical bounds
+    need no space; the others take the dimension (Hamming, footrule) or the
+    vertices (absolute, square) of ``space``."""
     if spec.kind == "zero_one":
         return 1.0
     if spec.kind == "hierarchical":
         return float(np.sum(spec.penalties))
+    if space is None:
+        raise ValueError("loss bound requires an output space for this loss kind")
     if spec.kind == "hamming":
-        if spec.hierarchy is not None:
-            return float(spec.hierarchy.d)
-        return float(_space_dim(space))
+        return float(space.dim)
     if spec.kind == "footrule":
-        d = _space_dim(space)
-        return float((d * d) // 2)
+        return float((space.dim * space.dim) // 2)
     if spec.kind in ("absolute", "square"):
         # Convex losses attain their supremum at vertex pairs.  Row sums and a
         # stacked row-by-column matmul reduce as ``vector_loss`` does (pairwise
@@ -266,18 +261,9 @@ def loss_bound(spec: LossSpec, space=None) -> float:
     raise ValueError(f"no bound rule for loss kind {spec.kind!r}")
 
 
-def _space_dim(space) -> int:
-    if space is None:
-        raise ValueError("loss bound requires an output space for this loss kind")
-    if isinstance(space, OutputSpace):
-        return space.dim
-    return int(space)
-
-
-def _space_vertices(space) -> np.ndarray:
-    if isinstance(space, OutputSpace):
-        if space.kind == "explicit_finite":
-            return np.asarray(space.members, dtype=float)
-        if space.kind == "flow_polytope":
-            return enumerate_st_paths(space.network)
+def _space_vertices(space: OutputSpace) -> np.ndarray:
+    if space.kind == "explicit_finite":
+        return np.asarray(space.members, dtype=float)
+    if space.kind == "flow_polytope":
+        return enumerate_st_paths(space.network)
     raise ValueError("loss bound for vector losses needs an explicit or flow space")

@@ -2,9 +2,9 @@
 
 ``nonmembers`` is the one membership rule of every space kind: it takes a
 batch of labels and returns the rows outside the space and why the first
-is.  ``is_feasible``, ``enumerate_space`` and every module that checks
-labels (losses, the flow solvers, the additive model, the file loader and
-the command line) call it.
+is.  ``enumerate_space`` and every module that checks labels (losses, the
+flow solvers, the additive model, the file loader and the command line)
+call it; one label is the batch of one row.
 """
 
 from __future__ import annotations
@@ -204,12 +204,6 @@ def nonmembers(space: OutputSpace, Y, tol: float | None = None) -> tuple[np.ndar
         bad = np.flatnonzero(~(Y[:, None, :] == M[None]).all(axis=2).any(axis=1))
         return bad, "is not a member of the space" if bad.size else ""
     raise ValueError(f"unknown space kind {space.kind!r}")
-
-
-def is_feasible(space: OutputSpace, y, tol: float | None = None) -> bool:
-    """Membership test of one label, given in the encoding of ``nonmembers``
-    (a ranking as its d ranks): the one-row case of ``nonmembers``."""
-    return not nonmembers(space, np.reshape(y, (1, -1)), tol)[0].size
 
 
 def flow_residuals(net: FlowNetwork, Y) -> np.ndarray:

@@ -335,6 +335,26 @@ class TestSimulateAndBench:
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--m", "--p"])
+    def test_simulate_flow_too_large_to_hold_exits_2(self, monkeypatch, tmp_path, flag):
+        # The allocation raises MemoryError as numpy's does for 1e13 samples
+        # of 20 features (the samples) or 1e14 features (the path utilities);
+        # no test allocates either for real.
+        def no_room(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.42 PiB for an array")
+
+        m, p = {"--m": (10 ** 13, 20), "--p": (5, 10 ** 14)}[flag]
+        if flag == "--m":
+            monkeypatch.setattr(ecrm.cli, "simulate_flow_data", no_room)
+        else:
+            monkeypatch.setattr(FlowGeneratorSpec, "create", no_room)
+        r = run_cli("simulate-flow", "--m", m, "--p", p, "--out-x", tmp_path / "X.txt",
+                    "--out-y", tmp_path / "Y.txt")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith(f"error: --m {m} --p {p}: cannot hold the samples: ")
+        assert list(tmp_path.iterdir()) == []
+
     # Sizes whose labels cannot be allocated: 4e15 bytes at m = 50, beyond
     # any address space, and more entries than an array index can count.
     TOO_LARGE = ("10,10000000000000", "10000000000000000000")
@@ -906,6 +926,75 @@ class TestExitCodes:
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith(f"error: {bad}:{line}:" if line.isdigit()
                                    else f"error: {bad}: {line}")
+
+    # case -> (bytes of the file BAD, or None for no file; the command line,
+    # in which X, Y and H stand for the fixture's inputs, labels and
+    # hierarchy, P for rankings of 4 labels, one per input, and OUT for a
+    # model file that must not be written; the start of the one error line,
+    # where {bad} is the path of BAD).
+    BAD_INPUTS = {
+        "rbf_without_gamma": (None, ("train", "--x", "X", "--labels", "Y", "--space",
+                                     "hierarchy", "--hierarchy", "H", "--kernel", "rbf",
+                                     "--out", "OUT"), "rbf kernel requires --gamma"),
+        "hierarchy_space_without_file": (None, ("train", "--x", "X", "--labels", "Y",
+                                                "--space", "hierarchy", "--kernel", "linear",
+                                                "--out", "OUT"),
+                                         "--space hierarchy requires --hierarchy FILE"),
+        "assignment_space_without_dim": (None, ("train", "--x", "X", "--labels", "P",
+                                                "--space", "assignment", "--kernel", "linear",
+                                                "--out", "OUT"),
+                                         "--space assignment requires --dim D"),
+        "flow_space_without_network": (None, ("train", "--x", "X", "--labels", "Y", "--space",
+                                              "flow", "--kernel", "linear", "--out", "OUT"),
+                                       "--space flow requires --network FILE"),
+        "hierarchical_loss_off_a_hierarchy": (None, ("baseline", "--method", "knn",
+                                                     "--train-x", "X", "--train-labels", "P",
+                                                     "--x", "X", "--space", "assignment",
+                                                     "--dim", 4, "--loss", "hierarchical"),
+                                              "hierarchical loss requires --space hierarchy"),
+        "additive_variant_off_a_hierarchy": (None, ("train", "--x", "X", "--labels", "P",
+                                                    "--space", "assignment", "--dim", 4,
+                                                    "--kernel", "linear", "--variant",
+                                                    "additive", "--out", "OUT"),
+                                             "--variant additive requires --space hierarchy"),
+        "non_ascii_matrix_file": (b"1 2 3\n4 \xc3\xa9 6\n", ("train", "--x", "BAD", "--labels",
+                                                           "Y", "--space", "hierarchy",
+                                                           "--hierarchy", "H", "--kernel",
+                                                           "linear", "--out", "OUT"),
+                                  "{bad}:2: not an ASCII file: "),
+        "blank_line_in_matrix_file": (b"1 2 3\n\n4 5 6\n", ("train", "--x", "BAD", "--labels",
+                                                           "Y", "--space", "hierarchy",
+                                                           "--hierarchy", "H", "--kernel",
+                                                           "linear", "--out", "OUT"),
+                                      "{bad}:2: blank line"),
+        "arc_line_with_three_ids": (b"0 1\n0 2 3\n", ("train", "--x", "X", "--labels", "Y",
+                                                     "--space", "hierarchy", "--hierarchy",
+                                                     "BAD", "--kernel", "linear", "--out",
+                                                     "OUT"),
+                                    "{bad}:2: expected two node ids, found 3 values"),
+        "hierarchy_file_without_arcs": (b"\n\n", ("train", "--x", "X", "--labels", "Y",
+                                                  "--space", "hierarchy", "--hierarchy", "BAD",
+                                                  "--kernel", "linear", "--out", "OUT"),
+                                        "{bad}:1: hierarchy file has no arcs"),
+        "empty_network_file": (b"", ("train", "--x", "X", "--labels", "Y", "--space", "flow",
+                                     "--network", "BAD", "--kernel", "linear", "--out", "OUT"),
+                               "{bad}:1: file is empty"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_flag_or_input_file(self, hierarchy_fixture, rng, case):
+        tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture
+        content, argv, want = self.BAD_INPUTS[case]
+        bad, ranks, out = tmp / "bad.txt", tmp / "ranks.txt", tmp / "m.ecrm"
+        if content is not None:
+            bad.write_bytes(content)
+        save_matrix(ranks, np.array([rng.permutation(4) + 1 for _ in Y]))
+        files = {"X": xpath, "Y": ypath, "H": hpath, "P": ranks, "BAD": bad, "OUT": out}
+        r = run_cli(*(files.get(a, a) for a in argv))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("error: " + want.format(bad=bad)), r.stderr
+        assert not out.exists()
 
     def test_negative_arc_count_names_hierarchy_line(self, hierarchy_fixture):
         tmp, hpath, xpath, ypath, X, Y = hierarchy_fixture

@@ -5,11 +5,12 @@ import pytest
 
 from ecrm import (HierarchyDag, KernelSpec, LossSpec, assignment_cost,
                   assignment_space, brute_force_argmin, explicit_space, fit,
-                  hierarchy_space, infer, infer_batch, infer_from_weights, is_feasible,
+                  hierarchy_space, infer, infer_batch, infer_from_weights,
                   solve_assignment, solve_hierarchy, weights)
 from ecrm.closure import _solve_dinic
 from ecrm.losses import footrule_cost_matrix
 from ecrm.model import risk_from_weights
+from ecrm.spaces import nonmembers
 from conftest import random_dag, random_feasible_label, random_kernel, random_tree
 from _oracles import (all_permutations, enumerate_feasible, footrule_risks,
                       hamming_risks, hierarchical_risks_direct, lex_argmin, sign_rule)
@@ -70,7 +71,7 @@ class TestSolveHierarchy:
         for _ in range(20):
             G = random_dag(rng, 10, extra=3)
             y = solve_hierarchy(rng.normal(size=10), G)
-            assert is_feasible(hierarchy_space(G), y)
+            assert nonmembers(hierarchy_space(G), y[None])[0].size == 0
 
     def test_deep_chain_optimum(self, rng):
         # On a chain the closed sets are the prefixes, so the optimum is the
@@ -221,7 +222,7 @@ class TestInferDispatch:
                     (LossSpec("hamming"), hamming_risks),
                     (LossSpec("hierarchical", hierarchy=G),
                      lambda cands, lab, ww: hierarchical_risks_direct(
-                         cands, lab, ww, G, np.asarray(loss_spec.c)))):
+                         cands, lab, ww, G, loss_spec.penalties))):
                 res = infer_from_weights(w, labels, loss_spec, space)
                 feas = enumerate_feasible(G)
                 vals = oracle(feas, labels, w)
@@ -276,6 +277,21 @@ class TestInferDispatch:
         with pytest.raises(ValueError):
             infer_from_weights(np.ones(1), np.array([[1, 2, 3]]),
                                LossSpec("hamming"), assignment_space(3))
+
+    def test_hierarchical_loss_on_another_hierarchy_raises(self):
+        # The labels are feasible in both trees, so without the check G1's
+        # coefficients would be minimized over G2's labels with no error.
+        G1 = HierarchyDag(4, [(0, 1), (1, 2), (1, 3)])
+        G2 = HierarchyDag(4, [(0, 1), (0, 2), (2, 3)])
+        labels = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
+        W = np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.4]])
+        with pytest.raises(ValueError, match="another hierarchy"):
+            infer_batch(W, labels, LossSpec("hierarchical", hierarchy=G1), hierarchy_space(G2))
+        # An equal hierarchy built separately is the space's hierarchy.
+        got, want = (infer_batch(W, labels, LossSpec("hierarchical", hierarchy=H),
+                                 hierarchy_space(G2))
+                     for H in (HierarchyDag(4, G2.arcs), G2))
+        assert [r.y_star.tolist() for r in got] == [r.y_star.tolist() for r in want]
 
 
 class TestBruteForce:

@@ -6,7 +6,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm
 
 from ecrm import (KernelSpec, estimate_conditional_risk, eval_kernel, fit,
-                  gram_matrix, kernel_vector, LossSpec, weights)
+                  gram_matrix, LossSpec, weights)
 from ecrm.kernels import _gram_too_large, _matmul, cross_gram
 from conftest import random_kernel
 from _oracles import dense_weight_oracle, gaussian_solve
@@ -284,7 +284,7 @@ class TestWeights:
         lam = 0.4
         model = fit(KernelSpec("linear"), lam, X, np.zeros(5))
         x = np.arange(5.0)
-        v = kernel_vector(KernelSpec("linear"), X, x)
+        v = cross_gram(KernelSpec("linear"), x[None, :], X)[0]
         np.testing.assert_allclose(weights(model, x), v / (1 + 5 * lam), atol=1e-12)
 
     def test_matches_gaussian_elimination_oracle(self, rng):
@@ -304,7 +304,7 @@ class TestWeights:
         x = rng.normal(size=3)
         w = weights(model, x)
         K = gram_matrix(spec, X)
-        v = kernel_vector(spec, X, x)
+        v = cross_gram(spec, x[None, :], X)[0]
         resid = np.linalg.norm((K + 7 * 0.2 * np.eye(7)) @ w - v)
         assert resid <= 1e-8 * max(1.0, np.linalg.norm(v))
 

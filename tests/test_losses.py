@@ -82,7 +82,18 @@ class TestArborescence:
         t0 = time.perf_counter()
         spec = LossSpec("hierarchical", hierarchy=G)
         assert time.perf_counter() - t0 < 10.0
-        assert spec.c[0] == 1.0 and spec.c[1] == 1.0 / (d - 1)
+        assert spec.penalties[0] == 1.0 and spec.penalties[1] == 1.0 / (d - 1)
+
+    def test_penalties_are_the_sibling_weights_held_read_only(self, rng):
+        G = random_tree(rng, 12)
+        spec = LossSpec("hierarchical", hierarchy=G)
+        assert spec.penalties is spec.penalties
+        np.testing.assert_array_equal(spec.penalties, sibling_weights(G))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.penalties[0] = 2.0
+        assert LossSpec("hamming").penalties is None
+        twin = LossSpec("hierarchical", hierarchy=G)
+        assert spec == twin and hash(spec) == hash(twin)
 
 
 class TestHierarchicalLoss:
@@ -304,12 +315,15 @@ class TestCoefficientProducts:
 class TestLossBound:
     def test_discrete_bounds(self):
         G = HierarchyDag(3, [(0, 1), (0, 2)])
-        assert loss_bound(LossSpec("hamming", hierarchy=G)) == 3.0
-        assert loss_bound(LossSpec("hamming"), space=6) == 6.0
-        assert loss_bound(LossSpec("footrule"), space=5) == 12.0
+        assert loss_bound(LossSpec("hamming"), hierarchy_space(G)) == 3.0
+        assert loss_bound(LossSpec("hamming"), hierarchy_space(HierarchyDag(6, []))) == 6.0
+        assert loss_bound(LossSpec("footrule"), assignment_space(5)) == 12.0
         hier = LossSpec("hierarchical", hierarchy=G)
         assert loss_bound(hier) == pytest.approx(2.0)  # 1 + 0.5 + 0.5
         assert loss_bound(LossSpec("zero_one")) == 1.0
+        for kind in ("hamming", "footrule", "absolute", "square"):
+            with pytest.raises(ValueError, match="requires an output space"):
+                loss_bound(LossSpec(kind))
 
     def test_flow_bounds_from_vertices(self):
         from ecrm import default_flow_network, flow_space

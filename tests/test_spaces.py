@@ -9,7 +9,7 @@ import pytest
 
 from ecrm import (FlowNetwork, HierarchyDag, assignment_constraint_matrix, assignment_space,
                   default_flow_network, enumerate_space, enumerate_st_paths, explicit_space,
-                  flow_space, hierarchy_constraint_matrix, hierarchy_space, is_feasible,
+                  flow_space, hierarchy_constraint_matrix, hierarchy_space,
                   is_totally_unimodular)
 from ecrm.spaces import _ENUM_BLOCK, flow_residual, flow_residuals, nonmembers
 from conftest import random_dag, random_tree
@@ -37,44 +37,40 @@ class TestHierarchyConstraintMatrix:
 class TestFeasibility:
     def test_hierarchy_violation(self):
         space = hierarchy_space(HierarchyDag(2, [(0, 1)]))
-        assert not is_feasible(space, [0, 1])
-        assert is_feasible(space, [1, 1])
-        assert is_feasible(space, [0, 0])
+        bad, why = nonmembers(space, [[0, 1], [1, 1], [0, 0]])
+        np.testing.assert_array_equal(bad, [0])
+        assert why == "has node 1 active but parent 0 inactive"
 
     def test_multi_parent_needs_all_parents(self):
         G = HierarchyDag(3, [(0, 2), (1, 2)])
         space = hierarchy_space(G)
-        assert not is_feasible(space, [1, 0, 1])
-        assert is_feasible(space, [1, 1, 1])
+        np.testing.assert_array_equal(nonmembers(space, [[1, 0, 1], [1, 1, 1]])[0], [0])
 
     def test_assignment_matrix_and_ranks(self):
         # A ranking is its vector of d ranks; a d x d matrix is not one.
         space = assignment_space(3)
-        assert is_feasible(space, [2, 3, 1])
-        assert not is_feasible(space, [1, 1, 3])
+        np.testing.assert_array_equal(nonmembers(space, [[2, 3, 1], [1, 1, 3]])[0], [1])
         with pytest.raises(ValueError, match=r"labels must be an \(n, 3\) array"):
-            is_feasible(space, np.eye(3, dtype=int))
+            nonmembers(space, np.eye(3, dtype=int).reshape(1, -1))
 
     def test_zero_flow_with_zero_inflows(self):
         net = FlowNetwork(3, [(0, 1), (1, 2)], [0.0, 0.0, 0.0])
-        assert is_feasible(flow_space(net), [0.0, 0.0])
+        assert nonmembers(flow_space(net), [[0.0, 0.0]])[0].size == 0
 
     def test_flow_conservation_and_nonnegativity(self):
         net = FlowNetwork(3, [(0, 1), (1, 2)], [1.0, 0.0, -1.0])
         space = flow_space(net)
-        assert is_feasible(space, [1.0, 1.0], 1e-9)
-        assert not is_feasible(space, [1.0, 0.5], 1e-9)
-        assert not is_feasible(space, [-1.0, -1.0], 1e-9)
+        bad, _ = nonmembers(space, [[1.0, 1.0], [1.0, 0.5], [-1.0, -1.0]], 1e-9)
+        np.testing.assert_array_equal(bad, [1, 2])
 
     def test_circulation_invariance_on_cycle(self):
         # Adding flow around a cycle leaves all divergences unchanged.
         net = FlowNetwork(3, [(0, 1), (1, 2), (2, 0), (0, 2)], [0.0, 0.0, 0.0])
         space = flow_space(net)
         y = np.zeros(4)
-        assert is_feasible(space, y, 1e-9)
         circ = np.array([1.0, 1.0, 1.0, 0.0])  # cycle 0->1->2->0
-        for scale in (0.5, 1.0, 7.25):
-            assert is_feasible(space, y + scale * circ, 1e-9)
+        Y = np.array([y + scale * circ for scale in (0.0, 0.5, 1.0, 7.25)])
+        assert nonmembers(space, Y, 1e-9)[0].size == 0
 
     def test_flow_rule_on_paths_mixtures_and_breaks(self, rng):
         net = default_flow_network()
@@ -89,12 +85,13 @@ class TestFeasibility:
         bad, why = nonmembers(space, Y)
         np.testing.assert_array_equal(bad, len(Y) - 3 + np.arange(3))
         assert why.startswith("violates conservation by ")
-        assert [is_feasible(space, y) for y in Y] == [True] * (len(Y) - 3) + [False] * 3
+        # Each row alone gets the verdict it gets in the batch.
+        assert ([nonmembers(space, y[None])[0].size == 0 for y in Y]
+                == [True] * (len(Y) - 3) + [False] * 3)
 
     def test_explicit_membership(self):
         space = explicit_space([[0.0, 1.0], [1.0, 0.0]])
-        assert is_feasible(space, [1.0, 0.0])
-        assert not is_feasible(space, [0.5, 0.5])
+        np.testing.assert_array_equal(nonmembers(space, [[1.0, 0.0], [0.5, 0.5]])[0], [1])
 
 
 def _kahn_order(n, arcs):
@@ -248,7 +245,7 @@ class TestEnumerate:
             inside = np.ones(len(Y), dtype=bool)
             inside[nonmembers(space, Y)[0]] = False
             assert {tuple(y) for y in Y[inside]} == {tuple(p) for p in enumerate_space(space)}
-            assert [is_feasible(space, y) for y in Y] == inside.tolist()
+            assert [nonmembers(space, y[None])[0].size == 0 for y in Y] == inside.tolist()
 
     def test_explicit_returns_own_list(self):
         space = explicit_space([[3.0], [1.0]])
@@ -275,7 +272,7 @@ class TestEnumerate:
                     for y in Y.tolist()]
             assert inside.tolist() == want
             assert {tuple(y) for y in Y[inside]} == keys
-            assert [is_feasible(space, y) for y in Y] == want
+            assert [nonmembers(space, y[None])[0].size == 0 for y in Y] == want
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
