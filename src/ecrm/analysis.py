@@ -13,8 +13,8 @@ prepends the label ``y`` at weight -1 to the training labels at weights
 ``w/rho`` (the losses used here are symmetric in their arguments).  A
 dataset takes one weight solve, one ``infer_batch`` call for the risk
 minima and one per block of ``inference.BLOCK_ROWS`` augmented rows, so
-the surrogate is exact wherever inference is exact.  Explicit finite
-spaces are enumerated.
+the surrogate is exact wherever inference is exact.  An explicit finite
+space takes one ``explicit_risks`` table over its members instead.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import inference
 from .inference import explicit_risks, infer_batch, infer_from_weights
 from .losses import LossSpec, loss_bound, loss_value
-from .model import TrainedModel, risk_from_weights, weights
+from .model import TrainedModel, weights
 from .results import SolverParams
 from .spaces import OutputSpace
 
@@ -49,14 +49,6 @@ class SurrogateConfig:
 
 def make_surrogate_config(rho: float, loss: LossSpec, space: OutputSpace) -> SurrogateConfig:
     return SurrogateConfig(rho=rho, L=loss_bound(loss, space), space=space)
-
-
-def delta(model: TrainedModel, loss: LossSpec, space: OutputSpace, yprime, x,
-          params: SolverParams | None = None) -> float:
-    """Risk margin of a candidate: best risk at ``x`` minus its own risk (<= 0)."""
-    w = weights(model, x)
-    best = infer_from_weights(w, model.labels, loss, space, params)
-    return best.objective - risk_from_weights(w, model.labels, loss, yprime)
 
 
 def realized_loss(model: TrainedModel, loss: LossSpec, space: OutputSpace, x, y,
@@ -161,19 +153,3 @@ def generalization_bound_terms(b: BoundInputs) -> tuple[float, float, float, flo
 def generalization_bound(b: BoundInputs) -> float:
     """High-probability upper bound on the expected risk of the predictor."""
     return generalization_bound_terms(b)[3]
-
-
-def bayes_conditional_risk(sampler, x, loss: LossSpec, space: OutputSpace,
-                           n_mc: int = 20_000, seed: int = 0,
-                           params: SolverParams | None = None) -> float:
-    """Monte-Carlo estimate of the best achievable conditional risk at ``x``.
-
-    ``sampler(x, n, seed)`` must draw ``n`` labels from the conditional law
-    at ``x``.  The expectation is replaced by the empirical mean, so the
-    minimization is a uniform-weight inference problem (convex on
-    continuous spaces since the weights are nonnegative).
-    """
-    labels = np.asarray(sampler(x, n_mc, seed))
-    w = np.full(labels.shape[0], 1.0 / labels.shape[0])
-    result = infer_from_weights(w, labels, loss, space, params)
-    return result.objective

@@ -9,20 +9,20 @@ import numpy as np
 
 from .flow_opt import project_batch
 from .inference import infer_batch
-from .io import Dataset
 from .losses import LossSpec
 from .model import TrainedModel, weights
 from .results import SolverParams
+from .simulate import Dataset
 from .spaces import OutputSpace, nonmembers
 
 
-def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace, x,
-                           k: int, params: SolverParams | None = None) -> np.ndarray:
-    """Minimize, for each query row, the mean loss against its k nearest
-    training samples (squared distance, ties to the smaller index) by one
-    ``infer_batch`` call on the training labels that some row weighs, the
-    kernel predictor's entry point.  One query ``x`` (p,) gives one label, a
-    batch (Q, p) a (Q, d) array.
+def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, x, k: int,
+                           params: SolverParams | None = None) -> np.ndarray:
+    """Minimize over ``dataset.space``, for each query row, the mean loss
+    against its k nearest training samples (squared distance, ties to the
+    smaller index) by one ``infer_batch`` call on the training labels that
+    some row weighs, the kernel predictor's entry point.  One query ``x``
+    (p,) gives one label, a batch (Q, p) a (Q, d) array.
     """
     X = dataset.X
     m = X.shape[0]
@@ -36,7 +36,7 @@ def knn_local_risk_predict(dataset: Dataset, loss: LossSpec, space: OutputSpace,
     # A row's answer depends only on the labels it weighs; training order
     # is kept.
     cols = np.flatnonzero(W.any(axis=0))
-    results = infer_batch(W[:, cols], np.asarray(dataset.Y)[cols], loss, space, params)
+    results = infer_batch(W[:, cols], np.asarray(dataset.Y)[cols], loss, dataset.space, params)
     Y = np.array([r.y_star for r in results])
     return Y if np.ndim(x) == 2 else Y[0]
 

@@ -22,12 +22,12 @@ from .analysis import (BoundInputs, generalization_bound_terms, make_surrogate_c
 from .baselines import knn_local_risk_predict, krr_project_predict_batch
 from .errors import DataFormatError, EcrmError, NumericalError
 from .inference import infer
-from .io import Dataset, fmt
+from .io import fmt
 from .kernels import KernelSpec, kernel_sup_bound
 from .losses import LossSpec, loss_value
 from .model import fit
 from .results import SolverParams
-from .simulate import FlowGeneratorSpec, default_flow_network, simulate_flow_data
+from .simulate import Dataset, FlowGeneratorSpec, default_flow_network, simulate_flow_data
 from .spaces import (assignment_space, flow_space, hierarchy_space, is_totally_unimodular,
                      nonmembers)
 
@@ -296,8 +296,7 @@ def cmd_baseline(args) -> int:
     Xq = _queries(args.x, X_train)
     if args.method == "knn":
         run = partial(knn_local_risk_predict, Dataset(X=X_train, Y=Y_train, space=space),
-                      _loss_from_args(args, space), space, k=args.k,
-                      params=_solver_params(args))
+                      _loss_from_args(args, space), k=args.k, params=_solver_params(args))
     else:
         # One fit; each block only projects.
         model = fit(_kernel_from_args(args), args.lam, X_train, Y_train)

@@ -24,7 +24,7 @@ from .flow_opt import solve_flow_abs_batch, solve_flow_sq_batch
 from .losses import LossSpec, additive_coefficients, loss_value
 from .model import TrainedModel, weights
 from .results import EXACT, InferenceResult, SolverParams
-from .spaces import OutputSpace, enumerate_space
+from .spaces import OutputSpace
 
 # Query rows per block: the command line runs a query file this many rows
 # at a time, so its memory is O(BLOCK_ROWS * m) for m training rows, and
@@ -34,13 +34,13 @@ BLOCK_ROWS = 256
 
 
 def explicit_risks(loss: LossSpec, space: OutputSpace, labels, W):
-    """Members of an explicit space in ``enumerate_space`` order and the
+    """Members of an explicit space in construction order and the
     (Q, members) risks ``sum_i W[q, i] loss(member, labels[i])``.
 
     The member-by-label loss table is built once per batch, evaluating the
     loss once per distinct label row.
     """
-    members = enumerate_space(space)
+    members = [np.asarray(m, dtype=float) for m in space.members]
     distinct, inverse = np.unique(np.asarray(labels), axis=0, return_inverse=True)
     table = np.array([[loss_value(loss, mbr, u) for u in distinct]
                       for mbr in members])[:, inverse.ravel()]
@@ -124,15 +124,3 @@ def infer(model: TrainedModel, loss: LossSpec, space: OutputSpace, x,
     """
     results = infer_batch(weights(model, x), model.labels, loss, space, params)
     return results if np.ndim(x) == 2 else results[0]
-
-
-def brute_force_argmin(space: OutputSpace, objective, cap: int = 1_000_000) -> np.ndarray:
-    """Exhaustive argmin of a callable objective over a discrete space.
-
-    Ties resolve to the lexicographically smallest optimal encoding.
-    """
-    members = enumerate_space(space, cap=cap)
-    best_y, _ = _lex_argmin(members, [float(objective(m)) for m in members])
-    if best_y is None:
-        raise ValueError("space is empty")
-    return np.asarray(best_y)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +30,6 @@ from .hierarchy import HierarchyDag
 from .kernels import KernelSpec
 from .model import INTERCEPT_MODES, TrainedModel, fit, from_factor
 from .spaces import FlowNetwork, OutputSpace, nonmembers
-
-
-@dataclass(frozen=True)
-class Dataset:
-    X: np.ndarray
-    Y: np.ndarray
-    space: OutputSpace
 
 
 def fmt(value) -> str:

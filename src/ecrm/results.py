@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,5 +54,6 @@ class SolverParams:
     def __post_init__(self) -> None:
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be positive")
-        if not (self.step_a > 0 and self.step_b > 0 and self.gap_tol > 0):
-            raise ValueError("step sizes and gap tolerance must be positive")
+        if not (self.step_a > 0 and self.step_b > 0 and self.gap_tol > 0
+                and all(map(math.isfinite, (self.step_a, self.step_b, self.gap_tol)))):
+            raise ValueError("step sizes and gap tolerance must be positive and finite")

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow_opt import enumerate_st_paths
-from .io import Dataset
-from .spaces import FlowNetwork, flow_space
+from .spaces import FlowNetwork, OutputSpace, flow_space
 
 _THETA_STREAM = 0
 _SAMPLE_STREAM = 1
@@ -35,6 +34,15 @@ def default_flow_network() -> FlowNetwork:
     ]
     b = [1.0, 0.0, 0.0, 0.0, 0.0, -1.0]
     return FlowNetwork(n_nodes=6, arcs=arcs, b=b)
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Inputs X (m, p) and labels Y (m, d) of the output space ``space``."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    space: OutputSpace
 
 
 @dataclass(frozen=True)
@@ -114,13 +122,3 @@ def sample_conditional(spec: FlowGeneratorSpec, x, n: int, stream: int = 0) -> n
     for i in range(n):
         out[i] = _path_weights(spec, x, G[i]) @ P
     return out
-
-
-def conditional_sampler(spec: FlowGeneratorSpec):
-    """Adapter matching the ``sampler(x, n, seed)`` protocol of the analysis
-    module."""
-
-    def sampler(x, n, seed):
-        return sample_conditional(spec, x, n, stream=seed)
-
-    return sampler

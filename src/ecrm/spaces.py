@@ -2,9 +2,9 @@
 
 ``nonmembers`` is the one membership rule of every space kind: it takes a
 batch of labels and returns the rows outside the space and why the first
-is.  ``enumerate_space`` and every module that checks labels (losses, the
-flow solvers, the additive model, the file loader and the command line)
-call it; one label is the batch of one row.
+is.  Every module that checks labels (losses, the flow solvers, the
+additive model, the file loader and the command line) calls it; one label
+is the batch of one row.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ import scipy.sparse
 
 from .hierarchy import HierarchyDag, _topological_order
 
-SPACE_KINDS = ("hierarchy", "assignment", "flow_polytope", "explicit_finite")
-
 DEFAULT_CONTINUOUS_TOL = 1e-9
-# Hierarchy candidates generated and checked at a time by enumerate_space.
-_ENUM_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -251,40 +247,3 @@ def is_totally_unimodular(A, size_cap: int = 2_000_000) -> bool | None:
             if np.any(np.abs(np.round(dets)) > 1.5):
                 return False
     return True
-
-
-def enumerate_space(space: OutputSpace, cap: int = 1_000_000) -> list[np.ndarray]:
-    """All members of a discrete space.
-
-    Hierarchies and rankings come in lexicographic order of the encoding;
-    an explicit space keeps its construction order, so argmin callers break
-    ties by comparing member tuples.  Raises when the member count would
-    exceed ``cap`` or the space is continuous.
-    """
-    if space.kind == "explicit_finite":
-        if len(space.members) > cap:
-            raise ValueError(f"space has {len(space.members)} members, cap is {cap}")
-        return [np.asarray(m, dtype=float) for m in space.members]
-    if space.kind == "assignment":
-        d = space.dim
-        if math.factorial(d) > cap:
-            raise ValueError(f"space has {math.factorial(d)} members, cap is {cap}")
-        return [np.array(p, dtype=np.int64) for p in itertools.permutations(range(1, d + 1))]
-    if space.kind == "hierarchy":
-        G = space.hierarchy
-        if G.d > 24:
-            raise ValueError("hierarchy too large to enumerate exhaustively")
-        # Bit i of the counter is coordinate i, most significant first, so
-        # candidates come out in lexicographic order, one block at a time.
-        n, shifts, members, count = 1 << G.d, np.arange(G.d - 1, -1, -1), [], 0
-        for lo in range(0, n, _ENUM_BLOCK):
-            cand = np.arange(lo, min(lo + _ENUM_BLOCK, n), dtype=np.int64)[:, None]
-            cand = (cand >> shifts) & 1
-            feas = np.delete(cand, nonmembers(space, cand)[0], axis=0)
-            count += feas.shape[0]
-            if count <= cap:
-                members.extend(feas)
-        if count > cap:
-            raise ValueError(f"space has {count} members, cap is {cap}")
-        return members
-    raise ValueError(f"cannot enumerate a {space.kind} space")

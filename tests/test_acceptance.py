@@ -350,7 +350,7 @@ def test_criterion_11_flow_feasibility():
             checks.append(infer_from_weights(w, labels, LossSpec("absolute"), flow_space(net),
                                              SolverParams(max_iters=60, restarts=2)).y_star)
     Xq = rng.uniform(size=(5, 5))
-    checks.extend(knn_local_risk_predict(data, LossSpec("absolute"), data.space, Xq, k=5,
+    checks.extend(knn_local_risk_predict(data, LossSpec("absolute"), Xq, k=5,
                                          params=SolverParams(max_iters=60, restarts=2)))
     checks.extend(krr_project_predict_batch(
         fit(KernelSpec("rbf", gamma=0.8), 0.05, data.X, data.Y), data.space, Xq))

@@ -1,12 +1,11 @@
-"""Margin surrogate properties, the generalization bound, and Bayes risk."""
+"""Margin surrogate properties and the generalization bound."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ecrm import (BoundInputs, KernelSpec, LossSpec, SurrogateConfig,
-                  assignment_space, bayes_conditional_risk, delta,
+from ecrm import (BoundInputs, KernelSpec, LossSpec, SurrogateConfig, assignment_space,
                   empirical_surrogate_risk, eval_kernel, explicit_space, fit,
                   generalization_bound, generalization_bound_terms, hierarchy_space,
                   infer, loss_bound, loss_value, make_surrogate_config, realized_loss,
@@ -28,34 +27,6 @@ def _random_explicit_instance(rng, n_members=4, d=2, m=5):
     X = rng.normal(size=(m, 3))
     model = fit(KernelSpec("rbf", gamma=0.8), float(rng.uniform(0.1, 0.6)), X, labels)
     return space, model
-
-
-class TestDelta:
-    def test_zero_at_the_minimizer(self, rng):
-        space, model = _random_explicit_instance(rng)
-        loss = LossSpec("square")
-        x = rng.normal(size=3)
-        yhat = infer(model, loss, space, x).y_star
-        assert abs(delta(model, loss, space, yhat, x)) <= 1e-10
-
-    def test_nonpositive_everywhere(self, rng):
-        space, model = _random_explicit_instance(rng)
-        loss = LossSpec("square")
-        for _ in range(10):
-            x = rng.normal(size=3)
-            yp = space.members[int(rng.integers(len(space.members)))]
-            assert delta(model, loss, space, yp, x) <= 1e-10
-
-    def test_matches_enumeration(self, rng):
-        from ecrm.model import risk_from_weights
-        space, model = _random_explicit_instance(rng)
-        loss = LossSpec("absolute")
-        x = rng.normal(size=3)
-        w = weights(model, x)
-        risks = [risk_from_weights(w, model.labels, loss, m) for m in space.members]
-        yp = space.members[2]
-        expect = min(risks) - risks[2]
-        assert delta(model, loss, space, yp, x) == pytest.approx(expect, abs=1e-10)
 
 
 class TestSurrogateProperties:
@@ -397,37 +368,3 @@ class TestGeneralizationBound:
         with pytest.raises(ValueError):
             BoundInputs(empirical_risk=0.0, L=1.0, kappa=1.0, lam=1.0, rho=1.0,
                         delta=1.5, m=10)
-
-
-class TestBayesConditionalRisk:
-    def test_deterministic_generator_reaches_zero(self):
-        from ecrm import FlowGeneratorSpec, conditional_sampler, flow_space
-        spec = FlowGeneratorSpec.create(seed=5, tau=0.0, p=4)
-        space = flow_space(spec.network)
-        x = np.full(4, 0.3)
-        val = bayes_conditional_risk(conditional_sampler(spec), x,
-                                     LossSpec("absolute"), space, n_mc=50, seed=1)
-        assert val <= 1e-10
-
-    def test_fair_coin_zero_one_risk_is_half(self):
-        space = explicit_space([[-1.0], [1.0]])
-
-        def sampler(x, n, seed):
-            rng = np.random.default_rng([seed, 99])
-            return rng.choice([-1.0, 1.0], size=(n, 1))
-
-        val = bayes_conditional_risk(sampler, None, LossSpec("zero_one"), space,
-                                     n_mc=20_000, seed=3)
-        assert val == pytest.approx(0.5, abs=0.02)
-
-    def test_flow_generator_stable_across_mc_streams(self):
-        from ecrm import FlowGeneratorSpec, SolverParams, conditional_sampler, flow_space
-        spec = FlowGeneratorSpec.create(seed=11, tau=1.0, p=6)
-        space = flow_space(spec.network)
-        x = np.full(6, 0.75)
-        params = SolverParams(max_iters=150, restarts=2)
-        vals = [bayes_conditional_risk(conditional_sampler(spec), x,
-                                       LossSpec("absolute"), space, n_mc=4000, seed=s,
-                                       params=params)
-                for s in range(4)]
-        assert np.std(vals) <= 0.05 * max(np.mean(vals), 1e-9)

@@ -547,6 +547,19 @@ class TestFlowPredict:
             y = np.array([float(t) for t in line.split()])
             assert flow_residual(net, y) <= 1e-9
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iters", "0"), ("--restarts", "0"), ("--step-b", "0"), ("--gap-tol", "-1"),
+        ("--step-a", "inf"), ("--step-a", "nan"), ("--step-b", "inf"), ("--gap-tol", "inf")])
+    def test_bad_solver_setting_is_usage_error(self, flow_fixture, flag, value):
+        # A non-finite step would make every descent objective NaN, and an
+        # infinite gap tolerance would stop every projection at its first
+        # vertex; each is refused like a nonpositive setting.
+        tmp_path, net, net_path, out = flow_fixture
+        r = run_cli("predict", "--model", out, "--x", tmp_path / "x.txt", "--space", "flow",
+                    "--network", net_path, "--loss", "absolute", flag, value)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+
     def test_square_loss_predict_matches_library(self, flow_fixture):
         from ecrm import LossSpec, flow_space, infer
         from ecrm.io import fmt, load_model

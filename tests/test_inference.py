@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecrm import (HierarchyDag, KernelSpec, LossSpec, assignment_cost,
-                  assignment_space, brute_force_argmin, explicit_space, fit,
+                  assignment_space, explicit_space, fit,
                   hierarchy_space, infer, infer_batch, infer_from_weights,
                   solve_assignment, solve_hierarchy, weights)
 from ecrm.closure import _solve_dinic
@@ -292,22 +292,6 @@ class TestInferDispatch:
                                  hierarchy_space(G2))
                      for H in (HierarchyDag(4, G2.arcs), G2))
         assert [r.y_star.tolist() for r in got] == [r.y_star.tolist() for r in want]
-
-
-class TestBruteForce:
-    def test_singleton_space(self):
-        space = explicit_space([[2.0, 3.0]])
-        y = brute_force_argmin(space, lambda y: 1.0)
-        np.testing.assert_array_equal(y, [2.0, 3.0])
-
-    def test_lexicographic_ties(self):
-        space = explicit_space([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        y = brute_force_argmin(space, lambda y: 0.0)
-        np.testing.assert_array_equal(y, [0.0, 0.0])
-
-    def test_cap_exceeded(self):
-        with pytest.raises(ValueError):
-            brute_force_argmin(assignment_space(9), lambda y: 0.0, cap=1000)
 
 
 class TestInferBatch:

@@ -109,7 +109,7 @@ class TestKnnBaseline:
         data, loss, Xq = knn_instance(rng, "absolute")
         try:
             ecrm.baselines.infer_batch = spy
-            knn_local_risk_predict(data, loss, data.space, Xq, k=3,
+            knn_local_risk_predict(data, loss, Xq, k=3,
                                    params=SolverParams(max_iters=30, restarts=1))
         finally:
             ecrm.baselines.infer_batch = original
@@ -128,7 +128,7 @@ class TestKnnBaseline:
         loss = LossSpec("absolute")
         params = SolverParams(max_iters=80, restarts=2)
         x = np.full(4, 0.5)
-        got = knn_local_risk_predict(data, loss, data.space, x, k=12, params=params)
+        got = knn_local_risk_predict(data, loss, x, k=12, params=params)
         # Uniform weights over all samples, on the labels in training order.
         ref = infer_from_weights(np.full(12, 1 / 12), data.Y, loss, data.space, params)
         np.testing.assert_array_equal(got, ref.y_star)
@@ -142,11 +142,11 @@ class TestKnnBaseline:
         # last bits; tied assignment optima may then differ, at equal risk.
         data, loss, Xq = knn_instance(rng, kind)
         params = SolverParams(max_iters=40, restarts=2)
-        Y = knn_local_risk_predict(data, loss, data.space, Xq, k=3, params=params)
+        Y = knn_local_risk_predict(data, loss, Xq, k=3, params=params)
         W = knn_weights(data.X, Xq, 3)
         full = [r.y_star for r in infer_batch(W, data.Y, loss, data.space, params)]
         for q, x in enumerate(Xq):
-            one = knn_local_risk_predict(data, loss, data.space, x, k=3, params=params)
+            one = knn_local_risk_predict(data, loss, x, k=3, params=params)
             for ref in (one, full[q]):
                 if kind == "hierarchy":
                     assert Y[q].tobytes() == ref.tobytes() and Y.dtype == ref.dtype
@@ -162,7 +162,7 @@ class TestKnnBaseline:
         spec = FlowGeneratorSpec.create(seed=7, tau=1.0, p=4)
         data = simulate_flow_data(spec, 20)
         x = data.X[13] + 1e-9
-        got = knn_local_risk_predict(data, LossSpec("absolute"), data.space, x, k=1,
+        got = knn_local_risk_predict(data, LossSpec("absolute"), x, k=1,
                                      params=SolverParams(max_iters=60, restarts=2))
         np.testing.assert_allclose(got, data.Y[13], atol=1e-12)
 
@@ -171,7 +171,7 @@ class TestKnnBaseline:
         data = simulate_flow_data(spec, 6)
         x = np.full(4, 0.3)
         loss = LossSpec("square")
-        got = knn_local_risk_predict(data, loss, data.space, x, k=3)
+        got = knn_local_risk_predict(data, loss, x, k=3)
         dist = np.einsum("ip,ip->i", data.X - x, data.X - x)
         order = np.lexsort((np.arange(6), dist))[:3]
         mean = data.Y[order].mean(axis=0)
@@ -181,8 +181,7 @@ class TestKnnBaseline:
         spec = FlowGeneratorSpec.create(seed=6, tau=1.0, p=4)
         data = simulate_flow_data(spec, 5)
         with pytest.raises(ValueError):
-            knn_local_risk_predict(data, LossSpec("absolute"), data.space,
-                                   np.zeros(4), k=6)
+            knn_local_risk_predict(data, LossSpec("absolute"), np.zeros(4), k=6)
 
 
 class TestKrrProjectBaseline:

@@ -1,17 +1,16 @@
-"""Output spaces: constraint builders, feasibility, TU checks, enumeration."""
+"""Output spaces: constraint builders, feasibility, TU checks, membership rules."""
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from ecrm import (FlowNetwork, HierarchyDag, assignment_constraint_matrix, assignment_space,
-                  default_flow_network, enumerate_space, enumerate_st_paths, explicit_space,
+                  default_flow_network, enumerate_st_paths, explicit_space,
                   flow_space, hierarchy_constraint_matrix, hierarchy_space,
                   is_totally_unimodular)
-from ecrm.spaces import _ENUM_BLOCK, flow_residual, flow_residuals, nonmembers
+from ecrm.spaces import flow_residual, flow_residuals, nonmembers
 from conftest import random_dag, random_tree
 
 
@@ -225,18 +224,9 @@ class TestTotallyUnimodular:
 
 
 class TestEnumerate:
-    def test_two_chain(self):
-        space = hierarchy_space(HierarchyDag(2, [(0, 1)]))
-        got = [tuple(y) for y in enumerate_space(space)]
-        assert got == [(0, 0), (1, 0), (1, 1)]
-
     def test_assignment_count_and_order(self):
-        space = assignment_space(3)
-        perms = enumerate_space(space)
-        assert len(perms) == math.factorial(3)
-        assert [tuple(p) for p in perms] == sorted(tuple(p) for p in perms)
         # Of every vector in {1..d}^d, and of ones with a fractional or NaN
-        # rank, the batched rule accepts exactly the enumerated permutations.
+        # rank, the batched rule accepts exactly the d! permutations.
         for d in range(1, 5):
             space = assignment_space(d)
             Y = np.array(list(itertools.product(range(1, d + 1), repeat=d)), dtype=float)
@@ -244,71 +234,27 @@ class TestEnumerate:
                            np.r_[np.arange(1.0, d), np.nan]])
             inside = np.ones(len(Y), dtype=bool)
             inside[nonmembers(space, Y)[0]] = False
-            assert {tuple(y) for y in Y[inside]} == {tuple(p) for p in enumerate_space(space)}
+            assert inside.sum() == math.factorial(d)
+            assert ({tuple(y) for y in Y[inside]}
+                    == set(itertools.permutations(range(1, d + 1))))
             assert [nonmembers(space, y[None])[0].size == 0 for y in Y] == inside.tolist()
-
-    def test_explicit_returns_own_list(self):
-        space = explicit_space([[3.0], [1.0]])
-        got = [tuple(y) for y in enumerate_space(space)]
-        assert got == [(3.0,), (1.0,)]
 
     def test_all_outputs_feasible_no_duplicates(self, rng):
         # A forest, a diamond and random multi-parent DAGs: of every vector
-        # in {0, 1, 2}^d, the batched rule accepts exactly the enumerated
-        # members, and those are the 0/1 vectors whose active nodes have all
-        # of their parents active.
+        # in {0, 1, 2}^d, the batched rule accepts exactly the 0/1 vectors
+        # whose active nodes have all of their parents active.
         graphs = [HierarchyDag(6, [(0, 1), (0, 2), (3, 4), (4, 5)]),
                   HierarchyDag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])]
         graphs += [random_dag(rng, int(rng.integers(3, 7)), extra=2) for _ in range(5)]
         for G in graphs:
             space = hierarchy_space(G)
-            members = enumerate_space(space)
-            keys = {tuple(y) for y in members}
-            assert len(keys) == len(members)
             Y = np.array(list(itertools.product((0, 1, 2), repeat=G.d)))
             inside = np.ones(len(Y), dtype=bool)
             inside[nonmembers(space, Y)[0]] = False
             want = [set(y) <= {0, 1} and all(y[p] >= y[c] for p, c in G.arcs)
                     for y in Y.tolist()]
             assert inside.tolist() == want
-            assert {tuple(y) for y in Y[inside]} == keys
             assert [nonmembers(space, y[None])[0].size == 0 for y in Y] == want
-
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            enumerate_space(assignment_space(8), cap=100)
-
-    def test_hierarchy_blocks_keep_order_and_cap(self, rng):
-        # Over several blocks of candidates, the members and their order are
-        # those of the whole candidate table, and the cap error counts them all.
-        G = random_dag(rng, 16, extra=4)
-        assert 1 << G.d > 2 * _ENUM_BLOCK
-        cand = (np.arange(1 << G.d)[:, None] >> np.arange(G.d - 1, -1, -1)) & 1
-        space = hierarchy_space(G)
-        want = np.delete(cand, nonmembers(space, cand)[0], axis=0)
-        got = enumerate_space(space)
-        assert all(y.dtype == np.int64 for y in got)
-        np.testing.assert_array_equal(np.array(got), want)
-        with pytest.raises(ValueError, match=f"space has {len(want)} members, cap is 5$"):
-            enumerate_space(space, cap=5)
-
-    def test_twenty_node_chain_in_bounded_memory(self):
-        # 2^20 candidates and 21 members.  The whole candidate table and its
-        # checks would take ~240 MB; block by block they take a few MB.
-        space = hierarchy_space(HierarchyDag(20, [(j, j + 1) for j in range(19)]))
-        tracemalloc.start()
-        try:
-            members = enumerate_space(space)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-        assert [y.tolist() for y in members] == [[1] * k + [0] * (20 - k) for k in range(21)]
-
-    def test_continuous_rejected(self):
-        net = FlowNetwork(2, [(0, 1)], [1.0, -1.0])
-        with pytest.raises(ValueError):
-            enumerate_space(flow_space(net))
 
     def test_duplicate_members_rejected(self):
         with pytest.raises(ValueError):
