@@ -115,9 +115,14 @@ def _loss_from_args(args, space) -> LossSpec:
 
 
 def _solver_params(args) -> SolverParams:
-    return SolverParams(max_iters=args.max_iters, step_a=args.step_a,
-                        step_b=args.step_b, gap_tol=args.gap_tol,
-                        restarts=args.restarts, seed=args.seed)
+    try:
+        return SolverParams(max_iters=args.max_iters, step_a=args.step_a,
+                            step_b=args.step_b, gap_tol=args.gap_tol,
+                            restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        # The message starts with the field, which the flag spells with dashes.
+        field, rest = str(exc).split(" ", 1)
+        raise ValueError(f"--{field.replace('_', '-')} {rest}") from None
 
 
 def _blocks(run, X, x_path, m, *aligned):

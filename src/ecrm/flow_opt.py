@@ -2,20 +2,24 @@
 
 The polytope of nonnegative conserving flows on an acyclic network with a
 single unit source and sink is the convex hull of its s-t path indicator
-vectors.  Everything here works in that vertex representation: the linear
-minimization oracle is a scan over the enumerated paths, and one routine,
-Wolfe's min-norm-point method over path atoms, computes every Euclidean
-projection.  It stops when the Frank-Wolfe duality gap reaches the
-tolerance, and its iterates are convex combinations of paths, hence
-feasible to machine precision.  The square-loss solver projects all its
-mixed-sign rows in one such call; the L1 solver is projected subgradient
-descent whose every step is one, warm-started from the previous step's
-paths.  What depends only on the network and the batch is built once per
-solve: the padded path matrix with its rank and length bounds, and the L1
-breakpoints with their index arrays.  A step builds only what moves with
-its point: the path scores, the rounding bound, the bordered systems of
-its minor cycles and the corral state.  Frank-Wolfe gaps are reported by
-a separate pass, which only the callers that return them run.
+vectors.  Two routines compute Euclidean projections onto it.
+
+Wolfe's min-norm-point method over path atoms makes the cold projections
+that carry certificates: the square-loss solver's mixed-sign rows and
+``project_batch``.  It stops when the Frank-Wolfe duality gap reaches the
+tolerance, and its points are convex combinations of paths, hence exact
+vertices where the projection is one.  Frank-Wolfe gaps are reported by a
+separate pass, which only those callers run.
+
+The L1 solver is projected subgradient descent, and each of its steps is
+projected by a semismooth Newton method on the dual over node potentials,
+``_project_newton``, which walks no paths.  It runs on a reduced network,
+built once per solve by ``_flow_system``: arcs on no s-t path are dropped
+and chains of one-in, one-out nodes become single arcs.  Each row carries
+its potentials from one step to the next, and its points conserve flow to
+rounding.  What else depends only on the network and the batch is built
+once per solve too: the L1 breakpoints with their index arrays, and the
+paths the start points and the subgradient bound use.
 
 On a path both risks are linear, with arc costs ``c = sum_i w_i - 2 w.labels``,
 so every vertex answer of the solvers is the cheapest path, found by one
@@ -43,9 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .results import EXACT, Certificate, HEURISTIC, SolverParams
-from .spaces import FlowNetwork, flow_space, nonmembers
+from .spaces import DEFAULT_CONTINUOUS_TOL, FlowNetwork, flow_space, nonmembers
 
-_PROJECT_TOL = 1e-11
 # Major plus minor cycles of one row of a square-loss projection.
 _PROJECT_CYCLES = 10_000
 _PATH_CAP = 100_000
@@ -144,7 +147,7 @@ def _path_atoms(P) -> _PathAtoms:
     return _PathAtoms(P, PX, cap, lengths, L * L * np.finfo(float).eps)
 
 
-def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
+def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf):
     """Wolfe's min-norm-point method for ``scale_q * ||theta P - z_q||^2``
     over the simplex, batched over the rows of Z (Wolfe, "Finding the
     nearest point in a polytope", Math. Programming 11, 1976).
@@ -180,10 +183,9 @@ def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, cor
     matrix and the bounds of ``_path_atoms``.  Built on every call: ``Z
     P'``, the rounding bound of each row, one bordered system per row,
     whose every cycle overwrites all but the zero corner and the last
-    right-hand side entry, 1, and the working state.  ``corral`` is a
-    previous call's ``(S, lam)`` to warm-start from; cold rows start at
-    their nearest path.  Returns ``(Y, S, lam)``: the points ``Y = lam
-    P[S]`` and their corrals; ``_fw_gaps`` reports their gaps.
+    right-hand side entry, 1, and the working state.  Every row starts at
+    its nearest path.  Returns ``(Y, S, lam)``: the points ``Y = lam P[S]``
+    and their corrals; ``_fw_gaps`` reports their gaps.
     """
     P, PX, cap = atoms.P, atoms.PX, atoms.cap
     (Q, a), K = Z.shape, P.shape[0]
@@ -194,13 +196,10 @@ def _min_norm_point(atoms: _PathAtoms, Z, scale, gap_tol, max_cycles=np.inf, cor
     # of size at most 1 + |z|.  A vertex that wins by less may lie on the
     # corral's affine hull, where the bordered system is singular.
     noise = atoms.noise * (1.0 + np.abs(Z).max(axis=1, initial=0.0))
-    if corral is None:
-        S = np.tile(K + slots, (Q, 1))
-        lam = np.zeros((Q, cap))
-        S[:, 0] = np.argmin(atoms.lengths - 2.0 * ZP[:, :K], axis=1)
-        lam[:, 0] = 1.0
-    else:
-        S, lam = (np.array(v) for v in corral)
+    S = np.tile(K + slots, (Q, 1))
+    lam = np.zeros((Q, cap))
+    S[:, 0] = np.argmin(atoms.lengths - 2.0 * ZP[:, :K], axis=1)
+    lam[:, 0] = 1.0
     M, rhs = np.zeros((Q, cap + 1, cap + 1)), np.ones((Q, cap + 1, 1))
     # Working state of the unfinished rows; a row that finishes is written
     # back to S and lam and leaves it.
@@ -287,6 +286,203 @@ def _fw_gaps(atoms: _PathAtoms, Z, scale, Y, S, lam):
     scores[:, :K] -= ZP[:, :K]
     ys = np.einsum("qc,qc->q", lam, np.take_along_axis(scores, S, axis=1))
     return 2.0 * np.asarray(scale, dtype=float) * (ys - scores[:, :K].min(axis=1))
+
+
+class _FlowSystem(NamedTuple):
+    """The reduced network of ``_project_newton``, built once per L1 solve
+    by ``_flow_system``.  An arc on no s-t path carries no feasible flow
+    and is dropped.  A chain through nodes other than s and t with one arc
+    in and one out is one super-arc of ``k`` arcs that all carry its value
+    u, at squared distance ``k (u - zbar)^2`` plus a constant from z, with
+    ``zbar`` their mean of z.  The sink's potential is 0; the other n' - 1
+    nodes have one each.
+
+    ``order`` lists the arcs of the super-arcs, each from its offset in
+    ``starts``; ``lengths`` holds the k; ``arc_of`` maps an arc to its
+    super-arc, a dropped arc to a'.  ``incidence`` is the (n' - 1, a')
+    node-arc incidence, +1 at the tail, -1 at the head, no sink row;
+    ``source`` is s's row.  An active super-arc adds ``entries[c]``,
+    ``+-1 / k``, at the flat indices ``slots[c]`` of the (n' - 1)^2
+    Laplacian (both (4, a'); an empty slot adds 0 at index 0).  ``degree``
+    is the most super-arcs at one node."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    arc_of: np.ndarray
+    incidence: np.ndarray
+    source: int
+    slots: np.ndarray
+    entries: np.ndarray
+    degree: int
+
+
+def _flow_system(net: FlowNetwork) -> _FlowSystem:
+    if not net.is_acyclic:
+        raise ValueError("flow projection requires an acyclic network")
+    s, t = net.unit_endpoints()
+    order = net.topological_order()
+    from_s, to_t = np.zeros(net.n_nodes, dtype=bool), np.zeros(net.n_nodes, dtype=bool)
+    from_s[s] = to_t[t] = True
+    for u in order:
+        for _, v in net.out_arcs[u]:
+            from_s[v] |= from_s[u]
+    for u in reversed(order):
+        to_t[u] |= any(to_t[v] for _, v in net.out_arcs[u])
+    if not to_t[s]:
+        raise ValueError("network has no source-sink path")
+    out = [[(a, v) for a, v in net.out_arcs[u] if to_t[v]] if from_s[u] else []
+           for u in range(net.n_nodes)]
+    n_in = np.bincount([v for arcs in out for _, v in arcs], minlength=net.n_nodes)
+    series = [u not in (s, t) and n_in[u] == 1 and len(out[u]) == 1
+              for u in range(net.n_nodes)]
+    chains = []
+    for u in order:
+        if not series[u]:
+            for a, v in out[u]:
+                arcs = [a]
+                while series[v]:
+                    (a, v), = out[v]
+                    arcs.append(a)
+                chains.append((u, v, arcs))
+    nodes = sorted({u for u, _, _ in chains} | {v for _, v, _ in chains} - {t}) + [t]
+    row = {u: i for i, u in enumerate(nodes)}
+    n1, A = len(nodes) - 1, len(chains)
+    arc_of = np.full(net.n_arcs, A)
+    incidence = np.zeros((n1 + 1, A))
+    slots, signs = np.zeros((4, A), dtype=np.intp), np.zeros((4, A))
+    for e, (u, v, arcs) in enumerate(chains):
+        arc_of[arcs] = e
+        i, j = row[u], row[v]
+        incidence[i, e], incidence[j, e] = 1.0, -1.0
+        touched = [(i, i, 1.0)] + ([(j, j, 1.0), (i, j, -1.0), (j, i, -1.0)] if j < n1 else [])
+        for c, (x, y, sign) in enumerate(touched):
+            slots[c, e], signs[c, e] = x * n1 + y, sign
+    sizes = [len(arcs) for _, _, arcs in chains]
+    k = np.array(sizes, dtype=float)
+    return _FlowSystem(np.concatenate([arcs for _, _, arcs in chains]),
+                       np.cumsum([0] + sizes[:-1]), k, arc_of, incidence[:n1], row[s], slots,
+                       signs / k, int(np.abs(incidence).sum(axis=1).max()))
+
+
+# A descent step longer than _STEP_MAX is refused: the projection squares it.
+_STEP_MAX = 1e150
+# The ridge of the Newton systems, the Newton steps a row may take, the
+# halvings of one step, and the share of the predicted rise it must reach.
+_NEWTON_RIDGE = 1e-12
+_NEWTON_ITERS = 200
+_HALVINGS = 60
+_ARMIJO = 1e-4
+_EPS = np.finfo(float).eps
+
+
+def _dual(system: _FlowSystem, p, zbar):
+    """The projection's dual at the potentials p of each row: the super-arc
+    arguments ``r = zbar + N'p / k``, whose positive part is the point u;
+    the conservation residual ``g = b - N u``, the gradient; the dual value
+    ``p_s - sum_e k_e u_e^2 / 2`` (a constant dropped); and the size of its
+    terms, for the rounding slack.  ``p @ N`` is exact in any order, as
+    each column of N holds one +1 and at most one -1."""
+    r = p @ system.incidence
+    r /= system.lengths
+    r += zbar
+    u = np.maximum(r, 0.0)
+    half = 0.5 * np.einsum("qe,qe->q", u * system.lengths, u)
+    g = -np.einsum("ie,qe->qi", system.incidence, u)
+    g[:, system.source] += 1.0
+    ps = p[:, system.source]
+    return r, g, ps - half, np.abs(ps) + half
+
+
+def _project_newton(system: _FlowSystem, Z, pi):
+    """Euclidean projection of each row of Z onto the flow polytope ``{y >=
+    0, N y = b}`` by a semismooth Newton method on its dual over node
+    potentials (Qi & Sun, "A nonsmooth version of Newton's method", Math.
+    Programming 58, 1993), started from the potentials ``pi``.
+
+    On ``system``'s reduced network the point of potentials p is ``u =
+    max(0, zbar + N'p / k)``, and the dual, ``p_s - sum_e k_e u_e^2 / 2``,
+    is concave with gradient ``b - N u``.  A Newton step solves ``(N D N'
+    + ridge I) d = b - N u`` with D the ``1 / k`` of the active super-arcs,
+    u > 0: the Laplacian of the active arcs.  Where they leave s cut off
+    from t the ridge alone holds d, which is then huge; so the first trial
+    step moves no argument by more than ``1 + max |zbar|``, as far as a
+    cold start's arguments need to go.  The trial is halved until the dual
+    rises by ``_ARMIJO`` of the predicted rise, less a rounding slack.  A
+    row stops once ``|b - N u|`` is within the rounding bound ``4 degree
+    eps (1 + max |zbar|)`` at every node; the sink's residual is then at
+    most n' - 1 times that.
+
+    The Laplacians are summed by one ``bincount`` in row order, each is
+    factored on its own by ``np.linalg.solve``, and the other sums are
+    fixed-order einsums or exact, so a row's arithmetic never depends on
+    its batch.
+
+    Returns ``(Y, pi, ok)``.  A row is ok when it stopped so within
+    ``_NEWTON_ITERS`` steps and its bound lets the sink conserve to
+    ``DEFAULT_CONTINUOUS_TOL``.  A row that is not ok keeps its ``pi`` and
+    a zero Y, so that the caller keeps its previous point.
+    """
+    Q, (n1, A) = Z.shape[0], system.incidence.shape
+    k = system.lengths
+    zbar = np.add.reduceat(Z[:, system.order], system.starts, axis=1) / k
+    span = 1.0 + np.abs(zbar).max(axis=1)
+    bound = 4.0 * system.degree * _EPS
+    P, U, ok = np.array(pi, dtype=float), np.zeros((Q, A + 1)), np.zeros(Q, dtype=bool)
+    ids = np.flatnonzero(n1 * bound * span <= DEFAULT_CONTINUOUS_TOL)
+    # Per unfinished row: its potentials, zbar and span, then the dual there.
+    rows = (P[ids], zbar[ids], span[ids])
+    dual = _dual(system, *rows[:2])
+    flat = (np.arange(ids.size) * (n1 * n1))[:, None, None] + system.slots
+    ridge = _NEWTON_RIDGE * np.eye(n1)
+    for it in range(_NEWTON_ITERS + 1):
+        done = np.abs(dual[1]).max(axis=1) <= bound * rows[2]
+        if done.any():
+            P[ids[done]], ok[ids[done]] = rows[0][done], True
+            U[ids[done], :A] = np.maximum(dual[0][done], 0.0)
+            if done.all():
+                break
+            ids, rows, dual = _keep(~done, ids, rows, dual)
+        if not ids.size or it == _NEWTON_ITERS:
+            break
+        (p, zb, reach), (r, g, theta, size) = rows, dual
+        active = (r > 0.0)[:, None, :] * system.entries
+        H = np.bincount(flat[:ids.size].ravel(), active.ravel(), minlength=ids.size * n1 * n1)
+        H = H.reshape(ids.size, n1, n1)
+        H += ridge
+        d = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        rise = np.einsum("qi,qi->q", g, d)
+        move = np.abs((d @ system.incidence) / k).max(axis=1)
+        step = reach / np.maximum(move, reach)
+        # The rows still looking for a step; at first, all of them.
+        q, trial = slice(None), p + step[:, None] * d
+        for _ in range(_HALVINGS):
+            new = _dual(system, trial, zb[q])
+            accept = (new[2] - theta[q]
+                      >= _ARMIJO * step[q] * rise[q] - 8.0 * _EPS * (size[q] + new[3]))
+            if isinstance(q, slice):
+                if accept.all():
+                    rows, dual = (trial, zb, reach), new
+                    break
+                q = np.arange(ids.size)
+            p[q[accept]] = trial[accept]
+            for old, v in zip(dual, new):
+                old[q[accept]] = v[accept]
+            q = q[~accept]
+            if not q.size:
+                break
+            step[q] *= 0.5
+            trial = p[q] + step[q, None] * d[q]
+        else:
+            # No trial raised the dual: the row leaves, not ok.
+            stay = np.ones(ids.size, dtype=bool)
+            stay[q] = False
+            ids, rows, dual = _keep(stay, ids, rows, dual)
+    return U[:, system.arc_of], P, ok
+
+
+def _keep(mask, ids, *groups):
+    return ids[mask], *(tuple(v[mask] for v in group) for group in groups)
 
 
 def _solver_inputs(W, labels, net: FlowNetwork, params: SolverParams | None):
@@ -423,7 +619,7 @@ def _l1_obj_grad(keys, ends, CW, CWY, shift, top, Y):
     return np.cumsum(terms, axis=1)[:, -1], G
 
 
-def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
+def _l1_descent(W, labels, net: FlowNetwork, P, path, path_obj, params: SolverParams):
     """Projected subgradient descent on the L1 risk of the rows of W, then
     the feasible candidates: the best path ``path`` of each row, of risk
     ``path_obj``, and every training label the row weighs: no zero-weight
@@ -432,7 +628,10 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
     weights read: it stays ``-inf`` when the batch has none.
 
     Built once here for every step: the breakpoints with their index
-    arrays and the projection's path atoms."""
+    arrays and the projection's reduced network.  Each row carries its
+    node potentials from one projection to the next, and keeps its point
+    where a projection is not ok.  A step that moves a flow by more than
+    ``_STEP_MAX`` raises ValueError: the projection squares it."""
     Q, K = W.shape[0], P.shape[0]
     breakpoints, costs = _l1_breakpoints(W, labels)
     np.copyto(costs, np.inf, where=W == 0.0)
@@ -440,7 +639,7 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
     cand_obj = costs[np.arange(Q), cand]
     del costs
     bound = np.all(W >= 0.0, axis=1).any()
-    atoms = _path_atoms(P)
+    system = _flow_system(net)
 
     # Start points: the mean of all paths, then seeded random paths.
     starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
@@ -459,7 +658,7 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
 
     for y0 in starts:
         Y = np.tile(y0, (Q, 1))
-        corral = None
+        pi = np.zeros((Q, system.incidence.shape[0]))
         # max_iters steps; the last pass only evaluates the final iterate.
         for t in range(params.max_iters + 1):
             obj, G = _l1_obj_grad(*breakpoints, Y)
@@ -472,10 +671,12 @@ def _l1_descent(W, labels, P, path, path_obj, params: SolverParams):
             if t == params.max_iters:
                 break
             eta = params.step_a / (1.0 + params.step_b * t)
-            # Exact projection of the step, warm-started from the last corral.
-            Y, S, lam = _min_norm_point(atoms, Y - eta * G, 1.0, _PROJECT_TOL,
-                                        corral=corral)
-            corral = (S, lam)
+            reach = eta * float(np.abs(G).max(initial=0.0))
+            if not reach <= _STEP_MAX:
+                raise ValueError(f"step size {eta:.6g} overflows the L1 flow descent: at step {t} "
+                                 f"it moves a flow by {reach:.3g}, more than {_STEP_MAX:.0e}")
+            Z, pi, ok = _project_newton(system, Y - eta * G, pi)
+            Y = Z if ok.all() else np.where(ok[:, None], Z, Y)
 
     # The candidates are kept where strictly better, after the iterates.
     # They snap exact optima that subgradient steps only approach, e.g.
@@ -489,10 +690,10 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     """Projected subgradient descent on ``sum_i w_i ||y - y_i||_1``, batched
     over query weight rows.
 
-    Feasibility is maintained by an exact min-norm-point projection after
-    every step, warm-started from the previous step's paths, so iterates are
-    always convex combinations of path vertices.  The best path and every
-    training label the row weighs are candidates too.
+    Feasibility is maintained by an exact Euclidean projection after every
+    step, a Newton method on node potentials warm-started from the previous
+    step's, so every iterate conserves flow to rounding.  The best path and
+    every training label the row weighs are candidates too.
     Returns ``(Y, objectives, certificates)`` with one row/entry per query.
     For rows with nonnegative weights the objective is convex and the
     certificate carries the achieved duality gap from the subgradient lower
@@ -510,7 +711,7 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     if live.any():
         # A boolean index copies; with every row live, W itself serves.
         best_Y[live], best_obj[live], best_lb[live] = _l1_descent(
-            W if live.all() else W[live], labels, P, best_Y[live], best_obj[live], params)
+            W if live.all() else W[live], labels, net, P, best_Y[live], best_obj[live], params)
     nonneg = np.all(W >= 0.0, axis=1)
     certs = [EXACT if not lv else Certificate("gap", gap=float(max(0.0, f - lb))) if nn
              else HEURISTIC for lv, nn, f, lb in zip(live, nonneg, best_obj, best_lb)]

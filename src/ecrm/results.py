@@ -52,8 +52,11 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be positive")
-        if not (self.step_a > 0 and self.step_b > 0 and self.gap_tol > 0
-                and all(map(math.isfinite, (self.step_a, self.step_b, self.gap_tol)))):
-            raise ValueError("step sizes and gap tolerance must be positive and finite")
+        # Each message starts with the one field it rejects.
+        for name in ("max_iters", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("step_a", "step_b", "gap_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")

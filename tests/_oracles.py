@@ -335,3 +335,65 @@ def wolfe_min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
     ys = np.einsum("qc,qc->q", lam, np.take_along_axis(scores, S, axis=1))
     gaps = scale2 * (ys - scores[:, :K].min(axis=1))
     return Y, S, lam, gaps
+
+
+# The L1 descent as written when every step was one warm-started call of
+# the min-norm-point projection above.  It reads the L1 risk through the
+# solver's breakpoint evaluator, which ``tests/test_flow_opt.py`` checks
+# bit for bit against ``l1_obj_grad_per_arc``.
+def wolfe_l1_descent(W, labels, P, path, path_obj, params):
+    """Projected subgradient descent on the L1 risk of the rows of W, then
+    the feasible candidates: the best path ``path`` of each row, of risk
+    ``path_obj``, and every training label the row weighs: no zero-weight
+    label is a candidate.  Returns the best point of each row, its risk and
+    the best subgradient lower bound, which only rows with nonnegative
+    weights read: it stays ``-inf`` when the batch has none."""
+    from ecrm.flow_opt import _l1_breakpoints, _l1_obj_grad
+    Q, K = W.shape[0], P.shape[0]
+    breakpoints, costs = _l1_breakpoints(W, labels)
+    np.copyto(costs, np.inf, where=W == 0.0)
+    cand = costs.argmin(axis=1)
+    cand_obj = costs[np.arange(Q), cand]
+    del costs
+    bound = np.all(W >= 0.0, axis=1).any()
+
+    # Start points: the mean of all paths, then seeded random paths.
+    starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
+    for r in range(1, params.restarts):
+        rng = np.random.default_rng([params.seed, r])
+        starts.append(P[int(rng.integers(K))])
+
+    best_Y = np.zeros((Q, P.shape[1]))
+    best_obj = np.full(Q, np.inf)
+    best_lb = np.full(Q, -np.inf)
+
+    def keep_better(obj, Y):
+        improved = obj < best_obj
+        np.copyto(best_obj, obj, where=improved)
+        np.copyto(best_Y, Y, where=improved[:, None])
+
+    for y0 in starts:
+        Y = np.tile(y0, (Q, 1))
+        corral = None
+        # max_iters steps; the last pass only evaluates the final iterate.
+        for t in range(params.max_iters + 1):
+            obj, G = _l1_obj_grad(*breakpoints, Y)
+            if bound:
+                # Subgradient lower bound: f(v) >= f(y) + g.(v - y) for all v.
+                lb = obj - (np.einsum("qa,qa->q", G, Y)
+                            - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
+                np.maximum(best_lb, lb, out=best_lb)
+            keep_better(obj, Y)
+            if t == params.max_iters:
+                break
+            eta = params.step_a / (1.0 + params.step_b * t)
+            # Exact projection of the step, warm-started from the last corral.
+            Y, S, lam, _ = wolfe_min_norm_point(P, Y - eta * G, 1.0, 1e-11, corral=corral)
+            corral = (S, lam)
+
+    # The candidates are kept where strictly better, after the iterates.
+    # They snap exact optima that subgradient steps only approach, e.g.
+    # reproducing a lone training flow.
+    keep_better(path_obj, path)
+    keep_better(cand_obj, labels[cand])
+    return best_Y, best_obj, best_lb

@@ -559,6 +559,22 @@ class TestFlowPredict:
                     "--network", net_path, "--loss", "absolute", flag, value)
         assert (r.returncode, r.stdout) == (2, "")
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+        # The message names the one flag it rejects, and its value.
+        got = int(value) if flag in ("--max-iters", "--restarts") else float(value)
+        assert r.stderr.startswith(f"error: {flag} must be ")
+        assert r.stderr.rstrip().endswith(f", got {got}")
+
+    def test_overflowing_step_size_is_usage_error(self, flow_fixture):
+        # A step of 1e300 times a subgradient would overflow the projection's
+        # squares; the descent refuses it before it takes the step.
+        tmp_path, net, net_path, out = flow_fixture
+        r = run_cli("predict", "--model", out, "--x", tmp_path / "x.txt", "--space", "flow",
+                    "--network", net_path, "--loss", "absolute", "--step-a", "1e300")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("error: step size 1e+300 overflows the L1 flow descent: "
+                                   "at step 0 it moves a flow by ")
+        assert r.stderr.rstrip().endswith(", more than 1e+150")
 
     def test_square_loss_predict_matches_library(self, flow_fixture):
         from ecrm import LossSpec, flow_space, infer

@@ -2,6 +2,7 @@
 the L1/L2 solvers."""
 
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 from ecrm import (FlowNetwork, InferenceResult, SolverParams, default_flow_network,
                   enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch)
 from ecrm import flow_opt
-from ecrm.flow_opt import (_fw_gaps, _l1_breakpoints, _l1_obj_grad, _min_norm_point,
-                           _path_atoms, min_cost_paths, project_batch)
+from ecrm.flow_opt import (_flow_system, _fw_gaps, _l1_breakpoints, _l1_obj_grad,
+                           _min_norm_point, _path_atoms, _project_newton, min_cost_paths,
+                           project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
 from _oracles import (abs_flow_objective, flow_projection, l1_flow_minimizer,
                       l1_obj_grad_per_arc, lex_min_cost_path, simplex_grid,
-                      wolfe_min_norm_point)
+                      wolfe_l1_descent, wolfe_min_norm_point)
 
 NET = default_flow_network()
 
@@ -55,37 +57,63 @@ def diamond_chain(n):
     return FlowNetwork(3 * n + 1, arcs, [1.0] + [0.0] * (3 * n - 1) + [-1.0])
 
 
+# The 3000-node chain: one s-t path through every arc.
+CHAIN = FlowNetwork(3000, [(j, j + 1) for j in range(2999)], [1.0] + [0.0] * 2998 + [-1.0])
+# Source 0, sink 3.  Node 4 is a dead end and node 5 is unreachable from
+# the source, so arcs (0,4), (1,4), (5,1) and (5,3) lie on no s-t path;
+# node 6 has one arc in and one out, so (2,6), (6,3) form one super-arc.
+SIDE = FlowNetwork(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 6), (6, 3), (0, 4), (1, 4),
+                       (5, 1), (5, 3)], [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+# 50 nodes and 221 arcs, with more than 100,000 s-t paths.
+WIDE = layered_dag(3, 8, 6, 0.8)
+
+
+def newton_project(net, Z, pi=None):
+    """``_project_newton`` on the rows of Z over ``net``, cold unless the
+    potentials ``pi`` are given: ``(Y, pi, ok)``."""
+    system = _flow_system(net)
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if pi is None:
+        pi = np.zeros((Z.shape[0], system.incidence.shape[0]))
+    return _project_newton(system, Z, pi)
+
+
+def conserves_to_rounding(net, Y, Z):
+    """Whether each row of Y conserves flow to the rounding of its step Z."""
+    return np.all(flow_residuals(net, Y) <= 1e-12 * (1.0 + np.abs(Z).max(axis=1)))
+
+
+def random_steps(rng, net, Q):
+    """Q points at distances of every order from the network's paths."""
+    P = enumerate_st_paths(net)
+    Z = rng.normal(size=(Q, net.n_arcs)) * rng.choice([0.1, 1.0, 10.0, 100.0], size=(Q, 1))
+    Z[::4] += rng.dirichlet(np.full(P.shape[0], 0.3), size=Z[::4].shape[0]) @ P
+    Z[1::8] = rng.dirichlet(np.ones(P.shape[0]), size=Z[1::8].shape[0]) @ P   # feasible
+    return Z
+
+
 def one_row(solver, w, labels, net, params=None):
     """A batched flow solver's result for the one-row batch ``w``."""
     Y, obj, certs = solver(np.asarray(w, dtype=float)[None, :], labels, net, params)
     return InferenceResult(y_star=Y[0], objective=obj[0], certificate=certs[0])
 
 
-def min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
+def min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf):
     """``_min_norm_point`` over the paths P with its gap report: ``(Y, S,
     lam, gaps)``."""
     atoms = _path_atoms(P)
-    Y, S, lam = _min_norm_point(atoms, Z, scale, gap_tol, max_cycles, corral)
+    Y, S, lam = _min_norm_point(atoms, Z, scale, gap_tol, max_cycles)
     return Y, S, lam, _fw_gaps(atoms, Z, scale, Y, S, lam)
 
 
-def project_one(P, z, scale=1.0, gap_tol=1e-6, max_cycles=10_000, corral=None):
+def project_one(P, z, scale=1.0, gap_tol=1e-6, max_cycles=10_000):
     """``_min_norm_point`` on the one row z: the point, its weights over the
     rows of P and its Frank-Wolfe gap."""
-    Y, S, lam, gaps = min_norm_point(P, np.atleast_2d(z), scale, gap_tol, max_cycles, corral)
+    Y, S, lam, gaps = min_norm_point(P, np.atleast_2d(z), scale, gap_tol, max_cycles)
     theta = np.zeros(P.shape[0])
     real = S[0] < P.shape[0]
     theta[S[0, real]] = lam[0, real]
     return Y[0], theta, float(gaps[0])
-
-
-def lone_path_corral(P, k):
-    """A one-row corral holding path k alone, to warm-start from."""
-    cap = np.linalg.matrix_rank(P)
-    S = P.shape[0] + np.arange(cap)[None, :]
-    lam = np.zeros((1, cap))
-    S[0, 0], lam[0, 0] = k, 1.0
-    return S, lam
 
 
 class TestPaths:
@@ -262,9 +290,9 @@ class TestFrankWolfe:
     @pytest.mark.parametrize("Q", [1, 40])
     @pytest.mark.parametrize("net", [NET, DAG], ids=["bundled", "layered-dag"])
     def test_equals_reference_bit_for_bit(self, net, Q, rng):
-        # A cold call, then calls warm-started from the last corral, as in
-        # the L1 descent.  The scale, tolerance and cycle cap of each caller,
-        # and a cap that stops rows in the middle of a minor cycle.
+        # Cold calls on a sequence of points, each near the last answer.
+        # The scale, tolerance and cycle cap of each caller, one more
+        # setting, and a cap that stops rows in the middle of a minor cycle.
         P = enumerate_st_paths(net)
         atoms = _path_atoms(P)
         for scale, tol, cycles in ((1.0, 1e-11, np.inf),
@@ -272,14 +300,12 @@ class TestFrankWolfe:
                                    (2.5, 1e-12, 3)):
             Z = rng.normal(size=(Q, net.n_arcs)) * rng.choice([0.1, 1.0, 10.0], size=(Q, 1))
             Z[::3] = rng.dirichlet(np.full(P.shape[0], 0.3), size=Z[::3].shape[0]) @ P
-            corral = None
             for step in range(5):
-                want = wolfe_min_norm_point(P, Z, scale, tol, cycles, corral)
-                Y, S, lam = _min_norm_point(atoms, Z, scale, tol, cycles, corral)
+                want = wolfe_min_norm_point(P, Z, scale, tol, cycles)
+                Y, S, lam = _min_norm_point(atoms, Z, scale, tol, cycles)
                 got = (Y, S, lam, _fw_gaps(atoms, Z, scale, Y, S, lam))
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
-                corral = (S, lam)
                 Z = Y + 0.5 * rng.normal(size=Z.shape)
 
     def test_gap_is_recomputed_when_the_cycle_cap_stops_a_minor_cycle(self, rng):
@@ -290,16 +316,159 @@ class TestFrankWolfe:
         mid_minor = 0
         for trial in range(20):
             z = rng.normal(size=DAG.n_arcs) * 0.5
-            # A far starting path makes minor cycles drop paths more often.
-            corral = lone_path_corral(P, rng.integers(P.shape[0])) if trial % 2 else None
             for cap in range(1, 16):
-                y, theta, gap = project_one(P, z, scale=2.5, gap_tol=1e-12,
-                                            max_cycles=cap, corral=corral)
+                y, theta, gap = project_one(P, z, scale=2.5, gap_tol=1e-12, max_cycles=cap)
                 g = y - z
                 assert abs(gap - 5.0 * (float(g @ y) - float(np.min(P @ g)))) <= 1e-12
                 support = P[theta > 0] @ g
                 mid_minor += bool(support.max() - support.min() > 1e-9)
         assert mid_minor > 0
+
+
+class TestNewtonProjection:
+    """``_project_newton``, the L1 descent's projection, against the NNLS
+    oracle, Wolfe's method and the optimality conditions."""
+
+    @pytest.mark.parametrize("net, potentials, superarcs, longest", [
+        (NET, 5, 10, 1), (DAG, 16, 46, 2), (diamond_chain(13), 13, 26, 2), (CHAIN, 1, 1, 2999),
+        (SIDE, 3, 5, 2), (WIDE, 49, 221, 1)],
+        ids=["bundled", "layered-dag", "diamond-chain", "chain", "side-nodes", "wide-dag"])
+    def test_reduced_network_is_no_larger_than_a_corral(self, net, potentials, superarcs,
+                                                        longest):
+        # Wolfe's corrals hold up to rank(P) paths; the reduced network has
+        # no more potentials wherever the paths can be listed.
+        system = _flow_system(net)
+        assert system.incidence.shape == (potentials, superarcs)
+        assert system.lengths.max() == longest
+        kept = system.arc_of < superarcs
+        assert system.lengths.sum() == kept.sum()
+        if net is SIDE:
+            np.testing.assert_array_equal(np.flatnonzero(~kept), [6, 7, 8, 9])
+        if net is not WIDE:
+            assert potentials <= np.linalg.matrix_rank(enumerate_st_paths(net))
+
+    @pytest.mark.parametrize("net", [NET, DAG, diamond_chain(13), CHAIN, SIDE], ids=[
+        "bundled", "layered-dag", "diamond-chain", "chain", "side-nodes"])
+    def test_matches_nnls_and_wolfe(self, net, rng):
+        P = enumerate_st_paths(net)
+        Z = random_steps(rng, net, 40)
+        Y, _, ok = newton_project(net, Z)
+        assert ok.all()
+        assert conserves_to_rounding(net, Y, Z)
+        W = wolfe_min_norm_point(P, Z, 1.0, 1e-12, 10_000)[0]
+        assert np.max(np.abs(Y - W)) <= 1e-9
+        for q in range(0, Z.shape[0], 4 if P.shape[0] < 1000 else 10):
+            assert np.linalg.norm(Y[q] - flow_projection(P, Z[q])) <= 1e-9
+        if net is SIDE:
+            np.testing.assert_array_equal(Y[:, 6:], 0.0)
+            np.testing.assert_array_equal(Y[:, 4], Y[:, 5])
+        if net is CHAIN:
+            assert np.max(np.abs(Y - 1.0)) <= 1e-12
+
+    def test_optimality_conditions_beyond_the_path_cap(self, rng):
+        # More than 100,000 paths, so neither the oracle nor Wolfe's method
+        # runs.  y is the projection of z iff it is feasible and no path p
+        # has (y - z).p below (y - z).y: the cheapest path under the costs
+        # y - z certifies it.
+        with pytest.raises(ValueError, match="source-sink paths"):
+            enumerate_st_paths(WIDE)
+        Z = rng.normal(size=(200, WIDE.n_arcs)) * rng.choice([0.1, 1.0, 10.0], size=(200, 1))
+        Y, _, ok = newton_project(WIDE, Z)
+        assert ok.all()
+        assert conserves_to_rounding(WIDE, Y, Z)
+        G = Y - Z
+        V = min_cost_paths(WIDE, G)
+        gap = np.einsum("qa,qa->q", G, Y) - np.einsum("qa,qa->q", G, V)
+        assert np.max(gap / (1.0 + np.abs(Z).max(axis=1))) <= 1e-10
+
+    @pytest.mark.parametrize("net", [NET, DAG, diamond_chain(13), SIDE],
+                             ids=["bundled", "layered-dag", "diamond-chain", "side-nodes"])
+    def test_cold_and_warm_sequences_never_reach_the_cap(self, net, rng):
+        # Descent-like sequences: each point a step off the last answer,
+        # cold from zero potentials or warm from the last ones.  Thousands
+        # of rows in all, and none may stop unconverged.
+        P = enumerate_st_paths(net)
+        Q = 250
+        for warm in (False, True):
+            Y = np.tile(P.mean(axis=0), (Q, 1))
+            pi = np.zeros((Q, _flow_system(net).incidence.shape[0]))
+            for step in range(8):
+                Z = Y + rng.normal(size=Y.shape) * rng.choice([0.05, 0.5, 5.0], size=(Q, 1))
+                Y, pi_new, ok = newton_project(net, Z, pi if warm else None)
+                assert ok.all()
+                assert conserves_to_rounding(net, Y, Z)
+                some = slice(step % 5, None, 5)
+                np.testing.assert_allclose(
+                    Y[some], wolfe_min_norm_point(P, Z[some], 1.0, 1e-12, 10_000)[0],
+                    rtol=0, atol=1e-9)
+                pi = pi_new
+
+    @pytest.mark.parametrize("net", [NET, DAG, diamond_chain(13), SIDE],
+                             ids=["bundled", "layered-dag", "diamond-chain", "side-nodes"])
+    def test_batch_equals_single_bit_for_bit(self, net, rng):
+        Z = random_steps(rng, net, 24)
+        pi = rng.normal(size=(24, _flow_system(net).incidence.shape[0])) * 0.5
+        pi[::3] = 0.0
+        Y, pi_out, ok = newton_project(net, Z, pi)
+        for q in range(Z.shape[0]):
+            y1, pi1, ok1 = newton_project(net, Z[q], pi[q:q + 1])
+            np.testing.assert_array_equal(y1[0], Y[q])
+            np.testing.assert_array_equal(pi1[0], pi_out[q])
+            assert ok1[0] == ok[q]
+
+    def test_rows_at_the_iteration_cap_keep_their_point(self, rng, monkeypatch):
+        # With no Newton step allowed only the feasible rows finish; the
+        # rest keep their potentials and return no point.
+        Z = random_steps(rng, NET, 16)
+        pi = rng.normal(size=(16, 5))
+        pi[1::8] = 0.0          # the feasible rows, which start at their projection
+        monkeypatch.setattr(flow_opt, "_NEWTON_ITERS", 0)
+        Y, pi_out, ok = newton_project(NET, Z, pi)
+        np.testing.assert_array_equal(np.flatnonzero(ok), [1, 9])
+        np.testing.assert_array_equal(pi_out[~ok], pi[~ok])
+        np.testing.assert_array_equal(Y[~ok], 0.0)
+        monkeypatch.undo()
+        # The descent must not take a failed row's point, even one that
+        # lowers the risk: here every other row fails every other step and
+        # offers its unprojected step, which leaves the polytope.
+        project, calls = flow_opt._project_newton, []
+
+        def failing(system, Z, pi):
+            Y, pi, ok = project(system, Z, pi)
+            calls.append(ok.size)
+            if len(calls) % 2:
+                ok[::2] = False
+                Y[::2] = Z[::2]
+            return Y, pi, ok
+
+        monkeypatch.setattr(flow_opt, "_project_newton", failing)
+        P = enumerate_st_paths(NET)
+        labels = rng.dirichlet(np.ones(P.shape[0]), size=30) @ P
+        W = rng.normal(size=(10, 30))
+        W[::3] = np.abs(W[::3])
+        Y, _, _ = solve_flow_abs_batch(W, labels, NET, SolverParams(max_iters=20, restarts=2))
+        assert len(calls) == 40
+        assert np.max(flow_residuals(NET, Y)) <= 1e-12
+
+    def test_l1_solve_on_the_long_chain_stays_small(self, rng):
+        # The chain reduces to one super-arc and one potential; an
+        # unreduced (Q, 2998, 2998) Newton system would take 287 MB here.
+        labels = np.ones((5, CHAIN.n_arcs))
+        W = rng.normal(size=(4, 5))
+        W[0] = np.abs(W[0])
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            Y, obj, certs = solve_flow_abs_batch(W, labels, CHAIN,
+                                                 SolverParams(max_iters=50, restarts=2))
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert seconds <= 10.0
+        assert np.max(np.abs(Y - 1.0)) <= 1e-12
+        assert certs[0].kind == "gap"
 
 
 class TestSolveFlowSq:
@@ -529,20 +698,30 @@ class TestSolveFlowAbs:
             assert certs[q].kind == single.certificate.kind
             assert certs[q] == single.certificate
 
-    def test_outputs_keep_their_recorded_bits(self):
-        # SHA-256 of the points and objectives as recorded when every
-        # projection step rebuilt its path set-up and gap report (numpy 2.4,
-        # OpenBLAS, x86-64).  Work moved out of the steps must not move a bit.
+    def test_outputs_keep_their_recorded_bits(self, monkeypatch):
+        # The Newton projection moves last bits against the Wolfe descent
+        # it replaced (``wolfe_l1_descent``, which still gives the bits
+        # recorded for it): points and objectives must agree within 1e-12
+        # and certificate kinds exactly.  The second SHA-256 pins the new
+        # bits (numpy 2.4, OpenBLAS, x86-64).
         rng = np.random.default_rng(2021)
         P = enumerate_st_paths(NET)
         labels = rng.dirichlet(np.ones(P.shape[0]), size=60) @ P
         W = rng.normal(size=(40, 60))
         W[::4] = np.abs(W[::4])
-        Y, obj, certs = solve_flow_abs_batch(W, labels, NET,
-                                             SolverParams(max_iters=100, restarts=2))
+        params = SolverParams(max_iters=100, restarts=2)
+        Y, obj, certs = solve_flow_abs_batch(W, labels, NET, params)
         assert [c.kind for c in certs] == ["gap", "heuristic", "heuristic", "heuristic"] * 10
-        assert hashlib.sha256(Y.tobytes() + obj.tobytes()).hexdigest() == (
+        monkeypatch.setattr(flow_opt, "_l1_descent", lambda W, labels, net, *rest:
+                            wolfe_l1_descent(W, labels, *rest))
+        Yw, objw, certsw = solve_flow_abs_batch(W, labels, NET, params)
+        assert np.max(np.abs(Y - Yw)) <= 1e-12
+        assert np.max(np.abs(obj - objw)) <= 1e-12
+        assert [c.kind for c in certs] == [c.kind for c in certsw]
+        assert hashlib.sha256(Yw.tobytes() + objw.tobytes()).hexdigest() == (
             "dfab8b45705dc5d1a2d322237de1bdd6703183c5374b0ea044afa447db704278")
+        assert hashlib.sha256(Y.tobytes() + obj.tobytes()).hexdigest() == (
+            "e5778222459887aec1257e7668abae296610c77888a8aef38be5fdb9ad09c84a")
 
     def test_labels_a_row_does_not_weigh_change_nothing(self, rng):
         # Each row's optimum, stacked in front at zero weight with one more
@@ -591,13 +770,13 @@ class TestSolveFlowAbs:
 
     def test_rows_without_positive_weight_skip_the_descent(self, rng, monkeypatch):
         calls = []
-        project = flow_opt._min_norm_point
+        project = flow_opt._project_newton
 
         def counted(*args, **kwargs):
             calls.append(args[1].shape[0])
             return project(*args, **kwargs)
 
-        monkeypatch.setattr(flow_opt, "_min_norm_point", counted)
+        monkeypatch.setattr(flow_opt, "_project_newton", counted)
         P = enumerate_st_paths(NET)
         labels = P[rng.integers(P.shape[0], size=100)]
         W = -np.abs(rng.normal(size=(20, 100)))
