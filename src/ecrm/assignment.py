@@ -33,4 +33,5 @@ def assignment_cost(C, sigma) -> float:
     """Cost of a rank vector under a cost matrix, summed in label order."""
     C = np.asarray(C, dtype=float)
     sigma = np.asarray(sigma, dtype=np.int64).ravel()
-    return float(sum(C[j, sigma[j] - 1] for j in range(C.shape[0])))
+    # A cumulative sum adds the entries one at a time, in label order.
+    return float(np.cumsum(C[np.arange(C.shape[0]), sigma - 1])[-1])

@@ -1,20 +1,27 @@
 """Exact hierarchy inference: minimizing ``c . y`` over hierarchy-feasible
 binary vectors.
 
-On a forest (no node with two parents) a level-wise dynamic program solves
-the problem for a whole batch of cost rows at once.  Bottom-up, a node's
-best subtree value is its own cost plus the negative parts of its
-children's; top-down, a node is selected when that value is strictly
-negative and its parent is selected.
+Every row first goes through a level-wise dynamic program on the
+hierarchy's spanning forest (``HierarchyDag.forest_levels``: each node
+keeps its deepest parent), for a whole batch of cost rows at once.
+Bottom-up, a node's best subtree value is its own cost plus the negative
+parts of its children's; top-down, a node is selected when that value is
+strictly negative and its parent is selected.  That is the inclusion-
+minimal optimum of the forest problem, whose constraints are a subset of
+the hierarchy's.  When it also keeps every arc the forest dropped it is
+feasible, hence optimal, and every hierarchy optimum is a forest optimum
+that contains it: it is the hierarchy's inclusion-minimal optimum too.
+On a forest nothing is dropped and the program is the whole solve.
 
-A multi-parent DAG is solved as a maximum-weight closure problem, the
-complement of the minimization.  That reduces to a minimum s-t cut
-(Picard, "Maximal closure of a graph", Management Science 1976) on the
-closure network: source arcs carry the positive node weights, sink arcs
-the negative ones, and each dependency arc runs from child to parent with
-infinite capacity.  Because the relaxed constraint system is totally
-unimodular, the cut optimum matches the linear-programming optimum and is
-integral, so the reduction is exact for any real cost vector.
+The rows whose forest answer breaks a dropped arc are solved as a
+maximum-weight closure problem, the complement of the minimization.  That
+reduces to a minimum s-t cut (Picard, "Maximal closure of a graph",
+Management Science 1976) on the closure network: source arcs carry the
+positive node weights, sink arcs the negative ones, and each dependency
+arc runs from child to parent with infinite capacity.  Because the
+relaxed constraint system is totally unimodular, the cut optimum matches
+the linear-programming optimum and is integral, so the reduction is exact
+for any real cost vector.
 
 Dinic's algorithm runs on that network directly.  No level-graph path
 uses the reverse of a source or sink arc, and a dependency arc is open
@@ -50,16 +57,18 @@ def solve_hierarchy(costs, G: HierarchyDag) -> np.ndarray:
     if not np.all(np.isfinite(C)):
         raise ValueError("costs must be finite")
     levels = G.forest_levels
-    if levels is None:
-        Y = _solve_dinic(C, G)
-    else:
-        best = C.T.copy()  # (d, Q): row j holds node j's best subtree value
-        for nodes, parents in reversed(levels):
-            np.add.at(best, parents, np.minimum(best[nodes], 0.0))
-        on = best < 0.0  # strict: a zero-value subtree stays off
-        for nodes, parents in levels:
-            on[nodes] &= on[parents]
-        Y = on.T.astype(np.int64, order="C")
+    best = C.T.copy()  # (d, Q): row j holds node j's best subtree value
+    for nodes, parents in reversed(levels):
+        np.add.at(best, parents, np.minimum(best[nodes], 0.0))
+    on = best < 0.0  # strict: a zero-value subtree stays off
+    for nodes, parents in levels:
+        on[nodes] &= on[parents]
+    Y = on.T.astype(np.int64, order="C")
+    parents, children = G.dropped_arcs
+    if parents.size:
+        broken = (on[children] & ~on[parents]).any(axis=0)
+        if broken.any():
+            Y[broken] = _solve_dinic(C[broken], G)
     return Y[0] if single else Y
 
 

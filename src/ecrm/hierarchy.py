@@ -23,8 +23,9 @@ class HierarchyDag:
     _topo: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _arc_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _levels: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
+    _levels: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False, compare=False)
+    _dropped: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __init__(self, d: int, arcs) -> None:
         if d < 1:
@@ -51,7 +52,9 @@ class HierarchyDag:
         object.__setattr__(self, "_roots", tuple(j for j in range(d) if not parents[j]))
         object.__setattr__(self, "_arc_index", tuple(
             np.array(arcs, dtype=np.intp).reshape(-1, 2).T))
-        object.__setattr__(self, "_levels", _forest_levels(d, parents, topo))
+        levels, dropped = _spanning_forest(d, arcs, parents, topo)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_dropped", dropped)
 
     def parents(self, j: int) -> tuple[int, ...]:
         return self._parents[j]
@@ -68,10 +71,18 @@ class HierarchyDag:
         return self._topo
 
     @property
-    def forest_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+    def forest_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``(nodes, parents)`` index arrays of the nodes at depth 1, 2, ...
-        below the roots, or None when some node has more than one parent."""
+        below the roots of the spanning forest, in which every node keeps
+        one parent: its deepest (by longest path from a root), ties to the
+        smallest id.  On a forest that is the hierarchy itself."""
         return self._levels
+
+    @property
+    def dropped_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(parents, children)`` index arrays of the arcs the spanning
+        forest leaves out, in arc order; empty on a forest."""
+        return self._dropped
 
     @property
     def arc_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -111,18 +122,22 @@ def _topological_order(d, parents, children):
     return order if len(order) == d else None
 
 
-def _forest_levels(d, parents, topo):
-    if any(len(ps) > 1 for ps in parents):
-        return None
-    depth = [0] * d
+def _spanning_forest(d, arcs, parents, topo):
+    """``forest_levels`` and ``dropped_arcs`` of a hierarchy."""
+    longest = [0] * d  # longest path from a root
+    depth = [0] * d  # depth in the forest
+    keep = [-1] * d
     for j in topo:
         if parents[j]:
-            depth[j] = depth[parents[j][0]] + 1
+            keep[j] = max(parents[j], key=lambda p: (longest[p], -p))
+            longest[j] = longest[keep[j]] + 1
+            depth[j] = depth[keep[j]] + 1
     levels = [([], []) for _ in range(max(depth))]
     for j in range(d):
         if depth[j]:
             nodes, pars = levels[depth[j] - 1]
             nodes.append(j)
-            pars.append(parents[j][0])
-    return tuple((np.array(n, dtype=np.intp), np.array(p, dtype=np.intp))
-                 for n, p in levels)
+            pars.append(keep[j])
+    dropped = [(p, c) for p, c in arcs if p != keep[c]]
+    return (tuple((np.array(n, dtype=np.intp), np.array(p, dtype=np.intp)) for n, p in levels),
+            tuple(np.array(dropped, dtype=np.intp).reshape(-1, 2).T))

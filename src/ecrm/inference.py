@@ -7,7 +7,8 @@ batch, hierarchies by the exact closure solver and rankings by min-cost
 assignment on the additive coefficients of all rows, and flow polytopes by
 one call of the loss's batched flow solver.
 ``infer_from_weights`` is its one-row case, and ``infer`` computes the
-weights of one query or a batch first.
+weights of one query or a batch first, or for Hamming on a hierarchy the
+label statistics that stand in for them.
 
 Exhaustive and hierarchy argmins break ties toward the lexicographically
 smallest encoding, and so does every path (vertex) answer of the flow
@@ -21,7 +22,7 @@ import numpy as np
 from .assignment import assignment_cost, solve_assignment
 from .closure import solve_hierarchy
 from .flow_opt import solve_flow_abs_batch, solve_flow_sq_batch
-from .losses import LossSpec, additive_coefficients, loss_value
+from .losses import LossSpec, additive_coefficients, label_embedding, loss_value
 from .model import TrainedModel, weights
 from .results import EXACT, InferenceResult, SolverParams
 from .spaces import OutputSpace
@@ -60,7 +61,8 @@ _ADDITIVE_LOSSES = {"hierarchy": ("hamming", "hierarchical"), "assignment": ("fo
 
 
 def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
-                params: SolverParams | None = None) -> list[InferenceResult]:
+                params: SolverParams | None = None,
+                embedded: bool = False) -> list[InferenceResult]:
     """Minimize the weighted empirical risk ``sum_i W[q, i] loss(y, y_i)`` over
     the space for each row of ``W`` (Q, m).
 
@@ -71,10 +73,14 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
     spaces one ``explicit_risks`` table, minimized row by row.  A row's
     answer depends only on the labels it weighs, up to rounding, so rows may
     share one label set.  A hierarchical loss must be defined on the
-    space's hierarchy.
+    space's hierarchy.  With ``embedded``, ``W`` holds the label statistics
+    ``W @ Phi`` for the pair's ``label_embedding`` (see ``infer``) in place
+    of the weights.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     labels = np.asarray(labels)
+    if embedded and space.kind not in _ADDITIVE_LOSSES:
+        raise ValueError(f"{space.kind} spaces take weights, not label statistics")
     if space.kind == "explicit_finite":
         members, R = explicit_risks(loss, space, labels, W)
         return [InferenceResult(y_star=y, objective=float(obj), certificate=EXACT)
@@ -86,7 +92,7 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
         if loss.kind == "hierarchical" and not (loss.hierarchy is space.hierarchy
                                                 or loss.hierarchy == space.hierarchy):
             raise ValueError("hierarchical loss is defined on another hierarchy than the space")
-        C, offsets = additive_coefficients(loss, labels, W)
+        C, offsets = additive_coefficients(loss, labels, W, embedded)
         if space.kind == "hierarchy":
             Y = solve_hierarchy(C, space.hierarchy)
             objs = [c @ y + off for c, y, off in zip(C, Y, offsets)]
@@ -121,6 +127,20 @@ def infer(model: TrainedModel, loss: LossSpec, space: OutputSpace, x,
 
     One query ``x`` (p,) gives one ``InferenceResult``; a batch (Q, p) gives
     a list of them, one per row.
+
+    Where the pair has a label embedding ``Phi`` (Hamming on a hierarchy),
+    the weights are never formed: ``model.weights`` returns the statistics
+    ``W @ Phi`` in its cheaper order.
     """
-    results = infer_batch(weights(model, x), model.labels, loss, space, params)
+    Phi = _embedding(loss, space, model.labels)
+    results = infer_batch(weights(model, x, Phi), model.labels, loss, space, params,
+                          embedded=Phi is not None)
     return results if np.ndim(x) == 2 else results[0]
+
+
+def _embedding(loss: LossSpec, space: OutputSpace, labels):
+    """``label_embedding(loss, labels)`` where the pair is solved from
+    additive coefficients, else None."""
+    if loss.kind in _ADDITIVE_LOSSES.get(space.kind, ()):
+        return label_embedding(loss, labels)
+    return None

@@ -335,26 +335,31 @@ def _remove_factor(path) -> None:
 def _load_factor(path, raw: bytes, m: int, p: int):
     """``(X, L)`` cached beside the model file at ``path`` of bytes ``raw``:
     the (m, p) inputs and the lower factor, an (m, m) Fortran-ordered
-    array whose upper triangle is never written.  None when the cache is
+    array whose upper triangle holds no meaning.  None when the cache is
     missing, stale, truncated, malformed or of the older format without
     inputs, or when X is not finite or L's diagonal not finite and
     positive."""
+    packed = m * (m + 1) // 2
     try:
         with open(_factor_path(path), "rb") as fh:
             header = _factor_header(raw, m, p)
             if (fh.readline(len(header)) != header
                     or os.fstat(fh.fileno()).st_size
-                    != len(header) + 8 * m * p + 4 * m * (m + 1)):
+                    != len(header) + 8 * m * p + 8 * packed):
                 return None
             X = np.empty((m, p), dtype="<f8")
             L = np.empty((m, m), dtype="<f8", order="F")
-            if fh.readinto(X) != 8 * m * p:
+            flat = L.reshape(-1, order="F")  # a view: L is Fortran-ordered
+            if fh.readinto(X) != 8 * m * p or fh.readinto(flat[:packed]) != 8 * packed:
                 return None
-            for j in range(m):
-                if fh.readinto(L[j:, j]) != 8 * (m - j):
-                    return None
     except OSError:
         return None
+    # The packed column j starts at j*m - j*(j-1)/2 and belongs at j*m + j,
+    # never earlier.  Moving the last column first, no column is written
+    # over before it has moved.
+    for j in range(m - 1, 0, -1):
+        start = j * m - j * (j - 1) // 2
+        L[j:, j] = flat[start:start + m - j]
     diag = np.diagonal(L)
     if not (np.isfinite(X).all() and np.isfinite(diag).all() and (diag > 0).all()):
         return None

@@ -7,7 +7,10 @@ to the combinatorial solvers, together with the constant offset that makes
 objective values match the estimated conditional risk.  That objective is
 linear in the weights, so it takes one weight vector or a batch of them,
 and each weight product runs on scipy's BLAS, on the same thread pool as
-the weight solve that produced them (see ``kernels``).
+the weight solve that produced them (see ``kernels``).  Hamming's is
+linear in the label statistics ``W Phi`` of ``label_embedding``'s d + 1
+columns alone, and ``additive_coefficients`` takes those in place of the
+weights when ``model.weights`` has computed them.
 """
 
 from __future__ import annotations
@@ -155,24 +158,45 @@ def loss_value(spec: LossSpec, y, yp) -> float:
     return vector_loss(spec.kind, y, yp)
 
 
-def additive_coefficients(spec: LossSpec, labels, w):
+def label_embedding(spec: LossSpec, labels) -> np.ndarray | None:
+    """An (m, D) embedding ``Phi`` of the training labels whose weighted
+    sums ``W @ Phi`` are all that ``additive_coefficients`` reads of a
+    batch, or None when the loss has none narrower than the weights.
+
+    Hamming has ``Phi = [1 - 2Y, Y 1]``, D = d + 1: the coefficients are
+    the first d columns of ``W @ Phi`` and the offset the last.  The
+    hierarchical loss and the footrule take the weights themselves."""
+    if spec.kind != "hamming":
+        return None
+    Y = np.asarray(labels)
+    Phi = np.empty((Y.shape[0], Y.shape[1] + 1))
+    np.multiply(Y, -2.0, out=Phi[:, :-1])
+    Phi[:, :-1] += 1.0
+    Phi[:, -1] = Y.sum(axis=1)
+    return Phi
+
+
+def additive_coefficients(spec: LossSpec, labels, w, embedded: bool = False):
     """Per-coordinate linear objective of the weighted empirical risk.
 
     Returns ``(coeffs, offset)`` such that for every feasible binary
     encoding ``y`` the estimated risk equals ``sum(coeffs * y) + offset``.
     ``w`` is one weight vector ``(m,)`` or a batch ``(Q, m)``, one row per
-    query.  Coefficient shape is ``(d,)`` for Hamming/hierarchical and
-    ``(d, d)`` (label-by-rank cost matrix) for the footrule, with a float
-    offset; a batch adds a leading ``Q`` axis to both and costs a few
-    matrix products, not a loop over queries.
+    query; with ``embedded`` it is that batch's label statistics
+    ``w @ label_embedding(spec, labels)`` instead, as ``model.weights``
+    returns them.  Coefficient shape is ``(d,)`` for Hamming/hierarchical
+    and ``(d, d)`` (label-by-rank cost matrix) for the footrule, with a
+    float offset; a batch adds a leading ``Q`` axis to both and costs a
+    few matrix products, not a loop over queries.
     """
     w = np.asarray(w, dtype=float)
     W = np.atleast_2d(w)
     Y = np.asarray(labels)
+    if embedded and spec.kind != "hamming":
+        raise ValueError(f"loss kind {spec.kind!r} has no label embedding")
     if spec.kind == "hamming":
-        Y = Y.astype(float)
-        coeffs = _matmul(W, 1.0 - 2.0 * Y)
-        offset = _matmul(W, Y.sum(axis=1))
+        S = W if embedded else _matmul(W, label_embedding(spec, Y))
+        coeffs, offset = S[:, :-1], S[:, -1]
     elif spec.kind == "hierarchical":
         coeffs, offset = _hierarchical_coefficients(spec, Y.astype(float), W)
     elif spec.kind == "footrule":

@@ -9,7 +9,11 @@ model costs no refit.  A query
 estimated conditional risk of a candidate label ``y`` is the weighted sum
 ``sum_i w_i(x) loss(y, y_i)``.  A batch of queries shares one cross-Gram
 build and one multi-right-hand-side solve; a single query is the one-row
-batch.
+batch.  A loss whose weighted risk reads only the label statistics
+``W Phi`` of an (m, D) label embedding (Hamming, see
+``losses.label_embedding``) gets those from ``weights`` directly, with the
+solve on whichever side has fewer columns: the Q query rows or the D
+embedding columns.
 
 Fitting never touches the label contents: the label array is stored as
 passed, so training cost is independent of the output dimension.
@@ -23,7 +27,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .kernels import KernelSpec, _gram_too_large, _training_terms, cross_gram, gram_matrix
+from .kernels import (KernelSpec, _gram_too_large, _matmul, _training_terms, cross_gram,
+                      gram_matrix)
 from .losses import LossSpec, loss_value
 
 INTERCEPT_MODES = ("none", "centered")
@@ -147,7 +152,7 @@ def _factor_shifted(K, *shifts) -> tuple:
     return factor
 
 
-def weights(model: TrainedModel, x) -> np.ndarray:
+def weights(model: TrainedModel, x, embedding=None) -> np.ndarray:
     """Weights for one query ``x`` of shape ``(p,)`` or a batch ``(Q, p)``:
     an ``(m,)`` vector or a ``(Q, m)`` matrix, one row per query.
 
@@ -158,6 +163,13 @@ def weights(model: TrainedModel, x) -> np.ndarray:
     is subtracted before the ridge solve and added back afterwards; folding
     that through the weighted sum is equivalent to adding
     ``(1 - sum(w)) / m`` to every weight of the query's row.
+
+    Given an (m, D) label embedding ``Phi`` (see
+    ``losses.label_embedding``), the label statistics ``W @ Phi`` are
+    returned instead, ``(D,)`` or ``(Q, D)``, in the cheaper order:
+    ``(V K^-1) Phi`` when Q <= D, else ``V (K^-1 Phi)``, whose solve has D
+    right-hand sides however many queries there are.  The intercept then
+    adds ``(1 - sum(w)) / m`` times Phi's column sums.
     """
     if model.factor is None:
         raise ValueError("model has no stored factorization; was it fitted?")
@@ -165,9 +177,19 @@ def weights(model: TrainedModel, x) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("query inputs must be finite")
     V = cross_gram(model.kernel, np.atleast_2d(x), model.inputs, model.kernel_terms)
+    centered = model.intercept_mode == "centered"
+    if embedding is not None and V.shape[0] > embedding.shape[1]:
+        # The last column of K^-1 [Phi, 1] gives sum(w) of each row.
+        B = np.hstack([embedding, np.ones((model.m, 1))]) if centered else embedding
+        S = _matmul(V, cho_solve(model.factor, B, check_finite=False))
+        if centered:
+            S = S[:, :-1] + ((1.0 - S[:, -1]) / model.m)[:, None] * embedding.sum(axis=0)
+        return S
     W = cho_solve(model.factor, V.T, overwrite_b=True, check_finite=False).T
-    if model.intercept_mode == "centered":
+    if centered:
         W = W + ((1.0 - W.sum(axis=1)) / model.m)[:, None]
+    if embedding is not None:
+        W = _matmul(W, embedding)
     return W if x.ndim == 2 else W[0]
 
 

@@ -51,7 +51,7 @@ class TestSolveHierarchy:
         for _ in range(200):
             d = int(rng.integers(3, 12))
             G = random_dag(rng, d, extra=d)
-            multi_parent += G.forest_levels is None
+            multi_parent += G.dropped_arcs[0].size > 0
             feas = enumerate_feasible(G)
             C = np.array([rng.normal(size=d), rng.integers(-2, 3, size=d),
                           rng.integers(-1, 2, size=d)], dtype=float)
@@ -78,7 +78,8 @@ class TestSolveHierarchy:
         # shortest prefix with the least cumulative cost.  The leaf's gain
         # has to cross all 3000 levels to reach the root's sink arc.
         # The redundant arc (0, 2) keeps the closed sets but gives node 2 two
-        # parents, so the second network is solved by the cut.
+        # parents; the spanning forest keeps the chain and drops (0, 2).  The
+        # cut is checked on that network too.
         d = 3000
         chain = [(j, j + 1) for j in range(d - 1)]
         sparse = np.zeros(d)
@@ -88,8 +89,9 @@ class TestSolveHierarchy:
         want = (np.arange(d) < np.argmin(prefix, axis=1)[:, None]).astype(np.int64)
         for G, forest in ((HierarchyDag(d, chain), True),
                           (HierarchyDag(d, chain + [(0, 2)]), False)):
-            assert (G.forest_levels is not None) == forest  # DP, else the cut
+            assert (G.dropped_arcs[0].size == 0) == forest
             np.testing.assert_array_equal(solve_hierarchy(C, G), want)
+            np.testing.assert_array_equal(_solve_dinic(C, G), want)
 
     def test_star_of_3000_leaves(self, rng):
         # Root 0 with 3000 leaves: the root is on when its cost plus the
@@ -97,7 +99,7 @@ class TestSolveHierarchy:
         # negative leaf.  Integer costs keep the tie row exact.
         d = 3001
         G = HierarchyDag(d, [(0, j) for j in range(1, d)])
-        assert G.forest_levels is not None
+        assert G.dropped_arcs[0].size == 0
         leaves = rng.choice([-1.0, 0.0, 1.0], size=d - 1)
         gain = float(np.minimum(leaves, 0.0).sum())
         C = np.array([np.concatenate(([root], leaves))
@@ -114,11 +116,45 @@ class TestSolveHierarchy:
             arcs = [(int(perm[rng.integers(j)]), int(perm[j]))
                     for j in range(1, d) if rng.random() < 0.8]
             G = HierarchyDag(d, arcs)
-            assert G.forest_levels is not None
+            assert G.dropped_arcs[0].size == 0
             C = (rng.integers(-2, 3, size=(3, d)).astype(float) if trial % 2
                  else rng.normal(size=(3, d)))
             Y = solve_hierarchy(C, G)
             np.testing.assert_array_equal(Y, _solve_dinic(C, G))
+
+    def test_spanning_forest_keeps_the_deepest_parent(self):
+        # Node 3's parents 1 and 2 both lie one arc below the root and 0 is
+        # the root: it keeps 1, the smallest of the deepest.
+        G = HierarchyDag(5, [(0, 1), (0, 2), (2, 3), (1, 3), (0, 3), (3, 4)])
+        assert [(n.tolist(), p.tolist()) for n, p in G.forest_levels] == [
+            ([1, 2], [0, 0]), ([3], [1]), ([4], [3])]
+        assert [a.tolist() for a in G.dropped_arcs] == [[2, 0], [3, 3]]
+        # A longer path beats a smaller id.
+        G = HierarchyDag(4, [(0, 3), (1, 2), (2, 3)])
+        assert [a.tolist() for a in G.dropped_arcs] == [[0], [3]]
+
+    def test_forest_rows_and_repaired_rows_match_max_flow(self, rng, monkeypatch):
+        # Every row of a multi-parent DAG goes through the spanning-forest
+        # program, and the rows whose answer breaks a dropped arc are cut
+        # again on the whole network.  Both kinds must occur, and every row
+        # must equal the cut's, also on small-integer rows, which tie often.
+        import ecrm.closure
+        real, repaired = _solve_dinic, []
+
+        def counted(C, G):
+            repaired.append(len(C))
+            return real(C, G)
+
+        monkeypatch.setattr(ecrm.closure, "_solve_dinic", counted)
+        rows = 0
+        for trial in range(400):
+            d = int(rng.integers(3, 14))
+            G = random_dag(rng, d, extra=int(rng.integers(1, d)))
+            C = (rng.integers(-2, 3, size=(4, d)).astype(float) if trial % 2
+                 else rng.normal(size=(4, d)))
+            np.testing.assert_array_equal(solve_hierarchy(C, G), real(C, G))
+            rows += len(C)
+        assert 0 < sum(repaired) < rows
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_batch_equals_single_rows(self, rng, extra):
@@ -126,7 +162,7 @@ class TestSolveHierarchy:
         for _ in range(20):
             d = int(rng.integers(3, 15))
             G = random_dag(rng, d, extra=extra)
-            multi_parent += G.forest_levels is None
+            multi_parent += G.dropped_arcs[0].size > 0
             C = rng.normal(size=(5, d))
             C[::2] = rng.integers(-2, 3, size=(3, d))
             Y = solve_hierarchy(C, G)
@@ -166,6 +202,16 @@ class TestSolveAssignment:
             perms = all_permutations(d)
             costs = np.array([assignment_cost(C, p) for p in perms])
             assert assignment_cost(C, sigma) == pytest.approx(float(costs.min()), abs=1e-12)
+
+    def test_cost_is_summed_in_label_order(self, rng):
+        # Entries spanning six decades round differently in another order.
+        for d in (1, 2, 7, 40, 119):
+            C = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 3, size=(d, d))
+            sigma = rng.permutation(d) + 1
+            total = 0.0
+            for j in range(d):
+                total += C[j, sigma[j] - 1]
+            assert assignment_cost(C, sigma) == total
 
     def test_negative_entries_allowed(self, rng):
         C = rng.normal(size=(5, 5)) - 10.0
@@ -329,6 +375,21 @@ class TestInferBatch:
         model = fit(random_kernel(rng), 0.3, rng.normal(size=(6, 3)), labels)
         for loss in (LossSpec("hamming"), LossSpec("hierarchical", hierarchy=G)):
             self._check(model, loss, hierarchy_space(G), rng.normal(size=(7, 3)))
+
+    @pytest.mark.parametrize("intercept", ["none", "centered"])
+    def test_hamming_on_a_dag_solves_d_plus_one_columns(self, rng, monkeypatch, intercept):
+        # 20 rows > d + 1 = 8: the batch's solve takes the label embedding's
+        # 8 columns (9 with the intercept's), each single query its own row.
+        import ecrm.model
+        G = HierarchyDag(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 5), (4, 6), (5, 6)])
+        labels = np.array([random_feasible_label(rng, G) for _ in range(30)])
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.05, rng.normal(size=(30, 3)), labels,
+                    intercept_mode=intercept)
+        solve, widths = ecrm.model.cho_solve, []
+        monkeypatch.setattr(ecrm.model, "cho_solve",
+                            lambda c, b, **kw: widths.append(b.shape[1]) or solve(c, b, **kw))
+        self._check(model, LossSpec("hamming"), hierarchy_space(G), rng.normal(size=(20, 3)))
+        assert widths == [8 + (intercept == "centered")] + [1] * 20
 
     def test_assignment(self, rng):
         labels = np.array([rng.permutation(5) + 1 for _ in range(6)])

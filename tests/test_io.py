@@ -331,6 +331,16 @@ class TestFactorCache:
         assert refit.inputs.tobytes() == X.tobytes()
         np.testing.assert_array_equal(weights(refit, x), weights(model, x))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_packed_columns_move_into_place(self, tmp_path, rng, m):
+        # The cache is read in one piece into the factor's own buffer, and
+        # each column then moves to its place, the last first.
+        model = self._model(rng, m)
+        save_model(tmp_path / "model.ecrm", model)
+        L = load_model(tmp_path / "model.ecrm").factor[0]
+        assert L.flags.f_contiguous
+        assert np.tril(L).tobytes() == np.tril(model.factor[0]).tobytes()
+
     def test_model_without_factor_writes_no_cache(self, tmp_path, rng, monkeypatch):
         model = self._model(rng)
         bare = TrainedModel(kernel=model.kernel, lam=model.lam, inputs=model.inputs,

@@ -334,6 +334,21 @@ class TestWeights:
                 np.testing.assert_allclose(batch[i], single,
                                            rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("intercept", ["none", "centered"])
+    def test_label_statistics_equal_weighted_embedding(self, rng, intercept):
+        # Up to 4 rows the weights are formed first, beyond that K^-1 Phi.
+        X = rng.normal(size=(12, 3))
+        Phi = rng.normal(size=(12, 4))
+        model = fit(KernelSpec("rbf", gamma=0.6), 0.3, X, np.zeros(12), intercept_mode=intercept)
+        for q in (0, 1, 4, 5, 9):
+            Xq = rng.normal(size=(q, 3))
+            S = weights(model, Xq, Phi)
+            assert S.shape == (q, 4)
+            np.testing.assert_allclose(S, weights(model, Xq) @ Phi, rtol=0, atol=1e-12)
+        x = rng.normal(size=3)
+        np.testing.assert_allclose(weights(model, x, Phi), weights(model, x) @ Phi,
+                                   rtol=0, atol=1e-12)
+
     def test_stored_kernel_terms_keep_kernel_vectors_bit_identical(self, rng):
         X = rng.normal(size=(40, 5)) + 3.0
         Xq = rng.normal(size=(6, 5)) + 3.0
