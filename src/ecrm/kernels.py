@@ -9,6 +9,8 @@ RBF blocks are level-3 BLAS products: ``||x - x'||^2 = ||x||^2 + ||x'||^2 -
 (kernel vectors).  Both row sets are first centered on the training
 inputs' column mean; the kernel is translation-invariant, so only the
 spread of the features enters the cancellation error, not their offset.
+Finite rows whose centered squared norms are too large for their squared
+distances to be finite raise ValueError before the RBF pass.
 The Gram is built lower triangle first, in ``dsyrk``'s own Fortran-ordered
 buffer: the norm terms (added as ``n_i + n_j``), the clamp at 0, the scale
 and the ``exp`` run over column blocks of the lower triangle only, the
@@ -101,12 +103,25 @@ def cross_gram(spec: KernelSpec, A, B, terms=None) -> np.ndarray:
                          f"rows, not {B.shape[0]} x {B.shape[1]}")
     mu, B, nb = terms
     A = A - mu
+    na = np.einsum("ip,ip->i", A, A)
+    _check_norms(na, nb)
     # (m, n) in Fortran order: its transpose is the C-ordered result, and
     # cho_solve receives it back as a Fortran-ordered right-hand side.
     D = dgemm(-2.0, B.T, A.T, trans_a=1)
     D += nb[:, None]
-    D += np.einsum("ip,ip->i", A, A)
+    D += na
     return _rbf_in_place(spec.gamma, D).T
+
+
+def _check_norms(na, nb) -> None:
+    """Raise ValueError unless the largest centered squared norms of the
+    two row sets have a finite sum.  Then every squared distance
+    ``na_i + nb_j - 2<a_i, b_j>`` and each of its terms is finite, since
+    ``|2<a_i, b_j>| <= na_i + nb_j``; otherwise the RBF pass would meet
+    ``inf - inf``."""
+    if na.size and nb.size and not np.isfinite(na.max() + nb.max()):
+        raise ValueError("inputs too large for the rbf kernel: their squared distances "
+                         "overflow")
 
 
 def _training_terms(spec: KernelSpec, B):
@@ -170,6 +185,7 @@ def gram_matrix(spec: KernelSpec, X, mirror: bool = True) -> np.ndarray:
     A = X - X.mean(axis=0)
     D = dsyrk(-2.0, A.T, trans=1, lower=1)
     n = -0.5 * np.diagonal(D)
+    _check_norms(n, n)
     m = D.shape[0]
     # Each block spans the lower triangle of its columns plus the part of
     # the diagonal block above it, which the mirror below overwrites.

@@ -9,7 +9,9 @@ model costs no refit.  A query
 estimated conditional risk of a candidate label ``y`` is the weighted sum
 ``sum_i w_i(x) loss(y, y_i)``.  A batch of queries shares one cross-Gram
 build and one multi-right-hand-side solve; a single query is the one-row
-batch.  A loss whose weighted risk reads only the label statistics
+batch, whose solve is two triangular solves with the stored lower factor
+(BLAS-2 ``dtrsv``), so its weights can differ from its row of a batch in
+the last bits.  A loss whose weighted risk reads only the label statistics
 ``W Phi`` of an (m, D) label embedding (Hamming, see
 ``losses.label_embedding``) gets those from ``weights`` directly, with the
 solve on whichever side has fewer columns: the Q query rows or the D
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsv
 
 from .errors import NumericalError
 from .kernels import (KernelSpec, _gram_too_large, _matmul, _training_terms, cross_gram,
@@ -99,13 +102,16 @@ def from_factor(spec: KernelSpec, lam: float, X, Y, L, intercept_mode: str = "no
 
     ``L`` is an (m, m) array of which only the lower triangle is read;
     whether it is the factor of these inputs is the caller's to ensure.
+    It is kept Fortran-ordered, the layout the BLAS and LAPACK solves in
+    ``weights`` take without a copy; ``fit``'s and ``io``'s factors
+    already are, and any other is copied once here.
     Raises ValueError as ``fit`` does, and for an ``L`` of another shape.
     """
     X, Y = _checked(lam, intercept_mode, X, Y)
     if np.shape(L) != (X.shape[0], X.shape[0]):
         raise ValueError(f"factor has shape {np.shape(L)}, not ({X.shape[0]}, {X.shape[0]})")
     return TrainedModel(kernel=spec, lam=lam, inputs=X, labels=Y,
-                        intercept_mode=intercept_mode, factor=(L, True),
+                        intercept_mode=intercept_mode, factor=(np.asfortranarray(L), True),
                         kernel_terms=_training_terms(spec, X))
 
 
@@ -157,12 +163,15 @@ def weights(model: TrainedModel, x, embedding=None) -> np.ndarray:
     an ``(m,)`` vector or a ``(Q, m)`` matrix, one row per query.
 
     A batch costs one cross-Gram build, from the training-side kernel terms
-    that ``fit`` stored, and one multi-right-hand-side Cholesky solve.  Only
-    the query is checked for finiteness, at O(Q*p); the stored factor is
-    finite by construction.  With a centered intercept the per-target mean
-    is subtracted before the ridge solve and added back afterwards; folding
-    that through the weighted sum is equivalent to adding
-    ``(1 - sum(w)) / m`` to every weight of the query's row.
+    that ``fit`` stored, and one multi-right-hand-side Cholesky solve; one
+    query row (``x`` of shape ``(p,)`` or ``(1, p)``) takes two ``dtrsv``
+    triangular solves instead, whose result can differ from the same row's
+    in a batch by rounding.  Only the query is checked for finiteness, at
+    O(Q*p); the stored factor is finite by construction.  With a centered
+    intercept the per-target mean is subtracted before the ridge solve and
+    added back afterwards; folding that through the weighted sum is
+    equivalent to adding ``(1 - sum(w)) / m`` to every weight of the
+    query's row.
 
     Given an (m, D) label embedding ``Phi`` (see
     ``losses.label_embedding``), the label statistics ``W @ Phi`` are
@@ -185,7 +194,14 @@ def weights(model: TrainedModel, x, embedding=None) -> np.ndarray:
         if centered:
             S = S[:, :-1] + ((1.0 - S[:, -1]) / model.m)[:, None] * embedding.sum(axis=0)
         return S
-    W = cho_solve(model.factor, V.T, overwrite_b=True, check_finite=False).T
+    if V.shape[0] == 1:
+        # Half of dpotrs's time for one right-hand side at m = 2000; from
+        # about 4 columns a loop of them loses to dpotrs's dtrsm.
+        L = model.factor[0]
+        W = dtrsv(L, dtrsv(L, V[0], lower=1, overwrite_x=1), lower=1, trans=1,
+                  overwrite_x=1)[None, :]
+    else:
+        W = cho_solve(model.factor, V.T, overwrite_b=True, check_finite=False).T
     if centered:
         W = W + ((1.0 - W.sum(axis=1)) / model.m)[:, None]
     if embedding is not None:

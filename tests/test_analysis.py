@@ -329,8 +329,10 @@ class TestEmpiricalSurrogateRisk:
         X = rng.normal(size=(4, 3))
         Y = np.stack([np.asarray(space.members[i]) for i in (0, 1, 2, 0)])
         vals = [surrogate_loss(model, loss, cfg, X[i], Y[i]) for i in range(4)]
+        # Each single query takes its weights from two triangular solves, so
+        # its value may differ from its batch row in the last bits.
         assert empirical_surrogate_risk(model, loss, cfg, X, Y) == pytest.approx(
-            np.mean(vals), abs=1e-15)
+            np.mean(vals), abs=1e-12)
 
 
 class TestGeneralizationBound:

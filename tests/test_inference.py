@@ -342,14 +342,16 @@ class TestInferDispatch:
 
 class TestInferBatch:
     """``infer`` on a (Q, p) batch returns one result per row, equal to the
-    single-query ``infer`` of that row on every kind of space."""
+    single-query ``infer`` of that row on every kind of space.  A single
+    query solves for its weights by two triangular solves, so flow rows
+    (``atol``) may move in the last bits; labels may not."""
 
-    def _check(self, model, loss, space, Xq, params=None):
+    def _check(self, model, loss, space, Xq, params=None, atol=0.0):
         batch = infer(model, loss, space, Xq, params)
         assert isinstance(batch, list) and len(batch) == Xq.shape[0]
         for res, x in zip(batch, Xq):
             single = infer(model, loss, space, x, params)
-            np.testing.assert_array_equal(res.y_star, single.y_star)
+            np.testing.assert_allclose(res.y_star, single.y_star, rtol=0, atol=atol)
             assert res.objective == pytest.approx(single.objective, rel=1e-12, abs=1e-12)
             assert res.certificate.kind == single.certificate.kind
 
@@ -379,22 +381,44 @@ class TestInferBatch:
     @pytest.mark.parametrize("intercept", ["none", "centered"])
     def test_hamming_on_a_dag_solves_d_plus_one_columns(self, rng, monkeypatch, intercept):
         # 20 rows > d + 1 = 8: the batch's solve takes the label embedding's
-        # 8 columns (9 with the intercept's), each single query its own row.
+        # 8 columns (9 with the intercept's); each single query solves its
+        # own row by two triangular solves.
         import ecrm.model
         G = HierarchyDag(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 5), (4, 6), (5, 6)])
         labels = np.array([random_feasible_label(rng, G) for _ in range(30)])
         model = fit(KernelSpec("rbf", gamma=0.5), 0.05, rng.normal(size=(30, 3)), labels,
                     intercept_mode=intercept)
-        solve, widths = ecrm.model.cho_solve, []
+        solve, trsv, widths, rows = ecrm.model.cho_solve, ecrm.model.dtrsv, [], []
         monkeypatch.setattr(ecrm.model, "cho_solve",
                             lambda c, b, **kw: widths.append(b.shape[1]) or solve(c, b, **kw))
+        monkeypatch.setattr(ecrm.model, "dtrsv",
+                            lambda a, x, **kw: rows.append(x.shape) or trsv(a, x, **kw))
         self._check(model, LossSpec("hamming"), hierarchy_space(G), rng.normal(size=(20, 3)))
-        assert widths == [8 + (intercept == "centered")] + [1] * 20
+        assert widths == [8 + (intercept == "centered")]
+        assert rows == [(30,)] * 40
 
     def test_assignment(self, rng):
         labels = np.array([rng.permutation(5) + 1 for _ in range(6)])
         model = fit(random_kernel(rng), 0.3, rng.normal(size=(6, 3)), labels)
         self._check(model, LossSpec("footrule"), assignment_space(5), rng.normal(size=(7, 3)))
+
+    def test_one_row_takes_two_triangular_solves(self, rng, monkeypatch):
+        import ecrm.model
+        G = random_tree(rng, 6)
+        labels = np.array([random_feasible_label(rng, G) for _ in range(12)])
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, rng.normal(size=(12, 3)), labels)
+        calls = []
+        for name in ("cho_solve", "dtrsv"):
+            real = getattr(ecrm.model, name)
+            monkeypatch.setattr(ecrm.model, name, lambda *a, _n=name, _f=real, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        loss, space = LossSpec("hierarchical", hierarchy=G), hierarchy_space(G)
+        for x in (rng.normal(size=3), rng.normal(size=(1, 3))):
+            infer(model, loss, space, x)
+            assert calls == ["dtrsv", "dtrsv"]
+            calls.clear()
+        infer(model, loss, space, rng.normal(size=(4, 3)))
+        assert calls == ["cho_solve"]
 
     @pytest.mark.parametrize("kind", ["square", "absolute"])
     def test_flow(self, rng, kind, monkeypatch):
@@ -409,7 +433,7 @@ class TestInferBatch:
         monkeypatch.setattr(ecrm.inference, name,
                             lambda W, *a: calls.append(len(W)) or solver(W, *a))
         self._check(model, LossSpec(kind), flow_space(net), rng.normal(size=(5, 3)),
-                    SolverParams(max_iters=30, restarts=2))
+                    SolverParams(max_iters=30, restarts=2), atol=1e-12)
         # The batch takes one solver call; each of the 5 single queries one more.
         assert calls == [5] + [1] * 5
 

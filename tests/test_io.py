@@ -322,6 +322,7 @@ class TestFactorCache:
         assert loaded.inputs.tobytes() == X.tobytes()
         assert loaded.labels.tobytes() == model.labels.tobytes()
         assert np.tril(loaded.factor[0]).tobytes() == np.tril(L).tobytes()
+        assert loaded.factor[0].flags.f_contiguous
         x = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(weights(loaded, x), weights(model, x))
         # A miss parses the inputs too, to the same bytes, and refits.

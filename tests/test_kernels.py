@@ -1,5 +1,7 @@
 """Kernel evaluation, Gram construction, fitting and weight queries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -8,6 +10,7 @@ from scipy.linalg.blas import dgemm
 from ecrm import (KernelSpec, estimate_conditional_risk, eval_kernel, fit,
                   gram_matrix, LossSpec, weights)
 from ecrm.kernels import _gram_too_large, _matmul, cross_gram
+from ecrm.model import from_factor
 from conftest import random_kernel
 from _oracles import dense_weight_oracle, gaussian_solve
 
@@ -101,6 +104,24 @@ class TestGramMatrix:
         ref = np.array([[eval_kernel(spec, a, b) for b in X] for a in Xq])
         np.testing.assert_allclose(V, ref, rtol=0, atol=1e-14)
 
+    def test_rbf_overflowing_squared_distances_raise(self, rng):
+        # Finite inputs whose centered squared norms, or their sums, overflow:
+        # one ValueError before the RBF pass would meet inf - inf.
+        spec = KernelSpec("rbf", gamma=0.5)
+        small = np.array([[1e150, 0.0], [0.1, 0.2], [-0.2, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X in ([[1e200, 0.0], [0.1, 0.2], [-0.2, 0.5]], [[1e154, 0.0], [-1e154, 0.0]]):
+                with pytest.raises(ValueError, match="squared distances overflow"):
+                    gram_matrix(spec, X)
+            for xq in ([[1e200, 1e200]], [[0.1, 0.2], [1e200, 0.0]]):
+                with pytest.raises(ValueError, match="squared distances overflow"):
+                    cross_gram(spec, xq, small)
+            assert cross_gram(spec, np.zeros((0, 2)), small).shape == (0, 3)
+            model = fit(spec, 0.1, small, np.zeros(3))
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                weights(model, [1e200, 1e200])
+
 
 def test_gram_too_large_names_rows_and_size():
     # The sizes of a 100,000-row and a 200,000-row training set, as numpy
@@ -140,6 +161,16 @@ class TestFit:
             ref = cho_factor(gram_matrix(spec, X) + 60 * lam * np.eye(60), lower=True)
             assert got[1] is True
             assert np.array_equal(np.tril(got[0]), np.tril(ref[0]))
+
+    def test_factor_is_fortran_ordered(self, rng):
+        # The solves in ``weights`` would copy any other layout per call.
+        X, Y = rng.normal(size=(20, 3)), np.zeros(20)
+        for spec in (KernelSpec("rbf", gamma=0.4), KernelSpec("linear")):
+            L = fit(spec, 0.1, X, Y).factor[0]
+            assert L.flags.f_contiguous
+            C = np.ascontiguousarray(L)
+            got = from_factor(spec, 0.1, X, Y, C).factor[0]
+            assert got.flags.f_contiguous and got.tobytes("F") == L.tobytes("F")
 
     def test_jitter_retry_rebuilds_overwritten_matrix(self, rng, monkeypatch):
         import ecrm.model
@@ -322,17 +353,39 @@ class TestWeights:
 
     @pytest.mark.parametrize("intercept", ["none", "centered"])
     def test_batch_rows_equal_single_queries(self, rng, intercept):
-        X = rng.normal(size=(9, 3))
+        # A single query, of shape (p,) or (1, p), takes two triangular
+        # solves; a batch one Cholesky solve.  Also for Hamming's label
+        # statistics, and on a one-sample model.
+        from ecrm.losses import label_embedding
         Xq = rng.normal(size=(5, 3))
-        for spec in (KernelSpec("rbf", gamma=0.6), KernelSpec("linear")):
-            model = fit(spec, 0.3, X, np.zeros(9), intercept_mode=intercept)
-            batch = weights(model, Xq)
-            assert batch.shape == (5, 9)
-            for i in range(5):
-                single = weights(model, Xq[i])
-                assert single.shape == (9,)
-                np.testing.assert_allclose(batch[i], single,
-                                           rtol=0, atol=1e-12)
+        for m in (1, 9):
+            X, Y = rng.normal(size=(m, 3)), rng.integers(0, 2, size=(m, 4))
+            Phi = label_embedding(LossSpec("hamming"), Y)
+            for spec in (KernelSpec("rbf", gamma=0.6), KernelSpec("linear")):
+                model = fit(spec, 0.3, X, Y, intercept_mode=intercept)
+                for emb, width in ((None, m), (Phi, 5)):
+                    batch = weights(model, Xq, emb)
+                    assert batch.shape == (5, width)
+                    for i in range(5):
+                        single = weights(model, Xq[i], emb)
+                        row = weights(model, Xq[i:i + 1], emb)
+                        assert single.shape == (width,) and row.shape == (1, width)
+                        np.testing.assert_allclose(batch[i], single, rtol=0, atol=1e-12)
+                        np.testing.assert_array_equal(row[0], single)
+
+    def test_one_row_allocates_no_m_by_m_array(self, rng):
+        import tracemalloc
+        m = 600
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, rng.normal(size=(m, 3)), np.zeros(m))
+        x = rng.normal(size=3)
+        weights(model, x)
+        tracemalloc.start()
+        try:
+            weights(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m // 4
 
     @pytest.mark.parametrize("intercept", ["none", "centered"])
     def test_label_statistics_equal_weighted_embedding(self, rng, intercept):
