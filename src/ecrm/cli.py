@@ -322,7 +322,8 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--max-iters", type=int, default=500,
                    help="subgradient steps per restart of the L1 flow solver (--loss absolute)")
     p.add_argument("--restarts", type=int, default=5,
-                   help="starts of the L1 flow solver: the mean of all paths, then random paths")
+                   help="starts of the L1 flow solver: the mean of all paths, then random "
+                        "paths; they run side by side and give the answers of a run one by one")
     p.add_argument("--gap-tol", type=float, default=1e-6,
                    help="Frank-Wolfe gap at which the square-loss flow projection stops")
     p.add_argument("--step-a", type=float, default=1.0,

@@ -19,7 +19,10 @@ and chains of one-in, one-out nodes become single arcs.  Each row carries
 its potentials from one step to the next, and its points conserve flow to
 rounding.  What else depends only on the network and the batch is built
 once per solve too: the L1 breakpoints with their index arrays, and the
-paths the start points and the subgradient bound use.
+paths the start points and the subgradient bound use.  The restarts of
+the descent run side by side, as one lockstep batch of restarts x Q rows
+(in groups when there are more restarts than one per ``_RESTART_LABELS``
+training labels), with the same results as running them one by one.
 
 On a path both risks are linear, with arc costs ``c = sum_i w_i - 2 w.labels``,
 so every vertex answer of the solvers is the cheapest path, found by one
@@ -288,6 +291,23 @@ def _fw_gaps(atoms: _PathAtoms, Z, scale, Y, S, lam):
     return 2.0 * np.asarray(scale, dtype=float) * (ys - scores[:, :K].min(axis=1))
 
 
+# A descent step longer than _STEP_MAX is refused: the projection squares it.
+_STEP_MAX = 1e150
+# The Newton ridge in units of the stop bound (see _project_newton), the
+# Newton steps a row may take, the halvings of one step, and the share of
+# the predicted rise it must reach.
+_RIDGE_BOUNDS = 32.0
+_NEWTON_ITERS = 200
+_HALVINGS = 60
+_ARMIJO = 1e-4
+_EPS = np.finfo(float).eps
+# The L1 descent runs at most one restart per _RESTART_LABELS training
+# labels side by side: a row of its batch holds about as many bytes as the
+# breakpoints of that many labels (3.1 KB against 0.4 KB on the bundled
+# network), so its rows hold no more than the breakpoint arrays.
+_RESTART_LABELS = 8
+
+
 class _FlowSystem(NamedTuple):
     """The reduced network of ``_project_newton``, built once per L1 solve
     by ``_flow_system``.  An arc on no s-t path carries no feasible flow
@@ -302,9 +322,12 @@ class _FlowSystem(NamedTuple):
     super-arc, a dropped arc to a'.  ``incidence`` is the (n' - 1, a')
     node-arc incidence, +1 at the tail, -1 at the head, no sink row;
     ``source`` is s's row.  An active super-arc adds ``entries[c]``,
-    ``+-1 / k``, at the flat indices ``slots[c]`` of the (n' - 1)^2
-    Laplacian (both (4, a'); an empty slot adds 0 at index 0).  ``degree``
-    is the most super-arcs at one node."""
+    ``+-1 / k``, at the flat indices ``flat[q, c]`` of the q-th of a stack
+    of ``rows`` (n' - 1)^2 Laplacians ((4, a') and (rows, 4, a'); an empty
+    slot adds 0 at its Laplacian's index 0).  ``bound`` is the stop bound
+    ``4 degree eps`` per unit of a row's span, with ``degree`` the most
+    super-arcs at one node, and ``ridge`` is ``_RIDGE_BOUNDS * bound`` times
+    the (n' - 1) identity."""
 
     order: np.ndarray
     starts: np.ndarray
@@ -312,12 +335,13 @@ class _FlowSystem(NamedTuple):
     arc_of: np.ndarray
     incidence: np.ndarray
     source: int
-    slots: np.ndarray
     entries: np.ndarray
-    degree: int
+    flat: np.ndarray
+    bound: float
+    ridge: np.ndarray
 
 
-def _flow_system(net: FlowNetwork) -> _FlowSystem:
+def _flow_system(net: FlowNetwork, rows: int = 1) -> _FlowSystem:
     if not net.is_acyclic:
         raise ValueError("flow projection requires an acyclic network")
     s, t = net.unit_endpoints()
@@ -360,20 +384,12 @@ def _flow_system(net: FlowNetwork) -> _FlowSystem:
             slots[c, e], signs[c, e] = x * n1 + y, sign
     sizes = [len(arcs) for _, _, arcs in chains]
     k = np.array(sizes, dtype=float)
+    bound = 4.0 * np.abs(incidence).sum(axis=1).max() * _EPS
     return _FlowSystem(np.concatenate([arcs for _, _, arcs in chains]),
-                       np.cumsum([0] + sizes[:-1]), k, arc_of, incidence[:n1], row[s], slots,
-                       signs / k, int(np.abs(incidence).sum(axis=1).max()))
+                       np.cumsum([0] + sizes[:-1]), k, arc_of, incidence[:n1], row[s], signs / k,
+                       (np.arange(rows) * (n1 * n1))[:, None, None] + slots, float(bound),
+                       _RIDGE_BOUNDS * bound * np.eye(n1))
 
-
-# A descent step longer than _STEP_MAX is refused: the projection squares it.
-_STEP_MAX = 1e150
-# The ridge of the Newton systems, the Newton steps a row may take, the
-# halvings of one step, and the share of the predicted rise it must reach.
-_NEWTON_RIDGE = 1e-12
-_NEWTON_ITERS = 200
-_HALVINGS = 60
-_ARMIJO = 1e-4
-_EPS = np.finfo(float).eps
 
 
 def _dual(system: _FlowSystem, p, zbar):
@@ -413,7 +429,19 @@ def _project_newton(system: _FlowSystem, Z, pi):
     eps (1 + max |zbar|)`` at every node; the sink's residual is then at
     most n' - 1 times that.
 
-    The Laplacians are summed by one ``bincount`` in row order, each is
+    The ridge is sized from that stop rule: it is ``_RIDGE_BOUNDS = 32``
+    times ``4 degree eps``.  A full step on the right active set leaves the
+    residual ``ridge d``, so it ends the row whenever it moves no potential
+    by more than 1/32 of the row's ``1 + max |zbar|``, as the steps of a
+    warm projection mostly do: a projection whose active set holds takes
+    one Newton system.  (With a ridge of 1e-12 the residual of most such
+    steps was above the bound, and a second system only removed it.)  The
+    ridge is still 128 times the rounding of a Laplacian pivot, ``degree
+    eps``, so the singular block of nodes that the active arcs cut off
+    from t meets no zero pivot; a ridge of 1e-16 does.
+
+    ``system`` must hold ``flat`` for at least as many rows as Z has.  The
+    Laplacians are summed by one ``bincount`` in row order, each is
     factored on its own by ``np.linalg.solve``, and the other sums are
     fixed-order einsums or exact, so a row's arithmetic never depends on
     its batch.
@@ -427,14 +455,12 @@ def _project_newton(system: _FlowSystem, Z, pi):
     k = system.lengths
     zbar = np.add.reduceat(Z[:, system.order], system.starts, axis=1) / k
     span = 1.0 + np.abs(zbar).max(axis=1)
-    bound = 4.0 * system.degree * _EPS
+    bound = system.bound
     P, U, ok = np.array(pi, dtype=float), np.zeros((Q, A + 1)), np.zeros(Q, dtype=bool)
     ids = np.flatnonzero(n1 * bound * span <= DEFAULT_CONTINUOUS_TOL)
     # Per unfinished row: its potentials, zbar and span, then the dual there.
     rows = (P[ids], zbar[ids], span[ids])
     dual = _dual(system, *rows[:2])
-    flat = (np.arange(ids.size) * (n1 * n1))[:, None, None] + system.slots
-    ridge = _NEWTON_RIDGE * np.eye(n1)
     for it in range(_NEWTON_ITERS + 1):
         done = np.abs(dual[1]).max(axis=1) <= bound * rows[2]
         if done.any():
@@ -447,9 +473,10 @@ def _project_newton(system: _FlowSystem, Z, pi):
             break
         (p, zb, reach), (r, g, theta, size) = rows, dual
         active = (r > 0.0)[:, None, :] * system.entries
-        H = np.bincount(flat[:ids.size].ravel(), active.ravel(), minlength=ids.size * n1 * n1)
+        H = np.bincount(system.flat[:ids.size].ravel(), active.ravel(),
+                        minlength=ids.size * n1 * n1)
         H = H.reshape(ids.size, n1, n1)
-        H += ridge
+        H += system.ridge
         d = np.linalg.solve(H, g[:, :, None])[:, :, 0]
         rise = np.einsum("qi,qi->q", g, d)
         move = np.abs((d @ system.incidence) / k).max(axis=1)
@@ -627,47 +654,54 @@ def _l1_descent(W, labels, net: FlowNetwork, P, path, path_obj, params: SolverPa
     the best subgradient lower bound, which only rows with nonnegative
     weights read: it stays ``-inf`` when the batch has none.
 
+    The restarts run side by side as one lockstep batch of restarts x Q
+    rows, restart-major, in groups of at most one restart per
+    ``_RESTART_LABELS`` training labels, so a block's memory does not grow
+    with the restarts.  Rows never mix, so each row takes the steps it
+    would take alone.  Each row keeps its best point over its steps; then
+    each query takes, in restart order and where strictly better, each
+    restart's best, as a sequential loop over the restarts would, so the
+    results are those of that loop bit for bit.  The subgradient bound's
+    product with every path is taken Q rows at a time.
+
     Built once here for every step: the breakpoints with their index
     arrays and the projection's reduced network.  Each row carries its
     node potentials from one projection to the next, and keeps its point
     where a projection is not ok.  A step that moves a flow by more than
-    ``_STEP_MAX`` raises ValueError: the projection squares it."""
-    Q, K = W.shape[0], P.shape[0]
-    breakpoints, costs = _l1_breakpoints(W, labels)
+    ``_STEP_MAX`` raises ValueError: the projection squares it.  The error
+    names the first step at which any restart of the group overflows."""
+    Q, a = W.shape[0], P.shape[1]
+    (keys, ends, CW, CWY, shift, top), costs = _l1_breakpoints(W, labels)
     np.copyto(costs, np.inf, where=W == 0.0)
     cand = costs.argmin(axis=1)
     cand_obj = costs[np.arange(Q), cand]
     del costs
     bound = np.all(W >= 0.0, axis=1).any()
-    system = _flow_system(net)
+    group = max(1, min(params.restarts, labels.shape[0] // _RESTART_LABELS))
+    system = _flow_system(net, group * Q)
+    shift, top = np.tile(shift, (group, 1)), np.tile(top, (group, 1))
 
-    # Start points: the mean of all paths, then seeded random paths.
-    starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
-    for r in range(1, params.restarts):
-        rng = np.random.default_rng([params.seed, r])
-        starts.append(P[int(rng.integers(K))])
-
-    best_Y = np.zeros((Q, P.shape[1]))
+    best_Y = np.zeros((Q, a))
     best_obj = np.full(Q, np.inf)
     best_lb = np.full(Q, -np.inf)
-
-    def keep_better(obj, Y):
-        improved = obj < best_obj
-        np.copyto(best_obj, obj, where=improved)
-        np.copyto(best_Y, Y, where=improved[:, None])
-
-    for y0 in starts:
-        Y = np.tile(y0, (Q, 1))
-        pi = np.zeros((Q, system.incidence.shape[0]))
+    for first in range(0, params.restarts, group):
+        n = min(group, params.restarts - first)
+        rows = n * Q
+        Y = np.empty((rows, a))
+        for i in range(n):
+            Y[i * Q:(i + 1) * Q] = _start(P, params.seed, first + i)
+        pi = np.zeros((rows, system.incidence.shape[0]))
+        run_Y, run_obj = np.zeros((rows, a)), np.full(rows, np.inf)
         # max_iters steps; the last pass only evaluates the final iterate.
         for t in range(params.max_iters + 1):
-            obj, G = _l1_obj_grad(*breakpoints, Y)
+            obj, G = _l1_obj_grad(keys, ends, CW, CWY, shift[:rows], top[:rows], Y)
             if bound:
                 # Subgradient lower bound: f(v) >= f(y) + g.(v - y) for all v.
-                lb = obj - (np.einsum("qa,qa->q", G, Y)
-                            - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
-                np.maximum(best_lb, lb, out=best_lb)
-            keep_better(obj, Y)
+                low = np.concatenate([np.min(np.einsum("qa,ka->qk", G[q:q + Q], P), axis=1)
+                                      for q in range(0, rows, Q)])
+                lb = obj - (np.einsum("qa,qa->q", G, Y) - low)
+                np.maximum(best_lb, lb.reshape(n, Q).max(axis=0), out=best_lb)
+            _keep_better(run_obj, run_Y, obj, Y)
             if t == params.max_iters:
                 break
             eta = params.step_a / (1.0 + params.step_b * t)
@@ -677,13 +711,30 @@ def _l1_descent(W, labels, net: FlowNetwork, P, path, path_obj, params: SolverPa
                                  f"it moves a flow by {reach:.3g}, more than {_STEP_MAX:.0e}")
             Z, pi, ok = _project_newton(system, Y - eta * G, pi)
             Y = Z if ok.all() else np.where(ok[:, None], Z, Y)
+        for q in range(0, rows, Q):
+            _keep_better(best_obj, best_Y, run_obj[q:q + Q], run_Y[q:q + Q])
 
     # The candidates are kept where strictly better, after the iterates.
     # They snap exact optima that subgradient steps only approach, e.g.
     # reproducing a lone training flow.
-    keep_better(path_obj, path)
-    keep_better(cand_obj, labels[cand])
+    _keep_better(best_obj, best_Y, path_obj, path)
+    _keep_better(best_obj, best_Y, cand_obj, labels[cand])
     return best_Y, best_obj, best_lb
+
+
+def _start(P, seed, r):
+    """Restart r's start point: the mean of all paths, then seeded random
+    paths."""
+    if r == 0:
+        return np.einsum("k,ka->a", np.full(P.shape[0], 1.0 / P.shape[0]), P)
+    return P[int(np.random.default_rng([seed, r]).integers(P.shape[0]))]
+
+
+def _keep_better(best_obj, best_Y, obj, Y):
+    """Take each row's ``obj`` and ``Y`` where ``obj`` is strictly below its best."""
+    improved = obj < best_obj
+    np.copyto(best_obj, obj, where=improved)
+    np.copyto(best_Y, Y, where=improved[:, None])
 
 
 def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
@@ -692,8 +743,11 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
 
     Feasibility is maintained by an exact Euclidean projection after every
     step, a Newton method on node potentials warm-started from the previous
-    step's, so every iterate conserves flow to rounding.  The best path and
-    every training label the row weighs are candidates too.
+    step's, so every iterate conserves flow to rounding.  The restarts run
+    side by side as one batch of restarts x Q rows, each query keeping the
+    best point of its restarts in restart order, so the result is the same
+    as that of restarts run one after another.  The best path and every
+    training label the row weighs are candidates too.
     Returns ``(Y, objectives, certificates)`` with one row/entry per query.
     For rows with nonnegative weights the objective is convex and the
     certificate carries the achieved duality gap from the subgradient lower

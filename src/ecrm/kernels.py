@@ -10,7 +10,9 @@ RBF blocks are level-3 BLAS products: ``||x - x'||^2 = ||x||^2 + ||x'||^2 -
 inputs' column mean; the kernel is translation-invariant, so only the
 spread of the features enters the cancellation error, not their offset.
 Finite rows whose centered squared norms are too large for their squared
-distances to be finite raise ValueError before the RBF pass.
+distances to be finite raise ValueError before the RBF pass.  Linear
+kernel values are finite too: training rows are checked by their squared
+norms before the Gram is formed, and each block of kernel vectors after.
 The Gram is built lower triangle first, in ``dsyrk``'s own Fortran-ordered
 buffer: the norm terms (added as ``n_i + n_j``), the clamp at 0, the scale
 and the ``exp`` run over column blocks of the lower triangle only, the
@@ -93,9 +95,11 @@ def cross_gram(spec: KernelSpec, A, B, terms=None) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if spec.kind == "linear":
-        # einsum keeps a fixed per-entry reduction order, so K[i,j] and
-        # K[j,i] are bitwise equal when A is B.
-        return np.einsum("ip,jp->ij", A, B)
+        K = _linear(A, B)
+        if not np.isfinite(K).all():
+            raise ValueError("inputs too large for the linear kernel: their inner products "
+                             "overflow")
+        return K
     if terms is None:
         terms = _training_terms(spec, B)
     elif terms[1].shape != B.shape:
@@ -113,15 +117,22 @@ def cross_gram(spec: KernelSpec, A, B, terms=None) -> np.ndarray:
     return _rbf_in_place(spec.gamma, D).T
 
 
-def _check_norms(na, nb) -> None:
-    """Raise ValueError unless the largest centered squared norms of the
-    two row sets have a finite sum.  Then every squared distance
-    ``na_i + nb_j - 2<a_i, b_j>`` and each of its terms is finite, since
-    ``|2<a_i, b_j>| <= na_i + nb_j``; otherwise the RBF pass would meet
-    ``inf - inf``."""
-    if na.size and nb.size and not np.isfinite(na.max() + nb.max()):
-        raise ValueError("inputs too large for the rbf kernel: their squared distances "
-                         "overflow")
+def _linear(A, B) -> np.ndarray:
+    # einsum keeps a fixed per-entry reduction order, so K[i,j] and K[j,i]
+    # are bitwise equal when A is B.
+    return np.einsum("ip,jp->ij", A, B)
+
+
+def _check_norms(na, nb, kind: str = "rbf") -> None:
+    """Raise ValueError unless the largest (for RBF, centered) squared norms
+    of the two row sets have a finite sum.  Then every inner product
+    ``<a_i, b_j>`` and every squared distance ``na_i + nb_j - 2<a_i, b_j>``
+    is finite, since ``|2<a_i, b_j>| <= na_i + nb_j``; otherwise the RBF
+    pass would meet ``inf - inf``, and a linear Gram would hold inf."""
+    # Python floats: their sum overflows to inf with no numpy warning.
+    if na.size and nb.size and not np.isfinite(float(na.max()) + float(nb.max())):
+        what = "squared distances" if kind == "rbf" else "inner products"
+        raise ValueError(f"inputs too large for the {kind} kernel: their {what} overflow")
 
 
 def _training_terms(spec: KernelSpec, B):
@@ -181,7 +192,9 @@ def gram_matrix(spec: KernelSpec, X, mirror: bool = True) -> np.ndarray:
     if X.shape[1] < 1:
         raise ValueError("need at least one input feature")
     if spec.kind == "linear":
-        return cross_gram(spec, X, X)
+        n = np.einsum("ip,ip->i", X, X)
+        _check_norms(n, n, "linear")
+        return _linear(X, X)
     A = X - X.mean(axis=0)
     D = dsyrk(-2.0, A.T, trans=1, lower=1)
     n = -0.5 * np.diagonal(D)

@@ -397,3 +397,70 @@ def wolfe_l1_descent(W, labels, P, path, path_obj, params):
     keep_better(path_obj, path)
     keep_better(cand_obj, labels[cand])
     return best_Y, best_obj, best_lb
+
+
+# The L1 descent as written when its restarts ran one after another, each
+# a Q-row batch.  It calls the solver's own breakpoints, reduced network
+# and Newton projection, so it differs from ``flow_opt._l1_descent`` only
+# in running the restarts in sequence.
+def sequential_l1_descent(W, labels, net, P, path, path_obj, params):
+    """Projected subgradient descent on the L1 risk of the rows of W, then
+    the feasible candidates: the best path ``path`` of each row, of risk
+    ``path_obj``, and every training label the row weighs: no zero-weight
+    label is a candidate.  Returns the best point of each row, its risk and
+    the best subgradient lower bound, which only rows with nonnegative
+    weights read: it stays ``-inf`` when the batch has none."""
+    from ecrm.flow_opt import (_STEP_MAX, _flow_system, _l1_breakpoints, _l1_obj_grad,
+                               _project_newton)
+    Q, K = W.shape[0], P.shape[0]
+    breakpoints, costs = _l1_breakpoints(W, labels)
+    np.copyto(costs, np.inf, where=W == 0.0)
+    cand = costs.argmin(axis=1)
+    cand_obj = costs[np.arange(Q), cand]
+    del costs
+    bound = np.all(W >= 0.0, axis=1).any()
+    system = _flow_system(net, Q)
+
+    # Start points: the mean of all paths, then seeded random paths.
+    starts = [np.einsum("k,ka->a", np.full(K, 1.0 / K), P)]
+    for r in range(1, params.restarts):
+        rng = np.random.default_rng([params.seed, r])
+        starts.append(P[int(rng.integers(K))])
+
+    best_Y = np.zeros((Q, P.shape[1]))
+    best_obj = np.full(Q, np.inf)
+    best_lb = np.full(Q, -np.inf)
+
+    def keep_better(obj, Y):
+        improved = obj < best_obj
+        np.copyto(best_obj, obj, where=improved)
+        np.copyto(best_Y, Y, where=improved[:, None])
+
+    for y0 in starts:
+        Y = np.tile(y0, (Q, 1))
+        pi = np.zeros((Q, system.incidence.shape[0]))
+        # max_iters steps; the last pass only evaluates the final iterate.
+        for t in range(params.max_iters + 1):
+            obj, G = _l1_obj_grad(*breakpoints, Y)
+            if bound:
+                # Subgradient lower bound: f(v) >= f(y) + g.(v - y) for all v.
+                lb = obj - (np.einsum("qa,qa->q", G, Y)
+                            - np.min(np.einsum("qa,ka->qk", G, P), axis=1))
+                np.maximum(best_lb, lb, out=best_lb)
+            keep_better(obj, Y)
+            if t == params.max_iters:
+                break
+            eta = params.step_a / (1.0 + params.step_b * t)
+            reach = eta * float(np.abs(G).max(initial=0.0))
+            if not reach <= _STEP_MAX:
+                raise ValueError(f"step size {eta:.6g} overflows the L1 flow descent: at step {t} "
+                                 f"it moves a flow by {reach:.3g}, more than {_STEP_MAX:.0e}")
+            Z, pi, ok = _project_newton(system, Y - eta * G, pi)
+            Y = Z if ok.all() else np.where(ok[:, None], Z, Y)
+
+    # The candidates are kept where strictly better, after the iterates.
+    # They snap exact optima that subgradient steps only approach, e.g.
+    # reproducing a lone training flow.
+    keep_better(path_obj, path)
+    keep_better(cand_obj, labels[cand])
+    return best_Y, best_obj, best_lb

@@ -679,6 +679,19 @@ class TestRealProcess:
             assert r.stderr == ("error: inputs too large for the rbf kernel: their squared "
                                 "distances overflow\n")
 
+    def test_linear_overflow_exits_2_with_one_error_line(self, tmp_path):
+        # The training row 1e200 0 would put inf in the linear Gram, which
+        # made the Cholesky factorization fail (exit 3).
+        save_hierarchy(tmp_path / "h.txt", HierarchyDag(4, [(0, 1), (0, 2), (1, 3)]))
+        save_matrix(tmp_path / "y.txt", np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 0, 1]]))
+        (tmp_path / "x.txt").write_text("1e200 0\n0.1 0.2\n-0.2 0.5\n")
+        r = run_process("train", "--x", tmp_path / "x.txt", "--labels", tmp_path / "y.txt",
+                        "--space", "hierarchy", "--hierarchy", tmp_path / "h.txt", "--kernel",
+                        "linear", "--lambda", 0.1, "--out", tmp_path / "m.ecrm")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == ("error: inputs too large for the linear kernel: their inner "
+                            "products overflow\n")
+
     @pytest.mark.parametrize("space", ["hierarchy", "flow"])
     def test_predict_stdout_identical_under_two_hash_seeds(self, request, space):
         if space == "hierarchy":

@@ -16,8 +16,8 @@ from ecrm.flow_opt import (_flow_system, _fw_gaps, _l1_breakpoints, _l1_obj_grad
                            project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
 from _oracles import (abs_flow_objective, flow_projection, l1_flow_minimizer,
-                      l1_obj_grad_per_arc, lex_min_cost_path, simplex_grid,
-                      wolfe_l1_descent, wolfe_min_norm_point)
+                      l1_obj_grad_per_arc, lex_min_cost_path, sequential_l1_descent,
+                      simplex_grid, wolfe_l1_descent, wolfe_min_norm_point)
 
 NET = default_flow_network()
 
@@ -71,8 +71,8 @@ WIDE = layered_dag(3, 8, 6, 0.8)
 def newton_project(net, Z, pi=None):
     """``_project_newton`` on the rows of Z over ``net``, cold unless the
     potentials ``pi`` are given: ``(Y, pi, ok)``."""
-    system = _flow_system(net)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    system = _flow_system(net, Z.shape[0])
     if pi is None:
         pi = np.zeros((Z.shape[0], system.incidence.shape[0]))
     return _project_newton(system, Z, pi)
@@ -81,6 +81,19 @@ def newton_project(net, Z, pi=None):
 def conserves_to_rounding(net, Y, Z):
     """Whether each row of Y conserves flow to the rounding of its step Z."""
     return np.all(flow_residuals(net, Y) <= 1e-12 * (1.0 + np.abs(Z).max(axis=1)))
+
+
+def cut_off_from_sink(net, active):
+    """The nodes that the arcs flagged in ``active`` do not join to the
+    sink, ignoring arc directions, among those that touch any arc."""
+    joined, grew = {net.unit_endpoints()[1]}, True
+    while grew:
+        grew = False
+        for (u, v), on in zip(net.arcs, active):
+            if on and (u in joined) != (v in joined):
+                joined |= {u, v}
+                grew = True
+    return {u for arc in net.arcs for u in arc} - joined
 
 
 def random_steps(rng, net, Q):
@@ -416,6 +429,70 @@ class TestNewtonProjection:
             np.testing.assert_array_equal(pi1[0], pi_out[q])
             assert ok1[0] == ok[q]
 
+    def test_warm_one_row_projections_take_few_newton_systems(self, monkeypatch):
+        # Descent-like one-row sequences, each point a shrinking step off
+        # the last answer, projected warm.  A step on the right active set
+        # leaves the ridge's residual, ridge * d; it ends the row when that
+        # is within the stop bound, so most projections take one system
+        # (1.36 a projection here; 2.08 with a ridge of 1e-12).
+        system, solves = _flow_system(NET), []
+        solve = np.linalg.solve
+
+        def counted(H, g):
+            solves.append(H.shape[0])
+            return solve(H, g)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        rng, P, projections = np.random.default_rng(3), enumerate_st_paths(NET), 0
+        for _ in range(40):
+            y, pi = rng.dirichlet(np.full(P.shape[0], 0.5)) @ P, np.zeros((1, 5))
+            for t in range(50):
+                z = y + 0.1 / (1 + 0.1 * t) * rng.uniform(-1.0, 1.0, size=y.shape)
+                Y, pi, ok = _project_newton(system, z[None, :], pi)
+                assert ok.all()
+                assert conserves_to_rounding(NET, Y, z[None, :])
+                y, projections = Y[0], projections + 1
+        assert len(solves) / projections <= 1.7
+        # A warm projection whose active set does not change ends after
+        # exactly one system.
+        rng = np.random.default_rng(4)
+        for z0 in (P.mean(axis=0), 0.7 * P[0] + 0.3 * P[3] - 0.5 * (P[0] + P[3] == 0)):
+            Y0, pi0, _ = _project_newton(system, z0[None, :], np.zeros((1, 5)))
+            for _ in range(20):
+                z = z0 + rng.uniform(-0.01, 0.01, size=z0.shape)
+                solves.clear()
+                Y, _, ok = _project_newton(system, z[None, :], pi0)
+                assert ok.all()
+                np.testing.assert_array_equal(Y > 0.0, Y0 > 0.0)
+                assert solves == [1]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_rows_whose_active_arcs_cut_nodes_off_from_the_sink(self, warm, rng):
+        # Arguments at the start whose positive arcs leave node 4 alone, the
+        # source alone, the pair {2, 4}, or the source's side {0, 1, 2} with
+        # no active arc to the sink.  Only the ridge holds those nodes'
+        # Newton steps; every row must still converge and conserve.
+        pos, neg = 0.5, -1.0
+        patterns = np.array([
+            [pos, pos, pos, pos, neg, neg, pos, neg, pos, neg],     # node 4
+            [neg, neg, pos, pos, pos, pos, pos, pos, pos, pos],     # the source
+            [pos, neg, neg, pos, pos, neg, neg, neg, pos, neg],     # {2, 4}
+            [pos, pos, pos, neg, neg, neg, neg, pos, pos, pos]])    # {0, 1, 2}
+        cut = [{4}, {0}, {2, 4}, {0, 1, 2}]
+        system = _flow_system(NET, len(patterns))
+        pi = rng.normal(size=(len(patterns), 5)) if warm else np.zeros((len(patterns), 5))
+        # Every super-arc of the bundled network is one arc, so the start's
+        # argument of arc a is z_a plus its potential difference.
+        Z = patterns - (pi @ system.incidence)[:, system.arc_of]
+        for row, nodes in zip(patterns, cut):
+            assert cut_off_from_sink(NET, row > 0.0) == nodes
+        Y, _, ok = _project_newton(system, Z, pi)
+        assert ok.all()
+        assert conserves_to_rounding(NET, Y, Z)
+        P = enumerate_st_paths(NET)
+        for q in range(len(Z)):
+            assert np.linalg.norm(Y[q] - flow_projection(P, Z[q])) <= 1e-9
+
     def test_rows_at_the_iteration_cap_keep_their_point(self, rng, monkeypatch):
         # With no Newton step allowed only the feasible rows finish; the
         # rest keep their potentials and return no point.
@@ -447,7 +524,8 @@ class TestNewtonProjection:
         W = rng.normal(size=(10, 30))
         W[::3] = np.abs(W[::3])
         Y, _, _ = solve_flow_abs_batch(W, labels, NET, SolverParams(max_iters=20, restarts=2))
-        assert len(calls) == 40
+        # Both restarts run as one batch of 2 x 10 rows.
+        assert calls == [20] * 20
         assert np.max(flow_residuals(NET, Y)) <= 1e-12
 
     def test_l1_solve_on_the_long_chain_stays_small(self, rng):
@@ -721,7 +799,52 @@ class TestSolveFlowAbs:
         assert hashlib.sha256(Yw.tobytes() + objw.tobytes()).hexdigest() == (
             "dfab8b45705dc5d1a2d322237de1bdd6703183c5374b0ea044afa447db704278")
         assert hashlib.sha256(Y.tobytes() + obj.tobytes()).hexdigest() == (
-            "e5778222459887aec1257e7668abae296610c77888a8aef38be5fdb9ad09c84a")
+            "38fc13bc04ded6ceb6f14a463fc688b986f069ccd2d198ffd0649d5ea9dfe4ce")
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    @pytest.mark.parametrize("net", [NET, DAG, SIDE], ids=["bundled", "layered-dag",
+                                                          "side-nodes"])
+    def test_restarts_in_one_batch_equal_sequential_restarts(self, net, restarts, rng,
+                                                             monkeypatch):
+        # The restarts run side by side, at most one per 8 labels: with 24
+        # labels five restarts run as batches of 3 and 2.  Every bit must
+        # match the restarts run one after another (``sequential_l1_descent``),
+        # for nonnegative rows (which read the bound), mixed rows and rows
+        # with no positive weight (which skip the descent), in a batch and
+        # one row at a time.
+        P = enumerate_st_paths(net)
+        labels = rng.dirichlet(np.ones(P.shape[0]), size=24) @ P
+        W = rng.normal(size=(9, 24))
+        W[::3] = np.abs(W[::3])
+        W[1], W[5] = -np.abs(W[1]), 0.0
+        params = SolverParams(max_iters=40, restarts=restarts, seed=7)
+        project, start, rows, starts = flow_opt._project_newton, flow_opt._start, set(), []
+
+        def counted(system, Z, pi):
+            rows.add(Z.shape[0])
+            return project(system, Z, pi)
+
+        def started(P, seed, r):
+            starts.append(r)
+            return start(P, seed, r)
+
+        monkeypatch.setattr(flow_opt, "_project_newton", counted)
+        monkeypatch.setattr(flow_opt, "_start", started)
+        batched = [solve_flow_abs_batch(W, labels, net, params)]
+        assert starts == list(range(restarts))
+        batched += [solve_flow_abs_batch(W[q:q + 1], labels, net, params) for q in (0, 2)]
+        sizes = (3, 2) if restarts == 5 else (restarts,)
+        assert rows == {7 * n for n in sizes} | set(sizes)
+        monkeypatch.setattr(flow_opt, "_l1_descent", sequential_l1_descent)
+        sequential = [solve_flow_abs_batch(W, labels, net, params)]
+        sequential += [solve_flow_abs_batch(W[q:q + 1], labels, net, params) for q in (0, 2)]
+        for (Y, obj, certs), (Ys, objs, certss) in zip(batched, sequential):
+            np.testing.assert_array_equal(Y, Ys)
+            np.testing.assert_array_equal(obj, objs)
+            assert certs == certss
+        kinds = [c.kind for c in batched[0][2]]
+        assert kinds == ["gap", "exact", "heuristic", "gap", "heuristic", "exact", "gap",
+                         "heuristic", "heuristic"]
 
     def test_labels_a_row_does_not_weigh_change_nothing(self, rng):
         # Each row's optimum, stacked in front at zero weight with one more
@@ -943,3 +1066,48 @@ def test_abs_solver_label_candidates_need_no_m_by_m_table():
     finally:
         tracemalloc.stop()
     assert peak <= m * m * 8 / 16, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_abs_solver_restarts_stay_within_the_breakpoint_arrays(monkeypatch):
+    # One row on 200 labels: the restarts run side by side in batches of
+    # at most one per 8 labels, so 2000 of them add no more to the peak
+    # than the breakpoint arrays the solve holds anyway, and the bound's
+    # product with every path stays at the query's one row.
+    P = enumerate_st_paths(NET)
+    rng = np.random.default_rng(2000)
+    labels = rng.dirichlet(np.ones(P.shape[0]), size=200) @ P
+    held, widths = [], set()
+    breakpoints, einsum = flow_opt._l1_breakpoints, np.einsum
+
+    def recorded(W, labels):
+        out = breakpoints(W, labels)
+        held.append(sum(v.nbytes for v in out[0]))
+        return out
+
+    def product(subscripts, *operands, **kwargs):
+        if subscripts == "qa,ka->qk":
+            widths.add(operands[0].shape[0])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(flow_opt, "_l1_breakpoints", recorded)
+    monkeypatch.setattr(np, "einsum", product)
+    nonneg = rng.dirichlet(np.ones(200), size=1)
+    _, _, certs = solve_flow_abs_batch(nonneg, labels, NET,
+                                       SolverParams(max_iters=20, restarts=60))
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert certs[0].kind == "gap"
+    assert widths == {1}
+    # Traced after an untraced solve, so that numpy's first-use set-up
+    # does not count.
+    W = rng.normal(size=(1, 200))
+    W /= np.abs(W).sum()
+    solve_flow_abs_batch(W, labels, NET, SolverParams(max_iters=20, restarts=100))
+    peaks = []
+    for restarts in (1, 2000):
+        tracemalloc.start()
+        try:
+            solve_flow_abs_batch(W, labels, NET, SolverParams(max_iters=20, restarts=restarts))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= held[0], f"{peaks[1] - peaks[0]} > {held[0]} bytes"

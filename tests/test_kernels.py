@@ -231,11 +231,20 @@ class TestFit:
                 with pytest.raises(ValueError):
                     fit(spec, 1.0, Xbad, np.zeros(3))
 
-    def test_overflowing_gram_is_a_numerical_error(self):
-        # Finite inputs whose linear Gram overflows to inf.
-        from ecrm.errors import NumericalError
-        with pytest.raises(NumericalError):
+    def test_overflowing_linear_gram_is_an_input_error(self):
+        # Finite inputs whose linear Gram would overflow to inf are refused
+        # before the Gram is formed, as the RBF kernel refuses inputs whose
+        # squared distances overflow; no Cholesky factorization is tried.
+        with pytest.raises(ValueError, match="too large for the linear kernel"):
             fit(KernelSpec("linear"), 1.0, [[1e200]], [0])
+        # Norms that are finite alone but not summed: no numpy warning.
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="linear kernel"):
+            warnings.simplefilter("error")
+            gram_matrix(KernelSpec("linear"), [[1e154, 0.0], [0.0, 1.0]])
+        fit(KernelSpec("linear"), 1.0, [[1e150]], [0])
+        # Kernel vectors whose inner products overflow are refused too.
+        with pytest.raises(ValueError, match="too large for the linear kernel"):
+            cross_gram(KernelSpec("linear"), [[1e200, 1e200]], [[1e150, 0.0]])
 
     def test_rbf_blocks_and_panels_match_full_construction(self, rng):
         # m = 1100 runs the column-block loop (_BLOCK_ELEMS // m = 238 columns)
