@@ -94,7 +94,8 @@ def surrogate_loss_detailed(model: TrainedModel, loss: LossSpec, cfg: SurrogateC
                 for gq, yq in zip(margins, Y)]
         certs = ["exact"] * len(vals)
     else:
-        best = infer_batch(W, labels, loss, space, params)
+        best = infer_batch(W, inference.model_state(model, loss, space)[1], loss, space,
+                           params)
         # A block of augmented rows puts the labels of all its rows in front
         # of the training labels, each row weighting only its own.
         aug, step = [], inference.BLOCK_ROWS

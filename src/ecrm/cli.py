@@ -129,8 +129,10 @@ def _blocks(run, X, x_path, m, *aligned):
     """The results of ``run`` on each block of ``inference.BLOCK_ROWS``
     rows of the query rows ``X``, read from ``x_path``, and of each
     row-aligned array in ``aligned``, in order.  One block is held at a
-    time, so memory is O(BLOCK_ROWS * m) for m training rows; a block that
-    cannot be allocated raises EcrmError, naming its rows and m."""
+    time, so memory is O(BLOCK_ROWS * m) for m training rows, times the
+    arc count a for L1 flows (16 a (m + 1) bytes per row, see
+    ``inference.BLOCK_ROWS``); a block that cannot be allocated raises
+    EcrmError, naming its rows and m."""
     step = inference.BLOCK_ROWS
     for s in range(0, X.shape[0], step):
         e = min(s + step, X.shape[0])
@@ -340,13 +342,7 @@ def _add_kernel_flags(p) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ecrm",
-                                 description="Structured prediction by estimated "
-                                             "conditional risk minimization")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="fit a model and write it to a file")
+def _train_args(p) -> None:
     p.add_argument("--x", required=True)
     p.add_argument("--labels", required=True)
     _add_space_flags(p)
@@ -355,47 +351,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("base", "additive"), default="base")
     p.add_argument("--neighbors", choices=("adjacent", "self"), default="adjacent")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="one prediction line per input row")
+
+def _predict_args(p) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--loss", choices=LOSSES, default="hamming")
     _add_space_flags(p)
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="mean loss of predictions against labels")
+
+def _labelled_args(p, *numbers) -> None:
+    """Flags of the commands that score a model on a labelled query set;
+    ``numbers`` are their required float flags."""
     p.add_argument("--model", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--loss", choices=LOSSES, required=True)
+    for flag in numbers:
+        p.add_argument(flag, type=float, required=True)
     _add_space_flags(p)
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("surrogate", help="per-sample surrogate loss and its mean")
-    p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--loss", choices=LOSSES, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    _add_space_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_surrogate)
 
-    p = sub.add_parser("bound", help="generalization-bound terms on a dataset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--loss", choices=LOSSES, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    _add_space_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("simulate-flow", help="write synthetic flow data files")
+def _simulate_flow_args(p) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--tau", type=float, default=1.0)
@@ -403,23 +382,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network")
     p.add_argument("--out-x", required=True)
     p.add_argument("--out-y", required=True)
-    p.set_defaults(func=cmd_simulate_flow)
 
-    p = sub.add_parser("bench", help="CSV of training seconds per hierarchy size")
+
+def _bench_args(p) -> None:
     p.add_argument("--m", type=int, default=500)
     p.add_argument("--dims", default="10,100,1000")
     p.add_argument("--p", type=int, default=10)
     p.add_argument("--repeats", type=int, default=3)
     _add_kernel_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("tu-check", help="total unimodularity of a matrix file")
+
+def _tu_check_args(p) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--cap", type=int, default=2_000_000)
-    p.set_defaults(func=cmd_tu_check)
 
-    p = sub.add_parser("baseline", help="nearest-neighbor or ridge-projection predictions")
+
+def _baseline_args(p) -> None:
     p.add_argument("--method", choices=("knn", "krr-project"), required=True)
     p.add_argument("--train-x", required=True)
     p.add_argument("--train-labels", required=True)
@@ -429,14 +408,47 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     _add_kernel_flags(p)
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_baseline)
 
+
+# Subcommand -> (help, flag builder, handler), in the order --help lists them.
+_COMMANDS = {
+    "train": ("fit a model and write it to a file", _train_args, cmd_train),
+    "predict": ("one prediction line per input row", _predict_args, cmd_predict),
+    "eval": ("mean loss of predictions against labels", _labelled_args, cmd_eval),
+    "surrogate": ("per-sample surrogate loss and its mean",
+                  lambda p: _labelled_args(p, "--rho"), cmd_surrogate),
+    "bound": ("generalization-bound terms on a dataset",
+              lambda p: _labelled_args(p, "--rho", "--delta"), cmd_bound),
+    "simulate-flow": ("write synthetic flow data files", _simulate_flow_args,
+                      cmd_simulate_flow),
+    "bench": ("CSV of training seconds per hierarchy size", _bench_args, cmd_bench),
+    "tu-check": ("total unimodularity of a matrix file", _tu_check_args, cmd_tu_check),
+    "baseline": ("nearest-neighbor or ridge-projection predictions", _baseline_args,
+                 cmd_baseline),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered with its
+    help, but when the first token of ``argv`` names one, only that one
+    gets its flags: it is the only one argparse reads them for.  Any other
+    ``argv``, None included, gets every subcommand's flags."""
+    ap = argparse.ArgumentParser(prog="ecrm",
+                                 description="Structured prediction by estimated "
+                                             "conditional risk minimization")
+    sub = ap.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_, add_flags, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if only in (None, name):
+            add_flags(p)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -19,10 +19,14 @@ and chains of one-in, one-out nodes become single arcs.  Each row carries
 its potentials from one step to the next, and its points conserve flow to
 rounding.  What else depends only on the network and the batch is built
 once per solve too: the L1 breakpoints with their index arrays, and the
-paths the start points and the subgradient bound use.  The restarts of
-the descent run side by side, as one lockstep batch of restarts x Q rows
-(in groups when there are more restarts than one per ``_RESTART_LABELS``
-training labels), with the same results as running them one by one.
+paths the start points and the subgradient bound use.  What depends on
+the training flows alone, their check against the network and, for L1,
+each arc's sorted labels, is their ``FlowLabels``, which either solver
+takes in place of the flows and ``inference`` builds once per model.
+The restarts of the descent run side by side, as one lockstep batch of
+restarts x Q rows (in groups when there are more restarts than one per
+``_RESTART_LABELS`` training labels), with the same results as running
+them one by one.
 
 On a path both risks are linear, with arc costs ``c = sum_i w_i - 2 w.labels``,
 so every vertex answer of the solvers is the cheapest path, found by one
@@ -30,12 +34,13 @@ dynamic program, ``min_cost_paths``, with ties to the lexicographically smallest
 
 The L1 risk ``sum_i w_i ||y - y_i||_1`` is separable over arcs and piecewise
 linear on each, with breakpoints at the training labels.  The L1 solver
-sorts each arc's labels and builds per-row prefix sums of ``w`` and ``w y``
-once, O(Q m a) time and two (a, Q, m + 1) arrays held for the call; every
-objective and subgradient evaluation after that is one search over every
-arc's sorted labels, O(Q a log(a m)), with no (Q, m, a) table.  The same
-prefix sums score every training label as a candidate point, O(Q a m) for
-any m, with no m x m table; a label of zero weight is not a candidate.
+takes each arc's sorted labels and builds per-row prefix sums of ``w`` and
+``w y`` once, O(Q m a) time and two (a, Q, m + 1) arrays held for the
+call, 16 a (m + 1) bytes per row; every objective and subgradient
+evaluation after that is one search over every arc's sorted labels,
+O(Q a log(a m)), with no (Q, m, a) table.  The same prefix sums score
+every training label as a candidate point, O(Q a m) for any m, with no
+m x m table; a label of zero weight is not a candidate.
 
 Both solvers take a batch of query weight rows and return ``(Y,
 objectives, certificates)``; a single query is the one-row batch.  A row's
@@ -512,17 +517,70 @@ def _keep(mask, ids, *groups):
     return ids[mask], *(tuple(v[mask] for v in group) for group in groups)
 
 
-def _solver_inputs(W, labels, net: FlowNetwork, params: SolverParams | None):
-    """The checked inputs of either flow solver: ``(W, labels, P, params)``
-    with W and labels as float matrices and P the network's s-t paths."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    bad, why = nonmembers(flow_space(net), labels)
+class L1Labels(NamedTuple):
+    """The half of the L1 solver's breakpoints that the labels alone fix
+    (see ``_l1_breakpoints``).  ``order`` sorts each arc's labels (stably)
+    into ``S``; ``keys`` and ``ends`` are as in ``_l1_breakpoints``;
+    ``lo[k, a]`` / ``hi[k, a]`` count the labels below / at most label k's
+    value on arc a."""
+
+    labels: np.ndarray
+    order: np.ndarray
+    S: np.ndarray
+    keys: np.ndarray
+    ends: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def l1_labels(labels) -> L1Labels:
+    """The ``L1Labels`` of an (m, arcs) float matrix of training flows."""
+    m, a = labels.shape
+    order = np.argsort(labels, axis=0, kind="stable")
+    S = np.take_along_axis(labels, order, axis=0)
+    keys = (np.arange(a)[:, None] + 1j * S.T).ravel()
+    ends = np.searchsorted(keys, keys, side="right")
+    first, shift = np.searchsorted(keys, np.arange(a) + 1j * labels), np.arange(a) * m
+    return L1Labels(labels, order, S, keys, ends, first - shift, ends[first] - shift)
+
+
+class FlowLabels(NamedTuple):
+    """Training flows checked against the network ``net``, which either
+    flow solver takes in place of the flows: ``flows`` is their (m, arcs)
+    float matrix and ``ranks`` their ``L1Labels``, or None where not built."""
+
+    net: FlowNetwork
+    flows: np.ndarray
+    ranks: L1Labels | None
+
+
+def flow_labels(labels, net: FlowNetwork, ranked: bool = False) -> FlowLabels:
+    """The ``FlowLabels`` of the training flows ``labels`` on ``net``, with
+    their ``L1Labels`` when ``ranked``.  Each flow must lie in ``net``'s
+    flow polytope (ValueError naming the first that does not).  Given
+    ``FlowLabels`` of ``net``, returns them, ranked if asked; of another
+    network object, raises ValueError."""
+    if isinstance(labels, FlowLabels):
+        if labels.net is not net:
+            raise ValueError("training flows were checked against another network")
+        if ranked and labels.ranks is None:
+            return labels._replace(ranks=l1_labels(labels.flows))
+        return labels
+    flows = np.atleast_2d(np.asarray(labels, dtype=float))
+    bad, why = nonmembers(flow_space(net), flows)
     if bad.size:
         raise ValueError(f"training flow {bad[0]} {why}")
+    return FlowLabels(net, flows, l1_labels(flows) if ranked else None)
+
+
+def _solver_inputs(W, labels, net: FlowNetwork, params: SolverParams | None):
+    """The checked inputs of either flow solver, given its checked float
+    labels: ``(W, P, params)`` with W a float matrix and P the network's
+    s-t paths."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.shape[1] != labels.shape[0]:
         raise ValueError("weight and label counts differ")
-    return W, labels, enumerate_st_paths(net), params or SolverParams()
+    return W, enumerate_st_paths(net), params or SolverParams()
 
 
 def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None = None):
@@ -543,9 +601,11 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     Means are stacked one-row products, never one (Q, m) x (m, a) product,
     whose blocking would change their last bits with Q; so a row's result
     does not depend on its batch.  Objectives are taken row by row, so no
-    (Q, m, a) difference array is formed.
+    (Q, m, a) difference array is formed.  ``labels`` are the (m, arcs)
+    training flows or their ``flow_labels`` on ``net``.
     """
-    W, labels, P, params = _solver_inputs(W, labels, net, params)
+    labels = flow_labels(labels, net).flows
+    W, P, params = _solver_inputs(W, labels, net, params)
     Q = W.shape[0]
     total = W.sum(axis=1)
     convex = total > 0.0
@@ -569,9 +629,9 @@ def solve_flow_sq_batch(W, labels, net: FlowNetwork, params: SolverParams | None
     return Y, objs, certs
 
 
-def _l1_breakpoints(W, labels):
+def _l1_breakpoints(W, ranks: L1Labels):
     """Breakpoints of the L1 risk of every row of W, and its value at every
-    training label.
+    training label, from the labels' ``L1Labels``.
 
     Returns ``((keys, ends, CW, CWY, shift, top), costs)``.  ``keys`` holds
     the complex keys ``a + 1j * y_ia`` of arc ``a``'s labels in ascending
@@ -584,7 +644,8 @@ def _l1_breakpoints(W, labels):
     block is contiguous to gather from.  Key ``j m + r`` is rank ``r`` on
     arc ``j``, at flat index ``shift[q, j] + j m + r`` of row q's
     ``CW[j, q, r]``; ``top[q, j]`` is the flat index of ``CW[j, q, m]``.
-    These index arrays are built here, once per solve, for every step.
+    ``keys`` and ``ends`` come from ``ranks``, built once per label set;
+    the other arrays are built here, once per solve, for every step.
 
     ``costs[q, k]`` is the risk of row q at label k.  On each arc, with
     ``t = y_ka`` and ``lo`` / ``hi`` the counts of labels below / at most
@@ -594,13 +655,8 @@ def _l1_breakpoints(W, labels):
     arc at a time through one (Q, m) scratch array, so no (Q, m, a)
     temporary exists.
     """
+    labels, order, S, keys, ends, lo, hi = ranks
     (m, a), Q = labels.shape, W.shape[0]
-    order = np.argsort(labels, axis=0, kind="stable")
-    S = np.take_along_axis(labels, order, axis=0)
-    keys = (np.arange(a)[:, None] + 1j * S.T).ravel()
-    ends = np.searchsorted(keys, keys, side="right")
-    first, shift = np.searchsorted(keys, np.arange(a) + 1j * labels), np.arange(a) * m
-    lo, hi = first - shift, ends[first] - shift
     CW = np.zeros((a, Q, m + 1))
     CWY = np.zeros((a, Q, m + 1))
     Wj = np.empty((Q, m))
@@ -646,8 +702,10 @@ def _l1_obj_grad(keys, ends, CW, CWY, shift, top, Y):
     return np.cumsum(terms, axis=1)[:, -1], G
 
 
-def _l1_descent(W, labels, net: FlowNetwork, P, path, path_obj, params: SolverParams):
-    """Projected subgradient descent on the L1 risk of the rows of W, then
+def _l1_descent(W, ranks: L1Labels, net: FlowNetwork, P, path, path_obj,
+                params: SolverParams):
+    """Projected subgradient descent on the L1 risk of the rows of W, against
+    the labels of ``ranks``, then
     the feasible candidates: the best path ``path`` of each row, of risk
     ``path_obj``, and every training label the row weighs: no zero-weight
     label is a candidate.  Returns the best point of each row, its risk and
@@ -670,8 +728,8 @@ def _l1_descent(W, labels, net: FlowNetwork, P, path, path_obj, params: SolverPa
     where a projection is not ok.  A step that moves a flow by more than
     ``_STEP_MAX`` raises ValueError: the projection squares it.  The error
     names the first step at which any restart of the group overflows."""
-    Q, a = W.shape[0], P.shape[1]
-    (keys, ends, CW, CWY, shift, top), costs = _l1_breakpoints(W, labels)
+    Q, a, labels = W.shape[0], P.shape[1], ranks.labels
+    (keys, ends, CW, CWY, shift, top), costs = _l1_breakpoints(W, ranks)
     np.copyto(costs, np.inf, where=W == 0.0)
     cand = costs.argmin(axis=1)
     cand_obj = costs[np.arange(Q), cand]
@@ -753,9 +811,12 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     certificate carries the achieved duality gap from the subgradient lower
     bound.  A row with no positive weight has a concave risk, which the best
     path minimizes: it skips the descent (certificate exact).  Other rows
-    are heuristic.
+    are heuristic.  ``labels`` are the (m, arcs) training flows or their
+    ``flow_labels`` on ``net``.
     """
-    W, labels, P, params = _solver_inputs(W, labels, net, params)
+    ranks = flow_labels(labels, net, ranked=True).ranks
+    labels = ranks.labels
+    W, P, params = _solver_inputs(W, labels, net, params)
     # On a path the risk is c.V + W.(labels 1), as labels lie in [0, 1].
     c = W.sum(axis=1)[:, None] - 2.0 * (W[:, None, :] @ labels)[:, 0]
     best_Y = min_cost_paths(net, c)
@@ -765,7 +826,7 @@ def solve_flow_abs_batch(W, labels, net: FlowNetwork, params: SolverParams | Non
     if live.any():
         # A boolean index copies; with every row live, W itself serves.
         best_Y[live], best_obj[live], best_lb[live] = _l1_descent(
-            W if live.all() else W[live], labels, net, P, best_Y[live], best_obj[live], params)
+            W if live.all() else W[live], ranks, net, P, best_Y[live], best_obj[live], params)
     nonneg = np.all(W >= 0.0, axis=1)
     certs = [EXACT if not lv else Certificate("gap", gap=float(max(0.0, f - lb))) if nn
              else HEURISTIC for lv, nn, f, lb in zip(live, nonneg, best_obj, best_lb)]

@@ -10,6 +10,16 @@ one call of the loss's batched flow solver.
 weights of one query or a batch first, or for Hamming on a hierarchy the
 label statistics that stand in for them.
 
+Only the weights depend on the query: what a solver derives from the
+training labels (``solver_state``) is fixed by the model.  ``infer``
+builds it on a model's first call and keeps it on the model
+(``model_state``); the solvers take it in place of the labels, and
+build it on each call from labels passed as they are, through the same
+builders, so both give the same bits.  Two label-only operands are
+rebuilt per call, not kept: the hierarchical loss's float labels with
+their arc products, and ``K^-1 Phi``; each would hold arrays the size of
+the labels for the model's life.
+
 Exhaustive and hierarchy argmins break ties toward the lexicographically
 smallest encoding, and so does every path (vertex) answer of the flow
 solvers; rankings return an optimum, with no rule among tied ones.
@@ -21,16 +31,19 @@ import numpy as np
 
 from .assignment import assignment_cost, solve_assignment
 from .closure import solve_hierarchy
-from .flow_opt import solve_flow_abs_batch, solve_flow_sq_batch
-from .losses import LossSpec, additive_coefficients, label_embedding, loss_value
+from .flow_opt import flow_labels, solve_flow_abs_batch, solve_flow_sq_batch
+from .losses import (LossSpec, additive_coefficients, footrule_state, label_embedding,
+                     loss_value)
 from .model import TrainedModel, weights
 from .results import EXACT, InferenceResult, SolverParams
 from .spaces import OutputSpace
 
 # Query rows per block: the command line runs a query file this many rows
-# at a time, so its memory is O(BLOCK_ROWS * m) for m training rows, and
-# the surrogate's augmented risk minimization puts the labels of this many
-# rows in front of the training labels.
+# at a time, so its memory is O(BLOCK_ROWS * m) for m training rows (times
+# the arc count a for L1 flows, whose two prefix-sum tables take
+# 16 a (m + 1) bytes per row), and the surrogate's augmented risk
+# minimization puts the labels of this many rows in front of the training
+# labels.
 BLOCK_ROWS = 256
 
 
@@ -75,10 +88,10 @@ def infer_batch(W, labels, loss: LossSpec, space: OutputSpace,
     share one label set.  A hierarchical loss must be defined on the
     space's hierarchy.  With ``embedded``, ``W`` holds the label statistics
     ``W @ Phi`` for the pair's ``label_embedding`` (see ``infer``) in place
-    of the weights.
+    of the weights.  ``labels`` may also be the second item of the pair's
+    ``solver_state``, which its solver takes in place of the raw labels.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = np.asarray(labels)
     if embedded and space.kind not in _ADDITIVE_LOSSES:
         raise ValueError(f"{space.kind} spaces take weights, not label statistics")
     if space.kind == "explicit_finite":
@@ -130,17 +143,40 @@ def infer(model: TrainedModel, loss: LossSpec, space: OutputSpace, x,
 
     Where the pair has a label embedding ``Phi`` (Hamming on a hierarchy),
     the weights are never formed: ``model.weights`` returns the statistics
-    ``W @ Phi`` in its cheaper order.
+    ``W @ Phi`` in its cheaper order.  The pair's ``solver_state``, Phi
+    among it, is built on the model's first call and kept on it; the
+    model's labels must not change after that.
     """
-    Phi = _embedding(loss, space, model.labels)
-    results = infer_batch(weights(model, x, Phi), model.labels, loss, space, params,
+    Phi, labels = model_state(model, loss, space)
+    results = infer_batch(weights(model, x, Phi), labels, loss, space, params,
                           embedded=Phi is not None)
     return results if np.ndim(x) == 2 else results[0]
 
 
-def _embedding(loss: LossSpec, space: OutputSpace, labels):
-    """``label_embedding(loss, labels)`` where the pair is solved from
-    additive coefficients, else None."""
-    if loss.kind in _ADDITIVE_LOSSES.get(space.kind, ()):
-        return label_embedding(loss, labels)
-    return None
+def solver_state(loss: LossSpec, space: OutputSpace, labels):
+    """What the pair's solvers derive from the training labels alone, as
+    ``(Phi, labels)``.  ``Phi`` is the ``label_embedding`` whose statistics
+    ``W @ Phi`` stand in for the weights (Hamming on a hierarchy), else
+    None.  ``labels`` are what the pair's solver takes in place of the
+    labels: the footrule's ``footrule_state`` and the flow solvers'
+    ``flow_labels``, ranked for the absolute loss; other pairs take the
+    labels as given.  Labels outside the space raise ValueError."""
+    if space.kind == "hierarchy" and loss.kind == "hamming":
+        return label_embedding(loss, labels), labels
+    if space.kind == "assignment" and loss.kind == "footrule":
+        return None, footrule_state(labels)
+    if space.kind == "flow_polytope" and loss.kind in ("absolute", "square"):
+        return None, flow_labels(labels, space.network, ranked=loss.kind == "absolute")
+    return None, labels
+
+
+def model_state(model: TrainedModel, loss: LossSpec, space: OutputSpace):
+    """``solver_state`` of the model's labels, built on the first call for
+    the loss kind and this space object and kept on the model, one per
+    loss kind; a failed label check is not kept, so it raises on every
+    call."""
+    memo = model._memo
+    hit = memo.get(loss.kind)
+    if hit is None or hit[0] is not space:
+        hit = memo[loss.kind] = (space, solver_state(loss, space, model.labels))
+    return hit[1]

@@ -16,6 +16,7 @@ weights when ``model.weights`` has computed them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,20 +188,20 @@ def additive_coefficients(spec: LossSpec, labels, w, embedded: bool = False):
     returns them.  Coefficient shape is ``(d,)`` for Hamming/hierarchical
     and ``(d, d)`` (label-by-rank cost matrix) for the footrule, with a
     float offset; a batch adds a leading ``Q`` axis to both and costs a
-    few matrix products, not a loop over queries.
+    few matrix products, not a loop over queries.  The footrule takes the
+    rankings' ``footrule_state`` in place of the rankings too.
     """
     w = np.asarray(w, dtype=float)
     W = np.atleast_2d(w)
-    Y = np.asarray(labels)
     if embedded and spec.kind != "hamming":
         raise ValueError(f"loss kind {spec.kind!r} has no label embedding")
     if spec.kind == "hamming":
-        S = W if embedded else _matmul(W, label_embedding(spec, Y))
+        S = W if embedded else _matmul(W, label_embedding(spec, labels))
         coeffs, offset = S[:, :-1], S[:, -1]
     elif spec.kind == "hierarchical":
-        coeffs, offset = _hierarchical_coefficients(spec, Y.astype(float), W)
+        coeffs, offset = _hierarchical_coefficients(spec, np.asarray(labels).astype(float), W)
     elif spec.kind == "footrule":
-        coeffs, offset = footrule_cost_matrix(Y, W), np.zeros(W.shape[0])
+        coeffs, offset = footrule_cost_matrix(labels, W), np.zeros(W.shape[0])
     else:
         raise ValueError(f"loss kind {spec.kind!r} has no additive binary decomposition")
     if w.ndim == 1:
@@ -231,29 +232,50 @@ def _hierarchical_coefficients(spec: LossSpec, Y, W):
     return coeffs, c[s] * T[:, s]
 
 
-def footrule_cost_matrix(sigmas, w) -> np.ndarray:
-    """Assignment costs ``C[j,k] = sum_i w_i |(k+1) - sigma_i(j)|``.
+class FootruleState(NamedTuple):
+    """What ``footrule_cost_matrix`` reads of the rankings: the histogram
+    ``bins`` of (label j, rank sigma_i(j)), ``j * d + sigma_i(j) - 1`` for
+    each sample i and label j in turn, and the (d, d) distances
+    ``dist[r, k] = |k - r|``."""
 
-    Placing label ``j`` at rank ``k+1`` contributes ``C[j,k]`` to the
-    weighted footrule risk.  ``w`` is one weight vector ``(m,)``, giving
-    ``(d, d)``, or a batch ``(Q, m)``, giving ``(Q, d, d)``.  Computed as
-    ``M @ D``: ``M[j, r] = sum_i w_i [sigma_i(j) = r+1]`` is the weighted
-    rank histogram of label ``j`` and ``D[r, k] = |k - r|``.
-    """
+    bins: np.ndarray
+    dist: np.ndarray
+
+
+def footrule_state(sigmas) -> FootruleState:
+    """The ``FootruleState`` of the (m, d) training rankings, after
+    checking that each is a permutation of 1..d (ValueError naming the
+    first that is not)."""
     S = np.asarray(sigmas)
-    w = np.asarray(w, dtype=float)
-    W = np.atleast_2d(w)
     d = S.shape[1]
     bad, why = nonmembers(assignment_space(d), S)
     if bad.size:
         raise ValueError(f"training label {bad[0]} {why}")
-    # Histogram bin of (label j, rank sigma_i(j)); sample i repeats d times.
-    bins = (np.arange(d) * d + S.astype(np.int64) - 1).ravel()
-    M = np.array([np.bincount(bins, weights=np.repeat(row, d), minlength=d * d)
-                  for row in W], dtype=float).reshape(-1, d)
     r = np.arange(d, dtype=float)
+    return FootruleState((np.arange(d) * d + S.astype(np.int64) - 1).ravel(),
+                         np.abs(r[None, :] - r[:, None]))
+
+
+def footrule_cost_matrix(sigmas, w) -> np.ndarray:
+    """Assignment costs ``C[j,k] = sum_i w_i |(k+1) - sigma_i(j)|``.
+
+    Placing label ``j`` at rank ``k+1`` contributes ``C[j,k]`` to the
+    weighted footrule risk.  ``sigmas`` are the (m, d) rankings or their
+    ``footrule_state``.  ``w`` is one weight vector ``(m,)``, giving
+    ``(d, d)``, or a batch ``(Q, m)``, giving ``(Q, d, d)``.  Computed as
+    ``M @ D``: ``M[j, r] = sum_i w_i [sigma_i(j) = r+1]`` is the weighted
+    rank histogram of label ``j`` and ``D[r, k] = |k - r|``.
+    """
+    state = sigmas if isinstance(sigmas, FootruleState) else footrule_state(sigmas)
+    w = np.asarray(w, dtype=float)
+    W = np.atleast_2d(w)
+    d = state.dist.shape[0]
+    # Sample i repeats d times, once per label.  One bincount per row: a
+    # single flat one over all Q histograms is slower.
+    M = np.array([np.bincount(state.bins, weights=np.repeat(row, d), minlength=d * d)
+                  for row in W], dtype=float).reshape(-1, d)
     # All Q histograms stacked as one (Q*d, d) operand of a single product.
-    C = _matmul(M, np.abs(r[None, :] - r[:, None])).reshape(-1, d, d)
+    C = _matmul(M, state.dist).reshape(-1, d, d)
     return C[0] if w.ndim == 1 else C
 
 

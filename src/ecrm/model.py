@@ -18,7 +18,9 @@ solve on whichever side has fewer columns: the Q query rows or the D
 embedding columns.
 
 Fitting never touches the label contents: the label array is stored as
-passed, so training cost is independent of the output dimension.
+passed, behind a read-only view, so training cost is independent of the
+output dimension.  Inference keeps what it derives from the labels on the
+model, so the array passed must not change afterwards either.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ class TrainedModel:
     intercept_mode: str = "none"
     factor: tuple = field(repr=False, compare=False, default=None)
     kernel_terms: tuple = field(repr=False, compare=False, default=None)
+    # What the solvers derive from the stored labels alone, built by
+    # ``inference`` on first use and kept for the model's life.  Internal;
+    # every model starts empty.
+    _memo: dict = field(repr=False, compare=False, init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # ``labels`` is a read-only view, so the labels that ``_memo`` was
+        # built from cannot be written through the model.
+        labels = np.asarray(self.labels).view()
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @property
     def m(self) -> int:

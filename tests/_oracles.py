@@ -341,16 +341,17 @@ def wolfe_min_norm_point(P, Z, scale, gap_tol, max_cycles=np.inf, corral=None):
 # the min-norm-point projection above.  It reads the L1 risk through the
 # solver's breakpoint evaluator, which ``tests/test_flow_opt.py`` checks
 # bit for bit against ``l1_obj_grad_per_arc``.
-def wolfe_l1_descent(W, labels, P, path, path_obj, params):
-    """Projected subgradient descent on the L1 risk of the rows of W, then
-    the feasible candidates: the best path ``path`` of each row, of risk
+def wolfe_l1_descent(W, ranks, P, path, path_obj, params):
+    """Projected subgradient descent on the L1 risk of the rows of W, against
+    the labels of ``ranks`` (``flow_opt.l1_labels``), then the feasible
+    candidates: the best path ``path`` of each row, of risk
     ``path_obj``, and every training label the row weighs: no zero-weight
     label is a candidate.  Returns the best point of each row, its risk and
     the best subgradient lower bound, which only rows with nonnegative
     weights read: it stays ``-inf`` when the batch has none."""
     from ecrm.flow_opt import _l1_breakpoints, _l1_obj_grad
     Q, K = W.shape[0], P.shape[0]
-    breakpoints, costs = _l1_breakpoints(W, labels)
+    breakpoints, costs = _l1_breakpoints(W, ranks)
     np.copyto(costs, np.inf, where=W == 0.0)
     cand = costs.argmin(axis=1)
     cand_obj = costs[np.arange(Q), cand]
@@ -395,7 +396,7 @@ def wolfe_l1_descent(W, labels, P, path, path_obj, params):
     # They snap exact optima that subgradient steps only approach, e.g.
     # reproducing a lone training flow.
     keep_better(path_obj, path)
-    keep_better(cand_obj, labels[cand])
+    keep_better(cand_obj, ranks.labels[cand])
     return best_Y, best_obj, best_lb
 
 
@@ -403,9 +404,10 @@ def wolfe_l1_descent(W, labels, P, path, path_obj, params):
 # a Q-row batch.  It calls the solver's own breakpoints, reduced network
 # and Newton projection, so it differs from ``flow_opt._l1_descent`` only
 # in running the restarts in sequence.
-def sequential_l1_descent(W, labels, net, P, path, path_obj, params):
-    """Projected subgradient descent on the L1 risk of the rows of W, then
-    the feasible candidates: the best path ``path`` of each row, of risk
+def sequential_l1_descent(W, ranks, net, P, path, path_obj, params):
+    """Projected subgradient descent on the L1 risk of the rows of W, against
+    the labels of ``ranks`` (``flow_opt.l1_labels``), then the feasible
+    candidates: the best path ``path`` of each row, of risk
     ``path_obj``, and every training label the row weighs: no zero-weight
     label is a candidate.  Returns the best point of each row, its risk and
     the best subgradient lower bound, which only rows with nonnegative
@@ -413,7 +415,7 @@ def sequential_l1_descent(W, labels, net, P, path, path_obj, params):
     from ecrm.flow_opt import (_STEP_MAX, _flow_system, _l1_breakpoints, _l1_obj_grad,
                                _project_newton)
     Q, K = W.shape[0], P.shape[0]
-    breakpoints, costs = _l1_breakpoints(W, labels)
+    breakpoints, costs = _l1_breakpoints(W, ranks)
     np.copyto(costs, np.inf, where=W == 0.0)
     cand = costs.argmin(axis=1)
     cand_obj = costs[np.arange(Q), cand]
@@ -462,5 +464,5 @@ def sequential_l1_descent(W, labels, net, P, path, path_obj, params):
     # They snap exact optima that subgradient steps only approach, e.g.
     # reproducing a lone training flow.
     keep_better(path_obj, path)
-    keep_better(cand_obj, labels[cand])
+    keep_better(cand_obj, ranks.labels[cand])
     return best_Y, best_obj, best_lb

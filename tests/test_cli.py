@@ -1390,6 +1390,27 @@ class TestQueryBlocks:
             assert len(a) == len(b)
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["hamming", "assignment", "flow"])
+    def test_one_state_build_per_predict(self, monkeypatch, tmp_path, rng, kind):
+        # 600 query rows are three blocks of 256.  The command checks the
+        # stored labels, and the solvers build their state from the labels
+        # in the first block, checking them once more where the state's
+        # builder checks (rankings and flows), and reuse it after that.
+        import ecrm.flow_opt
+        import ecrm.inference
+        import ecrm.losses
+        flags, loss, model, _, _, query_x, _ = self._dataset(kind, tmp_path, rng, q=600)
+        builds, checks = [], []
+        build = ecrm.inference.solver_state
+        monkeypatch.setattr(ecrm.inference, "solver_state",
+                            lambda *a, **kw: builds.append(1) or build(*a, **kw))
+        for mod in (ecrm.cli, ecrm.losses, ecrm.flow_opt):
+            monkeypatch.setattr(mod, "nonmembers", lambda *a, _check=mod.nonmembers, **kw:
+                                checks.append(1) or _check(*a, **kw))
+        r = run_cli("predict", "--model", model, "--x", query_x, *loss, *flags)
+        assert (r.returncode, r.stderr, len(r.stdout.splitlines())) == (0, "", 600)
+        assert (len(builds), len(checks)) == (1, 1 if kind == "hamming" else 2)
+
     @pytest.mark.parametrize("command", ["predict", "eval", "surrogate", "bound",
                                          "baseline knn"])
     def test_empty_query_file_exits_2(self, monkeypatch, tmp_path, rng, command):
@@ -1482,3 +1503,37 @@ class TestQueryBlocks:
                 finally:
                     tracemalloc.stop()
         assert peaks[2] <= 1.25 * peaks[1], peaks
+
+
+class TestParser:
+    """``build_parser(argv)`` gives only the subcommand that ``argv`` names
+    its flags; what it prints and parses must be what the full parser
+    prints and parses."""
+
+    @staticmethod
+    def _parse(ap, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                args = vars(ap.parse_args(argv))
+            except SystemExit as exc:
+                args = exc.code
+        return args, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", list(ecrm.cli._COMMANDS))
+    def test_one_subcommand_speaks_as_the_full_parser(self, command):
+        for argv, code in (([command, "--help"], 0), ([command, "--no-such-flag"], 2)):
+            want = self._parse(ecrm.cli.build_parser(), argv)
+            assert self._parse(ecrm.cli.build_parser(argv), argv) == want
+            assert want[0] == code and want[1 + code // 2].startswith("usage: ecrm ")
+        argv = [command]        # missing flags, or none needed
+        assert self._parse(ecrm.cli.build_parser(argv), argv) == self._parse(
+            ecrm.cli.build_parser(), argv)
+
+    def test_parsed_flags_and_top_level_messages_are_unchanged(self):
+        full = ecrm.cli.build_parser()
+        for argv in (["predict", "--model", "m", "--x", "x", "--space", "assignment",
+                      "--dim", "3", "--loss", "footrule", "--restarts", "2"],
+                     ["tu-check", "--matrix", "a.txt"], ["--help"], ["no-such-command"],
+                     ["-h", "train"], []):
+            assert self._parse(ecrm.cli.build_parser(argv), argv) == self._parse(full, argv)

@@ -12,8 +12,8 @@ from ecrm import (FlowNetwork, InferenceResult, SolverParams, default_flow_netwo
                   enumerate_st_paths, solve_flow_abs_batch, solve_flow_sq_batch)
 from ecrm import flow_opt
 from ecrm.flow_opt import (_flow_system, _fw_gaps, _l1_breakpoints, _l1_obj_grad,
-                           _min_norm_point, _path_atoms, _project_newton, min_cost_paths,
-                           project_batch)
+                           _min_norm_point, _path_atoms, _project_newton, l1_labels,
+                           min_cost_paths, project_batch)
 from ecrm.spaces import flow_residual, flow_residuals
 from _oracles import (abs_flow_objective, flow_projection, l1_flow_minimizer,
                       l1_obj_grad_per_arc, lex_min_cost_path, sequential_l1_descent,
@@ -790,8 +790,8 @@ class TestSolveFlowAbs:
         params = SolverParams(max_iters=100, restarts=2)
         Y, obj, certs = solve_flow_abs_batch(W, labels, NET, params)
         assert [c.kind for c in certs] == ["gap", "heuristic", "heuristic", "heuristic"] * 10
-        monkeypatch.setattr(flow_opt, "_l1_descent", lambda W, labels, net, *rest:
-                            wolfe_l1_descent(W, labels, *rest))
+        monkeypatch.setattr(flow_opt, "_l1_descent", lambda W, ranks, net, *rest:
+                            wolfe_l1_descent(W, ranks, *rest))
         Yw, objw, certsw = solve_flow_abs_batch(W, labels, NET, params)
         assert np.max(np.abs(Y - Yw)) <= 1e-12
         assert np.max(np.abs(obj - objw)) <= 1e-12
@@ -951,7 +951,7 @@ class TestL1Breakpoints:
         for _ in range(20):
             Q, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
             W, labels, Y = self._instance(rng, Q, m)
-            obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], Y)
+            obj, G = _l1_obj_grad(*_l1_breakpoints(W, l1_labels(labels))[0], Y)
             for q in range(Q):
                 tol = 1e-12 * (1.0 + np.abs(W[q]).sum())
                 ref_obj = abs_flow_objective(Y[q:q + 1], labels, W[q])[0]
@@ -965,7 +965,7 @@ class TestL1Breakpoints:
         W = np.array([[1.0, 10.0, -3.0]])
         Y = np.zeros((1, NET.n_arcs))
         Y[0, 0] = 0.5
-        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], Y)
+        obj, G = _l1_obj_grad(*_l1_breakpoints(W, l1_labels(labels))[0], Y)
         assert G[0, 0] == 1.0 - (-3.0)
         assert obj[0] == pytest.approx(1.0 * 0.3 + -3.0 * 0.4, abs=1e-15)
         # Other arcs tie with every label: zero subgradient, zero objective.
@@ -973,10 +973,10 @@ class TestL1Breakpoints:
 
     def test_one_row_equals_batch_row_bit_for_bit(self, rng):
         W, labels, Y = self._instance(rng, 9, 30)
-        breakpoints, costs = _l1_breakpoints(W, labels)
+        breakpoints, costs = _l1_breakpoints(W, l1_labels(labels))
         obj, G = _l1_obj_grad(*breakpoints, Y)
         for q in range(W.shape[0]):
-            breakpoints1, costs1 = _l1_breakpoints(W[q:q + 1], labels)
+            breakpoints1, costs1 = _l1_breakpoints(W[q:q + 1], l1_labels(labels))
             obj1, G1 = _l1_obj_grad(*breakpoints1, Y[q:q + 1])
             assert obj1[0] == obj[q]
             np.testing.assert_array_equal(G1[0], G[q])
@@ -986,7 +986,7 @@ class TestL1Breakpoints:
         for _ in range(20):
             Q, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
             W, labels, Y = self._instance(rng, Q, m)
-            obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], Y)
+            obj, G = _l1_obj_grad(*_l1_breakpoints(W, l1_labels(labels))[0], Y)
             ref_obj, ref_G = l1_obj_grad_per_arc(W, labels, Y)
             assert np.array_equal(obj, ref_obj)
             assert np.array_equal(G, ref_G)
@@ -994,7 +994,7 @@ class TestL1Breakpoints:
         P = enumerate_st_paths(NET)
         labels = rng.dirichlet(np.ones(P.shape[0]), size=5) @ P
         W = rng.normal(size=(P.shape[0], 5))
-        obj, G = _l1_obj_grad(*_l1_breakpoints(W, labels)[0], P)
+        obj, G = _l1_obj_grad(*_l1_breakpoints(W, l1_labels(labels))[0], P)
         ref_obj, ref_G = l1_obj_grad_per_arc(W, labels, P)
         assert np.array_equal(obj, ref_obj)
         assert np.array_equal(G, ref_G)
@@ -1003,12 +1003,29 @@ class TestL1Breakpoints:
         for _ in range(20):
             Q, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
             W, labels, _ = self._instance(rng, Q, m)
-            costs = _l1_breakpoints(W, labels)[1]
+            costs = _l1_breakpoints(W, l1_labels(labels))[1]
             assert costs.shape == (Q, m)
             for q in range(Q):
                 tol = 1e-12 * (1.0 + np.abs(W[q]).sum())
                 ref = abs_flow_objective(labels, labels, W[q])
                 assert np.max(np.abs(costs[q] - ref)) <= tol
+
+
+def test_solvers_take_flow_labels_in_place_of_the_flows(rng):
+    P = enumerate_st_paths(NET)
+    labels = rng.dirichlet(np.ones(P.shape[0]), size=6) @ P
+    W = rng.normal(size=(3, 6))
+    params = SolverParams(max_iters=20, restarts=1)
+    for ranked in (False, True):
+        state = flow_opt.flow_labels(labels, NET, ranked)
+        for solver in (solve_flow_sq_batch, solve_flow_abs_batch):
+            (Y, obj, certs), (Yr, objr, certsr) = (solver(W, state, NET, params),
+                                                   solver(W, labels, NET, params))
+            np.testing.assert_array_equal(Y, Yr)
+            np.testing.assert_array_equal(obj, objr)
+            assert certs == certsr
+    with pytest.raises(ValueError, match="checked against another network"):
+        solve_flow_abs_batch(W, state, default_flow_network(), params)
 
 
 def test_sq_solver_concave_sweep_memory_is_bounded():

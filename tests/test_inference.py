@@ -459,3 +459,143 @@ class TestInferBatch:
             loss, space = LossSpec("square"), explicit_space(members)
         model = fit(KernelSpec("rbf", gamma=0.5), 0.1, rng.normal(size=(5, 3)), labels)
         assert infer(model, loss, space, np.zeros((0, 3))) == []
+
+
+class TestModelState:
+    """``infer`` builds what a solver derives from the stored labels
+    (``inference.solver_state``) on a model's first call and keeps it on
+    the model; without a model, the solver builds the same state per call.
+    Both must give the same bits."""
+
+    CASES = ("footrule", "hamming", "flow-absolute", "flow-square")
+
+    @staticmethod
+    def _case(rng, case, m=12):
+        from ecrm import SolverParams, default_flow_network, enumerate_st_paths, flow_space
+        params = None
+        if case == "footrule":
+            labels = np.array([rng.permutation(6) + 1 for _ in range(m)])
+            loss, space = LossSpec("footrule"), assignment_space(6)
+        elif case == "hamming":
+            G = random_dag(rng, 8)
+            labels = np.array([random_feasible_label(rng, G) for _ in range(m)])
+            loss, space = LossSpec("hamming"), hierarchy_space(G)
+        else:
+            net = default_flow_network()
+            P = enumerate_st_paths(net)
+            labels = rng.dirichlet(np.ones(P.shape[0]), size=m) @ P
+            loss, space = LossSpec(case[5:]), flow_space(net)
+            params = SolverParams(max_iters=30, restarts=2)
+        X = rng.normal(size=(m, 3))
+        return X, labels, loss, space, params
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.y_star, b.y_star)
+            assert (a.objective, a.certificate) == (b.objective, b.certificate)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_kept_state_gives_the_bits_of_a_per_call_build(self, rng, case):
+        from ecrm.losses import label_embedding
+        X, labels, loss, space, params = self._case(rng, case)
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, X, labels)
+        Phi = label_embedding(loss, labels) if case == "hamming" else None
+        for x in [*rng.normal(size=(3, 3)), rng.normal(size=(4, 3))]:
+            want = infer_batch(weights(model, x, Phi), labels, loss, space, params,
+                               embedded=Phi is not None)
+            for _ in range(2):      # the first call builds the state, the second reads it
+                got = infer(model, loss, space, x, params)
+                self._same(got if x.ndim == 2 else [got], want)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_build_per_model(self, monkeypatch, rng, case):
+        import ecrm.inference
+        builds, build = [], ecrm.inference.solver_state
+        monkeypatch.setattr(ecrm.inference, "solver_state",
+                            lambda *a, **kw: builds.append(1) or build(*a, **kw))
+        X, labels, loss, space, params = self._case(rng, case)
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, X, labels)
+        for x in rng.normal(size=(100, 3)):
+            infer(model, loss, space, x, params)
+        assert len(builds) == 1
+        # Another space object, even an equal one, gets its own build.
+        other = (assignment_space(6) if case == "footrule" else
+                 hierarchy_space(space.hierarchy) if case == "hamming" else
+                 ecrm.flow_space(space.network))
+        infer(model, loss, other, X[0], params)
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("case", ["footrule", "flow-absolute", "flow-square"])
+    def test_a_failed_label_check_raises_on_every_call(self, rng, case):
+        X, labels, loss, space, params = self._case(rng, case)
+        if case == "footrule":
+            labels[3] = labels[3][[0, 0, 2, 3, 4, 5]]
+            message = "training label 3 is not a permutation of 1..6"
+        else:
+            labels[3, 0] += 0.5
+            message = "training flow 3 violates conservation by 0.5"
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, X, labels)
+        for _ in range(3):
+            with pytest.raises(ValueError) as err:
+                infer(model, loss, space, X[0], params)
+            assert str(err.value) == message
+        with pytest.raises(ValueError, match=message):
+            infer_batch(weights(model, X[:2]), labels, loss, space, params)
+
+    @pytest.mark.parametrize("case", ["footrule", "flow-absolute", "flow-square"])
+    def test_labels_are_checked_on_the_first_call_only(self, monkeypatch, rng, case):
+        import ecrm.flow_opt
+        import ecrm.inference
+        import ecrm.losses
+        X, labels, loss, space, params = self._case(rng, case)
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, X, labels)
+        checks = []
+        for mod in (ecrm.losses, ecrm.flow_opt):
+            monkeypatch.setattr(mod, "nonmembers", lambda *a, _check=mod.nonmembers, **kw:
+                                checks.append(1) or _check(*a, **kw))
+        for x in rng.normal(size=(20, 3)):
+            infer(model, loss, space, x, params)
+        assert checks == [1]
+        # The solvers take the kept state in place of the labels, unchecked.
+        Phi, state = ecrm.inference.model_state(model, loss, space)
+        W = weights(model, X[:3])
+        self._same(infer_batch(W, state, loss, space, params),
+                   infer_batch(W, labels, loss, space, params))
+        assert checks == [1, 1]
+
+    def test_flow_labels_of_another_network_raise(self, rng):
+        import ecrm.inference
+        from ecrm import default_flow_network, flow_space
+        X, labels, loss, space, params = self._case(rng, "flow-absolute")
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, X, labels)
+        _, state = ecrm.inference.model_state(model, loss, space)
+        other = flow_space(default_flow_network())
+        with pytest.raises(ValueError, match="checked against another network"):
+            infer_batch(weights(model, X[:1]), state, loss, other, params)
+
+    def test_model_labels_are_read_only(self, rng):
+        X, labels, loss, space, params = self._case(rng, "footrule")
+        model = fit(KernelSpec("rbf", gamma=0.5), 0.1, X, labels)
+        with pytest.raises(ValueError, match="read-only"):
+            model.labels[0, 0] = 2
+        np.testing.assert_array_equal(model.labels, labels)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_models_with_other_labels_share_no_state(self, rng, case):
+        import dataclasses
+        X, labels, loss, space, params = self._case(rng, case)
+        _, labels2, *_ = self._case(rng, case)
+        if case == "hamming":           # labels of the same hierarchy
+            G = space.hierarchy
+            labels2 = np.array([random_feasible_label(rng, G) for _ in range(len(X))])
+        kernel = KernelSpec("rbf", gamma=0.5)
+        one, two = fit(kernel, 0.1, X, labels), fit(kernel, 0.1, X, labels2)
+        swapped = dataclasses.replace(one, labels=labels2)
+        Xq = rng.normal(size=(4, 3))
+        for x in Xq:
+            for model, Y in ((one, labels), (two, labels2), (swapped, labels2)):
+                want = infer(fit(kernel, 0.1, X, Y), loss, space, x, params)
+                self._same([infer(model, loss, space, x, params)], [want])
+        assert one._memo is not two._memo and swapped._memo is not one._memo

@@ -16,8 +16,8 @@ SRC = ROOT / "src" / "ecrm"
 
 # Public names kept without such a caller, each with its reason.
 ALLOWED = {
-    "save_hierarchy": "the writer of the hierarchy file format (ROADMAP item 7)",
-    "save_network": "the writer of the network file format (ROADMAP item 7)",
+    "save_hierarchy": "the writer of the hierarchy file format (ROADMAP item 8)",
+    "save_network": "the writer of the network file format (ROADMAP item 8)",
     "hierarchy_constraint_matrix": "the total-unimodularity tests build it",
     "assignment_constraint_matrix": "the total-unimodularity tests build it",
     "empirical_surrogate_risk": "the library reference for the bound command in test_cli",
